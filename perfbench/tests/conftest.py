@@ -1,0 +1,9 @@
+"""Make ``benchlib`` and the repository's ``src`` importable in tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "src", ROOT / "perfbench"):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
