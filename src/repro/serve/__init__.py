@@ -9,9 +9,9 @@ putting a fitted estimator behind a service boundary:
 * :mod:`repro.serve.batcher` — micro-batching executor that amortises
   the columnar featurize → predict path across concurrent requests.
 * :mod:`repro.serve.cache` — thread-safe LRU caches: exact-match
-  estimates keyed on the canonical serialized query form, parsed
-  statement templates keyed on the literal-masked SQL fingerprint, and
-  compiled shape plans keyed on the literal-masked query structure.
+  estimates keyed on the request's SQL text, parsed statement templates
+  keyed on the literal-masked SQL fingerprint, and compiled shape plans
+  keyed on the literal-masked query structure.
 * :mod:`repro.serve.fused` — the fused compile→encode→predict hot path
   (shape-plan reuse + compiled-forest inference) micro-batches ride
   when the estimator supports it.
@@ -25,12 +25,7 @@ and ``repro bench serve`` measures its latency/throughput envelope.
 """
 
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
-from repro.serve.cache import (
-    EstimateCache,
-    ParseCache,
-    PlanCache,
-    query_cache_key,
-)
+from repro.serve.cache import EstimateCache, ParseCache, PlanCache
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.fused import FusedEstimatePath
 from repro.serve.registry import ModelRegistry, ModelVersion, RegistryError
@@ -42,7 +37,7 @@ from repro.serve.server import (
 
 __all__ = [
     "MicroBatcher", "BatcherClosedError",
-    "EstimateCache", "ParseCache", "PlanCache", "query_cache_key",
+    "EstimateCache", "ParseCache", "PlanCache",
     "FusedEstimatePath",
     "ServeClient", "ServeClientError",
     "ModelRegistry", "ModelVersion", "RegistryError",

@@ -5,12 +5,13 @@ maps built on one locked core (:class:`_LruCache`):
 
 * :class:`EstimateCache` — exact-match results.  Production query
   streams are heavily repetitive — the same dashboard, ORM, or prepared
-  statement issues the same shapes over and over — and a cardinality
+  statement issues the same text over and over — and a cardinality
   estimate is a pure function of the query (Equation 4), so caching is
-  always sound.  The cache keys on the **canonical serialized query
-  form** (:func:`repro.workloads.serialization.canonical_query_text`),
-  which means a query hits the cache no matter which surface it arrived
-  through: an HTTP body, a workload file, or a generator.
+  always sound.  The cache keys on the **request's SQL text** as
+  received: the service probes it before fingerprinting or parsing, so
+  a hit costs one dict probe.  Identical text parses to an identical
+  query, so the key is exact; two spellings of one query are two
+  entries, which costs hits, never correctness.
 * :class:`ParseCache` — parsed statement templates.  Keys are SQL
   *fingerprints* (:func:`repro.sql.parser.fingerprint_sql` — the
   statement text with numeric literals masked), so a parameterized
@@ -23,8 +24,10 @@ maps built on one locked core (:class:`_LruCache`):
   compile produced even though every literal differs and the exact-match
   cache misses.
 
-The three form the serving pipeline's cache ladder: fingerprint → AST
-(parse), shape → plan (compile), exact query → estimate (everything).
+The three form the serving pipeline's cache ladder: exact SQL text →
+estimate (everything), fingerprint → statement (parse), shape → plan
+(compile).  Batches probe each cache once with :meth:`_LruCache.lookup_many`
+(one lock acquisition, one counter increment per outcome).
 
 Hit/miss/eviction counts are mirrored into the process-global
 :mod:`repro.obs.metrics_runtime` registry (``serve.cache.*`` /
@@ -38,24 +41,15 @@ from collections import OrderedDict
 from threading import Lock
 
 from repro import obs
-from repro.featurize.batch import CompiledPlan
-from repro.sql.ast import Query
-from repro.workloads.serialization import canonical_query_text
 
-__all__ = ["EstimateCache", "ParseCache", "PlanCache", "query_cache_key"]
-
-
-def query_cache_key(query: Query) -> str:
-    """Canonical cache key of a query (its serialized single-line SQL)."""
-    return canonical_query_text(query)
+__all__ = ["EstimateCache", "ParseCache", "PlanCache"]
 
 
 class _LruCache:
     """A bounded, thread-safe LRU map with mirrored hit/miss counters.
 
     ``max_size=0`` disables caching entirely: every lookup misses, no
-    entry is stored, and no counters move — the configuration the
-    serving benchmark uses to measure uncached paths honestly.
+    entry is stored, and no counters move.
     Subclasses set ``_metric_prefix`` to the global-registry counter
     namespace (``<prefix>.hits`` / ``.misses`` / ``.evictions``).
     """
@@ -99,32 +93,53 @@ class _LruCache:
         (locally and in the global metrics registry); a disabled cache
         counts nothing.
         """
+        return self.lookup_many((key,))[0]
+
+    def lookup_many(self, keys) -> list:
+        """Cached values for ``keys`` in order, ``None`` for each miss.
+
+        One lock acquisition for the whole sequence and one registry
+        increment per outcome, so a batch pays per-key only the dict
+        probe.  Each key counts as one hit or one miss, exactly as
+        :meth:`lookup` would count it.
+        """
         if not self._max_size:
-            return None
+            return [None] * len(keys)
+        entries = self._entries
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
+            values = [entries.get(key) for key in keys]
+            hits = 0
+            for key, value in zip(keys, values):
+                if value is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            misses = len(values) - hits
+            self._hits += hits
+            self._misses += misses
         registry = obs.get_registry()
-        if value is None:
-            registry.counter(self._misses_metric).inc()
-        else:
-            registry.counter(self._hits_metric).inc()
-        return value
+        if hits:
+            registry.counter(self._hits_metric).inc(hits)
+        if misses:
+            registry.counter(self._misses_metric).inc(misses)
+        return values
 
     def store(self, key, value) -> None:
         """Insert (or refresh) a value, evicting the LRU entry if full."""
+        self.store_many(((key, value),))
+
+    def store_many(self, items) -> None:
+        """Insert (or refresh) ``(key, value)`` pairs in order under one
+        lock, evicting LRU entries while over capacity."""
         if not self._max_size:
             return
+        entries = self._entries
         evicted = 0
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_size:
-                self._entries.popitem(last=False)
+            for key, value in items:
+                entries[key] = value
+                entries.move_to_end(key)
+            while len(entries) > self._max_size:
+                entries.popitem(last=False)
                 evicted += 1
             self._evictions += evicted
         if evicted:
@@ -148,7 +163,7 @@ class _LruCache:
 
 
 class EstimateCache(_LruCache):
-    """Exact-match query key -> estimate (``serve.cache.*`` counters).
+    """Request SQL text -> estimate (``serve.cache.*`` counters).
 
     Values are stored as ``float``; see the module docstring for why
     exact-match caching of estimates is always sound.
@@ -159,9 +174,9 @@ class EstimateCache(_LruCache):
     def __init__(self, max_size: int = 1024) -> None:
         super().__init__(max_size)
 
-    def store(self, key: str, estimate: float) -> None:
-        """Insert (or refresh) an estimate, evicting the LRU if full."""
-        super().store(key, float(estimate))
+    def store_many(self, items) -> None:
+        """Insert (or refresh) ``(sql, estimate)`` pairs as floats."""
+        super().store_many((key, float(estimate)) for key, estimate in items)
 
 
 class ParseCache(_LruCache):
@@ -198,7 +213,3 @@ class PlanCache(_LruCache):
 
     def __init__(self, max_size: int = 256) -> None:
         super().__init__(max_size)
-
-    def store(self, key: tuple, plan: CompiledPlan) -> None:
-        """Insert (or refresh) a plan, evicting the LRU entry if full."""
-        super().store(key, plan)

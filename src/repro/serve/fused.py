@@ -217,19 +217,16 @@ class FusedEstimatePath:
         compiled from when its shape misses the cache.
         """
         with obs.span("serve.fused.compile", n_queries=len(keys)) as span:
-            # Resolve each query's plan; a batch repeating one shape
-            # consults the (locked) cache once for it.
-            local: dict[tuple, object] = {}
-            plans = []
-            for key, expr in zip(keys, compile_exprs):
-                plan = local.get(key)
-                if plan is None:
-                    plan = self._plan_cache.lookup(key)
-                    if plan is None:
-                        plan = self._featurizer.compile_plan(expr)
-                        self._plan_cache.store(key, plan)
-                    local[key] = plan
-                plans.append(plan)
+            # One probe of the (locked) cache for the batch's distinct
+            # shapes; only the shapes it misses compile.
+            compile_expr = dict(zip(keys, compile_exprs))
+            shapes = list(compile_expr)
+            local = dict(zip(shapes, self._plan_cache.lookup_many(shapes)))
+            compiled = [(key, self._featurizer.compile_plan(compile_expr[key]))
+                        for key in shapes if local[key] is None]
+            local.update(compiled)
+            self._plan_cache.store_many(compiled)
+            plans = [local[key] for key in keys]
             if span is not None:
                 span.set_attribute("n_shapes", len(local))
         with obs.span("serve.fused.encode", n_queries=len(keys)):

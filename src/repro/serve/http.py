@@ -8,8 +8,9 @@ machinery lives here once:
 
 * :class:`JsonRequestHandler` — HTTP/1.1 keep-alive handler base with
   JSON body parsing/encoding, connection registration (so ``stop()``
-  can sweep idle keep-alive sockets), and the drain-aware request
-  loop.  Subclasses implement ``do_GET``/``do_POST`` routing only.
+  can sweep idle keep-alive sockets), the drain-aware request loop,
+  and the request-body bound (:data:`MAX_BODY_BYTES`).  Subclasses
+  implement ``do_GET``/``do_POST`` routing only.
 * :class:`ThreadedJsonServer` — owns the ``ThreadingHTTPServer``, the
   serving thread, and the graceful-stop sequence: flip the draining
   flag, half-close every registered connection's read side (blocked
@@ -27,7 +28,12 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-__all__ = ["JsonRequestHandler", "ThreadedJsonServer"]
+__all__ = ["JsonRequestHandler", "ThreadedJsonServer", "MAX_BODY_BYTES"]
+
+#: Largest request body a handler reads, in bytes.  A batch of 64
+#: prepared statements is about 15 KB; the cap also bounds the size of
+#: an estimate-cache key, which is the request's SQL text.
+MAX_BODY_BYTES = 1 << 20
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
@@ -78,7 +84,40 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             return
         super().handle_one_request()
 
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; refuse unreadable bodies.
+
+        Runs before routing.  A ``Content-Length`` that is not a
+        non-negative integer is answered ``400``, one above
+        :data:`MAX_BODY_BYTES` ``413``, without reading the body.
+        Either answer closes the connection: the unread body would
+        otherwise be parsed as the next request.
+        """
+        if not super().parse_request():
+            return False
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return True
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            status = 400
+            message = f"invalid Content-Length {declared!r}"
+        elif length > MAX_BODY_BYTES:
+            status = 413
+            message = (f"request body of {length} bytes exceeds the "
+                       f"{MAX_BODY_BYTES}-byte limit")
+        else:
+            return True
+        self.close_connection = True
+        self._send_json(status, {"error": message},
+                        extra_headers={"Connection": "close"})
+        return False
+
     def _read_json(self) -> dict:
+        # parse_request already bounded the declared length.
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
         try:

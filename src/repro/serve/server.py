@@ -9,7 +9,8 @@ Two layers, separable for testing:
   compile→encode→predict path (:mod:`repro.serve.fused`, used by both
   the micro-batcher and the client-batch endpoint when the estimator is
   eligible), and the admission-control counter, and exposes
-  ``estimate`` / ``estimate_many`` / ``close``.
+  ``estimate`` / ``estimate_many_sql`` / ``feedback`` / ``close``, all
+  taking request SQL text.
 * :class:`EstimationServer` — a ``ThreadingHTTPServer`` wrapping one
   service in a small JSON API:
 
@@ -70,12 +71,7 @@ from repro.feedback import QueryFeedbackMonitor
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
-from repro.serve.cache import (
-    EstimateCache,
-    ParseCache,
-    PlanCache,
-    query_cache_key,
-)
+from repro.serve.cache import EstimateCache, ParseCache, PlanCache
 from repro.serve.fused import FusedEstimatePath, PlannedStatement
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
 from repro.sql.ast import Query, UnsupportedQueryError
@@ -156,7 +152,11 @@ class _Statement:
 
 
 class EstimationService:
-    """Cache → micro-batcher → estimator pipeline with admission control.
+    """Cache → parse → estimator pipeline with admission control.
+
+    Requests carry SQL text.  The exact-match estimate cache is probed
+    with that text before anything else, so a hit costs one dict probe
+    and never reaches the fingerprinter or the parser.
 
     Parameters
     ----------
@@ -166,7 +166,8 @@ class EstimationService:
     max_batch_size / max_wait_ms:
         Micro-batching knobs, see :class:`~repro.serve.batcher.MicroBatcher`.
     cache_size:
-        LRU estimate-cache capacity; ``0`` disables caching.
+        LRU estimate-cache capacity (keyed on request SQL text); ``0``
+        disables caching.
     max_inflight:
         Admission bound: requests beyond this many concurrently in
         flight are rejected with :class:`ServiceUnavailableError`.
@@ -321,8 +322,10 @@ class EstimationService:
         Stores the re-bindable template together with its planned form
         (when the fused path can shape-compile it); statements whose
         round-trip self-check fails stay uncached and every instance
-        parses from scratch.
+        parses from scratch.  A disabled parse cache skips the work.
         """
+        if not self._parse_cache.enabled:
+            return
         template = make_template(query, literals)
         if template is None:
             return
@@ -330,15 +333,17 @@ class EstimationService:
                    if self._fused is not None else None)
         self._parse_cache.store(fingerprint, _Statement(template, planned))
 
-    def estimate(self, query: Query, sql: str | None = None,
+    def estimate(self, sql: str,
                  trace_id: int | None = None) -> tuple[float, bool]:
-        """Estimate one query; returns ``(estimate, was_cached)``.
+        """Estimate one SQL statement; returns ``(estimate, was_cached)``.
 
-        Cache hit short-circuits; a miss rides the micro-batcher and the
-        result is cached on the way out.  Saturation raises
-        :class:`ServiceUnavailableError` *before* any work is queued.
-        ``sql``/``trace_id`` enrich the request's wide event and join
-        its spans to the caller's trace; both are optional.
+        The estimate cache is probed with the request text first, so a
+        hit never reaches the parser.  A miss parses (through the parse
+        cache), rides the micro-batcher, and is cached on the way out.
+        Saturation raises :class:`ServiceUnavailableError` *before* any
+        work is queued; malformed SQL raises the parser's
+        ``ValueError`` family.  ``trace_id`` joins the request's spans
+        and wide event to the caller's trace.
         """
         with _RequestTelemetry(self, sql, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
@@ -347,15 +352,12 @@ class EstimationService:
             registry = obs.get_registry()
             registry.counter("serve.requests_total").inc()
             registry.counter("serve.queries_total").inc()
-            # Serializing the cache key costs more than a dict probe;
-            # skip it entirely when the cache cannot hit anyway.
-            if self._cache.enabled:
-                key = query_cache_key(query)
-                cached = self._cache.lookup(key)
-                if cached is not None:
-                    telemetry.cache = "hit"
-                    telemetry.estimate = cached
-                    return cached, True
+            cached = self._cache.lookup(sql)
+            if cached is not None:
+                telemetry.cache = "hit"
+                telemetry.estimate = cached
+                return cached, True
+            query = self.parse(sql)
             try:
                 request = self._batcher.submit_request(
                     query, trace_id=trace_id)
@@ -365,79 +367,26 @@ class EstimationService:
             telemetry.cache = "miss"
             telemetry.batch_id = request.batch_id
             telemetry.estimate = estimate
-            if self._cache.enabled:
-                self._cache.store(key, estimate)
+            self._cache.store(sql, estimate)
             return estimate, False
-
-    def estimate_many(self, queries: list[Query],
-                      trace_id: int | None = None) -> list[float]:
-        """Estimate a client-supplied batch in one estimator call.
-
-        The batch is already amortised, so misses bypass the collection
-        window and go straight through ``estimate_batch``; individual
-        cache hits are still honoured and misses are cached.
-        """
-        with _RequestTelemetry(self, None, trace_id) as telemetry, \
-                obs.use_trace_context(trace_id or obs.current_trace_id()), \
-                self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds",
-                         n_queries=len(queries)):
-            telemetry.cache = "batch"
-            registry = obs.get_registry()
-            registry.counter("serve.requests_total").inc()
-            registry.counter("serve.queries_total").inc(len(queries))
-            if self._closed:
-                raise ServiceUnavailableError("service is shut down")
-            results: list[float | None] = [None] * len(queries)
-            misses: list[tuple[int, Query, str | None]] = []
-            if self._cache.enabled:
-                for position, query in enumerate(queries):
-                    key = query_cache_key(query)
-                    value = self._cache.lookup(key)
-                    if value is None:
-                        misses.append((position, query, key))
-                    else:
-                        results[position] = value
-            else:
-                # Key serialization is pure waste against a disabled
-                # cache; every query is a miss by construction.
-                misses = [(position, query, None)
-                          for position, query in enumerate(queries)]
-            if misses:
-                registry.counter("serve.batches_total").inc()
-                registry.histogram("serve.batch.size").record(len(misses))
-                with obs.span("serve.batch.execute", n_queries=len(misses),
-                              metric="serve.batch.execute.seconds"):
-                    estimates = self._estimate_batch(
-                        [query for _, query, _ in misses])
-                for (position, _, key), estimate in zip(misses, estimates):
-                    value = float(estimate)
-                    if key is not None:
-                        self._cache.store(key, value)
-                    results[position] = value
-            return [float(value) for value in results]
 
     def estimate_many_sql(self, sqls: list[str],
                           trace_id: int | None = None) -> list[float]:
-        """Estimate a batch straight from SQL text (the batch endpoint).
+        """Estimate a client-supplied batch of SQL statements.
 
-        This is the serving hot path's top: when the fused path can
-        shape-plan statements, the parse cache is on, and the
-        exact-match estimate cache is off (its keys need bound
-        queries), instances of already-seen statements skip AST
-        construction entirely — fingerprint → planned statement →
-        literals gathered into the stitched encode.  First-seen
-        statements, uncacheable templates, and statements outside the
-        planned class ride the bound-AST path within the same request;
-        in every configuration the results are bitwise-identical to
-        ``estimate_many([parse(sql) for sql in sqls])``, which is also
-        the literal fallback whenever the planned leg is unavailable.
+        The batch endpoint's one path.  The estimate cache is probed
+        first, keyed on each statement's text; only misses go further.
+        A miss whose statement the parse cache holds in planned form
+        takes the SQL-direct leg — fingerprint → permuted literals →
+        stitched encode → compiled predict, with no bound AST.  Every
+        other miss (a first-seen statement, an uncacheable template, an
+        estimator without a planned leg) is parsed or re-bound and goes
+        through ``estimate_batch`` in the same request.  The batch is
+        already amortised, so nothing waits in the micro-batcher.
+        Estimates are cached only once the whole batch has succeeded,
+        and every answer is bitwise-identical to
+        ``estimator.estimate_batch`` on the parsed statements.
         """
-        fused = self._fused
-        if (fused is None or not fused.supports_planned_statements
-                or self._cache.enabled or not self._parse_cache.enabled):
-            return self.estimate_many([self.parse(sql) for sql in sqls],
-                                      trace_id=trace_id)
         with _RequestTelemetry(self, None, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 self._admit(1), \
@@ -449,46 +398,69 @@ class EstimationService:
             registry.counter("serve.queries_total").inc(len(sqls))
             if self._closed:
                 raise ServiceUnavailableError("service is shut down")
-            n = len(sqls)
-            results: list[float] = [0.0] * n
-            planned_pos: list[int] = []
-            planned_stmts: list[PlannedStatement] = []
-            planned_rows: list[np.ndarray] = []
-            query_pos: list[int] = []
-            query_objs: list[Query] = []
-            for position, sql in enumerate(sqls):
-                fingerprint, literals = fingerprint_sql(sql)
-                statement = self._parse_cache.lookup(fingerprint)
-                if statement is None:
-                    query = parse_query(sql)
-                    self._remember_statement(fingerprint, query, literals)
-                    query_pos.append(position)
-                    query_objs.append(query)
-                elif statement.planned is not None:
-                    planned = statement.planned
-                    planned_pos.append(position)
-                    planned_stmts.append(planned)
-                    planned_rows.append(np.asarray(
-                        literals, dtype=np.float64)[planned.perm])
-                else:
-                    query_pos.append(position)
-                    query_objs.append(
-                        bind_template(statement.template, literals))
-            if n:
+            results = self._cache.lookup_many(sqls)
+            misses = [position for position, value in enumerate(results)
+                      if value is None]
+            if misses:
                 registry.counter("serve.batches_total").inc()
-                registry.histogram("serve.batch.size").record(n)
-            with obs.span("serve.batch.execute", n_queries=n,
-                          metric="serve.batch.execute.seconds"):
-                if planned_stmts:
-                    estimates = fused.estimate_planned(
-                        planned_stmts, planned_rows).tolist()
-                    for position, estimate in zip(planned_pos, estimates):
-                        results[position] = estimate
-                if query_objs:
-                    estimates = fused.estimate_batch(query_objs).tolist()
-                    for position, estimate in zip(query_pos, estimates):
-                        results[position] = estimate
+                registry.histogram("serve.batch.size").record(len(misses))
+                self._estimate_misses(sqls, misses, results)
+                self._cache.store_many((sqls[position], results[position])
+                                       for position in misses)
             return results
+
+    def _estimate_misses(self, sqls: list[str], misses: list[int],
+                         results: list) -> None:
+        """Fill ``results`` at the ``misses`` positions of ``sqls``.
+
+        Fingerprints the missed statements and probes the parse cache
+        once for all of them; planned statements ride
+        :meth:`~repro.serve.fused.FusedEstimatePath.estimate_planned`,
+        the rest are parsed (first-seen) or re-bound and ride
+        ``estimate_batch``.
+        """
+        fingerprints = [fingerprint_sql(sqls[position])
+                        for position in misses]
+        statements = self._parse_cache.lookup_many(
+            [key for key, _ in fingerprints])
+        planned_pos: list[int] = []
+        planned_stmts: list[PlannedStatement] = []
+        planned_rows: list[np.ndarray] = []
+        query_pos: list[int] = []
+        query_objs: list[Query] = []
+        for position, (key, literals), statement in zip(
+                misses, fingerprints, statements):
+            if statement is None:
+                query = parse_query(sqls[position])
+                self._remember_statement(key, query, literals)
+                query_pos.append(position)
+                query_objs.append(query)
+            elif statement.planned is not None:
+                planned = statement.planned
+                planned_pos.append(position)
+                planned_stmts.append(planned)
+                planned_rows.append(np.asarray(
+                    literals, dtype=np.float64)[planned.perm])
+            else:
+                # Statements sharing a fingerprint differ only in
+                # literal text, so the literal count always matches.
+                query_pos.append(position)
+                query_objs.append(
+                    bind_template(statement.template, literals))
+        with obs.span("serve.batch.execute", n_queries=len(misses),
+                      metric="serve.batch.execute.seconds"):
+            if planned_stmts:
+                estimates = self._fused.estimate_planned(planned_stmts,
+                                                         planned_rows)
+                for position, estimate in zip(planned_pos,
+                                              estimates.tolist()):
+                    results[position] = estimate
+            if query_objs:
+                estimates = np.asarray(self._estimate_batch(query_objs),
+                                       dtype=np.float64)
+                for position, estimate in zip(query_pos,
+                                              estimates.tolist()):
+                    results[position] = estimate
 
     def feedback(self, sql: str, true_cardinality: float,
                  estimate: float | None = None,
@@ -681,8 +653,7 @@ class _RequestHandler(JsonRequestHandler):
         sql = payload.get("sql")
         if not isinstance(sql, str):
             raise ValueError('request body must carry {"sql": "<query>"}')
-        estimate, cached = self.service.estimate(self.service.parse(sql),
-                                                 sql=sql, trace_id=trace_id)
+        estimate, cached = self.service.estimate(sql, trace_id=trace_id)
         return {"estimate": estimate, "cached": cached}
 
     def _estimate_batch(self, payload: dict,

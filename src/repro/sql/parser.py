@@ -295,12 +295,15 @@ def parse_query(sql: str) -> Query:
 # cached AST with each instance's literals.  This is the textual twin
 # of the featurization layer's shape-keyed plan cache.
 
-# Matches string literals (kept verbatim, so numbers inside quotes are
-# never masked) or standalone numeric literals.  The lookbehind keeps
-# digits inside identifiers like ``attr_3`` or ``t1.col`` intact; in
-# this grammar every standalone number is a predicate literal.
-_LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?")
-_NUMBER_RE = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?")
+# One capture group around a string literal (kept verbatim, so numbers
+# inside quotes are never masked) or a standalone numeric literal:
+# ``split`` then yields text and literal tokens alternately in a single
+# scan.  The lookbehind keeps digits inside identifiers like ``attr_3``
+# or ``t1.col`` intact; in this grammar every standalone number is a
+# predicate literal.  The leading lookahead only skips positions that
+# cannot start either alternative, cheaply.
+_LITERAL_SPLIT_RE = re.compile(
+    r"((?=[-\d'])(?:'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?))")
 
 
 def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
@@ -313,21 +316,18 @@ def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
     string; a malformed statement simply yields a fingerprint no valid
     template will ever be cached under.
     """
+    parts = _LITERAL_SPLIT_RE.split(sql)
     if "'" not in sql:
-        # No string literals to protect: constant-replacement sub and
-        # findall both run without a per-match python callback.
-        return (_NUMBER_RE.sub("?", sql),
-                tuple(map(float, _NUMBER_RE.findall(sql))))
+        # Every odd part is a number: join and convert without a
+        # per-token python branch.
+        return "?".join(parts[::2]), tuple(map(float, parts[1::2]))
     values: list[float] = []
-
-    def _mask(match: "re.Match[str]") -> str:
-        text = match.group(0)
-        if text.startswith("'"):
-            return text
-        values.append(float(text))
-        return "?"
-
-    return _LITERAL_RE.sub(_mask, sql), tuple(values)
+    for index in range(1, len(parts), 2):
+        token = parts[index]
+        if token[0] != "'":
+            values.append(float(token))
+            parts[index] = "?"
+    return "".join(parts), tuple(values)
 
 
 def make_template(query: Query, literals: tuple[float, ...]) -> Query | None:

@@ -30,9 +30,8 @@ def canonical_query_text(query) -> str:
     This is the serialization format's per-query payload: stable across
     processes (the AST renders deterministically), free of separator
     characters, and round-trippable through the package's SQL parser.
-    The serving layer's estimate cache keys on exactly this string, so a
-    query hits the cache no matter which surface (HTTP body, workload
-    file, generator) it arrived through.
+    (The serving layer's estimate cache does not use it: it keys on the
+    request's SQL text as received, so a hit skips parsing.)
     """
     sql = query.to_sql()
     if "\t" in sql or "\n" in sql:

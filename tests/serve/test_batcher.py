@@ -167,6 +167,7 @@ class TestConcurrencyStress:
     def test_service_stress_with_cache_counters(self, serve_estimator,
                                                 conjunctive_workload):
         queries = conjunctive_workload.queries[:40]
+        sqls = [q.to_sql() for q in queries]
         expected = {id(q): serve_estimator.estimate(q) for q in queries}
         service = EstimationService(serve_estimator, max_batch_size=16,
                                     max_wait_ms=2.0, cache_size=1024,
@@ -179,7 +180,7 @@ class TestConcurrencyStress:
             start.wait()
             rng = np.random.default_rng(100 + worker_id)
             for pick in rng.integers(0, len(queries), self.PER_THREAD):
-                value, _ = service.estimate(queries[pick])
+                value, _ = service.estimate(sqls[pick])
                 if value != expected[id(queries[pick])]:
                     with lock:
                         failures.append(

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro import obs
-from repro.serve import EstimateCache, query_cache_key
-from repro.workloads.serialization import canonical_query_text
+from repro.serve import EstimateCache
 
 
 class TestLookupStore:
@@ -76,16 +76,49 @@ class TestGlobalCounters:
         assert snapshot["serve.cache.evictions"]["value"] == 1
 
 
-class TestCacheKey:
-    def test_key_is_canonical_serialized_form(self, conjunctive_workload):
-        query = conjunctive_workload.queries[0]
-        assert query_cache_key(query) == canonical_query_text(query)
+class TestBatchOperations:
+    def test_lookup_many_matches_per_key_lookups(self):
+        cache = EstimateCache(max_size=4)
+        cache.store_many([("a", 1.0), ("b", 2.0)])
+        assert cache.lookup_many(["a", "x", "b", "a"]) == [1.0, None, 2.0,
+                                                            1.0]
+        stats = cache.stats()
+        assert stats["hits"] == 3 and stats["misses"] == 1
 
-    def test_distinct_queries_distinct_keys(self, conjunctive_workload):
-        queries = conjunctive_workload.queries[:50]
-        keys = {query_cache_key(q) for q in queries}
-        texts = {q.to_sql() for q in queries}
-        assert len(keys) == len(texts)
+    def test_lookup_many_refreshes_recency_of_hits(self):
+        cache = EstimateCache(max_size=2)
+        cache.store_many([("a", 1.0), ("b", 2.0)])
+        cache.lookup_many(["a"])          # b is now LRU
+        cache.store("c", 3.0)             # evicts b
+        assert cache.lookup_many(["a", "b", "c"]) == [1.0, None, 3.0]
+
+    def test_store_many_evicts_in_insertion_order(self):
+        cache = EstimateCache(max_size=2)
+        cache.store_many([("a", 1.0), ("b", 2.0), ("c", 3.0)])
+        assert len(cache) == 2
+        assert cache.lookup("a") is None
+        assert cache.stats()["evictions"] == 1
+
+    def test_estimates_are_stored_as_float(self):
+        cache = EstimateCache(max_size=2)
+        cache.store_many([("a", 7)])
+        assert type(cache.lookup("a")) is float
+
+    def test_one_registry_increment_per_outcome(self):
+        obs.reset()
+        cache = EstimateCache(max_size=8)
+        cache.store_many([("a", 1.0), ("b", 2.0)])
+        cache.lookup_many(["a", "b", "c", "d", "e"])
+        snapshot = obs.get_registry().snapshot()
+        assert snapshot["serve.cache.hits"]["value"] == 2
+        assert snapshot["serve.cache.misses"]["value"] == 3
+
+    def test_disabled_cache_misses_without_counting(self):
+        obs.reset()
+        cache = EstimateCache(max_size=0)
+        cache.store_many([("a", 1.0)])
+        assert cache.lookup_many(["a", "b"]) == [None, None]
+        assert "serve.cache.misses" not in obs.get_registry().snapshot()
 
 
 class TestThreadSafety:
@@ -107,3 +140,33 @@ class TestThreadSafety:
         assert len(cache) <= 32
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 8 * 300
+
+    def test_concurrent_batch_operations_count_every_key(self):
+        cache = EstimateCache(max_size=32)
+        rounds, width, n_threads = 200, 8, 8
+
+        def worker(base: int) -> None:
+            for i in range(rounds):
+                keys = [f"k{(base + i + j) % 64}" for j in range(width)]
+                values = cache.lookup_many(keys)
+                cache.store_many((key, float(i)) for key, value
+                                 in zip(keys, values) if value is None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t * 5,))
+                       for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(cache) == 32
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * rounds * width
+        # Every entry ever inserted followed a miss (two threads missing
+        # one key insert it once, so this is not an equality).
+        assert 0 < stats["evictions"] + stats["size"] <= stats["misses"]

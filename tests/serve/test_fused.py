@@ -3,7 +3,8 @@
 Covers eligibility (``try_build`` bypasses estimators without a
 featurizer), bitwise equivalence of every leg against the legacy
 ``estimate_batch``, statement planning in the parse cache, the planned
-leg's cache interplay, and error-contract parity.
+leg's cache interplay (with the estimate cache off, and under the
+shipped defaults where it is on), and error-contract parity.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.serve.fused import FusedEstimatePath, PlannedStatement
 from repro.serve.server import EstimationService
 from repro.sql.ast import And, Or, SimplePredicate
@@ -127,7 +129,7 @@ class TestPlannedLeg:
         assert after["hits"] - before["hits"] == len(sqls)
         assert after["misses"] == before["misses"]
 
-    def test_estimate_cache_enabled_falls_back_and_hits(
+    def test_estimate_cache_hits_repeated_batch(
             self, serve_estimator, instances):
         service = EstimationService(serve_estimator, cache_size=128)
         try:
@@ -182,3 +184,94 @@ class TestPlannedLeg:
 
     def test_empty_batch(self, uncached_service):
         assert uncached_service.estimate_many_sql([]) == []
+
+
+def counter(name: str) -> float:
+    """A global-registry counter's value (0 before its first use)."""
+    metric = obs.get_registry().snapshot().get(name)
+    return metric["value"] if metric else 0.0
+
+
+@pytest.fixture()
+def shipped_service(serve_estimator):
+    """The shipped defaults: estimate, parse and plan caches all on."""
+    service = EstimationService(serve_estimator)
+    yield service
+    service.close()
+
+
+class TestShippedDefaults:
+    """The planned leg runs behind the SQL-keyed estimate cache."""
+
+    def test_mixed_batch_bitwise_on_first_and_second_call(
+            self, shipped_service, serve_estimator, conjunctive_workload):
+        templates = conjunctive_workload.queries[:8]
+        # First call (cold): first-seen statements plus an exact repeat
+        # inside the batch.
+        first_batch = templates + templates[:2]
+        first = shipped_service.estimate_many_sql(
+            [q.to_sql() for q in first_batch])
+        np.testing.assert_array_equal(
+            np.asarray(first), serve_estimator.estimate_batch(first_batch))
+        # Second call: exact repeats of the first, new instances of its
+        # statements, and first-seen statements.
+        repeats = templates[:4]
+        seen_instances = [perturb(q, 3.0) for q in templates[4:]]
+        fresh = conjunctive_workload.queries[8:12]
+        second_batch = repeats + seen_instances + list(fresh)
+        parse_before = shipped_service.parse_cache.stats()
+        estimate_before = shipped_service.cache.stats()
+        second = shipped_service.estimate_many_sql(
+            [q.to_sql() for q in second_batch])
+        np.testing.assert_array_equal(
+            np.asarray(second),
+            serve_estimator.estimate_batch(second_batch))
+        parse_after = shipped_service.parse_cache.stats()
+        estimate_after = shipped_service.cache.stats()
+        # The repeats hit the estimate cache and never reach the parse
+        # cache; the seen instances hit the parse cache, which only the
+        # planned leg consults on a batch.
+        assert estimate_after["hits"] - estimate_before["hits"] \
+            == len(repeats)
+        assert parse_after["hits"] - parse_before["hits"] \
+            == len(seen_instances)
+        assert parse_after["misses"] - parse_before["misses"] == len(fresh)
+
+    def test_each_batch_moves_cache_counters_by_its_size(
+            self, shipped_service, instances):
+        sqls = [q.to_sql() for q in instances]
+        for batch in (sqls[:8], sqls, sqls[4:20], sqls[:1]):
+            before = (counter("serve.cache.hits")
+                      + counter("serve.cache.misses"))
+            shipped_service.estimate_many_sql(batch)
+            after = (counter("serve.cache.hits")
+                     + counter("serve.cache.misses"))
+            assert after - before == len(batch)
+
+    def test_unknown_attribute_raises_and_stores_nothing(
+            self, shipped_service, instances):
+        good = [q.to_sql() for q in instances[:8]]
+        shipped_service.estimate_many_sql(good)
+        stored = len(shipped_service.cache)
+        unseen = perturb(instances[0], 7.0).to_sql()
+        bad = "SELECT count(*) FROM forest WHERE no_such_column > 3"
+        with pytest.raises(KeyError):
+            shipped_service.estimate_many_sql(good + [unseen, bad])
+        assert len(shipped_service.cache) == stored
+        hits_before = shipped_service.cache.stats()["hits"]
+        assert shipped_service.cache.lookup(unseen) is None
+        assert shipped_service.cache.stats()["hits"] == hits_before
+
+    def test_single_estimate_hit_skips_the_parser(self, shipped_service,
+                                                  serve_estimator,
+                                                  instances):
+        sql = instances[0].to_sql()
+        value, cached = shipped_service.estimate(sql)
+        assert cached is False
+        assert value == serve_estimator.estimate(instances[0])
+        before = shipped_service.parse_cache.stats()
+        again, cached = shipped_service.estimate(sql)
+        assert cached is True and again == value
+        after = shipped_service.parse_cache.stats()
+        assert (after["hits"], after["misses"]) \
+            == (before["hits"], before["misses"])

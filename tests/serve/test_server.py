@@ -105,6 +105,16 @@ class TestErrorMapping:
         assert excinfo.value.status == 400
         assert "unknown attribute" in str(excinfo.value)
 
+    def test_batch_with_unknown_attribute_is_400_next_to_hits(
+            self, running_server, sqls):
+        client = ServeClient(running_server.url)
+        client.estimate_batch(sqls[:4])
+        bad = "SELECT count(*) FROM forest WHERE Ghost > 1"
+        with pytest.raises(ServeClientError) as excinfo:
+            client.estimate_batch(sqls[:4] + [bad])
+        assert excinfo.value.status == 400
+        assert "unknown attribute" in str(excinfo.value)
+
     def test_malformed_json_is_400(self, running_server):
         import urllib.request
 

@@ -115,9 +115,8 @@ class TestWindowedDegradation:
             "serve.request.seconds.window",
             label_names=("model", "cache"))
         try:
-            query = service.parse(sqls[0])
-            service.estimate(query, sql=sqls[0])   # miss
-            service.estimate(query, sql=sqls[0])   # hit
+            service.estimate(sqls[0])   # miss
+            service.estimate(sqls[0])   # hit
             assert window.window_count(model="gb-a", cache="miss") == 1
             assert window.window_count(model="gb-a", cache="hit") == 1
         finally:
