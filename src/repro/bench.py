@@ -21,13 +21,12 @@ tracing enabled, and reports the overhead percentages (committed as
 ``BENCH_obs.json``; the disabled-mode number is gated at < 3% in CI).
 
 :func:`run_serve_bench` measures the serving stack end to end: an
-in-process HTTP server (estimate cache off, shape-plan cache on) under
-a closed-loop multi-threaded client fleet, reporting p50/p95 latency
-and queries/sec at client batch sizes 1, 8, and 64, verifying the
-fused compile→encode→predict path answers bitwise-identically to the
-legacy per-query path, and embedding the forest-inference
-microbenchmark plus plan-cache hit statistics (committed as
-``BENCH_serve.json``).
+in-process HTTP server (estimate cache off) under a closed-loop
+multi-threaded client fleet, reporting p50/p95 latency and
+queries/sec at client batch sizes 1, 8, and 64, verifying the served
+estimates bitwise against ``estimate_batch`` on the parsed queries,
+and embedding the forest-inference microbenchmark plus parse-cache
+statistics (committed as ``BENCH_serve.json``).
 
 :func:`run_predict_bench` isolates forest inference: the legacy
 per-tree python predict loop against the packed
@@ -444,11 +443,11 @@ def run_obs_bench(rows: int = 10_000, queries: int = 10_000,
 
 
 def _legacy_forest_predict(model, features: np.ndarray) -> np.ndarray:
-    """The pre-compiled GB predict path: one python-level pass per tree.
+    """The per-tree GB predict loop: one python-level pass per tree.
 
-    Reproduced here verbatim (same accumulation order) as the timing
-    and bitwise reference for :func:`run_predict_bench`, independent of
-    whether the model object itself has been compiled.
+    Kept here (same accumulation order) as the timing and bitwise
+    reference for :func:`run_predict_bench`; the model's own
+    ``predict`` always runs the packed forest.
     """
     prediction = np.full(features.shape[0], model._base)
     for tree in model.trees:  # repro: ignore[RPR109] — this IS the legacy reference
@@ -507,7 +506,7 @@ def run_predict_bench(rows: int = 4_000, queries: int = 4_096,
                                       random_state=seed).fit(X_train, y_train)
     X = featurizer.featurize_batch(
         generate_conjunctive_queries(table, queries, seed=seed))
-    forest = model.compile()
+    forest = model.compiled
 
     cases: list[dict] = []
     for batch_size in sorted(set(int(b) for b in batch_sizes)):
@@ -634,8 +633,9 @@ def _parameterized_queries(table: Table, num_queries: int, templates: int,
     numeric literal resampled from the predicate's own column domain.
     This is the traffic shape the serving caches target: a dashboard or
     ORM re-issues the same statement text with fresh parameters, so the
-    fingerprint (parse cache) and shape (plan cache) repeat while the
-    exact-match estimate cache stays cold.  Deterministic in ``seed``.
+    fingerprint (parse cache, which holds each statement's plan)
+    repeats while the exact-match estimate cache stays cold.
+    Deterministic in ``seed``.
     """
     if not 1 <= templates <= num_queries:
         raise ValueError(
@@ -681,22 +681,22 @@ def run_serve_bench(artifact: str | Path | None = None, rows: int = 4_000,
     The workload is *parameterized*: ``templates`` statement shapes,
     each instantiated with fresh literals per query
     (:func:`_parameterized_queries`).  That models prepared-statement /
-    dashboard traffic — the regime the parse-template and shape-plan
-    caches exist for — while keeping every query distinct so the
+    dashboard traffic — the regime the parse cache's prepared
+    statements exist for — while keeping every query distinct so the
     disabled exact-match cache cannot short-circuit the work.
 
     With ``artifact`` the persisted estimator at that path answers the
     traffic; otherwise a small GB + conjunctive-QFT estimator is
     trained in-process on the synthetic forest table.
 
-    The service runs its fused compile→encode→predict path (shape-plan
-    cache on): before any traffic, the whole workload is estimated once
-    through the legacy ``estimate_batch`` (pre-compile) and once
-    through the service's fused path, and the report's
-    ``fused_identical`` records their bitwise equality.  The plan
-    cache's hit/miss statistics and the forest-inference
+    Before any traffic, the whole workload is estimated through the
+    estimator's own ``estimate_batch`` and twice through the service's
+    ``estimate_many_sql`` on its SQL — cold (first-seen statements) and
+    warm (every statement cached with its plan) — and the report's
+    ``fused_identical`` records that all three agree bitwise.  The
+    parse cache's hit/miss statistics and the forest-inference
     microbenchmark (:func:`run_predict_bench`, matching tree count)
-    are embedded under ``plan_cache`` and ``predict``.
+    are embedded under ``parse_cache`` and ``predict``.
     """
     from repro.estimators import LearnedEstimator
     from repro.models import GradientBoostingRegressor
@@ -729,20 +729,16 @@ def run_serve_bench(artifact: str | Path | None = None, rows: int = 4_000,
     workload = _parameterized_queries(table, queries, templates, seed=seed)
     sqls = [query.to_sql() for query in workload]
 
-    # Legacy reference BEFORE the service compiles the model: this is
-    # the per-query compile→encode plus per-tree-predict path the fused
-    # pipeline must reproduce bit for bit.
-    legacy_estimates = estimator.estimate_batch(workload)
+    # The reference: the per-query compile→encode path on the parsed
+    # queries, which the served answers must reproduce bit for bit.
+    reference = estimator.estimate_batch(workload)
     service = EstimationService(estimator, max_batch_size=64,
                                 max_wait_ms=1.0, cache_size=0,
-                                max_inflight=max(64, threads * 4),
-                                plan_cache_size=256)
-    if service.fused is not None:
-        fused_estimates = service.fused.estimate_batch(workload)
-        fused_identical = bool(np.array_equal(legacy_estimates,
-                                              fused_estimates))
-    else:
-        fused_identical = None
+                                max_inflight=max(64, threads * 4))
+    cold = service.estimate_many_sql(sqls)
+    warm = service.estimate_many_sql(sqls)
+    fused_identical = bool(np.array_equal(reference, cold)
+                           and np.array_equal(reference, warm))
     cases: list[dict] = []
     with EstimationServer(service) as server:
         # Untimed warm-up: first-request costs (lazy imports, allocator
@@ -799,8 +795,6 @@ def run_serve_bench(artifact: str | Path | None = None, rows: int = 4_000,
             "max_batch_size": 64,
             "max_wait_ms": 1.0,
             "cache_size": 0,
-            "plan_cache_size": 256,
-            "parse_cache_size": 512,
         },
         "cases": cases,
         "single_qps": single_qps,
@@ -808,7 +802,6 @@ def run_serve_bench(artifact: str | Path | None = None, rows: int = 4_000,
         "speedup": (batched_qps / single_qps if single_qps > 0
                     else float("inf")),
         "fused_identical": fused_identical,
-        "plan_cache": service.plan_cache.stats(),
         "parse_cache": service.parse_cache.stats(),
         "predict": predict_report,
     }

@@ -150,18 +150,14 @@ def _cmd_serve(args) -> int:
                                 max_wait_ms=args.max_wait_ms,
                                 cache_size=args.cache_size,
                                 max_inflight=args.max_inflight,
-                                plan_cache_size=args.plan_cache_size,
-                                parse_cache_size=args.parse_cache_size,
                                 model_version=args.model_version,
                                 tick_every=args.tick_every)
     server = EstimationServer(service, host=args.host, port=args.port)
     server.start()
-    fused = "fused" if service.fused is not None else "legacy"
     print(f"serving on {server.url} "
           f"(batch<= {args.max_batch_size}, wait {args.max_wait_ms}ms, "
-          f"cache {args.cache_size}, plans {args.plan_cache_size}, "
-          f"templates {args.parse_cache_size}, "
-          f"inflight<= {args.max_inflight}, {fused} path, "
+          f"cache {args.cache_size}, "
+          f"inflight<= {args.max_inflight}, "
           f"model {service.model_version}, tick every {args.tick_every})")
     stop = getattr(args, "shutdown_event", None) or threading.Event()
     if threading.current_thread() is threading.main_thread():
@@ -313,24 +309,21 @@ def _cmd_bench_serve(args) -> int:
               f"p95 {case['p95_latency_ms']:7.2f}ms  "
               f"({case['requests']} requests)")
     print(f"  batched/single speedup: {report['speedup']:.2f}x")
-    if report["fused_identical"] is not None:
-        verdict = "ok" if report["fused_identical"] else "MISMATCH"
-        plans = report["plan_cache"]
-        parses = report["parse_cache"]
-        print(f"  fused path: bitwise vs legacy [{verdict}], plan cache "
-              f"{plans['hits']} hits / {plans['misses']} misses "
-              f"({plans['size']} plans)")
-        print(f"  parse cache: {parses['hits']} hits / "
-              f"{parses['misses']} misses "
-              f"({parses['size']} templates)")
+    verdict = "ok" if report["fused_identical"] else "MISMATCH"
+    parses = report["parse_cache"]
+    print(f"  served estimates: bitwise vs estimate_batch, cold and warm "
+          f"[{verdict}]")
+    print(f"  parse cache: {parses['hits']} hits / "
+          f"{parses['misses']} misses "
+          f"({parses['size']} statements)")
     print(f"  forest inference (embedded bench predict): "
           f"{report['predict']['min_speedup']:.2f}x min speedup, "
           f"{report['predict']['n_trees']} trees")
     output = args.output or Path("BENCH_serve.json")
     write_report(report, output)
     print(f"wrote {output}")
-    if report["fused_identical"] is False:
-        print("FAIL: fused estimates diverge from the legacy path")
+    if not report["fused_identical"]:
+        print("FAIL: served estimates diverge from estimate_batch")
         return 1
     if not report["predict"]["all_identical"]:
         print("FAIL: compiled forest diverges from the per-tree loop")
@@ -587,12 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=256,
                        help="reject requests beyond this many in flight "
                             "with 503 (default: 256)")
-    serve.add_argument("--plan-cache-size", type=int, default=256,
-                       help="shape-keyed plan-cache capacity for the fused "
-                            "estimate path, 0 disables (default: 256)")
-    serve.add_argument("--parse-cache-size", type=int, default=512,
-                       help="fingerprint-keyed parsed-template cache "
-                            "capacity, 0 disables (default: 512)")
     serve.add_argument("--model-version", default=None,
                        help="version label stamped on telemetry "
                             "(default: the estimator's name)")

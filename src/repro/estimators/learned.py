@@ -80,21 +80,6 @@ class LearnedEstimator(CardinalityEstimator):
         self._fitted = True
         return self
 
-    def compile(self) -> "LearnedEstimator":
-        """Compile the underlying model's inference path, if it has one.
-
-        Delegates to the raw regressor's ``compile()`` (the gradient
-        boosting model packs its forest into a
-        :class:`~repro.models.compiled_forest.CompiledForest`); models
-        without a compiled form are left untouched.  Idempotent.
-        """
-        if not self._fitted:
-            raise RuntimeError("estimator must be fitted before compiling")
-        raw = self._model.model
-        if hasattr(raw, "compile"):
-            raw.compile()
-        return self
-
     def estimate(self, query: Query) -> float:
         return float(self.estimate_batch([query])[0])
 
@@ -111,8 +96,8 @@ class LearnedEstimator(CardinalityEstimator):
     def estimate_features(self, features: np.ndarray) -> np.ndarray:
         """Predict cardinalities from an already-encoded feature matrix.
 
-        The fused serving path encodes whole micro-batches through
-        shape plans and feeds the matrix straight here, skipping the
+        The serving pipeline encodes whole batches through statement
+        plans and feeds the matrix straight here, skipping the
         per-query featurize pass :meth:`estimate_batch` performs.  The
         matrix must come from this estimator's own featurizer (same
         feature space); output is bitwise-identical to

@@ -213,8 +213,8 @@ class Featurizer(abc.ABC):
 
         Public surface of the extraction step :meth:`featurize` and
         :meth:`compile_batch` perform per query (single-table check,
-        table-name check); shape-plan callers use it to obtain the bare
-        expression before keying the plan cache.
+        table-name check); plan callers use it to obtain the bare
+        expression before :meth:`compile_plan`.
         """
         return self._extract_expr(query)
 
@@ -228,8 +228,8 @@ class Featurizer(abc.ABC):
         permutation.  All compile-time validation (query class,
         attribute resolution) runs here and raises exactly the errors
         ``compile_batch`` would raise for the same query; the returned
-        plan can then :meth:`~repro.featurize.batch.CompiledPlan.bind`
-        any same-shaped query without re-walking its AST.
+        plan then encodes any same-shaped query through
+        :meth:`encode_with_plans` without re-walking its AST.
         """
         expr = self._extract_expr(query)
         sentinel = index_values(expr)
@@ -244,30 +244,6 @@ class Featurizer(abc.ABC):
             perm=batch.value.astype(np.int64),
             n_literals=n_literals,
         )
-
-    def encode_with_plan(self, plan: CompiledPlan, literals: np.ndarray,
-                         exprs: Sequence[BoolExpr | None]) -> np.ndarray:
-        """Encode same-shaped queries through a pre-compiled plan.
-
-        ``literals`` is the ``(k, plan.n_literals)`` walk-order literal
-        matrix and ``exprs`` the matching expressions.  Produces the
-        same matrix ``featurize_batch`` would for those queries, minus
-        the per-query compile pass.
-        """
-        if plan.attributes != self._attributes:
-            raise ValueError(
-                "plan was compiled against a different feature space "
-                f"({plan.attributes} != {self._attributes})"
-            )
-        matrix = self._featurize_compiled(plan.bind(literals, exprs))
-        if matrix.shape != (len(exprs), self.feature_length) \
-                or matrix.dtype != np.float64:
-            raise AssertionError(
-                f"{type(self).__name__} produced {matrix.dtype} matrix "
-                f"of shape {matrix.shape}, expected float64 "
-                f"({len(exprs)}, {self.feature_length})"
-            )
-        return matrix
 
     def encode_with_plans(self, plans: Sequence[CompiledPlan],
                           literal_rows: Sequence[np.ndarray],

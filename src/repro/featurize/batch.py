@@ -222,12 +222,12 @@ class CompiledPlan:
     A plan is the single-query :class:`PredicateBatch` structure of a
     shape — attribute ids, branch ids, op codes — plus the permutation
     from walk-order literal slots to compile-order predicate rows.
-    :meth:`bind` stamps the structure out for ``k`` same-shaped queries
-    and gathers their literal matrix into place: the encode stage then
-    runs without re-walking a single AST.
+    :func:`stitch_plans` stamps plans out for a batch and gathers each
+    query's literals into place: the encode stage then runs without
+    re-walking a single AST.
 
-    Built by :meth:`repro.featurize.base.Featurizer.compile_plan`;
-    cached per shape key by the serving layer's plan cache.
+    Built by :meth:`repro.featurize.base.Featurizer.compile_plan`; the
+    serving layer keeps one on each cached prepared statement.
     """
 
     #: Feature-space attribute order the plan was compiled against.
@@ -249,40 +249,6 @@ class CompiledPlan:
         duplication, or fewer if a QFT drops rows)."""
         return int(self.attr_index.size)
 
-    def bind(self, literals: np.ndarray,
-             exprs: Sequence[BoolExpr | None]) -> PredicateBatch:
-        """Stamp the plan out for ``k`` queries with the given literals.
-
-        ``literals`` is the ``(k, n_literals)`` walk-order literal
-        matrix (row ``i`` from ``query_shape(exprs[i])``); ``exprs`` are
-        the original expressions, retained for fallback encoders and
-        error reporting.  Returns a batch equal to what
-        ``compile_batch`` would have produced for the same queries.
-        """
-        values = np.asarray(literals, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.n_literals:
-            raise ValueError(
-                f"literal matrix must be (k, {self.n_literals}), "
-                f"got {values.shape}"
-            )
-        k = values.shape[0]
-        if len(exprs) != k:
-            raise ValueError(
-                f"exprs holds {len(exprs)} entries for {k} literal rows"
-            )
-        p = self.n_predicates
-        return PredicateBatch(
-            n_queries=k,
-            attributes=self.attributes,
-            query_index=np.repeat(np.arange(k, dtype=np.int64), p),
-            attr_index=np.tile(self.attr_index, k),
-            branch_index=np.tile(self.branch_index, k),
-            op_code=np.tile(self.op_code, k),
-            value=values[:, self.perm].ravel(),
-            position=np.arange(k * p, dtype=np.int64),
-            exprs=tuple(exprs),
-        )
-
 
 def stitch_plans(plans: Sequence[CompiledPlan],
                  literal_rows: Sequence[np.ndarray],
@@ -294,12 +260,12 @@ def stitch_plans(plans: Sequence[CompiledPlan],
     all differ.  The result equals what ``compile_batch`` would produce
     for the same queries — predicate rows are query-major, each query's
     rows in its plan's compile order — but is assembled purely from
-    array concatenation: no AST is walked, and unlike one
-    :meth:`CompiledPlan.bind` call per shape group, the whole batch pays
-    a single stitching pass regardless of how many distinct shapes it
-    mixes.  This is what lets a plan cache win on shape-diverse traffic
-    (every micro-batch a mix of many parameterized statements), where
-    per-group encodes would cost more than they save.
+    array concatenation: no AST is walked, and unlike one stamping pass
+    per shape group, the whole batch pays a single stitching pass
+    regardless of how many distinct shapes it mixes.  This is what lets
+    plan reuse win on shape-diverse traffic (every micro-batch a mix of
+    many parameterized statements), where per-group encodes would cost
+    more than they save.
 
     All plans must target the same feature space (equal ``attributes``).
     """

@@ -4,7 +4,7 @@
 deployment story.  One front-end **router** consistent-hashes request
 fingerprints across N worker processes — each worker a full
 :class:`~repro.serve.server.EstimationService` with its own
-micro-batcher, caches, and fused path — while a **supervisor** keeps
+micro-batcher, caches, and serving pipeline — while a **supervisor** keeps
 the worker pool alive (spawn, warm, drain, terminate over a JSON
 control channel, crash restarts with backoff) and a **rollout state
 machine** drives zero-downtime hot-swaps: publish a candidate to the

@@ -3,7 +3,7 @@
 The router keys every request by its SQL *fingerprint* (statement
 template, literals masked — see :func:`repro.sql.parser.fingerprint_sql`)
 so all instances of one prepared statement land on the same worker and
-its parse/plan caches stay hot.  A plain ``hash(key) % N`` would remap
+its parse cache stays hot.  A plain ``hash(key) % N`` would remap
 almost every key whenever N changes; the classic consistent-hashing
 construction bounds that churn: each node owns ``replicas`` virtual
 points on a 64-bit ring, a key belongs to the first point at or after

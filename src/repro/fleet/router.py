@@ -3,8 +3,8 @@
 The router owns no model.  It keys every request by its SQL
 *fingerprint* (statement template, literals masked), maps the key onto
 a worker through the pool's consistent-hash ring — so all instances of
-one prepared statement hit the same worker and its parse/plan caches
-stay hot — and forwards over the worker's ordinary HTTP API with the
+one prepared statement hit the same worker and its parse cache stays
+hot — and forwards over the worker's ordinary HTTP API with the
 caller's ``X-Repro-Trace`` id, so client → router → worker stitches
 into one trace.
 

@@ -15,7 +15,7 @@ then speaks a line-oriented JSON control protocol with its supervisor:
 
 * stdin (supervisor → worker), one JSON object per line::
 
-      {"cmd": "warm", "sql": ["...", ...]}   pre-touch caches/fused path
+      {"cmd": "warm", "sql": ["...", ...]}   pre-touch caches and plans
       {"cmd": "ping"}                        liveness echo ({"event": "pong"})
       {"cmd": "drain"}                       graceful stop, then exit 0
       {"cmd": "terminate"}                   immediate stop, then exit 0

@@ -404,7 +404,7 @@ class PerTreePredictLoopRule(Rule):
                 module, node,
                 f"per-tree `{call}` loop re-runs python-level inference "
                 "for every tree; predict through the packed "
-                "CompiledForest (model.compile()/estimate_features), or "
+                "CompiledForest (model.compiled/estimate_features), or "
                 "add `# repro: ignore[RPR109]` for a deliberate legacy "
                 "reference path")
 

@@ -64,29 +64,26 @@ class GradientBoostingRegressor(Regressor):
 
     @property
     def compiled(self) -> CompiledForest | None:
-        """The packed forest, or ``None`` before :meth:`compile`."""
-        return self._compiled
+        """The packed forest :meth:`predict` runs, or ``None`` before fit.
 
-    def compile(self) -> CompiledForest:
-        """Pack the fitted trees into a :class:`CompiledForest`.
-
-        Idempotent; subsequent :meth:`predict` calls use the packed
-        tensors (bitwise-identical output).  Re-fitting invalidates the
-        compiled form.
+        Packed once at the end of :meth:`fit` and in :meth:`from_state`;
+        a refit packs a new one.
         """
-        if not self._fitted:
-            raise RuntimeError("model must be fitted before compiling")
-        if self._compiled is None:
-            with obs.span("model.gb.compile", n_trees=len(self._trees)):
-                self._compiled = CompiledForest(
-                    self._trees, self._base, self.learning_rate
-                )
         return self._compiled
+
+    def _pack(self) -> None:
+        """Pack the fitted trees into the :class:`CompiledForest`."""
+        with obs.span("model.gb.compile", n_trees=len(self._trees)):
+            self._compiled = CompiledForest(self._trees, self._base,
+                                            self.learning_rate)
 
     @obs.trace("model.fit", model="GradientBoostingRegressor")
     def fit(self, features: np.ndarray, targets: np.ndarray
             ) -> "GradientBoostingRegressor":
         X, y = check_matrix(features, targets)
+        # A refit that fails part-way leaves the model unfitted, never
+        # predicting from a forest that no longer matches its trees.
+        self._fitted = False
         self._compiled = None
         rng = np.random.default_rng(self.random_state)
         with obs.span("model.gb.bin", max_bins=self.max_bins):
@@ -146,6 +143,7 @@ class GradientBoostingRegressor(Regressor):
 
         if use_early_stop and best_n_trees:
             self._trees = self._trees[:best_n_trees]
+        self._pack()
         self._fitted = True
         return self
 
@@ -154,12 +152,7 @@ class GradientBoostingRegressor(Regressor):
         if not self._fitted:
             raise RuntimeError("model must be fitted before predicting")
         X, _ = check_matrix(features)
-        if self._compiled is not None:
-            return self._compiled.predict(X)
-        prediction = np.full(X.shape[0], self._base)
-        for tree in self._trees:  # repro: ignore[RPR109]
-            prediction += self.learning_rate * tree.predict(X)
-        return prediction
+        return self._compiled.predict(X)
 
     def memory_bytes(self) -> int:
         """Footprint of the trained trees (thresholds live in the trees)."""
@@ -207,5 +200,6 @@ class GradientBoostingRegressor(Regressor):
             for i in range(config["n_trees"])
         ]
         model._base = float(config["base"])
+        model._pack()
         model._fitted = True
         return model

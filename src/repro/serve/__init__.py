@@ -7,14 +7,15 @@ putting a fitted estimator behind a service boundary:
 * :mod:`repro.serve.registry` — versioned on-disk model registry with
   manifests, checksums, and ``latest`` resolution.
 * :mod:`repro.serve.batcher` — micro-batching executor that amortises
-  the columnar featurize → predict path across concurrent requests.
+  the pipeline's execute stage across concurrent single requests.
 * :mod:`repro.serve.cache` — thread-safe LRU caches: exact-match
-  estimates keyed on the request's SQL text, parsed statement templates
-  keyed on the literal-masked SQL fingerprint, and compiled shape plans
-  keyed on the literal-masked query structure.
-* :mod:`repro.serve.fused` — the fused compile→encode→predict hot path
-  (shape-plan reuse + compiled-forest inference) micro-batches ride
-  when the estimator supports it.
+  estimates keyed on the request's SQL text, and prepared statements
+  (template plus compiled plan) keyed on the literal-masked SQL
+  fingerprint.
+* :mod:`repro.serve.fused` — the one serving pipeline: resolve SQL to
+  prepared statements, then execute them through one stitched encode
+  and one compiled predict, or through the estimator's own
+  ``estimate_batch`` for what has no plan.
 * :mod:`repro.serve.server` — threaded HTTP JSON API with admission
   control, ``/metrics`` export, and graceful drain.
 * :mod:`repro.serve.client` — minimal stdlib client with bounded
@@ -25,9 +26,9 @@ and ``repro bench serve`` measures its latency/throughput envelope.
 """
 
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
-from repro.serve.cache import EstimateCache, ParseCache, PlanCache
+from repro.serve.cache import EstimateCache, ParseCache
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.fused import FusedEstimatePath
+from repro.serve.fused import EstimatePipeline
 from repro.serve.registry import ModelRegistry, ModelVersion, RegistryError
 from repro.serve.server import (
     EstimationServer,
@@ -37,8 +38,8 @@ from repro.serve.server import (
 
 __all__ = [
     "MicroBatcher", "BatcherClosedError",
-    "EstimateCache", "ParseCache", "PlanCache",
-    "FusedEstimatePath",
+    "EstimateCache", "ParseCache",
+    "EstimatePipeline",
     "ServeClient", "ServeClientError",
     "ModelRegistry", "ModelVersion", "RegistryError",
     "EstimationService", "EstimationServer", "ServiceUnavailableError",

@@ -6,13 +6,19 @@ the model's matrix forward pass amortise per-call dispatch (this repo's
 ``BENCH_featurize.json`` measures the gap at ~an order of magnitude).
 A serving process therefore wants *micro-batching*: concurrent requests
 are collected for at most ``max_wait_ms`` (or until ``max_batch_size``
-are waiting) and dispatched through ``estimate_batch`` as one batch,
-with each caller receiving its own future.
+are waiting) and dispatched through one batch function call, with each
+caller receiving its own future.  In the service that function is the
+serving pipeline's execute stage
+(:meth:`~repro.serve.fused.EstimatePipeline.execute`), and the items
+are requests already resolved in their callers' threads.
 
 Correctness contract: batch featurization is bitwise-identical to the
 scalar path (PR 2's equivalence gate) and the models predict row-wise,
 so a request's result does not depend on which batch it happened to
-ride in — ``tests/serve/test_batcher.py`` stress-asserts this.
+ride in — ``tests/serve/test_batcher.py`` stress-asserts this.  Errors
+are isolated the same way: a batch that fails as a whole is re-run one
+request at a time, so one request's bad input fails only its own
+future.
 
 The worker thread emits ``serve.batch.collect`` / ``serve.batch.execute``
 spans and records every dispatched batch size into the
@@ -25,12 +31,9 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.sql.ast import Query
 
 __all__ = ["MicroBatcher", "BatcherClosedError"]
 
@@ -40,7 +43,7 @@ class BatcherClosedError(RuntimeError):
 
 
 class _Request:
-    """One submitted query and the future its caller is waiting on.
+    """One submitted item and the future its caller is waiting on.
 
     ``trace_id`` carries the submitting request's trace context across
     the thread hop into the worker (the batch-execute span links every
@@ -49,10 +52,10 @@ class _Request:
     event to the batch that answered it.
     """
 
-    __slots__ = ("query", "future", "trace_id", "batch_id")
+    __slots__ = ("item", "future", "trace_id", "batch_id")
 
-    def __init__(self, query: Query, trace_id: int | None = None) -> None:
-        self.query = query
+    def __init__(self, item: Any, trace_id: int | None = None) -> None:
+        self.item = item
         self.future: Future = Future()
         self.trace_id = trace_id
         self.batch_id: int | None = None
@@ -63,18 +66,16 @@ _SHUTDOWN = object()
 
 
 class MicroBatcher:
-    """Collects concurrent requests into batches for ``estimate_batch``.
+    """Collects concurrent requests into batches for one batch function.
 
     Parameters
     ----------
     estimate_batch:
-        The vectorized estimate function mapping a query sequence to a
-        numpy vector of estimates.  :class:`~repro.serve.server.EstimationService`
-        passes the fused hot path's ``estimate_batch``
-        (:class:`~repro.serve.fused.FusedEstimatePath`) when the
-        estimator supports it, or the estimator's own ``estimate_batch``
-        bound method otherwise — both are bitwise-equivalent, so the
-        batcher needs no knowledge of which one it drives.
+        The vectorized estimate function mapping a list of submitted
+        items to a sequence of estimates, one per item.
+        :class:`~repro.serve.server.EstimationService` passes
+        :meth:`~repro.serve.fused.EstimatePipeline.execute`; an
+        estimator's own ``estimate_batch`` works over queries too.
     max_batch_size:
         Dispatch as soon as this many requests are waiting.
     max_wait_ms:
@@ -83,7 +84,7 @@ class MicroBatcher:
         whatever is immediately available (no artificial latency).
     """
 
-    def __init__(self, estimate_batch: Callable[[Sequence[Query]], np.ndarray],
+    def __init__(self, estimate_batch: Callable[[list], Sequence[float]],
                  max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
         if max_batch_size < 1:
             raise ValueError(
@@ -113,24 +114,24 @@ class MicroBatcher:
         """Configured collection window in milliseconds."""
         return self._max_wait_seconds * 1000.0
 
-    def submit(self, query: Query) -> Future:
-        """Enqueue one query; returns the future carrying its estimate.
+    def submit(self, item: Any) -> Future:
+        """Enqueue one item; returns the future carrying its estimate.
 
         The future resolves to a ``float`` once the batch containing the
-        query executes, or raises whatever ``estimate_batch`` raised for
-        that batch.  Raises :class:`BatcherClosedError` once the batcher
-        has been closed — requests accepted *before* close are always
-        drained, never dropped.
+        item executes, or raises what ``estimate_batch`` raises for the
+        item on its own.  Raises :class:`BatcherClosedError` once the
+        batcher has been closed — requests accepted *before* close are
+        always drained, never dropped.
         """
-        return self.submit_request(query).future
+        return self.submit_request(item).future
 
-    def submit_request(self, query: Query,
+    def submit_request(self, item: Any,
                        trace_id: int | None = None) -> _Request:
-        """Enqueue one query; returns the full request handle.
+        """Enqueue one item; returns the full request handle.
 
         Like :meth:`submit` but exposes the :class:`_Request` itself:
         ``request.future`` carries the estimate and, once resolved,
-        ``request.batch_id`` identifies the dispatched batch the query
+        ``request.batch_id`` identifies the dispatched batch the item
         rode in.  ``trace_id`` joins the request's trace to that batch's
         execute span (a ``links`` span attribute).
         """
@@ -138,7 +139,7 @@ class MicroBatcher:
             if self._closed:
                 raise BatcherClosedError(
                     "batcher is closed; no new requests accepted")
-            request = _Request(query, trace_id=trace_id)
+            request = _Request(item, trace_id=trace_id)
             self._queue.put(request)
         return request
 
@@ -233,18 +234,28 @@ class MicroBatcher:
                         if request.trace_id is not None})
         for request in batch:
             request.batch_id = batch_id
-        queries = [request.query for request in batch]
+        with obs.span("serve.batch.execute", n_queries=len(batch),
+                      metric="serve.batch.execute.seconds",
+                      batch_id=batch_id, links=links):
+            outcomes = self._outcomes([request.item for request in batch])
+        for request, outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                request.future.set_exception(outcome)
+            else:
+                request.future.set_result(float(outcome))
+
+    def _outcomes(self, items: list) -> list:
+        """Each item's estimate, or the exception the item raises alone.
+
+        A batch that fails as a whole is re-run one item at a time, so
+        an error reaches only the callers whose own items raise it.
+        """
         try:
-            with obs.span("serve.batch.execute", n_queries=len(batch),
-                          metric="serve.batch.execute.seconds",
-                          batch_id=batch_id, links=links):
-                estimates = self._estimate_batch(queries)
+            return list(self._estimate_batch(items))
         except Exception as exc:  # repro: ignore[RPR103] — forwarded to futures
-            for request in batch:
-                request.future.set_exception(exc)
-            return
-        for request, estimate in zip(batch, estimates):
-            request.future.set_result(float(estimate))
+            if len(items) == 1:
+                return [exc]
+        return [self._outcomes([item])[0] for item in items]
 
     def _finish_shutdown(self) -> None:
         """Drain (or cancel) everything still queued after the sentinel."""

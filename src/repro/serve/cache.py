@@ -1,6 +1,6 @@
 """Thread-safe LRU caches for the serving layer.
 
-Three caches with different keys and granularities, all bounded LRU
+Two caches with different keys and granularities, both bounded LRU
 maps built on one locked core (:class:`_LruCache`):
 
 * :class:`EstimateCache` — exact-match results.  Production query
@@ -12,27 +12,23 @@ maps built on one locked core (:class:`_LruCache`):
   a hit costs one dict probe.  Identical text parses to an identical
   query, so the key is exact; two spellings of one query are two
   entries, which costs hits, never correctness.
-* :class:`ParseCache` — parsed statement templates.  Keys are SQL
+* :class:`ParseCache` — prepared statements.  Keys are SQL
   *fingerprints* (:func:`repro.sql.parser.fingerprint_sql` — the
   statement text with numeric literals masked), so a parameterized
-  statement's thousandth instance re-binds the cached AST instead of
-  re-running the tokenizer and recursive descent.
-* :class:`PlanCache` — compiled shape plans for the fused estimate
-  path.  Keys are query *shapes* (:func:`repro.featurize.batch.query_shape`
-  — boolean structure with numeric literals masked), so a prepared
-  statement's thousandth parameterisation reuses the plan its first
-  compile produced even though every literal differs and the exact-match
-  cache misses.
+  statement's thousandth instance reuses the template and compiled
+  plan its first instance produced
+  (:class:`~repro.serve.fused.Statement`) instead of re-running the
+  tokenizer, the recursive descent and the plan compile.
 
-The three form the serving pipeline's cache ladder: exact SQL text →
-estimate (everything), fingerprint → statement (parse), shape → plan
-(compile).  Batches probe each cache once with :meth:`_LruCache.lookup_many`
-(one lock acquisition, one counter increment per outcome).
+The two form the serving pipeline's cache ladder: exact SQL text →
+estimate (everything), fingerprint → statement (parse and compile).
+Batches probe each cache once with :meth:`_LruCache.lookup_many` (one
+lock acquisition, one counter increment per outcome).
 
 Hit/miss/eviction counts are mirrored into the process-global
 :mod:`repro.obs.metrics_runtime` registry (``serve.cache.*`` /
-``serve.parse_cache.*`` / ``serve.plan_cache.*``), so the ``/metrics``
-endpoint exports them alongside the rest of the serving metrics.
+``serve.parse_cache.*``), so the ``/metrics`` endpoint exports them
+alongside the rest of the serving metrics.
 """
 
 from __future__ import annotations
@@ -42,7 +38,11 @@ from threading import Lock
 
 from repro import obs
 
-__all__ = ["EstimateCache", "ParseCache", "PlanCache"]
+__all__ = ["EstimateCache", "ParseCache", "PARSE_CACHE_SIZE"]
+
+#: Parse-cache capacity in statements.  Every deployment runs this
+#: one value; the estimate cache is the tunable one (``--cache-size``).
+PARSE_CACHE_SIZE = 512
 
 
 class _LruCache:
@@ -180,36 +180,17 @@ class EstimateCache(_LruCache):
 
 
 class ParseCache(_LruCache):
-    """SQL fingerprint -> parsed statement template
-    (``serve.parse_cache.*`` counters).
+    """SQL fingerprint -> prepared statement
+    (``serve.parse_cache.*`` counters, :data:`PARSE_CACHE_SIZE` entries).
 
     Sits in front of the parser on the request path: an instance of a
-    previously seen statement template skips tokenization and recursive
-    descent entirely and re-binds the cached AST with its own literals
-    (:func:`repro.sql.parser.bind_template`).  Only templates that
-    passed :func:`repro.sql.parser.make_template`'s round-trip
-    self-check are ever stored, so a hit is always equivalent to a
-    fresh parse.
+    previously seen statement skips tokenization, recursive descent and
+    plan compilation entirely.  Only templates that passed
+    :func:`repro.sql.parser.make_template`'s round-trip self-check are
+    ever stored, so a hit is always equivalent to a fresh parse.
     """
 
     _metric_prefix = "serve.parse_cache"
 
-    def __init__(self, max_size: int = 512) -> None:
-        super().__init__(max_size)
-
-
-class PlanCache(_LruCache):
-    """Query shape key -> compiled plan (``serve.plan_cache.*`` counters).
-
-    Sits beside the exact-match :class:`EstimateCache` in the fused
-    serving path: a query whose literals differ from anything seen
-    before still reuses the :class:`~repro.featurize.batch.CompiledPlan`
-    of its shape, skipping the AST re-compile entirely.  ``max_size=0``
-    disables the cache (every lookup misses, nothing is stored) — the
-    fused path then compiles per shape per batch.
-    """
-
-    _metric_prefix = "serve.plan_cache"
-
-    def __init__(self, max_size: int = 256) -> None:
-        super().__init__(max_size)
+    def __init__(self) -> None:
+        super().__init__(PARSE_CACHE_SIZE)

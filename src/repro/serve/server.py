@@ -3,14 +3,13 @@
 Two layers, separable for testing:
 
 * :class:`EstimationService` — the transport-free core.  It owns the
-  :class:`~repro.serve.batcher.MicroBatcher`, the
-  :class:`~repro.serve.cache.EstimateCache`, the shape-keyed
-  :class:`~repro.serve.cache.PlanCache` feeding the fused
-  compile→encode→predict path (:mod:`repro.serve.fused`, used by both
-  the micro-batcher and the client-batch endpoint when the estimator is
-  eligible), and the admission-control counter, and exposes
-  ``estimate`` / ``estimate_many_sql`` / ``feedback`` / ``close``, all
-  taking request SQL text.
+  :class:`~repro.serve.cache.EstimateCache`, the serving pipeline
+  (:class:`~repro.serve.fused.EstimatePipeline`: resolve SQL to cached
+  prepared statements, execute them as one batch), the
+  :class:`~repro.serve.batcher.MicroBatcher` that batches single
+  requests into that execute stage, and the admission-control counter,
+  and exposes ``estimate`` / ``estimate_many_sql`` / ``feedback`` /
+  ``close``, all taking request SQL text.
 * :class:`EstimationServer` — a ``ThreadingHTTPServer`` wrapping one
   service in a small JSON API:
 
@@ -62,8 +61,6 @@ from __future__ import annotations
 import threading
 import urllib.parse
 
-import numpy as np
-
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
 from repro.featurize.base import Featurizer, LosslessnessError
@@ -71,17 +68,11 @@ from repro.feedback import QueryFeedbackMonitor
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
-from repro.serve.cache import EstimateCache, ParseCache, PlanCache
-from repro.serve.fused import FusedEstimatePath, PlannedStatement
+from repro.serve.cache import EstimateCache, ParseCache
+from repro.serve.fused import EstimatePipeline
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
-from repro.sql.ast import Query, UnsupportedQueryError
-from repro.sql.parser import (
-    SqlSyntaxError,
-    bind_template,
-    fingerprint_sql,
-    make_template,
-    parse_query,
-)
+from repro.sql.ast import UnsupportedQueryError
+from repro.sql.parser import SqlSyntaxError, fingerprint_sql
 
 __all__ = ["EstimationService", "EstimationServer",
            "ServiceUnavailableError"]
@@ -134,29 +125,15 @@ class _RequestTelemetry:
         return False
 
 
-class _Statement:
-    """A cached prepared statement.
-
-    Holds the re-bindable AST template plus, when the fused path could
-    shape-compile it, its :class:`~repro.serve.fused.PlannedStatement`
-    for the SQL-direct batch leg.  These are the values the
-    fingerprint-keyed :class:`~repro.serve.cache.ParseCache` stores.
-    """
-
-    __slots__ = ("template", "planned")
-
-    def __init__(self, template: Query,
-                 planned: PlannedStatement | None) -> None:
-        self.template = template
-        self.planned = planned
-
-
 class EstimationService:
-    """Cache → parse → estimator pipeline with admission control.
+    """Estimate cache → resolve → execute, with admission control.
 
     Requests carry SQL text.  The exact-match estimate cache is probed
     with that text before anything else, so a hit costs one dict probe
-    and never reaches the fingerprinter or the parser.
+    and never reaches the fingerprinter or the parser.  Misses go
+    through the one serving pipeline (:mod:`repro.serve.fused`): single
+    requests resolve in their own thread and ride the micro-batcher into
+    its execute stage; batches and feedback call execute directly.
 
     Parameters
     ----------
@@ -171,17 +148,6 @@ class EstimationService:
     max_inflight:
         Admission bound: requests beyond this many concurrently in
         flight are rejected with :class:`ServiceUnavailableError`.
-    plan_cache_size:
-        Shape-keyed plan-cache capacity for the fused estimate path
-        (see :mod:`repro.serve.fused`); ``0`` disables plan caching.
-        Ignored when the estimator is ineligible for the fused path
-        (joins, global model, MSCN) — those keep their legacy
-        ``estimate_batch``.
-    parse_cache_size:
-        Fingerprint-keyed parsed-template cache capacity (prepared-
-        statement style: instances of a seen statement template skip
-        the parser and re-bind the cached AST); ``0`` disables it and
-        every request parses from scratch.
     model_version:
         Label value for per-model telemetry dimensions; defaults to the
         estimator's ``name`` (or its class name).
@@ -199,8 +165,6 @@ class EstimationService:
     def __init__(self, estimator: CardinalityEstimator,
                  max_batch_size: int = 64, max_wait_ms: float = 2.0,
                  cache_size: int = 1024, max_inflight: int = 256,
-                 plan_cache_size: int = 256,
-                 parse_cache_size: int = 512,
                  model_version: str | None = None, tick_every: int = 0,
                  latency_slo: float = 0.5, qerror_slo: float = 10.0,
                  slo_objective: float = 0.99) -> None:
@@ -210,15 +174,8 @@ class EstimationService:
         if tick_every < 0:
             raise ValueError(f"tick_every must be >= 0, got {tick_every}")
         self._estimator = estimator
-        self._plan_cache = PlanCache(max_size=plan_cache_size)
-        self._parse_cache = ParseCache(max_size=parse_cache_size)
-        self._fused = FusedEstimatePath.try_build(estimator,
-                                                  self._plan_cache)
-        estimate_batch = (self._fused.estimate_batch
-                          if self._fused is not None
-                          else estimator.estimate_batch)
-        self._estimate_batch = estimate_batch
-        self._batcher = MicroBatcher(estimate_batch,
+        self._pipeline = EstimatePipeline(estimator)
+        self._batcher = MicroBatcher(self._pipeline.execute,
                                      max_batch_size=max_batch_size,
                                      max_wait_ms=max_wait_ms)
         self._cache = EstimateCache(max_size=cache_size)
@@ -268,19 +225,9 @@ class EstimationService:
         return self._batcher
 
     @property
-    def plan_cache(self) -> PlanCache:
-        """The shape-keyed plan cache (for stats and tests)."""
-        return self._plan_cache
-
-    @property
     def parse_cache(self) -> ParseCache:
-        """The fingerprint-keyed parse-template cache (for stats/tests)."""
-        return self._parse_cache
-
-    @property
-    def fused(self) -> FusedEstimatePath | None:
-        """The fused estimate path, or ``None`` when bypassed."""
-        return self._fused
+        """The fingerprint-keyed statement cache (for stats and tests)."""
+        return self._pipeline.parse_cache
 
     @property
     def model_version(self) -> str:
@@ -292,58 +239,20 @@ class EstimationService:
         """The drift monitor fed by :meth:`feedback` (for stats/tests)."""
         return self._monitor
 
-    def parse(self, sql: str) -> Query:
-        """Parse request SQL into a query AST (``ValueError`` family on
-        malformed input, so callers can map it to a 400).
-
-        Parameterized statements hit the fingerprint-keyed
-        :class:`~repro.serve.cache.ParseCache`: an instance of a seen
-        template re-binds the cached AST with its own literals instead
-        of re-running the parser; only templates whose round-trip
-        self-check passed are ever cached, so results are identical
-        either way.
-        """
-        if not self._parse_cache.enabled:
-            return parse_query(sql)
-        fingerprint, literals = fingerprint_sql(sql)
-        statement = self._parse_cache.lookup(fingerprint)
-        if statement is not None:
-            # Statements sharing a fingerprint differ only in literal
-            # text, so the literal count always matches the template's.
-            return bind_template(statement.template, literals)
-        query = parse_query(sql)
-        self._remember_statement(fingerprint, query, literals)
-        return query
-
-    def _remember_statement(self, fingerprint: str, query: Query,
-                            literals: tuple[float, ...]) -> None:
-        """Template-ize a first-seen statement into the parse cache.
-
-        Stores the re-bindable template together with its planned form
-        (when the fused path can shape-compile it); statements whose
-        round-trip self-check fails stay uncached and every instance
-        parses from scratch.  A disabled parse cache skips the work.
-        """
-        if not self._parse_cache.enabled:
-            return
-        template = make_template(query, literals)
-        if template is None:
-            return
-        planned = (self._fused.plan_statement(template)
-                   if self._fused is not None else None)
-        self._parse_cache.store(fingerprint, _Statement(template, planned))
-
     def estimate(self, sql: str,
                  trace_id: int | None = None) -> tuple[float, bool]:
         """Estimate one SQL statement; returns ``(estimate, was_cached)``.
 
         The estimate cache is probed with the request text first, so a
-        hit never reaches the parser.  A miss parses (through the parse
-        cache), rides the micro-batcher, and is cached on the way out.
-        Saturation raises :class:`ServiceUnavailableError` *before* any
-        work is queued; malformed SQL raises the parser's
-        ``ValueError`` family.  ``trace_id`` joins the request's spans
-        and wide event to the caller's trace.
+        hit never reaches the parser.  A miss resolves its statement in
+        this thread (a seen statement costs one parse-cache probe),
+        rides the micro-batcher into the pipeline's execute stage, and
+        is cached on the way out.  Saturation raises
+        :class:`ServiceUnavailableError` *before* any work is queued;
+        malformed SQL raises the parser's ``ValueError`` family, and a
+        statement the estimator rejects raises its error for this
+        request alone.  ``trace_id`` joins the request's spans and wide
+        event to the caller's trace.
         """
         with _RequestTelemetry(self, sql, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
@@ -357,10 +266,10 @@ class EstimationService:
                 telemetry.cache = "hit"
                 telemetry.estimate = cached
                 return cached, True
-            query = self.parse(sql)
+            resolved, = self._pipeline.resolve([sql])
             try:
                 request = self._batcher.submit_request(
-                    query, trace_id=trace_id)
+                    resolved, trace_id=trace_id)
             except BatcherClosedError as exc:
                 raise ServiceUnavailableError(str(exc)) from exc
             estimate = request.future.result()
@@ -374,18 +283,14 @@ class EstimationService:
                           trace_id: int | None = None) -> list[float]:
         """Estimate a client-supplied batch of SQL statements.
 
-        The batch endpoint's one path.  The estimate cache is probed
-        first, keyed on each statement's text; only misses go further.
-        A miss whose statement the parse cache holds in planned form
-        takes the SQL-direct leg — fingerprint → permuted literals →
-        stitched encode → compiled predict, with no bound AST.  Every
-        other miss (a first-seen statement, an uncacheable template, an
-        estimator without a planned leg) is parsed or re-bound and goes
-        through ``estimate_batch`` in the same request.  The batch is
-        already amortised, so nothing waits in the micro-batcher.
-        Estimates are cached only once the whole batch has succeeded,
-        and every answer is bitwise-identical to
-        ``estimator.estimate_batch`` on the parsed statements.
+        The estimate cache is probed first, keyed on each statement's
+        text; only misses go further.  The misses are resolved and
+        executed as one batch — the same two stages a single request
+        takes, minus the micro-batcher, since the batch is already
+        amortised.  Estimates are cached only once the whole batch has
+        succeeded (one bad statement fails the request), and every
+        answer is bitwise-identical to ``estimator.estimate_batch`` on
+        the parsed statements.
         """
         with _RequestTelemetry(self, None, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
@@ -404,63 +309,16 @@ class EstimationService:
             if misses:
                 registry.counter("serve.batches_total").inc()
                 registry.histogram("serve.batch.size").record(len(misses))
-                self._estimate_misses(sqls, misses, results)
+                resolved = self._pipeline.resolve(
+                    [sqls[position] for position in misses])
+                with obs.span("serve.batch.execute", n_queries=len(misses),
+                              metric="serve.batch.execute.seconds"):
+                    estimates = self._pipeline.execute(resolved)
+                for position, estimate in zip(misses, estimates.tolist()):
+                    results[position] = estimate
                 self._cache.store_many((sqls[position], results[position])
                                        for position in misses)
             return results
-
-    def _estimate_misses(self, sqls: list[str], misses: list[int],
-                         results: list) -> None:
-        """Fill ``results`` at the ``misses`` positions of ``sqls``.
-
-        Fingerprints the missed statements and probes the parse cache
-        once for all of them; planned statements ride
-        :meth:`~repro.serve.fused.FusedEstimatePath.estimate_planned`,
-        the rest are parsed (first-seen) or re-bound and ride
-        ``estimate_batch``.
-        """
-        fingerprints = [fingerprint_sql(sqls[position])
-                        for position in misses]
-        statements = self._parse_cache.lookup_many(
-            [key for key, _ in fingerprints])
-        planned_pos: list[int] = []
-        planned_stmts: list[PlannedStatement] = []
-        planned_rows: list[np.ndarray] = []
-        query_pos: list[int] = []
-        query_objs: list[Query] = []
-        for position, (key, literals), statement in zip(
-                misses, fingerprints, statements):
-            if statement is None:
-                query = parse_query(sqls[position])
-                self._remember_statement(key, query, literals)
-                query_pos.append(position)
-                query_objs.append(query)
-            elif statement.planned is not None:
-                planned = statement.planned
-                planned_pos.append(position)
-                planned_stmts.append(planned)
-                planned_rows.append(np.asarray(
-                    literals, dtype=np.float64)[planned.perm])
-            else:
-                # Statements sharing a fingerprint differ only in
-                # literal text, so the literal count always matches.
-                query_pos.append(position)
-                query_objs.append(
-                    bind_template(statement.template, literals))
-        with obs.span("serve.batch.execute", n_queries=len(misses),
-                      metric="serve.batch.execute.seconds"):
-            if planned_stmts:
-                estimates = self._fused.estimate_planned(planned_stmts,
-                                                         planned_rows)
-                for position, estimate in zip(planned_pos,
-                                              estimates.tolist()):
-                    results[position] = estimate
-            if query_objs:
-                estimates = np.asarray(self._estimate_batch(query_objs),
-                                       dtype=np.float64)
-                for position, estimate in zip(query_pos,
-                                              estimates.tolist()):
-                    results[position] = estimate
 
     def feedback(self, sql: str, true_cardinality: float,
                  estimate: float | None = None,
@@ -474,15 +332,17 @@ class EstimationService:
         rate, the drift :class:`~repro.feedback.QueryFeedbackMonitor`,
         and the worst-q-error exemplar reservoir (which keeps ``sql``
         itself).  ``estimate`` is the estimate the caller was served;
-        when omitted the service re-estimates the query directly
-        (bypassing caches and admission — feedback must not compete
-        with live traffic for in-flight slots).
+        when omitted the service re-estimates the query through the
+        pipeline's execute stage directly (bypassing the estimate
+        cache, the batcher and admission — feedback must not compete
+        with live traffic for in-flight slots).  Either way the SQL is
+        resolved, so malformed SQL raises the parser's error.
         """
         with obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 obs.span("serve.feedback"):
-            query = self.parse(sql)
+            resolved = self._pipeline.resolve([sql])
             if estimate is None:
-                estimate = float(self._estimate_batch([query])[0])
+                estimate = float(self._pipeline.execute(resolved)[0])
             true_floored = max(float(true_cardinality), 1.0)
             estimate_floored = max(float(estimate), 1.0)
             observed = float(qerror(true_floored, estimate_floored))

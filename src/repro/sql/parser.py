@@ -291,9 +291,9 @@ def parse_query(sql: str) -> Query:
 # SQL text with different numeric literals.  Re-running the full
 # tokenizer + recursive descent for every instance wastes most of the
 # request budget, so the serve layer caches parses per *fingerprint* —
-# the SQL text with numeric literals masked out — and re-binds the
-# cached AST with each instance's literals.  This is the textual twin
-# of the featurization layer's shape-keyed plan cache.
+# the SQL text with numeric literals masked out — together with each
+# statement's compiled plan, and re-binds the cached AST with an
+# instance's literals wherever an AST is still needed.
 
 # One capture group around a string literal (kept verbatim, so numbers
 # inside quotes are never masked) or a standalone numeric literal:

@@ -104,11 +104,10 @@ class TestEdgeCases:
 class TestPlanEncodeEquivalence:
     """Shape plans are an exact re-packaging of the compile stage.
 
-    ``compile_plan`` + ``encode_with_plan(s)`` must reproduce
-    ``featurize_batch`` bitwise — same-shape binds, mixed-shape
-    stitching, predicate-free queries — for every QFT.  This is the
-    contract the serving layer's plan cache and SQL-direct planned
-    leg stand on.
+    ``compile_plan`` + ``encode_with_plans`` must reproduce
+    ``featurize_batch`` bitwise — one plan reused across a batch,
+    mixed-shape stitching, predicate-free queries — for every QFT.
+    This is the contract the serving pipeline's planned leg stands on.
     """
 
     @staticmethod
@@ -153,9 +152,9 @@ class TestPlanEncodeEquivalence:
         expr = featurizer.extract_expr(query)
         key, literals = query_shape(expr)
         plan = featurizer.compile_plan(expr)
-        rows = np.stack([literals, literals * 0.5, literals + 1.0])
+        rows = [literals, literals * 0.5, literals + 1.0]
         exprs = [expr] * 3  # encode ignores them; shape bookkeeping only
-        matrix = featurizer.encode_with_plan(plan, rows, exprs)
+        matrix = featurizer.encode_with_plans([plan] * 3, rows, exprs)
         # Scalar cross-check on the first row (identical literals).
         assert np.array_equal(matrix[0], featurizer.featurize(query))
 

@@ -10,6 +10,10 @@ import pytest
 
 from repro.serve import BatcherClosedError, MicroBatcher
 from repro.serve.server import EstimationService
+from repro.sql.parser import parse_query
+
+#: A statement the forest estimators reject (unknown attribute).
+BAD_SQL = "SELECT count(*) FROM forest WHERE nosuchcol >= 3"
 
 
 class RecordingBackend:
@@ -68,6 +72,65 @@ class TestBasics:
             for future in futures:
                 with pytest.raises(RuntimeError, match="backend exploded"):
                     future.result(timeout=10)
+
+
+class TestErrorIsolation:
+    """A failing batch is re-run one item at a time, so one request's
+    bad input fails only its own future."""
+
+    def test_one_bad_item_fails_only_its_future(self):
+        calls: list[list] = []
+
+        def backend(items):
+            calls.append(list(items))
+            if "bad" in items:
+                raise KeyError("bad item")
+            return np.asarray([float(len(item)) for item in items])
+
+        items = ["a", "bb", "bad", "dddd"]
+        with MicroBatcher(backend, max_batch_size=len(items),
+                          max_wait_ms=2000.0) as batcher:
+            futures = [batcher.submit(item) for item in items]
+            for item, future in zip(items, futures):
+                if item == "bad":
+                    with pytest.raises(KeyError, match="bad item"):
+                        future.result(timeout=10)
+                else:
+                    assert future.result(timeout=10) == float(len(item))
+        # One batch of four, then each item alone.
+        assert calls == [items] + [[item] for item in items]
+
+    def test_bad_statement_fails_only_its_request(self, serve_estimator,
+                                                  conjunctive_workload):
+        sqls = [q.to_sql() for q in conjunctive_workload.queries[:6]]
+        expected = {sql: float(serve_estimator.estimate_batch(
+            [parse_query(sql)])[0]) for sql in sqls}
+        # A full batch dispatches at once; the wide window only makes
+        # sure all seven requests ride the same one.
+        service = EstimationService(serve_estimator, max_batch_size=7,
+                                    max_wait_ms=2000.0)
+        start = threading.Barrier(7)
+        outcomes: dict[str, object] = {}
+        lock = threading.Lock()
+
+        def fire(sql: str) -> None:
+            start.wait()
+            try:
+                outcome: object = service.estimate(sql)[0]
+            except Exception as exc:  # noqa: BLE001 — recorded for assert
+                outcome = exc
+            with lock:
+                outcomes[sql] = outcome
+
+        threads = [threading.Thread(target=fire, args=(sql,))
+                   for sql in sqls + [BAD_SQL]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        service.close()
+        assert isinstance(outcomes[BAD_SQL], KeyError)
+        assert {sql: outcomes[sql] for sql in sqls} == expected
 
 
 class TestShutdown:

@@ -1,10 +1,12 @@
-"""The fused serving path and its SQL-direct planned leg.
+"""The serving pipeline: resolve to prepared statements, then execute.
 
-Covers eligibility (``try_build`` bypasses estimators without a
-featurizer), bitwise equivalence of every leg against the legacy
-``estimate_batch``, statement planning in the parse cache, the planned
-leg's cache interplay (with the estimate cache off, and under the
-shipped defaults where it is on), and error-contract parity.
+Covers which leg a statement takes (planned for a learned estimator
+with a single-table featurizer, the ``estimate_batch`` adapter for an
+estimator without one), bitwise equivalence of both legs against
+``estimate_batch``, statements carrying their own compiled plan in the
+parse cache, the pipeline's cache interplay (with the estimate cache
+off, and under the shipped defaults where it is on), and error-contract
+parity.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.serve.fused import FusedEstimatePath, PlannedStatement
+from repro.featurize.base import Featurizer
+from repro.featurize.batch import CompiledPlan
+from repro.serve.fused import EstimatePipeline, Statement
 from repro.serve.server import EstimationService
-from repro.sql.ast import And, Or, SimplePredicate
+from repro.sql.ast import And, Or, Query, SimplePredicate
+from repro.sql.parser import fingerprint_sql
 
 
 def perturb(query, delta):
@@ -50,51 +55,99 @@ def instances(conjunctive_workload):
 
 @pytest.fixture()
 def uncached_service(serve_estimator):
-    """Planned-leg configuration: estimate cache off, parse cache on."""
+    """Estimate cache off, so every request runs the pipeline."""
     service = EstimationService(serve_estimator, cache_size=0)
     yield service
     service.close()
 
 
+class Opaque:
+    """An estimator without a featurizer: the adapter leg serves it."""
+
+    name = "opaque"
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.batches: list[list] = []
+
+    def estimate_batch(self, queries):
+        self.batches.append(list(queries))
+        return self._inner.estimate_batch(queries)
+
+
 class TestEligibility:
-    def test_learned_estimator_gets_fused_path(self, uncached_service):
-        assert isinstance(uncached_service.fused, FusedEstimatePath)
-        assert uncached_service.fused.supports_planned_statements
+    def test_learned_estimator_gets_fused_path(self, serve_estimator,
+                                               instances):
+        pipeline = EstimatePipeline(serve_estimator)
+        (statement, literals), = pipeline.resolve([instances[0].to_sql()])
+        assert isinstance(statement, Statement)
+        assert isinstance(statement.plan, CompiledPlan)
+        assert literals == fingerprint_sql(instances[0].to_sql())[1]
 
-    def test_estimator_without_featurizer_bypasses(self):
-        class Opaque:
-            name = "opaque"
+    def test_estimator_without_featurizer_bypasses(self, serve_estimator,
+                                                   instances):
+        sql = instances[0].to_sql()
+        pipeline = EstimatePipeline(Opaque(serve_estimator))
+        # First-seen: the parsed query; seen: the re-bound template.
+        for _ in range(2):
+            resolved, = pipeline.resolve([sql])
+            assert isinstance(resolved, Query)
+            assert resolved == instances[0]
+        fingerprint, _ = fingerprint_sql(sql)
+        assert pipeline.parse_cache.lookup(fingerprint).plan is None
 
-            def estimate_batch(self, queries):
-                return np.zeros(len(queries))
+    def test_rejected_template_takes_the_adapter(self, serve_estimator,
+                                                 instances, monkeypatch):
+        import repro.serve.fused as fused
 
-        service = EstimationService(Opaque(), cache_size=0)
-        try:
-            assert service.fused is None
-        finally:
-            service.close()
+        monkeypatch.setattr(fused, "make_template",
+                            lambda query, literals: None)
+        pipeline = EstimatePipeline(serve_estimator)
+        resolved = pipeline.resolve([q.to_sql() for q in instances[:4]])
+        assert resolved == instances[:4]
+        assert len(pipeline.parse_cache) == 0
+        np.testing.assert_array_equal(
+            pipeline.execute(resolved),
+            serve_estimator.estimate_batch(instances[:4]))
+
+
+def count_compiles(monkeypatch) -> list:
+    """Record every ``compile_plan`` call from here on."""
+    calls: list = []
+    original = Featurizer.compile_plan
+
+    def counting(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(Featurizer, "compile_plan", counting)
+    return calls
 
 
 class TestFusedEquivalence:
-    def test_estimate_batch_bitwise_identical(self, uncached_service,
-                                              serve_estimator, instances):
-        fused = uncached_service.fused
-        np.testing.assert_array_equal(
-            fused.estimate_batch(instances),
-            serve_estimator.estimate_batch(instances))
+    def test_estimate_batch_bitwise_identical(self, serve_estimator,
+                                              instances):
+        pipeline = EstimatePipeline(serve_estimator)
+        sqls = [q.to_sql() for q in instances]
+        expected = serve_estimator.estimate_batch(instances)
+        # Cold (first-seen statements) and warm (every one cached).
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                pipeline.execute(pipeline.resolve(sqls)), expected)
 
-    def test_plan_cache_hits_on_repeated_shapes(self, uncached_service,
-                                                instances):
-        fused = uncached_service.fused
-        fused.estimate_batch(instances)
-        stats = uncached_service.plan_cache.stats()
-        # 8 shapes compiled once (repeats within one batch dedup
-        # through the batch-local map, not the cache) …
-        assert stats["misses"] == 8
-        fused.estimate_batch(instances)
-        # … and the next batch resolves all 8 shapes from the cache.
-        assert uncached_service.plan_cache.stats()["hits"] >= 8
-        assert uncached_service.plan_cache.stats()["misses"] == 8
+    def test_statement_compiles_its_plan_once(self, serve_estimator,
+                                              instances, monkeypatch):
+        compiles = count_compiles(monkeypatch)
+        pipeline = EstimatePipeline(serve_estimator)
+        sqls = [q.to_sql() for q in instances]
+        statements = {fingerprint_sql(sql)[0] for sql in sqls}
+        # One batch holding three instances of each statement …
+        pipeline.execute(pipeline.resolve(sqls))
+        assert len(compiles) == len(statements)
+        # … and later batches reuse the plans the statements carry.
+        pipeline.execute(pipeline.resolve(sqls))
+        pipeline.execute(pipeline.resolve(sqls[::-1]))
+        assert len(compiles) == len(statements)
 
 
 class TestPlannedLeg:
@@ -112,12 +165,11 @@ class TestPlannedLeg:
                                                    instances):
         sqls = [q.to_sql() for q in instances]
         uncached_service.estimate_many_sql(sqls)
-        from repro.sql.parser import fingerprint_sql
-        fingerprint, _ = fingerprint_sql(sqls[0])
+        fingerprint, literals = fingerprint_sql(sqls[0])
         statement = uncached_service.parse_cache.lookup(fingerprint)
         assert statement is not None
-        assert isinstance(statement.planned, PlannedStatement)
-        assert statement.planned.perm.dtype == np.int64
+        assert isinstance(statement.plan, CompiledPlan)
+        assert statement.plan.n_literals == len(literals)
 
     def test_planned_instances_skip_reparsing(self, uncached_service,
                                               instances):
@@ -140,18 +192,6 @@ class TestPlannedLeg:
             assert first == second
             assert (service.cache.stats()["hits"]
                     >= hits_before + len(sqls))
-        finally:
-            service.close()
-
-    def test_parse_cache_disabled_still_correct(self, serve_estimator,
-                                                instances):
-        service = EstimationService(serve_estimator, cache_size=0,
-                                    parse_cache_size=0)
-        try:
-            sqls = [q.to_sql() for q in instances]
-            np.testing.assert_array_equal(
-                np.asarray(service.estimate_many_sql(sqls)),
-                serve_estimator.estimate_batch(instances))
         finally:
             service.close()
 
@@ -194,7 +234,7 @@ def counter(name: str) -> float:
 
 @pytest.fixture()
 def shipped_service(serve_estimator):
-    """The shipped defaults: estimate, parse and plan caches all on."""
+    """The shipped defaults: estimate and parse caches both on."""
     service = EstimationService(serve_estimator)
     yield service
     service.close()
@@ -229,8 +269,7 @@ class TestShippedDefaults:
         parse_after = shipped_service.parse_cache.stats()
         estimate_after = shipped_service.cache.stats()
         # The repeats hit the estimate cache and never reach the parse
-        # cache; the seen instances hit the parse cache, which only the
-        # planned leg consults on a batch.
+        # cache; the seen instances hit the parse cache.
         assert estimate_after["hits"] - estimate_before["hits"] \
             == len(repeats)
         assert parse_after["hits"] - parse_before["hits"] \

@@ -16,6 +16,7 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
 )
+from repro.sql.parser import parse_query
 
 
 class SlowEstimator:
@@ -114,6 +115,40 @@ class TestErrorMapping:
             client.estimate_batch(sqls[:4] + [bad])
         assert excinfo.value.status == 400
         assert "unknown attribute" in str(excinfo.value)
+
+    def test_bad_statement_fails_only_its_own_request(self, serve_estimator,
+                                                      sqls):
+        bad = "SELECT count(*) FROM forest WHERE nosuchcol >= 3"
+        valid = sqls[:6]
+        expected = {sql: float(serve_estimator.estimate_batch(
+            [parse_query(sql)])[0]) for sql in valid}
+        # A full batch dispatches at once; the wide window only makes
+        # sure all seven requests ride the same one.
+        service = EstimationService(serve_estimator, max_batch_size=7,
+                                    max_wait_ms=2000.0)
+        start = threading.Barrier(7)
+        outcomes: dict[str, object] = {}
+        lock = threading.Lock()
+        with EstimationServer(service) as server:
+            def fire(sql: str) -> None:
+                with ServeClient(server.url, timeout=30) as client:
+                    start.wait()
+                    try:
+                        outcome: object = client.estimate(sql)["estimate"]
+                    except ServeClientError as exc:
+                        outcome = exc
+                with lock:
+                    outcomes[sql] = outcome
+
+            threads = [threading.Thread(target=fire, args=(sql,))
+                       for sql in valid + [bad]]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert isinstance(outcomes[bad], ServeClientError)
+        assert outcomes[bad].status == 400
+        assert {sql: outcomes[sql] for sql in valid} == expected
 
     def test_malformed_json_is_400(self, running_server):
         import urllib.request
