@@ -1,11 +1,12 @@
-"""Featurization throughput: scalar loop vs columnar batch pipeline.
+"""Featurization throughput: per-query loop vs one batch call.
 
-Times every QFT's per-query ``featurize`` loop against the compile →
-encode ``featurize_batch`` pipeline on the same workloads (see
-``repro.bench``), asserts the two produce bitwise-identical matrices,
-and records the speedups.  The same measurement backs the
-``repro bench featurize`` CLI subcommand and the committed
-``BENCH_featurize.json``.
+``featurize(q)`` is the one-query batch of each QFT's compile → encode
+pipeline, so this times a per-query ``featurize`` loop against one
+``featurize_batch`` call on the same workloads (see ``repro.bench``),
+asserts the two produce bitwise-identical matrices (batching is
+row-independent), and records what batching a workload is worth.  The
+same measurement backs the ``repro bench featurize`` CLI subcommand and
+the committed ``BENCH_featurize.json``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def test_featurize_throughput(scale, record):
             "qft": case["featurizer"],
             "workload": case["workload"],
             "queries": case["n_queries"],
-            "scalar (s)": f"{case['scalar_seconds']:.3f}",
+            "per-query (s)": f"{case['scalar_seconds']:.3f}",
             "batch (s)": f"{case['batch_seconds']:.3f}",
             "speedup": f"{case['speedup']:.2f}x",
             "identical": case["identical"],
@@ -35,10 +36,13 @@ def test_featurize_throughput(scale, record):
         paper_artifact="featurization cost (Section 5 'costs of the "
                        "query featurization')",
         rows=rows,
-        notes="Batch featurization must match the scalar path bitwise; "
-              "the speedup column is the scalar/batch runtime ratio.",
+        notes="The per-query loop runs one-query batches and must match "
+              "one featurize_batch call bitwise; the speedup column is "
+              "the per-query/batch runtime ratio.",
     ))
-    assert report["all_identical"], "batch featurization diverged from scalar"
+    assert report["all_identical"], (
+        "per-query featurize diverged from featurize_batch")
     assert report["min_speedup"] >= 1.0, (
-        f"batch slower than scalar: min speedup {report['min_speedup']:.2f}x"
+        f"batch slower than the per-query loop: min speedup "
+        f"{report['min_speedup']:.2f}x"
     )

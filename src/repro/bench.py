@@ -1,11 +1,11 @@
 """Micro-benchmarks: featurization throughput, lint cache, obs overhead.
 
-The batch refactor's contract is twofold — bitwise-identical feature
-matrices and a real throughput win.  :func:`run_featurize_bench` checks
-both: every case times the per-query scalar loop against the columnar
-``featurize_batch`` pipeline on the same workload and verifies the two
-matrices are identical before reporting a speedup.  Pass timings come
-from ``bench.scalar_pass`` / ``bench.batch_pass`` spans (under
+:func:`run_featurize_bench` measures what batching a workload is worth:
+every case times a per-query ``featurize`` loop (one-query batches)
+against one ``featurize_batch`` call over the same workload, and
+verifies the two matrices are identical — i.e. that batching is
+row-independent — before reporting a speedup.  Pass timings come from
+``bench.scalar_pass`` / ``bench.batch_pass`` spans (under
 :func:`repro.obs.ensure_tracing`), so a traced benchmark run exports the
 same numbers it reports.
 
@@ -86,7 +86,12 @@ _CASES = (
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One scalar-vs-batch measurement."""
+    """One per-query-loop vs whole-batch measurement.
+
+    ``scalar_seconds`` times the per-query ``featurize`` loop,
+    ``batch_seconds`` one ``featurize_batch`` call, and ``identical``
+    records that both produced the same matrix bitwise.
+    """
 
     featurizer: str
     workload: str
@@ -98,7 +103,7 @@ class BenchCase:
 
     @property
     def speedup(self) -> float:
-        """Scalar time over batch time (higher is better)."""
+        """Per-query-loop time over batch time (higher is better)."""
         if self.batch_seconds <= 0.0:
             return float("inf")
         return self.scalar_seconds / self.batch_seconds
@@ -168,7 +173,7 @@ def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
                         partitions: int = config.DEFAULT_PARTITIONS,
                         seed: int = config.DEFAULT_SEED,
                         smoke: bool = False, repeats: int = 3) -> dict:
-    """Benchmark scalar vs batch featurization; return the report dict.
+    """Benchmark per-query vs batch featurization; return the report dict.
 
     Each case runs one untimed warm-up pass per path (whose output also
     feeds the bitwise-equality check), then reports the best of
@@ -450,7 +455,7 @@ def _legacy_forest_predict(model, features: np.ndarray) -> np.ndarray:
     ``predict`` always runs the packed forest.
     """
     prediction = np.full(features.shape[0], model._base)
-    for tree in model.trees:  # repro: ignore[RPR109] — this IS the legacy reference
+    for tree in model.trees:
         prediction += model.learning_rate * tree.predict(features)
     return prediction
 

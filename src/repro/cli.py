@@ -16,9 +16,10 @@ downstream user needs, plus dataset generation:
   estimator over the HTTP JSON API (micro-batching, estimate cache,
   admission control; see ``docs/serving.md``).  ``--registry`` switches
   ``--artifact`` to a published model-registry name.
-* ``repro bench featurize`` — scalar-vs-batch featurization benchmark;
-  writes ``BENCH_featurize.json`` and fails if the batch pipeline is
-  slower than the scalar loop or diverges from it.
+* ``repro bench featurize`` — per-query-loop vs batch featurization
+  benchmark; writes ``BENCH_featurize.json`` and fails if one
+  ``featurize_batch`` call is slower than the per-query ``featurize``
+  loop or their matrices differ.
 * ``repro bench lint`` — cold-vs-warm incremental lint benchmark;
   writes ``BENCH_lint.json`` and fails below ``--min-speedup``.
 * ``repro bench obs`` — observability-overhead benchmark; writes
@@ -212,14 +213,14 @@ def _cmd_bench(args) -> int:
     for case in report["cases"]:
         status = "ok" if case["identical"] else "MISMATCH"
         print(f"  {case['featurizer']:>12} / {case['workload']:<12} "
-              f"scalar {case['scalar_seconds']:8.3f}s  "
+              f"per-query {case['scalar_seconds']:8.3f}s  "
               f"batch {case['batch_seconds']:8.3f}s  "
               f"speedup {case['speedup']:6.2f}x  [{status}]")
     output = args.output or Path("BENCH_featurize.json")
     write_report(report, output)
     print(f"wrote {output}")
     if not report["all_identical"]:
-        print("FAIL: batch featurization diverges from scalar")
+        print("FAIL: per-query featurize diverges from featurize_batch")
         return 1
     if report["min_speedup"] < args.min_speedup:
         print(f"FAIL: min speedup {report['min_speedup']:.2f}x below "

@@ -50,16 +50,21 @@ class GroupCountEstimator(CardinalityEstimator):
         """QFT segment plus one grouping bit per attribute."""
         return self._featurizer.feature_length + self._groupby.feature_length
 
-    def _featurize(self, query: Query) -> np.ndarray:
-        return np.concatenate([
-            self._featurizer.featurize(query.where),
-            self._groupby.featurize(query),
+    def _features(self, queries: Sequence[Query]) -> np.ndarray:
+        """QFT selection matrix (one batch encode) ⊕ grouping vectors."""
+        queries = list(queries)
+        grouping = np.zeros((len(queries), self._groupby.feature_length))
+        for row, query in enumerate(queries):
+            grouping[row] = self._groupby.featurize(query)
+        return np.hstack([
+            self._featurizer.featurize_batch([q.where for q in queries]),
+            grouping,
         ])
 
     def fit(self, queries: Sequence[Query], group_counts: np.ndarray
             ) -> "GroupCountEstimator":
         """Train on queries with known group counts."""
-        features = np.stack([self._featurize(q) for q in queries])
+        features = self._features(queries)
         self._model.fit(features, np.asarray(group_counts, dtype=np.float64))
         self._fitted = True
         return self
@@ -71,13 +76,12 @@ class GroupCountEstimator(CardinalityEstimator):
             raise ValueError(
                 "query has no GROUP BY clause; use a cardinality estimator"
             )
-        return float(self._model.predict(self._featurize(query)[None, :])[0])
+        return float(self._model.predict(self._features([query]))[0])
 
     def estimate_batch(self, queries) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("estimator must be fitted before estimating")
-        features = np.stack([self._featurize(q) for q in queries])
-        return self._model.predict(features)
+        return self._model.predict(self._features(queries))
 
 
 def generate_groupby_workload(table: Table, num_queries: int,

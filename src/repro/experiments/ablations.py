@@ -29,27 +29,13 @@ from repro.experiments.common import (
     qft_factory,
 )
 from repro.featurize import ConjunctiveEncoding, DisjunctionEncoding
+from repro.featurize.analysis import collision_report
 from repro.metrics import qerror
 from repro.models import GradientBoostingRegressor
 from repro.models.linear import LinearSVR, RidgeRegressor
 
 __all__ = ["run_partitions", "run_merge", "run_linear_baselines", "run",
-           "run_model_granularity", "run_partitioning_scheme",
-           "collision_rate"]
-
-
-def collision_rate(featurizer, workload) -> float:
-    """Fraction of queries whose vector collides with a different-cardinality query.
-
-    This is exactly the determinism violation of the paper's Equation 4:
-    the same input mapping to different labels.
-    """
-    buckets: dict[bytes, set[int]] = {}
-    for item in workload:
-        key = featurizer.featurize(item.query).tobytes()
-        buckets.setdefault(key, set()).add(item.cardinality)
-    collisions = sum(len(cards) for cards in buckets.values() if len(cards) > 1)
-    return collisions / len(workload)
+           "run_model_granularity", "run_partitioning_scheme"]
 
 
 def run_partitions(scale: Scale = SMALL) -> ExperimentResult:
@@ -66,7 +52,8 @@ def run_partitions(scale: Scale = SMALL) -> ExperimentResult:
         summary = evaluate_estimator(estimator, test)
         rows.append({
             "entries": entries,
-            "collision rate": collision_rate(featurizer, test),
+            "collision rate": collision_report(featurizer,
+                                               test).collision_rate,
             "mean": summary.mean,
             "median": summary.median,
             "99%": summary.q99,

@@ -63,7 +63,7 @@ def decode(featurizer: ConjunctiveEncoding, vector: np.ndarray) -> Query:
         )
     predicates: list[SimplePredicate] = []
     slices = featurizer.attribute_slices()
-    for attr in featurizer.attributes:
+    for attr_id, attr in enumerate(featurizer.attributes):
         segment = vector[slices[attr]]
         entries = segment[:featurizer.partitions(attr)]
         stats = featurizer.stats(attr)
@@ -81,17 +81,16 @@ def decode(featurizer: ConjunctiveEncoding, vector: np.ndarray) -> Query:
         # Partition index -> the single value it covers (the geometry
         # hook also used by Algorithm 1's exact refinement; correct for
         # both equal-width and equi-depth exact partitions).
-        value_of = featurizer._partition_value
-        lo = value_of(attr, int(qualifying.min()))
-        hi = value_of(attr, int(qualifying.max()))
-        predicates.append(SimplePredicate(attr, Op.GE, lo))
-        predicates.append(SimplePredicate(attr, Op.LE, hi))
         inside = np.arange(qualifying.min(), qualifying.max() + 1)
         gaps = np.setdiff1d(inside, qualifying)
-        predicates.extend(
-            SimplePredicate(attr, Op.NE, value_of(attr, int(gap)))
-            for gap in gaps
-        )
+        indices = np.concatenate(([qualifying.min(), qualifying.max()],
+                                  gaps))
+        values = featurizer._partition_values(
+            np.full(indices.size, attr_id), indices)
+        predicates.append(SimplePredicate(attr, Op.GE, float(values[0])))
+        predicates.append(SimplePredicate(attr, Op.LE, float(values[1])))
+        predicates.extend(SimplePredicate(attr, Op.NE, float(value))
+                          for value in values[2:])
     where: BoolExpr | None
     if not predicates:
         where = None
@@ -128,12 +127,14 @@ def collision_report(featurizer, workload) -> CollisionReport:
 
     Works with any vector featurizer (the four QFTs alike); the paper's
     argument is that lossy QFTs necessarily produce collisions on query
-    classes they cannot represent, which caps achievable accuracy.
+    classes they cannot represent, which caps achievable accuracy.  The
+    workload is encoded with one ``featurize_batch`` call.
     """
+    items = list(workload)
+    matrix = featurizer.featurize_batch([item.query for item in items])
     buckets: dict[bytes, list[int]] = {}
-    for item in workload:
-        key = featurizer.featurize(item.query).tobytes()
-        buckets.setdefault(key, []).append(item.cardinality)
+    for row, item in zip(matrix, items):
+        buckets.setdefault(row.tobytes(), []).append(item.cardinality)
     colliding = 0
     worst = 1.0
     for cards in buckets.values():
@@ -141,7 +142,7 @@ def collision_report(featurizer, workload) -> CollisionReport:
             colliding += len(cards)
             worst = max(worst, max(cards) / max(min(cards), 1))
     return CollisionReport(
-        total_queries=len(workload),
+        total_queries=len(items),
         distinct_vectors=len(buckets),
         colliding_queries=colliding,
         worst_spread=worst,

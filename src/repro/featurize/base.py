@@ -10,15 +10,13 @@ All featurizers accept either a single-table :class:`~repro.sql.ast.Query`
 or a bare boolean expression (a WHERE clause).  Attribute names may be
 qualified (``forest.A7``); the table prefix is stripped during resolution.
 
-Batch featurization is a two-stage **compile → encode** pipeline:
+Featurization is a two-stage **compile → encode** pipeline:
 :meth:`Featurizer.compile_batch` normalizes a query sequence into the
-columnar :class:`~repro.featurize.batch.PredicateBatch` IR, and
-``_featurize_compiled`` encodes the whole batch into an
-``(n, feature_length)`` matrix.  The built-in QFTs override
-``_featurize_compiled`` with vectorized numpy kernels; third-party
-subclasses inherit a fallback that encodes one compiled expression at a
-time through ``_featurize_expr``, so implementing the scalar surface
-alone keeps the batch API working.
+columnar :class:`~repro.featurize.batch.PredicateBatch` IR, and each
+QFT's ``_featurize_compiled`` kernel encodes the whole batch into an
+``(n, feature_length)`` matrix.  That kernel is the QFT's only encoder:
+:meth:`Featurizer.featurize` runs the same two stages on a one-query
+batch.
 """
 
 from __future__ import annotations
@@ -66,14 +64,6 @@ class Featurizer(abc.ABC):
 
     #: Paper label for plots ("simple", "range", "conjunctive", "complex").
     name: str = "abstract"
-
-    #: Whether this featurizer's encode stage reads ``batch.exprs``.
-    #: The base ``_featurize_compiled`` fallback does (it loops scalar
-    #: ``_featurize_expr`` calls over them); vectorized overrides that
-    #: consume only the columnar arrays declare ``False``, which lets
-    #: the serving layer encode instances of planned statements without
-    #: materializing bound ASTs at all (see :mod:`repro.serve.fused`).
-    encode_uses_exprs: bool = True
 
     def __init__(self, table: Union[Table, TableStats],
                  attributes: Sequence[str] | None = None) -> None:
@@ -146,28 +136,23 @@ class Featurizer(abc.ABC):
     def feature_length(self) -> int:
         """Dimension of the produced feature vectors."""
 
-    @abc.abstractmethod
-    def _featurize_expr(self, expr: BoolExpr | None) -> np.ndarray:
-        """Encode a WHERE expression (``None`` = no predicates)."""
-
     def featurize(self, query: Query | BoolExpr | None) -> np.ndarray:
         """Encode a query (or bare WHERE expression) into a feature vector.
 
-        The scalar surface is counted (``featurize.queries_total``) but
-        deliberately *not* wrapped in a per-query span: span bookkeeping
-        would rival the ~tens-of-µs encode itself.  The traced surface
-        is :meth:`featurize_batch`; scalar callers show up in the batch
-        spans of whatever pipeline invokes them.
+        The one-query batch: the same compile → encode stages
+        :meth:`featurize_batch` runs, so row ``i`` of a batch equals
+        ``featurize`` of query ``i`` bitwise.  Encoding a workload one
+        query at a time pays the batch setup per query; callers with
+        many queries use :meth:`featurize_batch`.
+
+        Counted (``featurize.queries_total``) but deliberately *not*
+        wrapped in a per-query span: span bookkeeping would rival the
+        encode itself.  The traced surface is :meth:`featurize_batch`.
         """
-        expr = self._extract_expr(query)
-        vector = self._featurize_expr(expr)
-        if vector.shape != (self.feature_length,):
-            raise AssertionError(
-                f"{type(self).__name__} produced shape {vector.shape}, "
-                f"expected ({self.feature_length},)"
-            )
+        matrix = self._featurize_compiled(self.compile_batch([query]))
+        self._check_encoded(matrix, 1)
         obs.get_registry().counter("featurize.queries_total").inc()
-        return vector
+        return matrix[0]
 
     def featurize_batch(self, queries: Iterable[Query | BoolExpr | None]) -> np.ndarray:
         """Encode many queries into a ``(n, feature_length)`` matrix.
@@ -175,8 +160,7 @@ class Featurizer(abc.ABC):
         This is the compile → encode pipeline: the queries are first
         normalized into the columnar :class:`PredicateBatch` IR (one
         pass over the ASTs, with all validation), then encoded in one
-        vectorized step.  Scalar :meth:`featurize` remains the ``n = 1``
-        special case with identical results and error contracts.
+        vectorized step.  :meth:`featurize` is its ``n = 1`` case.
 
         When tracing is enabled the two stages emit ``featurize.compile``
         and ``featurize.encode`` child spans under ``featurize.batch``.
@@ -192,13 +176,7 @@ class Featurizer(abc.ABC):
                           featurizer=type(self).__name__,
                           n_queries=batch.n_queries):
                 matrix = self._featurize_compiled(batch)
-            if matrix.shape != (batch.n_queries, self.feature_length) \
-                    or matrix.dtype != np.float64:
-                raise AssertionError(
-                    f"{type(self).__name__} produced {matrix.dtype} matrix "
-                    f"of shape {matrix.shape}, expected float64 "
-                    f"({batch.n_queries}, {self.feature_length})"
-                )
+            self._check_encoded(matrix, batch.n_queries)
         registry = obs.get_registry()
         registry.counter("featurize.queries_total").inc(batch.n_queries)
         registry.histogram("featurize.batch_size").record(batch.n_queries)
@@ -246,8 +224,7 @@ class Featurizer(abc.ABC):
         )
 
     def encode_with_plans(self, plans: Sequence[CompiledPlan],
-                          literal_rows: Sequence[np.ndarray],
-                          exprs: Sequence[BoolExpr | None]) -> np.ndarray:
+                          literal_rows: Sequence[np.ndarray]) -> np.ndarray:
         """Encode a *mixed-shape* batch through pre-compiled plans.
 
         ``plans[i]`` is query ``i``'s plan and ``literal_rows[i]`` its
@@ -265,25 +242,17 @@ class Featurizer(abc.ABC):
                     "plan was compiled against a different feature space "
                     f"({plan.attributes} != {self._attributes})"
                 )
-        matrix = self._featurize_compiled(
-            stitch_plans(plans, literal_rows, exprs))
-        if matrix.shape != (len(exprs), self.feature_length) \
-                or matrix.dtype != np.float64:
-            raise AssertionError(
-                f"{type(self).__name__} produced {matrix.dtype} matrix "
-                f"of shape {matrix.shape}, expected float64 "
-                f"({len(exprs)}, {self.feature_length})"
-            )
+        matrix = self._featurize_compiled(stitch_plans(plans, literal_rows))
+        self._check_encoded(matrix, len(plans))
         return matrix
 
     def compile_batch(self, queries: Iterable[Query | BoolExpr | None]
                       ) -> PredicateBatch:
         """Normalize queries into the columnar :class:`PredicateBatch` IR.
 
-        Performs the same per-query validation as :meth:`featurize`
-        (table checks, attribute resolution, this QFT's query-class
-        contract) and raises the same exception types, so batch callers
-        observe errors at the same offending query.
+        Performs all per-query validation (table checks, attribute
+        resolution, this QFT's query-class contract), raising at the
+        first offending query.
         """
         exprs = [self._extract_expr(q) for q in queries]
         return self._compile_exprs(exprs)
@@ -316,15 +285,11 @@ class Featurizer(abc.ABC):
             n_queries=len(exprs), attributes=self._attributes,
             query_index=query_index, attr_index=attr_index,
             branch_index=[0] * len(query_index), op_code=op_code,
-            value=value, exprs=exprs,
+            value=value,
         )
 
     def _disjunction_error(self, expr: BoolExpr) -> "LosslessnessError":
-        """The error this QFT raises for disjunctive queries.
-
-        Scalar and compile paths share this hook so both raise
-        identical messages.
-        """
+        """The error this QFT raises for disjunctive queries."""
         return LosslessnessError(
             f"{type(self).__name__} cannot represent disjunctions; "
             f"got: {expr.to_sql()}"
@@ -334,23 +299,26 @@ class Featurizer(abc.ABC):
     # Encode stage
     # ------------------------------------------------------------------
 
+    @abc.abstractmethod
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:
-        """Encode a compiled batch into an ``(n, feature_length)`` matrix.
+        """Encode a compiled batch into an ``(n, feature_length)`` matrix."""
 
-        Fallback for featurizers without a vectorized encode stage: one
-        ``_featurize_expr`` call per compiled expression.  The built-in
-        QFTs override this with columnar numpy kernels.
-        """
-        if batch.n_queries == 0:
-            return np.empty((0, self.feature_length), dtype=np.float64)
-        return np.stack([self._featurize_expr(expr) for expr in batch.exprs])
+    def _check_encoded(self, matrix: np.ndarray, n_queries: int) -> None:
+        """Assert an encode kernel honoured the matrix contract."""
+        if matrix.shape != (n_queries, self.feature_length) \
+                or matrix.dtype != np.float64:
+            raise AssertionError(
+                f"{type(self).__name__} produced {matrix.dtype} matrix "
+                f"of shape {matrix.shape}, expected float64 "
+                f"({n_queries}, {self.feature_length})"
+            )
 
     def _normalize_values(self, attr_ids: np.ndarray,
                           values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`~repro.data.stats.ColumnStats.normalize`.
 
-        Bitwise-identical to the scalar method: ``(v - min) / span``
-        clamped to ``[0, 1]``, and ``0.0`` on degenerate domains.
+        Bitwise-identical to that method: ``(v - min) / span`` clamped
+        to ``[0, 1]``, and ``0.0`` on degenerate domains.
         """
         spans = self._spans[attr_ids]
         safe = np.where(spans > 0.0, spans, 1.0)

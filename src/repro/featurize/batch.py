@@ -1,6 +1,8 @@
 """Columnar predicate-batch IR — the *compile* stage of featurization.
 
-Every QFT's batch path is an explicit two-stage pipeline:
+Every QFT encodes through one explicit two-stage pipeline, whether it
+is handed a workload or a single query (``featurize(q)`` is the
+one-query batch):
 
 1. **compile** — normalize a sequence of queries into a
    :class:`PredicateBatch`: flat, parallel numpy arrays holding one row
@@ -73,9 +75,7 @@ class PredicateBatch:
     """Columnar normal form of a batch of queries' WHERE clauses.
 
     All predicate arrays are parallel (one entry per simple predicate,
-    in compile order, i.e. query-major).  ``exprs`` retains the original
-    per-query expressions for featurizers without a vectorized encode
-    stage (the base-class fallback) and for error reporting.
+    in compile order, i.e. query-major).
     """
 
     #: Number of compiled queries (rows of the encoded matrix).
@@ -94,18 +94,15 @@ class PredicateBatch:
     #: Comparison literal of each predicate.
     value: np.ndarray
     #: Global compile-order position of each predicate.  Set-based
-    #: consumers (the MSCN input builder) use it to reproduce the
-    #: scalar path's per-query row order after grouped encoding.
+    #: consumers (the MSCN input builder) use it to restore each
+    #: query's predicate order after grouped encoding.
     position: np.ndarray
-    #: The per-query WHERE expressions the batch was compiled from.
-    exprs: tuple[BoolExpr | None, ...]
 
     @classmethod
     def from_lists(cls, n_queries: int, attributes: Sequence[str],
                    query_index: Sequence[int], attr_index: Sequence[int],
                    branch_index: Sequence[int], op_code: Sequence[int],
-                   value: Sequence[float],
-                   exprs: Sequence[BoolExpr | None]) -> "PredicateBatch":
+                   value: Sequence[float]) -> "PredicateBatch":
         """Build a batch from the parallel python lists a compile loop fills."""
         return cls(
             n_queries=n_queries,
@@ -116,7 +113,6 @@ class PredicateBatch:
             op_code=np.asarray(op_code, dtype=np.int64),
             value=np.asarray(value, dtype=np.float64),
             position=np.arange(len(query_index), dtype=np.int64),
-            exprs=tuple(exprs),
         )
 
     @property
@@ -131,11 +127,6 @@ class PredicateBatch:
         if len(sizes) != 1:
             raise ValueError(
                 f"predicate arrays must be parallel; got sizes {sorted(sizes)}"
-            )
-        if len(self.exprs) != self.n_queries:
-            raise ValueError(
-                f"exprs holds {len(self.exprs)} entries for "
-                f"{self.n_queries} queries"
             )
 
 
@@ -251,8 +242,7 @@ class CompiledPlan:
 
 
 def stitch_plans(plans: Sequence[CompiledPlan],
-                 literal_rows: Sequence[np.ndarray],
-                 exprs: Sequence[BoolExpr | None]) -> PredicateBatch:
+                 literal_rows: Sequence[np.ndarray]) -> PredicateBatch:
     """Stamp a *mixed-shape* batch out of per-query plans.
 
     ``plans[i]`` is query ``i``'s shape plan and ``literal_rows[i]`` its
@@ -270,10 +260,10 @@ def stitch_plans(plans: Sequence[CompiledPlan],
     All plans must target the same feature space (equal ``attributes``).
     """
     k = len(plans)
-    if not (k == len(literal_rows) == len(exprs)):
+    if k != len(literal_rows):
         raise ValueError(
-            f"plans/literal_rows/exprs must be parallel, got "
-            f"{k}/{len(literal_rows)}/{len(exprs)}")
+            f"plans/literal_rows must be parallel, got "
+            f"{k}/{len(literal_rows)}")
     if k == 0:
         raise ValueError("cannot stitch an empty batch")
     attributes = plans[0].attributes
@@ -312,5 +302,4 @@ def stitch_plans(plans: Sequence[CompiledPlan],
         op_code=op_code,
         value=value,
         position=np.arange(total, dtype=np.int64),
-        exprs=tuple(exprs),
     )

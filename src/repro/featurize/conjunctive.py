@@ -24,8 +24,6 @@ appended to each attribute's segment.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro import config
@@ -40,14 +38,7 @@ from repro.featurize.batch import (
     OP_NE,
     PredicateBatch,
 )
-from repro.featurize.selectivity import fold_conjunction, uniform_selectivity
-from repro.sql.ast import (
-    BoolExpr,
-    Op,
-    SimplePredicate,
-    is_conjunctive,
-    iter_simple_predicates,
-)
+from repro.sql.ast import BoolExpr
 
 __all__ = ["ConjunctiveEncoding"]
 
@@ -72,9 +63,6 @@ class ConjunctiveEncoding(Featurizer):
     """
 
     name = "conjunctive"
-    #: The vectorized encode (shared with :class:`DisjunctionEncoding`)
-    #: consumes only the columnar batch arrays.
-    encode_uses_exprs = False
 
     def __init__(self, table: Table, attributes=None,
                  max_partitions: int = config.DEFAULT_PARTITIONS,
@@ -104,7 +92,7 @@ class ConjunctiveEncoding(Featurizer):
 
         Called whenever ``_partition_counts`` / ``_exact`` change (the
         equi-depth subclass recomputes them after fitting boundaries).
-        The batch encode kernel indexes these by attribute id.
+        The encode kernel indexes these by attribute id.
         """
         self._counts = np.array(
             [self._partition_counts[a] for a in self.attributes],
@@ -165,20 +153,13 @@ class ConjunctiveEncoding(Featurizer):
         the per-operator logic interprets as "no partition affected" /
         "all partitions affected" respectively.
         """
-        stats = self.stats(attribute)
-        if value < stats.min_value:
-            return -1
-        if value > stats.max_value:
-            return self._partition_counts[attribute]
-        n_attr = self._partition_counts[attribute]
-        idx = math.floor(
-            (value - stats.min_value) / stats.domain_size * n_attr
-        )
-        return min(max(idx, 0), n_attr - 1)
+        return int(self._partition_indices(
+            np.array([self.attributes.index(attribute)]),
+            np.array([value], dtype=np.float64))[0])
 
     def _partition_indices(self, attr_ids: np.ndarray,
                            values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`partition_index` over predicate rows."""
+        """:meth:`partition_index` over predicate rows (equal width)."""
         counts = self._counts[attr_ids]
         mins = self._min_values[attr_ids]
         scaled = (values - mins) / self._domain_sizes[attr_ids] * counts
@@ -191,12 +172,13 @@ class ConjunctiveEncoding(Featurizer):
 
     def _partition_values(self, attr_ids: np.ndarray,
                           indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_partition_value` (exact partitions only)."""
-        return self._min_values[attr_ids] + indices
+        """The single value each *exact* partition covers.
 
-    # ------------------------------------------------------------------
-    # Algorithm 1
-    # ------------------------------------------------------------------
+        Only meaningful where :meth:`is_exact` holds; equal-width exact
+        partitions map index ``i`` to the integer ``min(A) + i``.
+        Subclasses with other geometries (equi-depth) override this.
+        """
+        return self._min_values[attr_ids] + indices
 
     def _disjunction_error(self, expr: BoolExpr) -> LosslessnessError:
         return LosslessnessError(
@@ -205,118 +187,8 @@ class ConjunctiveEncoding(Featurizer):
             "for mixed queries"
         )
 
-    def _featurize_expr(self, expr: BoolExpr | None) -> np.ndarray:
-        if expr is not None and not is_conjunctive(expr):
-            raise self._disjunction_error(expr)
-        per_attribute: dict[str, list[SimplePredicate]] = {}
-        if expr is not None:
-            for predicate in iter_simple_predicates(expr):
-                attr = self._resolve(predicate)
-                per_attribute.setdefault(attr, []).append(predicate)
-        segments = [
-            self.attribute_segment(attr, per_attribute.get(attr, ()))
-            for attr in self.attributes
-        ]
-        return np.concatenate(segments)
-
-    def attribute_segment(self, attribute: str,
-                          predicates) -> np.ndarray:
-        """Featurize one attribute's conjunction into its vector segment.
-
-        This is the per-attribute body of Algorithm 1, exposed separately
-        because Limited Disjunction Encoding (Algorithm 2) calls it once
-        per disjunction branch before merging.
-        """
-        predicates = list(predicates)
-        n_attr = self._partition_counts[attribute]
-        exact = self._exact[attribute]
-        entries = np.ones(n_attr, dtype=np.float64)
-        for predicate in predicates:
-            self._apply(entries, attribute, predicate, exact)
-        if not self._attr_selectivity:
-            return entries
-        stats = self.stats(attribute)
-        if predicates:
-            interval = fold_conjunction(predicates, stats)
-            selectivity = uniform_selectivity(interval, stats)
-        else:
-            selectivity = 1.0
-        return np.concatenate([entries, [selectivity]])
-
-    def _partition_value(self, attribute: str, idx: int) -> float:
-        """The single value an *exact* partition covers.
-
-        Only called when :meth:`is_exact` holds; equal-width exact
-        partitions map index ``i`` to the integer ``min(A) + i``.
-        Subclasses with other geometries (equi-depth) override this.
-        """
-        return self.stats(attribute).min_value + idx
-
-    def _apply(self, entries: np.ndarray, attribute: str,
-               predicate: SimplePredicate, exact: bool) -> None:
-        """Lower entries according to one predicate (Algorithm 1, lines 5-16).
-
-        For exact partitions the single covered value is known, so the
-        boundary partition resolves to 0 or 1 instead of ½ (the
-        refinement at the end of Section 3.2).
-        """
-        n_attr = entries.size
-        idx = self.partition_index(attribute, predicate.value)
-        in_domain = 0 <= idx < n_attr
-        value = float(predicate.value)
-        op = predicate.op
-        # The single value of the boundary partition, if known exactly.
-        u = (self._partition_value(attribute, idx)
-             if exact and in_domain else None)
-
-        if op is Op.EQ:
-            # Entries may only decrease (Algorithm 1, line 5): a previous
-            # predicate that zeroed the matching partition must win, so a
-            # contradiction like A = 0 AND A = 1 stays all-zero.
-            current = entries[idx] if in_domain else 0.0
-            entries[:] = 0.0
-            if in_domain:
-                if u is None:
-                    entries[idx] = min(current, _HALF)
-                elif u == value:
-                    entries[idx] = current
-                # else: the partition's value differs -> stays 0.
-            return
-        if op is Op.NE:
-            if in_domain:
-                if u is None:
-                    entries[idx] = min(entries[idx], _HALF)
-                elif u == value:
-                    entries[idx] = 0.0
-            return
-        if op in (Op.GT, Op.GE):
-            if idx >= n_attr:
-                entries[:] = 0.0
-                return
-            if idx < 0:
-                return
-            entries[:idx] = 0.0
-            if u is None:
-                entries[idx] = min(entries[idx], _HALF)
-            elif (u < value) or (op is Op.GT and u == value):
-                entries[idx] = 0.0
-            return
-        if op in (Op.LT, Op.LE):
-            if idx < 0:
-                entries[:] = 0.0
-                return
-            if idx >= n_attr:
-                return
-            entries[idx + 1:] = 0.0
-            if u is None:
-                entries[idx] = min(entries[idx], _HALF)
-            elif (u > value) or (op is Op.LT and u == value):
-                entries[idx] = 0.0
-            return
-        raise ValueError(f"unhandled operator {op}")  # pragma: no cover
-
     # ------------------------------------------------------------------
-    # Vectorized encode stage
+    # Algorithm 1: the encode stage
     # ------------------------------------------------------------------
 
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:
@@ -354,13 +226,16 @@ class ConjunctiveEncoding(Featurizer):
         position (set consumers like the MSCN input builder use it to
         reproduce per-query row order).
 
-        Equivalence with the sequential Algorithm 1: each predicate's
-        ``_apply`` lowers entries by an elementwise *minimum* with a
+        Equivalence with the sequential Algorithm 1 (lines 5-16): each
+        predicate lowers entries by an elementwise *minimum* with a
         per-predicate mask — ones on a keep-window ``[wlo, whi]``, zero
         outside, with an optional ``{0, 1/2}`` point update at the
         boundary partition.  Minimum is exactly commutative, so a group's
         entries equal the intersection of its windows with all point
         updates min-applied, which grouped reductions compute directly.
+        For exact partitions the boundary partition's single value is
+        known, so it resolves to 0 or 1 instead of ½ (the refinement at
+        the end of Section 3.2).
         """
         order = np.lexsort(
             (batch.branch_index, batch.attr_index, batch.query_index))
@@ -474,12 +349,18 @@ class ConjunctiveEncoding(Featurizer):
                              steps: np.ndarray, starts: np.ndarray,
                              gid: np.ndarray,
                              group_attrs: np.ndarray) -> np.ndarray:
-        """Vectorized fold + uniformity selectivity per predicate group.
+        """Fold + uniformity selectivity per predicate group.
 
-        Mirrors :func:`~repro.featurize.selectivity.fold_conjunction`
-        followed by :func:`uniform_selectivity`: max/min folds are
-        exactly commutative, and exclusions are counted distinct, so the
-        results match the scalar appendix bitwise.
+        Algorithm 1's gray lines: each group's conjunction folds into a
+        closed interval (as :func:`~repro.featurize.selectivity.
+        fold_conjunction` does; max/min folds are exactly commutative),
+        and the qualifying domain size is divided by the total domain
+        size ``max(A) - min(A) + 1`` — a Selinger-style estimate, *not*
+        a data-driven one.  Integral domains count qualifying integers
+        minus the distinct integer ``<>`` values inside the interval;
+        continuous domains use interval length (exclusions have measure
+        zero), and an equality collapse is credited
+        ``1 / distinct_count``.
         """
         lo_cand = np.full(values.size, -np.inf)
         hi_cand = np.full(values.size, np.inf)

@@ -20,13 +20,21 @@ Encoding are equal" on JOB-light).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from repro.featurize.batch import OP_CODES, PredicateBatch
 from repro.featurize.conjunctive import ConjunctiveEncoding
-from repro.sql.ast import BoolExpr, to_compound_form
+from repro.sql.ast import (
+    And,
+    BoolExpr,
+    CompoundForm,
+    Or,
+    UnsupportedQueryError,
+    to_compound_form,
+)
 
 __all__ = ["DisjunctionEncoding"]
 
@@ -65,40 +73,13 @@ class DisjunctionEncoding(ConjunctiveEncoding):
         config["merge"] = self._merge
         return config
 
-    def _merge_branches(self, merged: np.ndarray, branch: np.ndarray) -> None:
-        if self._merge == "max":
-            # Entry-wise max: disjunction can only widen (Alg. 2, l. 6).
-            np.maximum(merged, branch, out=merged)
-        else:
-            merged += branch
-            np.minimum(merged, 1.0, out=merged)
-
-    def _featurize_expr(self, expr: BoolExpr | None) -> np.ndarray:
-        if expr is None:
-            return super()._featurize_expr(None)
-        # Normalising into Definition 3.3 form validates the query class
-        # and yields, per attribute, the disjunction of conjunctions.
-        compound = to_compound_form(expr)
-        segments = []
-        for attr in self.attributes:
-            branches = compound.get(attr)
-            if not branches:
-                segments.append(self.attribute_segment(attr, ()))
-                continue
-            merged = self.attribute_segment(attr, branches[0])
-            for branch in branches[1:]:
-                self._merge_branches(merged, self.attribute_segment(attr, branch))
-            segments.append(merged)
-        return np.concatenate(segments)
-
     def _compile_exprs(self, exprs: Sequence[BoolExpr | None]
                        ) -> PredicateBatch:
         """Compile mixed queries, tagging disjunction-branch ids.
 
-        Queries are normalised into Definition 3.3 form exactly like the
-        scalar path, including its key-matching behaviour: compound
-        predicates whose attribute is not verbatim in the feature space
-        (e.g. table-qualified names) are skipped.
+        Each query is normalised into Definition 3.3 form
+        (:meth:`_compound_form`); branch ``i`` of an attribute's
+        compound predicate gets branch id ``i``.
         """
         attr_ids = {name: i for i, name in enumerate(self._attributes)}
         query_index: list[int] = []
@@ -109,7 +90,7 @@ class DisjunctionEncoding(ConjunctiveEncoding):
         for qi, expr in enumerate(exprs):
             if expr is None:
                 continue
-            compound = to_compound_form(expr)
+            compound = self._compound_form(expr)
             for attr, attr_id in attr_ids.items():
                 branches = compound.get(attr)
                 if not branches:
@@ -124,17 +105,50 @@ class DisjunctionEncoding(ConjunctiveEncoding):
         return PredicateBatch.from_lists(
             n_queries=len(exprs), attributes=self._attributes,
             query_index=query_index, attr_index=attr_index,
-            branch_index=branch_index, op_code=op_code,
-            value=value, exprs=exprs,
+            branch_index=branch_index, op_code=op_code, value=value,
         )
+
+    def _compound_form(self, expr: BoolExpr) -> CompoundForm:
+        """``expr`` in Definition 3.3 form, keyed by feature-space names.
+
+        A query whose attributes are all spelled as in the feature space
+        (every unqualified query) costs one ``to_compound_form`` pass.
+        Otherwise this table's prefix is stripped first, so mixed
+        spellings of one attribute (``forest.A1 > 5 OR A1 < 2``) form
+        one compound and encode like the unqualified query, and an
+        attribute outside the feature space raises ``KeyError``.
+        """
+        try:
+            compound = to_compound_form(expr)
+        except UnsupportedQueryError:
+            compound = None
+        if compound is not None and compound.keys() <= self._stats.keys():
+            return compound
+        compound = to_compound_form(self._without_table_prefix(expr))
+        for branches in compound.values():
+            # Raises the unknown-attribute KeyError for names outside
+            # the feature space.
+            self._resolve(branches[0][0])
+        return compound
+
+    def _without_table_prefix(self, expr: BoolExpr) -> BoolExpr:
+        """``expr`` with this table's prefix stripped from its attributes."""
+        if isinstance(expr, (And, Or)):
+            return type(expr)([self._without_table_prefix(child)
+                               for child in expr.children])
+        prefix = self.table_name + "."
+        if expr.attribute.startswith(prefix):
+            return replace(expr, attribute=expr.attribute[len(prefix):])
+        return expr
 
     def _merge_branch_rows(self, rows: np.ndarray,
                            starts: np.ndarray) -> np.ndarray:
         if self._merge == "max":
             return super()._merge_branch_rows(rows, starts)
-        # Entry-wise sum clipped to 1.  Accumulated branch-by-branch (not
-        # reduceat, which does not fix the association order of float
-        # addition) so the result matches the scalar merge bitwise.
+        # Entry-wise sum clipped to 1 after each branch.  Accumulated
+        # branch-by-branch in branch order (not reduceat, which does not
+        # fix the association order of float addition), so the result is
+        # the sequential merge of Algorithm 2 bitwise.
         ends = np.append(starts[1:], rows.shape[0])
         sizes = ends - starts
         merged = rows[starts].copy()

@@ -74,27 +74,13 @@ class EquiDepthConjunctiveEncoding(ConjunctiveEncoding):
         # geometry the batch encode kernel indexes.
         self._refresh_partition_arrays()
 
-    def partition_index(self, attribute: str, value: float) -> int:
-        """Quantile-boundary partition index (replaces the linear formula).
+    def _partition_indices(self, attr_ids: np.ndarray,
+                           values: np.ndarray) -> np.ndarray:
+        """Quantile-boundary partition lookup (replaces the linear formula).
 
         Values outside the observed domain map to the virtual indices
         ``-1`` / ``n_A`` exactly like the base class.
         """
-        stats = self.stats(attribute)
-        if value < stats.min_value:
-            return -1
-        if value > stats.max_value:
-            return self._partition_counts[attribute]
-        boundaries = self._boundaries[attribute]
-        return int(np.searchsorted(boundaries, value, side="left"))
-
-    def _partition_value(self, attribute: str, idx: int) -> float:
-        """The distinct value an exact equi-depth partition covers."""
-        return float(self._uniques[attribute][idx])
-
-    def _partition_indices(self, attr_ids: np.ndarray,
-                           values: np.ndarray) -> np.ndarray:
-        """Vectorized quantile-boundary partition lookup."""
         idx = np.empty(values.size, dtype=np.int64)
         for attr_id in np.unique(attr_ids):
             selected = attr_ids == attr_id
@@ -109,7 +95,7 @@ class EquiDepthConjunctiveEncoding(ConjunctiveEncoding):
 
     def _partition_values(self, attr_ids: np.ndarray,
                           indices: np.ndarray) -> np.ndarray:
-        """Vectorized distinct-value lookup for exact partitions."""
+        """The distinct value each exact equi-depth partition covers."""
         out = np.empty(indices.size, dtype=np.float64)
         for attr_id in np.unique(attr_ids):
             selected = attr_ids == attr_id

@@ -87,18 +87,9 @@ class JoinQueryFeaturizer:
         return self._featurizers[table]
 
     def featurize(self, query: Query) -> np.ndarray:
-        """Encode a join query over exactly this sub-schema."""
-        if set(query.tables) != set(self._tables):
-            raise ValueError(
-                f"query joins {query.tables} but this featurizer covers "
-                f"{self._tables}"
-            )
-        selections = per_table_selections(query, self._schema)
-        segments = [
-            self._featurizers[table].featurize(selections[table])
-            for table in self._tables
-        ]
-        return np.concatenate(segments)
+        """Encode a join query over exactly this sub-schema (a one-query
+        :meth:`featurize_batch`)."""
+        return self.featurize_batch([query])[0]
 
     def featurize_batch(self, queries: Iterable[Query]) -> np.ndarray:
         """Encode many queries into a ``(n, feature_length)`` matrix.
@@ -141,15 +132,7 @@ class TableSetVector:
 
     def featurize(self, query: Query) -> np.ndarray:
         """Encode which tables the query joins as a binary vector."""
-        vector = np.zeros(len(self._tables), dtype=np.float64)
-        for table in query.tables:
-            try:
-                vector[self._tables.index(table)] = 1.0
-            except ValueError:
-                raise KeyError(
-                    f"query table {table!r} not in schema tables {self._tables}"
-                ) from None
-        return vector
+        return self.featurize_batch([query])[0]
 
     def featurize_batch(self, queries: Iterable[Query]) -> np.ndarray:
         """Encode many queries' table bitmaps as an ``(n, m)`` matrix."""
@@ -190,12 +173,9 @@ class GlobalJoinFeaturizer:
                 + sum(f.feature_length for f in self._featurizers.values()))
 
     def featurize(self, query: Query) -> np.ndarray:
-        """Encode a query over any sub-schema of the schema."""
-        selections = per_table_selections(query, self._schema)
-        segments = [self._table_vector.featurize(query)]
-        for table, featurizer in self._featurizers.items():
-            segments.append(featurizer.featurize(selections.get(table)))
-        return np.concatenate(segments)
+        """Encode a query over any sub-schema of the schema (a one-query
+        :meth:`featurize_batch`)."""
+        return self.featurize_batch([query])[0]
 
     def featurize_batch(self, queries: Iterable[Query]) -> np.ndarray:
         """Encode many queries into a ``(n, feature_length)`` matrix.

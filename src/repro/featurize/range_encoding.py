@@ -33,8 +33,7 @@ from repro.featurize.batch import (
     OP_NE,
     PredicateBatch,
 )
-from repro.featurize.selectivity import fold_conjunction
-from repro.sql.ast import BoolExpr, Op, is_conjunctive, iter_simple_predicates
+from repro.sql.ast import BoolExpr
 
 __all__ = ["RangeEncoding"]
 
@@ -46,8 +45,6 @@ class RangeEncoding(Featurizer):
     """Range Predicate Encoding: one normalised closed range per attribute."""
 
     name = "range"
-    #: The vectorized encode consumes only the columnar batch arrays.
-    encode_uses_exprs = False
 
     @property
     def feature_length(self) -> int:
@@ -60,45 +57,15 @@ class RangeEncoding(Featurizer):
             f"got: {expr.to_sql()}"
         )
 
-    def _featurize_expr(self, expr: BoolExpr | None) -> np.ndarray:
-        vector = np.empty(self.feature_length, dtype=np.float64)
-        # Default: the full domain [0, 1] for every attribute.
-        vector[0::2] = 0.0
-        vector[1::2] = 1.0
-        if expr is None:
-            return vector
-        if not is_conjunctive(expr):
-            raise self._disjunction_error(expr)
-        per_attribute: dict[str, list] = {}
-        for predicate in iter_simple_predicates(expr):
-            attr = self._resolve(predicate)
-            # <> predicates cannot be folded into a single closed range;
-            # dropping them is this QFT's defining information loss.
-            if predicate.op is Op.NE:
-                continue
-            per_attribute.setdefault(attr, []).append(predicate)
-        offsets = {attr: i * _ENTRIES_PER_ATTRIBUTE
-                   for i, attr in enumerate(self.attributes)}
-        for attr, predicates in per_attribute.items():
-            stats = self.stats(attr)
-            interval = fold_conjunction(predicates, stats)
-            base = offsets[attr]
-            if interval.is_empty:
-                vector[base] = 1.0
-                vector[base + 1] = 0.0
-            else:
-                vector[base] = stats.normalize(interval.lo)
-                vector[base + 1] = stats.normalize(interval.hi)
-        return vector
-
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:
+        # Default: the full domain [0, 1] for every attribute.
         matrix = np.empty((batch.n_queries, self.feature_length),
                           dtype=np.float64)
         matrix[:, 0::2] = 0.0
         matrix[:, 1::2] = 1.0
-        # <> predicates are dropped before folding (this QFT's defining
-        # information loss); attributes constrained only by <> keep the
-        # full-domain default, exactly like the scalar path.
+        # <> predicates cannot be folded into a single closed range and
+        # are dropped (this QFT's defining information loss);
+        # attributes constrained only by <> keep the full-domain default.
         keep = batch.op_code != OP_NE
         if not np.any(keep):
             return matrix

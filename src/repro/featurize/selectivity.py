@@ -6,23 +6,19 @@ closed interval ``[lo, hi]`` plus a set of excluded values (Section 3.1):
 integer attributes ``A < 5`` becomes ``[min(A), 4]`` (a small step is used
 for continuous attributes).  ``A <> 5`` records 5 as excluded.
 
-This module provides that folding, plus the *uniformity-assumption
-selectivity* of the folded interval — the gray "per-attribute selectivity
-estimate" appended to the feature vectors of Universal Conjunction
-Encoding (Algorithm 1, lines 17–20).
+This module provides that folding (MSCN's range-mode predicate rows use
+it) and the strict-bound step the vectorized encode kernels share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.data.stats import ColumnStats
 from repro.sql.ast import Op, SimplePredicate
 
-__all__ = ["Interval", "fold_conjunction", "strict_step",
-           "uniform_selectivity"]
+__all__ = ["Interval", "fold_conjunction", "strict_step"]
 
 #: Relative step used to close strict bounds on continuous domains.
 _CONTINUOUS_STEP = 1e-9
@@ -32,8 +28,8 @@ def strict_step(stats: ColumnStats) -> float:
     """Step by which a strict bound tightens when folded closed.
 
     Integer domains step by one value; continuous domains by a span-
-    relative epsilon.  Shared by the scalar fold below and the
-    vectorized batch-encode kernels, so both paths tighten identically.
+    relative epsilon.  Shared by the fold below and the encode kernels,
+    so both tighten identically.
     """
     if stats.is_integral:
         return 1.0
@@ -85,38 +81,3 @@ def fold_conjunction(predicates: Iterable[SimplePredicate],
         else:  # pragma: no cover - Op is a closed enum
             raise ValueError(f"unhandled operator {op}")
     return interval
-
-
-def uniform_selectivity(interval: Interval, stats: ColumnStats) -> float:
-    """Fraction of the attribute's domain qualifying under uniformity.
-
-    This mirrors the paper's Algorithm 1 gray lines: the qualifying domain
-    size divided by the total domain size ``max(A) - min(A) + 1`` — a
-    Selinger-style estimate, *not* a data-driven one.
-
-    * Integral domains count qualifying integers (excluding ``<>`` values
-      inside the interval).
-    * Continuous domains use interval length; exclusions have measure
-      zero, and an equality collapse is credited ``1 / distinct_count``.
-    """
-    if interval.is_empty:
-        return 0.0
-    if stats.is_integral:
-        lo = math.ceil(interval.lo)
-        hi = math.floor(interval.hi)
-        if lo > hi:
-            return 0.0
-        excluded_inside = sum(
-            1 for v in interval.excluded
-            if lo <= v <= hi and float(v).is_integer()
-        )
-        qualifying = (hi - lo + 1) - excluded_inside
-        return max(qualifying, 0) / stats.domain_size
-    span = stats.max_value - stats.min_value
-    if span <= 0:
-        return 1.0
-    width = interval.hi - interval.lo
-    if width <= 0:
-        # Equality on a continuous domain: one point qualifies.
-        return 1.0 / max(stats.distinct_count, 1)
-    return min(width / span, 1.0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.featurize.base import Featurizer, LosslessnessError
 from repro.featurize.batch import OP_CODES, PredicateBatch
-from repro.sql.ast import BoolExpr, Op, is_conjunctive, iter_simple_predicates
+from repro.sql.ast import BoolExpr, Op
 
 __all__ = ["SingularEncoding"]
 
@@ -44,7 +44,7 @@ _OP_BITS = {
     Op.NE: (0.0, 1.0, 1.0),
 }
 
-#: Op-code-indexed view of :data:`_OP_BITS` for the batch encode kernel.
+#: Op-code-indexed view of :data:`_OP_BITS` for the encode kernel.
 _OP_BIT_TABLE = np.zeros((len(OP_CODES), 3), dtype=np.float64)
 for _op, _code in OP_CODES.items():
     _OP_BIT_TABLE[_code] = _OP_BITS[_op]
@@ -54,8 +54,6 @@ class SingularEncoding(Featurizer):
     """Singular Predicate Encoding: 4 entries per attribute, 1 predicate each."""
 
     name = "simple"
-    #: The vectorized encode consumes only the columnar batch arrays.
-    encode_uses_exprs = False
 
     @property
     def feature_length(self) -> int:
@@ -68,36 +66,15 @@ class SingularEncoding(Featurizer):
             f"got: {expr.to_sql()}"
         )
 
-    def _featurize_expr(self, expr: BoolExpr | None) -> np.ndarray:
-        vector = np.zeros(self.feature_length, dtype=np.float64)
-        if expr is None:
-            return vector
-        if not is_conjunctive(expr):
-            raise self._disjunction_error(expr)
-        offsets = {attr: i * _ENTRIES_PER_ATTRIBUTE
-                   for i, attr in enumerate(self.attributes)}
-        encoded: set[str] = set()
-        for predicate in iter_simple_predicates(expr):
-            attr = self._resolve(predicate)
-            if attr in encoded:
-                # Lossy by design: later predicates on the same attribute
-                # are dropped (Section 3's motivating failure case).
-                continue
-            encoded.add(attr)
-            base = offsets[attr]
-            vector[base:base + 3] = _OP_BITS[predicate.op]
-            vector[base + 3] = self.stats(attr).normalize(predicate.value)
-        return vector
-
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:
         matrix = np.zeros((batch.n_queries, self.feature_length),
                           dtype=np.float64)
         if batch.n_predicates == 0:
             return matrix
-        # The first predicate per (query, attribute) wins — the same
-        # drop rule as the scalar path.  Compile order is query-major
-        # and preserves predicate order, so np.unique's first-occurrence
-        # indices select exactly the scalar path's survivors.
+        # The first predicate per (query, attribute) wins; later ones
+        # are dropped (Section 3's motivating failure case).  Compile
+        # order is query-major and preserves predicate order, so
+        # np.unique's first-occurrence indices select the survivors.
         m = len(self.attributes)
         key = batch.query_index * m + batch.attr_index
         _, first = np.unique(key, return_index=True)

@@ -17,7 +17,6 @@ from repro.lint.rules.correctness import (
     FeaturizerSurfaceRule,
     FloatEqualityRule,
     MutableDefaultRule,
-    ScalarFeaturizeLoopRule,
     SubprocessWithoutDrainRule,
 )
 from repro.lint.rules.determinism import (
@@ -48,7 +47,6 @@ __all__ = [
     "FloatEqualityRule",
     "BroadExceptRule",
     "FeaturizerSurfaceRule",
-    "ScalarFeaturizeLoopRule",
     "SubprocessWithoutDrainRule",
     "AdHocTimingRule",
     "FeatureDtypeDriftRule",

@@ -16,8 +16,7 @@ from repro.lint.engine import ModuleContext, ProjectContext
 from repro.lint.registry import Rule, register
 
 __all__ = ["MutableDefaultRule", "FloatEqualityRule", "BroadExceptRule",
-           "FeaturizerSurfaceRule", "ScalarFeaturizeLoopRule",
-           "AdHocTimingRule", "PerTreePredictLoopRule",
+           "FeaturizerSurfaceRule", "AdHocTimingRule",
            "MetricNameDriftRule", "SubprocessWithoutDrainRule"]
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
@@ -206,61 +205,6 @@ class FeaturizerSurfaceRule(Rule):
 
 
 @register
-class ScalarFeaturizeLoopRule(Rule):
-    """Batch featurization entry points must stay on the columnar
-    compile → encode pipeline.  A per-query ``.featurize(...)`` loop
-    inside a ``*batch*`` method silently reverts the whole pipeline to
-    scalar cost — correct output, an order of magnitude slower, and no
-    test notices.
-    """
-
-    code = "RPR105"
-    name = "scalar-featurize-loop"
-    summary = "No per-query featurize() loops inside batch methods"
-    example_bad = 'def featurize_batch(self, queries):\n    return np.stack([self.featurize(q) for q in queries])'
-    example_good = 'def featurize_batch(self, queries):\n    batch = compile_batch(queries)\n    return self._encode_batch(batch)'
-
-    #: Module prefix the rule applies to (the featurization package).
-    module_prefix = "repro.featurize"
-
-    _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-              ast.DictComp, ast.GeneratorExp)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef,
-                          module: ModuleContext) -> None:
-        """Check a batch-pipeline method for scalar featurize loops."""
-        self._check(node, module)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef,
-                               module: ModuleContext) -> None:
-        """Check an async batch-pipeline method likewise."""
-        self._check(node, module)
-
-    def _check(self, node, module: ModuleContext) -> None:
-        if not (module.module_name == self.module_prefix
-                or module.module_name.startswith(self.module_prefix + ".")):
-            return
-        if "batch" not in node.name:
-            return
-        for child in ast.walk(node):
-            if not isinstance(child, self._LOOPS):
-                continue
-            for call in ast.walk(child):
-                if self._is_scalar_featurize(call):
-                    self.report(
-                        module, call,
-                        f"per-query featurize() loop inside batch method "
-                        f"{node.name}(); use the compiled batch pipeline "
-                        "(compile_batch/_featurize_compiled) instead")
-
-    @staticmethod
-    def _is_scalar_featurize(node: ast.AST) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "featurize")
-
-
-@register
 class AdHocTimingRule(Rule):
     """Pipeline code must measure time through ``repro.obs`` spans, not
     direct clock reads.  Ad-hoc ``time.perf_counter()`` pairs produce
@@ -336,93 +280,6 @@ class AdHocTimingRule(Rule):
             return f"{func.value.id}.{func.attr}"
         if isinstance(func, ast.Name) and func.id in self._clock_names:
             return func.id
-        return None
-
-
-@register
-class PerTreePredictLoopRule(Rule):
-    """Forest inference must go through the packed
-    :class:`~repro.models.compiled_forest.CompiledForest` traversal.  A
-    python-level loop calling each tree's ``predict`` /
-    ``predict_binned`` silently reverts inference to per-tree, per-node
-    interpreter cost — correct output, an order of magnitude slower,
-    and no test notices.  Only the legacy reference path may loop:
-    ``repro.models.tree`` itself (the scalar implementation the packed
-    kernels are verified against) is exempt, and deliberate reference
-    loops elsewhere carry ``# repro: ignore[RPR109]``.
-    """
-
-    code = "RPR109"
-    name = "per-tree-predict-loop"
-    summary = "No per-tree predict() loops outside the legacy tree module"
-    example_bad = 'total = np.zeros(len(X))\nfor tree in self._trees:\n    total += tree.predict(X)'
-    example_good = 'total = self.compiled.predict(X)  # packed forest, one traversal'
-
-    #: Module prefix the rule applies to.
-    module_prefix = "repro"
-    #: Modules allowed to loop over trees (the scalar reference path).
-    exempt_prefixes = ("repro.models.tree",)
-    _PREDICT_NAMES = frozenset({"predict", "predict_binned"})
-
-    @staticmethod
-    def _covered(module_name: str, prefix: str) -> bool:
-        return (module_name == prefix
-                or module_name.startswith(prefix + "."))
-
-    def begin_module(self, module: ModuleContext) -> None:
-        """Decide whether this module is subject to the rule."""
-        self._applies = (
-            self._covered(module.module_name, self.module_prefix)
-            and not any(self._covered(module.module_name, prefix)
-                        for prefix in self.exempt_prefixes))
-
-    def visit_For(self, node: ast.For, module: ModuleContext) -> None:
-        """Flag loops *over trees* that call ``predict*`` per iteration.
-
-        Only loops whose iteration source or target is tree-ish count:
-        the boosting loop itself (``for _ in range(n_estimators)``)
-        legitimately predicts with each freshly grown tree to update
-        residuals — that is training, not a degraded inference path.
-        """
-        if not self._applies:
-            return
-        tree_ish = ("tree" in ast.unparse(node.iter).lower()
-                    or (isinstance(node.target, ast.Name)
-                        and "tree" in node.target.id.lower()))
-        if tree_ish:
-            self._check(node, module)
-
-    def visit_While(self, node: ast.While, module: ModuleContext) -> None:
-        """Flag while-loops indexing trees through ``predict*`` calls."""
-        if self._applies:
-            self._check(node, module)
-
-    def _check(self, node, module: ModuleContext) -> None:
-        call = self._tree_predict_call(node)
-        if call is not None:
-            self.report(
-                module, node,
-                f"per-tree `{call}` loop re-runs python-level inference "
-                "for every tree; predict through the packed "
-                "CompiledForest (model.compiled/estimate_features), or "
-                "add `# repro: ignore[RPR109]` for a deliberate legacy "
-                "reference path")
-
-    def _tree_predict_call(self, loop) -> str | None:
-        """The first ``<tree-ish>.predict*`` call in the loop, if any."""
-        for child in ast.walk(loop):
-            if not (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in self._PREDICT_NAMES):
-                continue
-            target = child.func.value
-            if (isinstance(target, ast.Name)
-                    and "tree" in target.id.lower()):
-                return f"{target.id}.{child.func.attr}"
-            # `self._trees[i].predict(...)` — subscripted tree lists.
-            if (isinstance(target, ast.Subscript)
-                    and "tree" in ast.unparse(target.value).lower()):
-                return f"{ast.unparse(target)}.{child.func.attr}"
         return None
 
 

@@ -140,8 +140,8 @@ class _SurfaceReturnsRule(Rule):
     #: Module prefixes owning the feature-emission surface.
     module_prefixes = ("repro.featurize",)
     #: Surface method name -> expected emitted array rank.
-    surface_ranks = {"featurize": 1, "_featurize_expr": 1,
-                     "_featurize_compiled": 2, "featurize_batch": 2}
+    surface_ranks = {"featurize": 1, "_featurize_compiled": 2,
+                     "featurize_batch": 2}
 
     def _surface_sites(self, index: ProjectIndex) -> Iterable[
             tuple[ModuleFacts, "str | None", FunctionFacts, int]]:

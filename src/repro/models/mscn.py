@@ -157,6 +157,8 @@ class MSCNInputBuilder:
         return rows
 
     def _predicate_rows(self, query: Query) -> list[np.ndarray]:
+        """Basic- or range-mode set rows of one query (qft mode encodes
+        through :meth:`_predicate_rows_batch`)."""
         selections = per_table_selections(query, self._schema)
         rows: list[np.ndarray] = []
         n_attrs = len(self._attributes)
@@ -177,7 +179,7 @@ class MSCNInputBuilder:
                             vector[n_attrs:n_attrs + 3] = _OP_BITS[pred.op]
                             vector[n_attrs + 3] = stats.normalize(pred.value)
                             rows.append(vector)
-            elif self._mode == "range":
+            else:
                 from repro.featurize.selectivity import fold_conjunction
 
                 compound = to_compound_form(expr)
@@ -197,34 +199,20 @@ class MSCNInputBuilder:
                         vector[n_attrs] = stats.normalize(interval.lo)
                         vector[n_attrs + 1] = stats.normalize(interval.hi)
                     rows.append(vector)
-            else:
-                featurizer = self._featurizers[table_name]
-                compound = to_compound_form(expr)
-                for attr, branches in compound.items():
-                    name = attr.partition(".")[2] if "." in attr else attr
-                    merged = featurizer.attribute_segment(name, branches[0])
-                    for branch in branches[1:]:
-                        np.maximum(
-                            merged, featurizer.attribute_segment(name, branch),
-                            out=merged,
-                        )
-                    vector = np.zeros(self.predicate_dim)
-                    vector[self._attr_index[(table_name, name)]] = 1.0
-                    vector[n_attrs:n_attrs + merged.size] = merged
-                    rows.append(vector)
         return rows
 
     def _predicate_rows_batch(self, queries: list[Query]
                               ) -> list[list[np.ndarray]]:
-        """Batched qft-mode predicate rows via the compile → encode kernel.
+        """qft-mode predicate rows via the compile → encode kernel.
 
         Compiles every query's per-table compound predicates into one
         :class:`PredicateBatch` per table and encodes all attribute
         segments with the vectorized Algorithm 1/2 kernel.  Rows are
-        re-sorted by (table rank in the query, compile position) so each
-        query's set elements appear in exactly the scalar order — the
-        masked average pool sums floats in element order, so row order
-        is part of the bitwise contract.
+        sorted by (table rank in the query, compile position), so each
+        query's set elements follow its tables in FROM order and each
+        table's attributes in ``to_compound_form`` order — the masked
+        average pool sums floats in element order, so row order is part
+        of the bitwise contract.
         """
         selections = [per_table_selections(q, self._schema) for q in queries]
         n_attrs = len(self._attributes)
@@ -256,7 +244,7 @@ class MSCNInputBuilder:
             rows = np.zeros((n_groups, self.predicate_dim), dtype=np.float64)
             rows[np.arange(n_groups), onehot_ids] = 1.0
             # Padded segment columns beyond a group's n_A are all zero,
-            # so the block copy leaves the scalar path's zero padding.
+            # so the block copy leaves zero padding.
             rows[:, n_attrs:n_attrs + max_n] = segments[:, :max_n]
             if featurizer.attr_selectivity:
                 rows[np.arange(n_groups), n_attrs + counts] = segments[:, -1]
@@ -276,9 +264,9 @@ class MSCNInputBuilder:
         """Compile WHERE expressions in ``compound.items()`` order.
 
         Unlike the featurizer's own compile (feature-space attribute
-        order), set rows follow the scalar builder's iteration order over
-        ``to_compound_form``, so positions must be assigned in that
-        order for the re-sort above to reproduce it.
+        order), set rows follow each query's ``to_compound_form``
+        order, so positions must be assigned in that order for the
+        sort above to reproduce it.
         """
         attr_ids = {name: i for i, name in
                     enumerate(featurizer.attributes)}
@@ -302,8 +290,7 @@ class MSCNInputBuilder:
         return PredicateBatch.from_lists(
             n_queries=len(exprs), attributes=featurizer.attributes,
             query_index=query_index, attr_index=attr_index,
-            branch_index=branch_index, op_code=op_code,
-            value=value, exprs=exprs,
+            branch_index=branch_index, op_code=op_code, value=value,
         )
 
     def build(self, queries: list[Query]) -> tuple[SetBatch, SetBatch, SetBatch]:

@@ -25,13 +25,10 @@ two stages of :class:`EstimatePipeline`:
    ``estimate_batch``.
 
 The adapter leg serves estimators without a plannable single-table
-featurizer (joins, the global model, MSCN), featurizers whose encode
-stage reads ``batch.exprs``
-(:attr:`~repro.featurize.base.Featurizer.encode_uses_exprs`),
-statements the featurizer rejects (unknown attribute, wrong table,
-a query class the QFT cannot represent — the adapter raises their
-error), and SQL whose template :func:`~repro.sql.parser.make_template`
-rejects.
+featurizer (joins, the global model, MSCN), statements the featurizer
+rejects (unknown attribute, wrong table, a query class the QFT cannot
+represent — the adapter raises their error), and SQL whose template
+:func:`~repro.sql.parser.make_template` rejects.
 
 Both legs are bitwise-identical to ``estimator.estimate_batch`` on the
 parsed statements.  A plan is the statement's own compile stage run
@@ -101,7 +98,6 @@ class EstimatePipeline:
         self._parse_cache = ParseCache()
         featurizer = getattr(estimator, "featurizer", None)
         plannable = (isinstance(featurizer, Featurizer)
-                     and not featurizer.encode_uses_exprs
                      and hasattr(estimator, "estimate_features"))
         self._featurizer = featurizer if plannable else None
 
@@ -185,10 +181,7 @@ class EstimatePipeline:
             if span is not None:
                 span.set_attribute("n_shapes", len({id(p) for p in plans}))
         with obs.span("serve.fused.encode", n_queries=k):
-            # The planned leg's featurizers encode from the columnar
-            # arrays alone, so no expressions ride along.
-            matrix = self._featurizer.encode_with_plans(plans, rows,
-                                                        (None,) * k)
+            matrix = self._featurizer.encode_with_plans(plans, rows)
         with obs.span("serve.fused.predict", n_queries=k,
                       metric="serve.fused.predict.seconds"):
             return self._estimator.estimate_features(matrix)

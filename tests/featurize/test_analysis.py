@@ -183,22 +183,30 @@ class TestErrorPaths:
 
     def test_collision_report_on_known_colliding_workload(self, table):
         """Three <>-variants of one range collapse onto one Range-encoding
-        vector with three different cardinalities: all three queries are
-        Equation-4 violations and the spread is the max/min ratio."""
+        vector with at least two different cardinalities: all three
+        queries are Equation-4 violations, including two that repeat a
+        cardinality (``<> 2.5`` excludes no integer row), and the spread
+        is the max/min ratio."""
         enc = RangeEncoding(table)
-        sqls = [
-            "A >= 2 AND A <= 12",
-            "A >= 2 AND A <= 12 AND A <> 5",
-            "A >= 2 AND A <= 12 AND A <> 5 AND A <> 7",
+        inputs = [
+            ["A >= 2 AND A <= 12",
+             "A >= 2 AND A <= 12 AND A <> 5",
+             "A >= 2 AND A <= 12 AND A <> 5 AND A <> 7"],
+            ["A >= 2 AND A <= 12",
+             "A >= 2 AND A <= 12 AND A <> 2.5",
+             "A >= 2 AND A <= 12 AND A <> 5"],
         ]
-        workload = TestCollisionReport._workload(self, table, sqls)
-        cards = [item.cardinality for item in workload]
-        report = collision_report(enc, workload)
-        assert report.total_queries == 3
-        assert report.distinct_vectors == 1
-        assert report.colliding_queries == 3
-        assert report.collision_rate == 1.0
-        assert report.worst_spread == pytest.approx(max(cards) / min(cards))
+        for sqls, distinct_cards in zip(inputs, (3, 2)):
+            workload = TestCollisionReport._workload(self, table, sqls)
+            cards = [item.cardinality for item in workload]
+            assert len(set(cards)) == distinct_cards
+            report = collision_report(enc, workload)
+            assert report.total_queries == 3
+            assert report.distinct_vectors == 1
+            assert report.colliding_queries == 3
+            assert report.collision_rate == 1.0
+            assert report.worst_spread == pytest.approx(
+                max(cards) / min(cards))
 
     def test_collision_report_empty_workload(self, exact):
         """Workload objects refuse to be empty, but collision_report

@@ -1,11 +1,12 @@
-"""Batch featurization must be bitwise-identical to the scalar path.
+"""Batch featurization must be bitwise-identical to the reference QFTs.
 
 The compile → encode pipeline (``compile_batch`` +
-``_featurize_compiled``) re-implements every QFT's scalar ``featurize``
-with columnar numpy kernels.  Its contract is exact equality — not
-approximate: ``featurize_batch(queries)`` row ``i`` equals
-``featurize(queries[i])`` to the last bit, for every QFT, on
-conjunctive, mixed, and predicate-free queries alike.
+``_featurize_compiled``) is every QFT's only encoder; the per-query,
+per-predicate transcription of the paper's definitions lives in
+:mod:`tests.featurize.reference` as the oracle.  The contract is exact
+equality — not approximate: ``featurize_batch(queries)`` row ``i``
+equals the oracle's encoding of ``queries[i]`` to the last bit, for
+every QFT, on conjunctive, mixed, and predicate-free queries alike.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from repro.featurize import (
     RangeEncoding,
     SingularEncoding,
 )
+from repro.featurize.batch import query_shape
 from repro.sql.ast import Query
-
-
-def scalar_matrix(featurizer, queries):
-    return np.stack([featurizer.featurize(q) for q in queries])
+from tests.featurize import reference
 
 
 def featurizer_cases(table):
@@ -47,15 +46,31 @@ def featurizer_cases(table):
     ]
 
 
+def plan_encode(featurizer, queries):
+    """Encode ``queries`` the way the serving planned leg does: one
+    ``compile_plan`` per distinct shape, one stitched encode."""
+    exprs = [featurizer.extract_expr(q) for q in queries]
+    shaped = [query_shape(e) for e in exprs]
+    plans: dict = {}
+    per_query = []
+    for (key, _), expr in zip(shaped, exprs):
+        if key not in plans:
+            plans[key] = featurizer.compile_plan(expr)
+        per_query.append(plans[key])
+    return featurizer.encode_with_plans(
+        per_query, [literals for _, literals in shaped])
+
+
 class TestConjunctiveWorkloadEquivalence:
     def test_every_qft_matches_scalar(self, small_forest,
                                       conjunctive_workload):
         queries = conjunctive_workload.queries
         for label, featurizer in featurizer_cases(small_forest):
             batch = featurizer.featurize_batch(queries)
-            expected = scalar_matrix(featurizer, queries)
+            expected = reference.matrix(featurizer, queries)
             assert np.array_equal(batch, expected), (
-                f"{label}: batch diverges from scalar on conjunctive queries"
+                f"{label}: batch diverges from the oracle on conjunctive "
+                "queries"
             )
 
     def test_batch_shape_and_dtype(self, small_forest, conjunctive_workload):
@@ -74,7 +89,7 @@ class TestMixedWorkloadEquivalence:
         featurizer = DisjunctionEncoding(small_forest, max_partitions=16,
                                          merge=merge)
         batch = featurizer.featurize_batch(queries)
-        assert np.array_equal(batch, scalar_matrix(featurizer, queries))
+        assert np.array_equal(batch, reference.matrix(featurizer, queries))
 
 
 class TestEdgeCases:
@@ -82,9 +97,9 @@ class TestEdgeCases:
         queries = [Query.single_table(small_forest.name)] * 3
         for label, featurizer in featurizer_cases(small_forest):
             batch = featurizer.featurize_batch(queries)
-            expected = scalar_matrix(featurizer, queries)
+            expected = reference.matrix(featurizer, queries)
             assert np.array_equal(batch, expected), (
-                f"{label}: batch diverges from scalar on empty WHERE"
+                f"{label}: batch diverges from the oracle on empty WHERE"
             )
 
     def test_empty_batch_contract(self, small_forest):
@@ -110,29 +125,17 @@ class TestPlanEncodeEquivalence:
     This is the contract the serving pipeline's planned leg stands on.
     """
 
-    @staticmethod
-    def plan_encode(featurizer, queries):
-        from repro.featurize.batch import query_shape
-        exprs = [featurizer.extract_expr(q) for q in queries]
-        shaped = [query_shape(e) for e in exprs]
-        plans: dict = {}
-        per_query = []
-        for (key, _), expr in zip(shaped, exprs):
-            if key not in plans:
-                plans[key] = featurizer.compile_plan(expr)
-            per_query.append(plans[key])
-        return featurizer.encode_with_plans(
-            per_query, [literals for _, literals in shaped], exprs)
-
     def test_stitched_encode_matches_batch_every_qft(
             self, small_forest, conjunctive_workload):
         queries = [q for q in conjunctive_workload.queries[:64]]
         queries.append(Query.single_table(small_forest.name))
         for label, featurizer in featurizer_cases(small_forest):
-            matrix = self.plan_encode(featurizer, queries)
-            expected = featurizer.featurize_batch(queries)
-            assert np.array_equal(matrix, expected), (
-                f"{label}: stitched plan encode diverges from batch")
+            matrix = plan_encode(featurizer, queries)
+            assert np.array_equal(matrix, featurizer.featurize_batch(
+                queries)), f"{label}: stitched plan encode diverges from batch"
+            assert np.array_equal(matrix, reference.matrix(
+                featurizer, queries)), (
+                f"{label}: stitched plan encode diverges from the oracle")
 
     def test_stitched_encode_matches_on_disjunctions(
             self, small_forest, mixed_workload):
@@ -140,23 +143,24 @@ class TestPlanEncodeEquivalence:
         for merge in ("max", "sum"):
             featurizer = DisjunctionEncoding(small_forest,
                                              max_partitions=16, merge=merge)
-            matrix = self.plan_encode(featurizer, queries)
+            matrix = plan_encode(featurizer, queries)
             assert np.array_equal(matrix,
                                   featurizer.featurize_batch(queries)), merge
+            assert np.array_equal(
+                matrix, reference.matrix(featurizer, queries)), merge
 
     def test_same_shape_bind_matches_batch(self, small_forest,
                                            conjunctive_workload):
-        from repro.featurize.batch import query_shape
         query = conjunctive_workload.queries[0]
         featurizer = ConjunctiveEncoding(small_forest, max_partitions=16)
         expr = featurizer.extract_expr(query)
         key, literals = query_shape(expr)
         plan = featurizer.compile_plan(expr)
         rows = [literals, literals * 0.5, literals + 1.0]
-        exprs = [expr] * 3  # encode ignores them; shape bookkeeping only
-        matrix = featurizer.encode_with_plans([plan] * 3, rows, exprs)
-        # Scalar cross-check on the first row (identical literals).
-        assert np.array_equal(matrix[0], featurizer.featurize(query))
+        matrix = featurizer.encode_with_plans([plan] * 3, rows)
+        # Oracle cross-check on the first row (identical literals).
+        assert np.array_equal(matrix[0],
+                              reference.featurize(featurizer, query))
 
     def test_plan_validation_errors(self, small_forest,
                                     conjunctive_workload):
@@ -167,16 +171,16 @@ class TestPlanEncodeEquivalence:
             max_partitions=16)
         plan = other.compile_plan(None)
         with pytest.raises(ValueError, match="different feature space"):
-            featurizer.encode_with_plans([plan], [np.empty(0)], [None])
+            featurizer.encode_with_plans([plan], [np.empty(0)])
         with pytest.raises(ValueError, match="parallel"):
-            stitch_plans([plan], [], [None])
+            stitch_plans([plan], [])
         with pytest.raises(ValueError, match="empty batch"):
-            stitch_plans([], [], [])
+            stitch_plans([], [])
 
 
 class TestLosslessnessParity:
-    """featurize_batch rejects out-of-scope queries with the scalar
-    path's exact error message."""
+    """featurize and featurize_batch reject out-of-scope queries with the
+    oracle's exact error message."""
 
     @pytest.mark.parametrize("build", [
         SingularEncoding,
@@ -188,11 +192,14 @@ class TestLosslessnessParity:
         disjunctive = next(
             q for q in mixed_workload.queries if not q.is_conjunctive()
         )
+        with pytest.raises(LosslessnessError) as oracle_error:
+            reference.featurize(featurizer, disjunctive)
         with pytest.raises(LosslessnessError) as scalar_error:
             featurizer.featurize(disjunctive)
         with pytest.raises(LosslessnessError) as batch_error:
             featurizer.featurize_batch([disjunctive])
-        assert str(batch_error.value) == str(scalar_error.value)
+        assert str(scalar_error.value) == str(oracle_error.value)
+        assert str(batch_error.value) == str(oracle_error.value)
 
 
 class TestGlobalJoinEquivalence:
@@ -204,4 +211,4 @@ class TestGlobalJoinEquivalence:
         featurizer = GlobalJoinFeaturizer(imdb_schema, factory)
         queries = joblight_bench.queries
         batch = featurizer.featurize_batch(queries)
-        assert np.array_equal(batch, scalar_matrix(featurizer, queries))
+        assert np.array_equal(batch, reference.matrix(featurizer, queries))

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.featurize import ConjunctiveEncoding, DisjunctionEncoding
+from repro.featurize import (
+    ConjunctiveEncoding,
+    DisjunctionEncoding,
+    GlobalJoinFeaturizer,
+)
+from repro.featurize.batch import query_shape
 from repro.sql.ast import UnsupportedQueryError
 from repro.sql.parser import parse_where
+from repro.workloads import generate_joblight_benchmark
 
 H = 0.5
 
@@ -92,3 +98,62 @@ def test_non_dnf_mixed_query_supported(enc):
     vector = enc.featurize(parse_where(
         "(A = 1 OR A = 2) AND (A < 40 OR A > 45) AND B >= 10"))
     assert vector.shape == (enc.feature_length,)
+
+
+class TestAttributeResolution:
+    """Table-qualified attributes resolve like their bare names."""
+
+    SPELLINGS = [
+        ("t.A > 5", "A > 5"),
+        ("t.A > 5 AND A < 9", "A > 5 AND A < 9"),
+        ("t.A > 5 OR A < 2", "A > 5 OR A < 2"),
+        ("(t.A > 5 OR t.A < 2) AND B <= 40 AND t.B <> 7",
+         "(A > 5 OR A < 2) AND B <= 40 AND B <> 7"),
+    ]
+
+    @pytest.mark.parametrize("merge", ["max", "sum"])
+    def test_qualified_query_encodes_like_bare_query(self, paper_table,
+                                                     merge):
+        enc = DisjunctionEncoding(paper_table, max_partitions=12,
+                                  merge=merge)
+        qualified = [parse_where(q) for q, _ in self.SPELLINGS]
+        bare = [parse_where(b) for _, b in self.SPELLINGS]
+        expected = enc.featurize_batch(bare)
+        assert not np.array_equal(expected[0],
+                                  enc.featurize_batch([None])[0])
+        for i, expr in enumerate(qualified):
+            np.testing.assert_array_equal(enc.featurize(expr), expected[i])
+            plan = enc.compile_plan(expr)
+            np.testing.assert_array_equal(
+                enc.encode_with_plans([plan], [query_shape(expr)[1]])[0],
+                expected[i])
+        np.testing.assert_array_equal(enc.featurize_batch(qualified),
+                                      expected)
+
+    @pytest.mark.parametrize("sql", [
+        "nosuchcol > 3", "t.nosuchcol > 3", "other.A > 3",
+        "A < 9 AND (nosuchcol = 1 OR nosuchcol = 2)",
+    ])
+    def test_unknown_attribute_raises_key_error(self, enc, sql):
+        expr = parse_where(sql)
+        with pytest.raises(KeyError, match="unknown attribute"):
+            enc.featurize(expr)
+        with pytest.raises(KeyError, match="unknown attribute"):
+            enc.featurize_batch([parse_where("A < 9"), expr])
+        with pytest.raises(KeyError, match="unknown attribute"):
+            enc.compile_plan(expr)
+
+    def test_joblight_encodes_like_conjunctive(self, imdb_schema):
+        """JOB-light qualifies every attribute with its table; the paper
+        states both encodings give equal vectors there (Table 1)."""
+        queries = generate_joblight_benchmark(imdb_schema).queries
+        assert len(queries) == 70
+
+        def build(cls):
+            return GlobalJoinFeaturizer(
+                imdb_schema, lambda table, attrs: cls(table, attrs,
+                                                      max_partitions=8))
+
+        np.testing.assert_array_equal(
+            build(DisjunctionEncoding).featurize_batch(queries),
+            build(ConjunctiveEncoding).featurize_batch(queries))

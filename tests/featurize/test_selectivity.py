@@ -1,4 +1,4 @@
-"""Tests for the interval folding + uniformity selectivity helper."""
+"""Tests for interval folding and the oracle's uniformity selectivity."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.stats import build_stats
-from repro.featurize.selectivity import fold_conjunction, uniform_selectivity
+from repro.featurize.selectivity import fold_conjunction
 from repro.sql.ast import Op, SimplePredicate
+from tests.featurize.reference import uniform_selectivity
 
 
 @pytest.fixture(scope="module")

@@ -128,61 +128,6 @@ class TestFeaturizerSurfaceRPR104:
         assert codes(source) == []
 
 
-class TestScalarFeaturizeLoopRPR105:
-    def test_flags_featurize_loop_in_batch_method(self):
-        source = """
-    class Encoding:
-        def featurize_batch(self, queries):
-            return [self.featurize(q) for q in queries]
-    """
-        assert "RPR105" in codes(source,
-                                 module_name="repro.featurize.custom")
-
-    def test_flags_for_loop_variant(self):
-        source = """
-    class Encoding:
-        def featurize_batch(self, queries):
-            out = []
-            for q in queries:
-                out.append(self.featurize(q))
-            return out
-    """
-        assert "RPR105" in codes(source,
-                                 module_name="repro.featurize.custom")
-
-    def test_accepts_compiled_pipeline_and_featurize_batch_calls(self):
-        source = """
-    class Encoding:
-        def featurize_batch(self, queries):
-            batch = self.compile_batch(queries)
-            return self._featurize_compiled(batch)
-
-    class Composite:
-        def featurize_batch(self, queries):
-            return [f.featurize_batch(queries) for f in self._parts]
-    """
-        assert codes(source, module_name="repro.featurize.custom") == []
-
-    def test_only_applies_inside_featurize_package(self):
-        source = """
-    class Runner:
-        def run_batch(self, queries):
-            return [self.featurize(q) for q in queries]
-    """
-        assert codes(source, module_name="repro.experiments.helper") == []
-
-    def test_scalar_featurize_outside_batch_method_is_fine(self):
-        source = """
-    class Encoding:
-        def featurize(self, query):
-            return self._encode(query)
-
-        def describe(self, queries):
-            return [self.featurize(q) for q in queries]
-    """
-        assert codes(source, module_name="repro.featurize.custom") == []
-
-
 class TestGlobalNumpyRandomRPR201:
     def test_flags_np_random_seed(self):
         assert "RPR201" in codes(
@@ -326,53 +271,6 @@ class TestAdHocTimingRPR108:
         result = lint_text(source, module_name="repro.metrics")
         assert result.findings == ()
         assert [f.code for f in result.suppressed] == ["RPR108"]
-
-
-class TestPerTreePredictLoopRPR109:
-    def test_flags_for_loop_over_trees(self):
-        assert "RPR109" in codes(
-            "def f(model, X):\n"
-            "    total = 0.0\n"
-            "    for tree in model.trees:\n"
-            "        total += tree.predict(X)\n"
-            "    return total\n",
-            module_name="repro.estimators.learned")
-
-    def test_flags_subscripted_tree_list_and_predict_binned(self):
-        assert "RPR109" in codes(
-            "def f(trees, codes_):\n"
-            "    i = 0\n"
-            "    while i < len(trees):\n"
-            "        trees[i].predict_binned(codes_)\n"
-            "        i += 1\n",
-            module_name="repro.serve.registry")
-
-    def test_accepts_single_predict_call_outside_loop(self):
-        assert codes(
-            "def f(tree, X):\n    return tree.predict(X)\n",
-            module_name="repro.models.gradient_boosting") == []
-
-    def test_accepts_non_tree_predict_loops(self):
-        assert codes(
-            "def f(models, X):\n"
-            "    return [model.predict(X) for model in models]\n"
-            "    \n",
-            module_name="repro.experiments.runner") == []
-
-    def test_legacy_tree_module_is_exempt(self):
-        source = ("def f(trees, X):\n"
-                  "    for tree in trees:\n"
-                  "        tree.predict(X)\n")
-        assert codes(source, module_name="repro.models.tree") == []
-        assert "RPR109" in codes(source, module_name="repro.models.other")
-
-    def test_pragma_suppresses(self):
-        source = ("def f(model, X):\n"
-                  "    for tree in model.trees:  # repro: ignore[RPR109]\n"
-                  "        tree.predict(X)\n")
-        result = lint_text(source, module_name="repro.bench")
-        assert result.findings == ()
-        assert [f.code for f in result.suppressed] == ["RPR109"]
 
 
 class TestDunderAllRPR303:

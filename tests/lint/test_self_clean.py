@@ -36,8 +36,8 @@ def test_every_rule_actually_ran():
     config = load_config(SRC)
     result = lint_paths([SRC], config)
     assert set(result.rules_run) >= {
-        "RPR101", "RPR102", "RPR103", "RPR104", "RPR105",
-        "RPR106", "RPR107", "RPR108", "RPR109", "RPR110",
+        "RPR101", "RPR102", "RPR103", "RPR104",
+        "RPR106", "RPR107", "RPR108", "RPR110",
         "RPR201", "RPR202", "RPR203", "RPR204",
         "RPR301", "RPR302", "RPR303",
     }

@@ -30,7 +30,7 @@ def fitted_model(n_rows=400, n_features=6, n_estimators=12, seed=7,
 
 def legacy_predict(model, X):
     prediction = np.full(X.shape[0], model._base)
-    for tree in model.trees:  # repro: ignore[RPR109] — the reference loop
+    for tree in model.trees:
         prediction += model.learning_rate * tree.predict(X)
     return prediction
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.mscn import MSCNInputBuilder, MSCNModel, SetBatch
 from repro.sql.parser import parse_query
+from tests.featurize import reference
 
 
 class TestSetBatch:
@@ -87,7 +88,7 @@ class TestInputBuilder:
         queries = joblight_bench.queries
         batched = builder._predicate_rows_batch(queries)
         for query, rows in zip(queries, batched):
-            expected = builder._predicate_rows(query)
+            expected = reference.mscn_qft_rows(builder, query)
             assert len(rows) == len(expected)
             for got, want in zip(rows, expected):
                 np.testing.assert_array_equal(got, want)

@@ -6,9 +6,10 @@ statements, and every literal spelling the parser accepts (``5``,
 ``5.0``, ``05``, ``-3``).  Each of the service's entry points —
 ``estimate`` (through the micro-batcher), ``estimate_many_sql`` and
 ``feedback(estimate=None)`` — must answer every statement
-bitwise-equal to ``estimator.estimate_batch([parse_query(sql)])``,
-for conjunctive statements under Universal Conjunction Encoding and
-mixed AND/OR statements under Limited Disjunction Encoding, with the
+bitwise-equal to the estimator's model applied to the oracle encoding
+(:mod:`tests.featurize.reference`) of ``parse_query(sql)``, for
+conjunctive statements under Universal Conjunction Encoding and mixed
+AND/OR statements under Limited Disjunction Encoding, with the
 estimate cache at its shipped default and disabled.
 """
 
@@ -27,6 +28,7 @@ from repro.featurize.batch import query_shape
 from repro.models import GradientBoostingRegressor
 from repro.serve.server import EstimationService
 from repro.sql.parser import bind_template, fingerprint_sql, parse_query
+from tests.featurize import reference as oracle
 
 #: Statements per generated stream.
 STREAM_LENGTH = 72
@@ -98,8 +100,8 @@ def case(request, small_forest, conjunctive_workload, mixed_workload):
 
 
 def reference(estimator, sqls) -> list[float]:
-    return [float(estimator.estimate_batch([parse_query(sql)])[0])
-            for sql in sqls]
+    return [float(estimator.estimate_features(oracle.matrix(
+        estimator.featurizer, [parse_query(sql)]))[0]) for sql in sqls]
 
 
 @pytest.mark.parametrize("cache_size", [1024, 0], ids=["shipped", "no-cache"])

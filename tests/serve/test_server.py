@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.estimators import LearnedEstimator
+from repro.featurize import DisjunctionEncoding
+from repro.models import GradientBoostingRegressor
 from repro.serve import (
     EstimationServer,
     EstimationService,
@@ -149,6 +152,28 @@ class TestErrorMapping:
         assert isinstance(outcomes[bad], ServeClientError)
         assert outcomes[bad].status == 400
         assert {sql: outcomes[sql] for sql in valid} == expected
+
+    def test_complex_qft_resolves_attributes(self, small_forest,
+                                             mixed_workload):
+        items = list(mixed_workload)[:200]
+        estimator = LearnedEstimator(
+            DisjunctionEncoding(small_forest, max_partitions=8),
+            GradientBoostingRegressor(n_estimators=10),
+        ).fit([item.query for item in items],
+              np.asarray([item.cardinality for item in items], dtype=float))
+        service = EstimationService(estimator, max_wait_ms=1.0)
+        with EstimationServer(service) as server:
+            client = ServeClient(server.url)
+            with pytest.raises(ServeClientError) as excinfo:
+                client.estimate(
+                    "SELECT count(*) FROM forest WHERE nosuchcol > 3")
+            assert excinfo.value.status == 400
+            assert "unknown attribute" in str(excinfo.value)
+            qualified, bare = client.estimate_batch([
+                "SELECT count(*) FROM forest WHERE forest.A1 > 3300",
+                "SELECT count(*) FROM forest WHERE A1 > 3300",
+            ])
+            assert qualified == bare
 
     def test_malformed_json_is_400(self, running_server):
         import urllib.request
