@@ -18,7 +18,7 @@ and the join-query composition layer used by local and global models.
 """
 
 from repro.featurize.base import Featurizer, LosslessnessError
-from repro.featurize.batch import CompiledPlan, PredicateBatch, query_shape
+from repro.featurize.batch import CompiledPlan, PredicateBatch
 from repro.featurize.conjunctive import ConjunctiveEncoding
 from repro.featurize.disjunction import DisjunctionEncoding
 from repro.featurize.equidepth import EquiDepthConjunctiveEncoding
@@ -35,7 +35,6 @@ __all__ = [
     "LosslessnessError",
     "PredicateBatch",
     "CompiledPlan",
-    "query_shape",
     "SingularEncoding",
     "RangeEncoding",
     "ConjunctiveEncoding",

@@ -33,7 +33,6 @@ from repro.featurize.batch import (
     OP_CODES,
     CompiledPlan,
     PredicateBatch,
-    index_values,
     stitch_plans,
 )
 from repro.featurize.selectivity import strict_step
@@ -196,24 +195,24 @@ class Featurizer(abc.ABC):
         """
         return self._extract_expr(query)
 
-    def compile_plan(self, query: Query | BoolExpr | None) -> CompiledPlan:
-        """Compile the *shape* of one query into a reusable plan.
+    def compile_plan(self, template: Query | BoolExpr | None,
+                     n_literals: int) -> CompiledPlan:
+        """Compile a statement template into a reusable plan.
 
-        Runs this QFT's ordinary compile stage over a sentinel copy of
-        the expression whose literals are replaced by their walk-order
-        indices (:func:`~repro.featurize.batch.index_values`), so the
-        compiled ``value`` column *is* the walk-order → compile-slot
-        permutation.  All compile-time validation (query class,
+        ``template`` is a query (or bare expression) whose numeric
+        literals are their walk-order slot indices ``0 … n_literals-1``
+        — :func:`~repro.sql.parser.parse_template`'s output, or
+        :func:`~repro.sql.parser.make_template`'s.  Running this QFT's
+        ordinary compile stage over it as it is makes the compiled
+        ``value`` column the walk-order → compile-slot permutation,
+        including any reordering or duplication (DNF cross products)
+        the QFT performs.  All compile-time validation (query class,
         attribute resolution) runs here and raises exactly the errors
         ``compile_batch`` would raise for the same query; the returned
-        plan then encodes any same-shaped query through
+        plan then encodes any instance of the statement through
         :meth:`encode_with_plans` without re-walking its AST.
         """
-        expr = self._extract_expr(query)
-        sentinel = index_values(expr)
-        n_literals = 0 if expr is None else sum(
-            1 for _ in iter_simple_predicates(expr))
-        batch = self._compile_exprs([sentinel])
+        batch = self._compile_exprs([self._extract_expr(template)])
         return CompiledPlan(
             attributes=batch.attributes,
             attr_index=batch.attr_index,

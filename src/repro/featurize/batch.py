@@ -31,22 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sql.ast import (
-    And,
-    BoolExpr,
-    LikePredicate,
-    Op,
-    Or,
-    SimplePredicate,
-    StringPredicate,
-)
+from repro.sql.ast import Op
 
 __all__ = [
     "PredicateBatch",
     "CompiledPlan",
     "stitch_plans",
-    "query_shape",
-    "index_values",
     "OP_CODES",
     "OP_EQ",
     "OP_NE",
@@ -134,78 +124,6 @@ class PredicateBatch:
 # Shape plans — compile once, re-bind literals many times
 # ----------------------------------------------------------------------
 
-def query_shape(expr: BoolExpr | None) -> tuple[tuple, np.ndarray]:
-    """Return ``(shape_key, literals)`` of a WHERE expression.
-
-    The *shape* of a query is its boolean structure with every numeric
-    literal masked out: attribute names, operators, and the AND/OR tree
-    stay; comparison values do not.  Two queries with equal shape keys
-    compile to byte-identical :class:`PredicateBatch` structure and can
-    therefore share one :class:`CompiledPlan`, re-binding only their
-    literal vectors.
-
-    ``literals`` holds the masked values in AST walk order (depth-first,
-    left-to-right — the order :func:`~repro.sql.ast.iter_simple_predicates`
-    yields).  String and LIKE literals are *not* masked: they alter
-    dictionary-code resolution, so they stay part of the key (such
-    queries must be desugared before compiling anyway).
-
-    The key is a nested tuple of primitives — hashable and cheap to
-    build, suitable as a cache key.
-    """
-    literals: list[float] = []
-
-    def walk(node: BoolExpr) -> tuple:
-        if isinstance(node, SimplePredicate):
-            literals.append(float(node.value))
-            return ("p", node.attribute, node.op.value)
-        if isinstance(node, StringPredicate):
-            return ("s", node.attribute, node.op.value, node.value)
-        if isinstance(node, LikePredicate):
-            return ("like", node.attribute, node.prefix)
-        if isinstance(node, And):
-            return ("and",) + tuple(walk(c) for c in node.children)
-        if isinstance(node, Or):
-            return ("or",) + tuple(walk(c) for c in node.children)
-        raise TypeError(f"not a boolean expression: {type(node).__name__}")
-
-    if expr is None:
-        return ("none",), np.empty(0, dtype=np.float64)
-    key = walk(expr)
-    return key, np.asarray(literals, dtype=np.float64)
-
-
-def index_values(expr: BoolExpr | None) -> BoolExpr | None:
-    """Rebuild ``expr`` with each simple predicate's value replaced by its
-    walk-order index (0, 1, 2, …).
-
-    This is the *sentinel* expression plan compilation runs through a
-    QFT's ordinary compile stage: wherever the compiled batch places a
-    predicate, its ``value`` slot then holds the walk-order index of the
-    literal it came from — i.e. the compile stage itself reveals its
-    walk-order → compile-slot permutation, including any reordering or
-    duplication (DNF cross products) a QFT performs.  Works unchanged
-    for any ``_compile_exprs`` override because compile stages copy
-    literal values verbatim.
-    """
-    counter = [0]
-
-    def rebuild(node: BoolExpr) -> BoolExpr:
-        if isinstance(node, SimplePredicate):
-            index = counter[0]
-            counter[0] += 1
-            return SimplePredicate(node.attribute, node.op, float(index))
-        if isinstance(node, (StringPredicate, LikePredicate)):
-            return node
-        if isinstance(node, And):
-            return And([rebuild(c) for c in node.children])
-        if isinstance(node, Or):
-            return Or([rebuild(c) for c in node.children])
-        raise TypeError(f"not a boolean expression: {type(node).__name__}")
-
-    return None if expr is None else rebuild(expr)
-
-
 @dataclass(frozen=True)
 class CompiledPlan:
     """The query-invariant part of a compiled batch for one query shape.
@@ -231,7 +149,8 @@ class CompiledPlan:
     op_code: np.ndarray
     #: Gather permutation: compile slot -> walk-order literal index.
     perm: np.ndarray
-    #: Number of walk-order literals per query (:func:`query_shape`).
+    #: Number of walk-order literals per query (the statement's
+    #: fingerprint literal count).
     n_literals: int
 
     @property
@@ -246,7 +165,7 @@ def stitch_plans(plans: Sequence[CompiledPlan],
     """Stamp a *mixed-shape* batch out of per-query plans.
 
     ``plans[i]`` is query ``i``'s shape plan and ``literal_rows[i]`` its
-    walk-order literal vector (from :func:`query_shape`); the plans may
+    walk-order literal vector (its fingerprint literals); the plans may
     all differ.  The result equals what ``compile_batch`` would produce
     for the same queries — predicate rows are query-major, each query's
     rows in its plan's compile order — but is assembled purely from

@@ -185,9 +185,11 @@ class ParseCache(_LruCache):
 
     Sits in front of the parser on the request path: an instance of a
     previously seen statement skips tokenization, recursive descent and
-    plan compilation entirely.  Only templates that passed
-    :func:`repro.sql.parser.make_template`'s round-trip self-check are
-    ever stored, so a hit is always equivalent to a fresh parse.
+    plan compilation entirely.  Every stored template is
+    :func:`repro.sql.parser.parse_template` of its key — the descent
+    :func:`~repro.sql.parser.parse_query` runs, with slot indices for
+    literals — so a hit re-binds to exactly the query a fresh parse
+    would build.
     """
 
     _metric_prefix = "serve.parse_cache"

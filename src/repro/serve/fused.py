@@ -9,10 +9,10 @@ two stages of :class:`EstimatePipeline`:
    thread): fingerprint the SQL text
    (:func:`~repro.sql.parser.fingerprint_sql` — literals masked) and
    look the fingerprint up in the :class:`~repro.serve.cache.ParseCache`.
-   A seen statement costs that one probe.  A first-seen statement is
-   parsed, frozen into a re-bindable template
-   (:func:`~repro.sql.parser.make_template`), planned once, and stored:
-   the cached :class:`Statement` carries its own
+   A seen statement costs that one probe.  A first-seen statement's
+   fingerprint key is parsed once, straight into its template
+   (:func:`~repro.sql.parser.parse_template`), planned once, and
+   stored: the cached :class:`Statement` carries its own
    :class:`~repro.featurize.batch.CompiledPlan`.
 2. **execute** (:meth:`EstimatePipeline.execute`): planned requests —
    a statement plus its fingerprint literals — are stamped into one
@@ -25,20 +25,19 @@ two stages of :class:`EstimatePipeline`:
    ``estimate_batch``.
 
 The adapter leg serves estimators without a plannable single-table
-featurizer (joins, the global model, MSCN), statements the featurizer
-rejects (unknown attribute, wrong table, a query class the QFT cannot
-represent — the adapter raises their error), and SQL whose template
-:func:`~repro.sql.parser.make_template` rejects.
+featurizer (joins, the global model, MSCN) and statements the
+featurizer rejects (unknown attribute, wrong table, a query class the
+QFT cannot represent — the adapter raises their error).
 
 Both legs are bitwise-identical to ``estimator.estimate_batch`` on the
 parsed statements.  A plan is the statement's own compile stage run
-once.  ``make_template`` numbers each literal slot with its walk-order
-index, and its round-trip check passes only if fingerprint literal
-``i`` is the parsed walk-order literal ``i``; so a request's
-fingerprint literals are its walk-order literal row as they stand, and
-the planned leg is exact from a statement's first request on.  The
-planned execute emits ``serve.fused.compile`` (gathering plans and
-literal rows; ``n_shapes`` counts the distinct plans in the batch),
+once, over its template.  The template holds slot index ``i`` where the
+``i``-th fingerprint literal stands, and the parser builds the tree in
+textual order, so slot order is walk order: a request's fingerprint
+literals are its walk-order literal row as they stand, and the planned
+leg is exact from a statement's first request on.  The planned execute
+emits ``serve.fused.compile`` (gathering plans and literal rows;
+``n_shapes`` counts the distinct plans in the batch),
 ``serve.fused.encode`` and ``serve.fused.predict`` spans.
 """
 
@@ -56,10 +55,10 @@ from repro.featurize.batch import CompiledPlan
 from repro.serve.cache import ParseCache
 from repro.sql.ast import Query
 from repro.sql.parser import (
+    SqlSyntaxError,
     bind_template,
     fingerprint_sql,
-    make_template,
-    parse_query,
+    parse_template,
 )
 
 __all__ = ["EstimatePipeline", "Resolved", "Statement"]
@@ -73,8 +72,10 @@ class Statement:
     thread to execute.
     """
 
-    #: The re-bindable AST (:func:`~repro.sql.parser.make_template`).
+    #: The re-bindable AST (:func:`~repro.sql.parser.parse_template`).
     template: Query
+    #: Numeric literals per instance: the template's slot count.
+    n_literals: int
     #: The statement's compiled plan; ``None`` when the adapter leg
     #: serves it.
     plan: CompiledPlan | None = None
@@ -110,8 +111,9 @@ class EstimatePipeline:
         """Resolve SQL statements into executable requests.
 
         One parse-cache probe for the whole sequence; a first-seen
-        statement is parsed, planned and stored once, however many of
-        its instances the sequence holds.  Malformed SQL raises the
+        statement is parsed and planned once, however many of its
+        instances the sequence holds, and the sequence's first-seen
+        statements are stored together.  Malformed SQL raises the
         parser's ``ValueError`` family here, in the caller's thread.
         """
         fingerprints = [fingerprint_sql(sql) for sql in sqls]
@@ -119,39 +121,39 @@ class EstimatePipeline:
             [key for key, _ in fingerprints])
         fresh: dict[str, Statement] = {}
         requests: list[Resolved] = []
-        for sql, (key, literals), statement in zip(sqls, fingerprints,
-                                                   statements):
-            query = None
+        for (key, literals), statement in zip(fingerprints, statements):
             if statement is None:
                 statement = fresh.get(key)
             if statement is None:
-                query = parse_query(sql)
-                template = make_template(query, literals)
-                if template is not None:
-                    statement = fresh[key] = self._prepare(template)
-                    self._parse_cache.store(key, statement)
-            if statement is not None and statement.plan is not None:
+                statement = fresh[key] = self._prepare(
+                    parse_template(key, len(literals)), len(literals))
+            elif len(literals) != statement.n_literals:
+                # Same key, fewer literals: a '?' of the text itself
+                # stands where the statement has a literal.
+                raise SqlSyntaxError(
+                    "unexpected character '?' where the statement has a "
+                    "literal")
+            if statement.plan is not None:
                 requests.append((statement, literals))
-            elif query is not None:
-                requests.append(query)
             else:
-                # Statements sharing a fingerprint differ only in
-                # literal text, so the literal count always matches.
                 requests.append(bind_template(statement.template, literals))
+        if fresh:
+            self._parse_cache.store_many(fresh.items())
         return requests
 
-    def _prepare(self, template: Query) -> Statement:
+    def _prepare(self, template: Query, n_literals: int) -> Statement:
         """Plan a statement template, or leave it to the adapter leg.
 
         A template the featurizer rejects stays unplanned; its requests
         reach the adapter, which raises the same error per request.
         """
         if self._featurizer is None:
-            return Statement(template)
+            return Statement(template, n_literals)
         try:
-            return Statement(template, self._featurizer.compile_plan(template))
+            plan = self._featurizer.compile_plan(template, n_literals)
         except (ValueError, TypeError, KeyError):
-            return Statement(template)
+            return Statement(template, n_literals)
+        return Statement(template, n_literals, plan)
 
     def execute(self, requests: Sequence[Resolved]) -> np.ndarray:
         """Estimate resolved requests; one estimate per request, in order.

@@ -37,6 +37,7 @@ __all__ = [
     "JoinPredicate",
     "Query",
     "CompoundForm",
+    "MAX_COMPOUND_BRANCHES",
     "UnsupportedQueryError",
     "attributes_of",
     "is_conjunctive",
@@ -62,15 +63,17 @@ class Op(enum.Enum):
     @classmethod
     def from_symbol(cls, symbol: str) -> "Op":
         """Parse an operator symbol, accepting ``!=`` as alias for ``<>``."""
-        if symbol == "!=":
-            return cls.NE
-        for op in cls:
-            if op.value == symbol:
-                return op
-        raise ValueError(f"unknown comparison operator {symbol!r}")
+        try:
+            return _OP_BY_SYMBOL[symbol]
+        except KeyError:
+            raise ValueError(
+                f"unknown comparison operator {symbol!r}") from None
 
     def __str__(self) -> str:
         return self.value
+
+
+_OP_BY_SYMBOL = {**{op.value: op for op in Op}, "!=": Op.NE}
 
 
 @dataclass(frozen=True)
@@ -266,12 +269,19 @@ def is_conjunctive(expr: BoolExpr) -> bool:
 CompoundForm = Mapping[str, tuple[tuple[SimplePredicate, ...], ...]]
 
 
+#: Most disjunction branches a compound predicate's disjunctive form may
+#: have.  Distributing AND over OR multiplies branch counts, so a short
+#: compound can expand exponentially (k ANDed two-way ORs give 2**k
+#: branches); the paper's generator uses at most three.
+MAX_COMPOUND_BRANCHES = 256
+
+
 def _single_attribute_dnf(expr: BoolExpr) -> tuple[tuple[SimplePredicate, ...], ...]:
     """Convert a single-attribute boolean tree into DNF.
 
-    Compound predicates in real workloads are tiny (the paper's generator
-    uses at most three OR branches), so the exponential worst case of DNF
-    conversion is irrelevant here.
+    Raises :class:`UnsupportedQueryError` when the form would have more
+    than :data:`MAX_COMPOUND_BRANCHES` branches; a cross product is
+    counted before it is built.
     """
     if isinstance(expr, LEAF_TYPES):
         return ((expr,),)
@@ -279,13 +289,24 @@ def _single_attribute_dnf(expr: BoolExpr) -> tuple[tuple[SimplePredicate, ...], 
         branches: list[tuple[SimplePredicate, ...]] = []
         for child in expr.children:
             branches.extend(_single_attribute_dnf(child))
+        if len(branches) > MAX_COMPOUND_BRANCHES:
+            raise _too_many_branches(len(branches))
         return tuple(branches)
     # And: cross product of children's DNFs.
     result: list[tuple[SimplePredicate, ...]] = [()]
     for child in expr.children:
         child_dnf = _single_attribute_dnf(child)
+        if len(result) * len(child_dnf) > MAX_COMPOUND_BRANCHES:
+            raise _too_many_branches(len(result) * len(child_dnf))
         result = [existing + branch for existing in result for branch in child_dnf]
     return tuple(result)
+
+
+def _too_many_branches(count: int) -> UnsupportedQueryError:
+    return UnsupportedQueryError(
+        f"compound predicate expands to at least {count} disjunction "
+        f"branches; at most {MAX_COMPOUND_BRANCHES} are supported"
+    )
 
 
 def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, ...], ...]]:
@@ -294,7 +315,9 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
     Returns a mapping from attribute to its compound predicate in
     disjunctive form.  Raises :class:`UnsupportedQueryError` when the
     expression is not a conjunction of single-attribute compounds — e.g.
-    when a disjunction spans two different attributes.
+    when a disjunction spans two different attributes — or when a
+    compound's disjunctive form would exceed
+    :data:`MAX_COMPOUND_BRANCHES` branches.
     """
     top_level = expr.children if isinstance(expr, And) else (expr,)
     compounds: dict[str, list[BoolExpr]] = {}

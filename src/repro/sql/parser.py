@@ -17,13 +17,34 @@ A comparison between two identifiers is an equi-join predicate; join
 predicates may only appear in the top-level conjunction (like the paper's
 queries).  String literals are single-quoted and allowed with ``=``/``<>``
 and ``LIKE 'prefix%'`` (dictionary-encoded columns, Section 6); numeric
-comparisons cover everything else.
+comparisons cover everything else.  Parentheses nest at most
+:data:`MAX_PAREN_DEPTH` levels deep.
+
+**Parse once.**  :func:`fingerprint_sql` masks every numeric literal out
+of the text as ``?``, in textual order; its key is the parser's input.
+One tokenizer-and-descent pass over the key builds the query:
+
+* :func:`parse_template` stamps slot index ``i`` into the ``i``-th
+  ``?`` — the statement's *template*, which the serving layer caches
+  per fingerprint and re-binds with each request's literals
+  (:func:`bind_template`);
+* :func:`parse_query` and :func:`parse_where` stamp the fingerprint's
+  literals instead.
+
+The descent builds ``And``/``Or`` children in textual order, so slot
+order is walk order (:func:`~repro.sql.ast.iter_simple_predicates`): a
+template is its own plan sentinel
+(:meth:`repro.featurize.base.Featurizer.compile_plan`), and a request's
+fingerprint literals are its walk-order literal row.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Sequence
 
 from repro.sql.ast import (
     And,
@@ -39,175 +60,302 @@ from repro.sql.ast import (
 )
 
 __all__ = [
-    "parse_query", "parse_where", "SqlSyntaxError",
-    "fingerprint_sql", "make_template", "bind_template",
+    "parse_query", "parse_where", "parse_template", "SqlSyntaxError",
+    "fingerprint_sql", "make_template", "bind_template", "MAX_PAREN_DEPTH",
 ]
+
+#: Deepest parenthesis nesting the parser accepts.  Every level costs
+#: the descent three stack frames and every AST walker one or two, so
+#: the bound keeps deeply nested text a syntax error instead of a
+#: ``RecursionError``.
+MAX_PAREN_DEPTH = 200
 
 
 class SqlSyntaxError(ValueError):
     """Raised for malformed SQL input."""
 
 
+# ---------------------------------------------------------------------------
+# Fingerprints
+# ---------------------------------------------------------------------------
+#
+# Serving traffic is dominated by *parameterized* statements: the same
+# SQL text with different numeric literals.  The fingerprint — the text
+# with numeric literals masked out — names the statement; the serve
+# layer caches each statement's template and compiled plan under it.
+
+# One capture group around a string literal (kept verbatim, so numbers
+# inside quotes are never masked) or a standalone numeric literal:
+# ``split`` then yields text and literal tokens alternately in a single
+# scan.  The lookbehind keeps digits inside identifiers like ``attr_3``
+# or ``t1.col`` intact; in this grammar every standalone number is a
+# predicate literal.  The leading lookahead only skips positions that
+# cannot start either alternative, cheaply.
+_LITERAL_SPLIT_RE = re.compile(
+    r"((?=[-\d'])(?:'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?))")
+
+
+def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
+    """Mask numeric literals out of ``sql``; return ``(key, literals)``.
+
+    ``key`` is the statement's template fingerprint (literals replaced
+    by ``?``, string literals kept — they are part of a query's shape)
+    and ``literals`` the masked values in textual order.  Works on any
+    string; a malformed statement simply yields a key the parser
+    rejects.
+    """
+    parts = _LITERAL_SPLIT_RE.split(sql)
+    if "'" not in sql:
+        # Every odd part is a number: join and convert without a
+        # per-token python branch.
+        return "?".join(parts[::2]), tuple(map(float, parts[1::2]))
+    values: list[float] = []
+    for index in range(1, len(parts), 2):
+        token = parts[index]
+        if token[0] != "'":
+            values.append(float(token))
+            parts[index] = "?"
+    return "".join(parts), tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# The descent
+# ---------------------------------------------------------------------------
+
+# A fingerprint key holds no numbers, only ``?`` slots.  Each match is
+# one token: exactly one group is non-empty, and the descent reads a
+# token by the index of that group.  ``-?`` is a slot with a sign glued
+# to the word before it (``x-5``): never valid, but a number to the
+# grammar, so it fails where a number would.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-        (?P<number>-?\d+(?:\.\d+)?)          # numeric literal
-      | (?P<string>'[^']*')                  # single-quoted string literal
-      | (?P<ident>[A-Za-z_][\w.]*)           # identifier (possibly qualified)
-      | (?P<op><=|>=|<>|!=|=|<|>)            # comparison operator
-      | (?P<punct>[(),*])                    # punctuation
+        ([A-Za-z_][\w.]*)            # identifier or keyword
+      | (-?\?)                       # numeric literal slot
+      | ('[^']*')                    # single-quoted string literal
+      | (<=|>=|<>|!=|=|<|>)          # comparison operator
+      | ([(),*])                     # punctuation
+      | (\S)                         # anything else
     )
     """,
     re.VERBOSE,
 )
+_WORD, _SLOT, _STRING, _OP, _PUNCT, _OTHER = range(6)
+_slot_of = itemgetter(_SLOT)
+_other_of = itemgetter(_OTHER)
 
-_KEYWORDS = {"select", "count", "from", "where", "group", "by", "and", "or",
-             "like"}
+#: Past the last token: matches no kind.
+_END = ("",) * 6
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'number' | 'ident' | 'keyword' | 'op' | 'punct'
-    text: str
-
-
-def _tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if match is None:
-            if sql[pos:].strip() == ";":
-                break
-            if sql[pos].isspace():
-                pos += 1
-                continue
-            raise SqlSyntaxError(f"unexpected character {sql[pos]!r} at offset {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        text = match.group(kind)
-        if kind == "ident" and text.lower() in _KEYWORDS:
-            tokens.append(_Token("keyword", text.lower()))
-        else:
-            tokens.append(_Token(kind, text))
-    return tokens
+_KEYWORDS = frozenset({"select", "count", "from", "where", "group", "by",
+                       "and", "or", "like"})
 
 
-class _Parser:
-    """Token-stream cursor with the grammar's productions as methods."""
+def _text(token: tuple[str, ...]) -> str:
+    return "".join(token)
 
-    def __init__(self, tokens: list[_Token]) -> None:
+
+class _Descent:
+    """The grammar's productions over one fingerprint key's tokens.
+
+    Each ``?`` slot the descent consumes takes the next of ``values``.
+    Join predicates are collected in textual order as the descent meets
+    them, so splitting them off needs no walk of the finished tree.
+    The whole key is tokenized before the descent starts: a character
+    outside the grammar is an error wherever it stands.
+    """
+
+    def __init__(self, key: str, values: Sequence[float]) -> None:
+        tokens = _TOKEN_RE.findall(key)
+        if tokens and tokens[-1][_OTHER] == ";":
+            tokens.pop()  # one trailing semicolon is tolerated
+        for token in filter(_other_of, tokens):
+            raise SqlSyntaxError(
+                f"unexpected character {token[_OTHER]!r}")
+        slots = list(filter(None, map(_slot_of, tokens)))
+        if len(slots) != len(values):
+            # The fingerprint masks each literal as one slot, so any
+            # other slot is a '?' of the SQL text itself.
+            raise SqlSyntaxError(
+                f"unexpected character '?' ({len(slots)} slots for "
+                f"{len(values)} literals)")
+        if "-?" in slots:
+            # 'x--5' masks '-5' and leaves a '-' no token starts with.
+            for slot, value in zip(slots, values):
+                if slot == "-?" and math.copysign(1.0, value) < 0.0:
+                    raise SqlSyntaxError("unexpected character '-'")
+        tokens.append(_END)
         self._tokens = tokens
-        self._index = 0
+        self._pos = 0
+        self._values = values
+        self._slot = 0
+        self._depth = 0
+        self._markers: list[_JoinMarker] = []
 
-    def _peek(self) -> _Token | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
+    # --- cursor ----------------------------------------------------------
 
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
+    def _take(self) -> tuple[str, ...]:
+        token = self._tokens[self._pos]
+        if token is _END:
             raise SqlSyntaxError("unexpected end of input")
-        self._index += 1
+        self._pos += 1
         return token
 
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            expected = text if text is not None else kind
-            raise SqlSyntaxError(f"expected {expected!r}, got {token.text!r}")
-        return token
-
-    def _accept(self, kind: str, text: str | None = None) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == kind and (
-                text is None or token.text == text):
-            self._index += 1
+    def _accept(self, kind: int, text: str) -> bool:
+        """Consume the next token if it is ``text`` (a keyword or a
+        punctuation mark) of group ``kind``."""
+        if self._tokens[self._pos][kind].lower() == text:
+            self._pos += 1
             return True
         return False
+
+    def _expect(self, kind: int, text: str) -> None:
+        token = self._take()
+        if token[kind].lower() != text:
+            raise SqlSyntaxError(f"expected {text!r}, got {_text(token)!r}")
+
+    def _identifier(self, what: str = "identifier") -> str:
+        token = self._take()
+        word = token[_WORD]
+        if not word or word.lower() in _KEYWORDS:
+            raise SqlSyntaxError(f"expected {what}, got {_text(token)!r}")
+        return word
+
+    def _end(self) -> None:
+        token = self._tokens[self._pos]
+        if token is not _END:
+            raise SqlSyntaxError(f"trailing input at {_text(token)!r}")
 
     # --- productions -----------------------------------------------------
 
     def query(self) -> Query:
-        self._expect("keyword", "select")
-        self._expect("keyword", "count")
-        self._expect("punct", "(")
-        self._expect("punct", "*")
-        self._expect("punct", ")")
-        self._expect("keyword", "from")
-        tables = [self._expect("ident").text]
-        while self._accept("punct", ","):
-            tables.append(self._expect("ident").text)
+        self._expect(_WORD, "select")
+        self._expect(_WORD, "count")
+        self._expect(_PUNCT, "(")
+        self._expect(_PUNCT, "*")
+        self._expect(_PUNCT, ")")
+        self._expect(_WORD, "from")
+        tables = [self._identifier()]
+        while self._accept(_PUNCT, ","):
+            tables.append(self._identifier())
 
         where: BoolExpr | None = None
         joins: list[JoinPredicate] = []
-        if self._accept("keyword", "where"):
-            expr = self.or_expr()
-            where, joins = _split_joins(expr)
+        if self._accept(_WORD, "where"):
+            where, joins = self._split_joins(self.or_expr())
 
         group_by: list[str] = []
-        if self._accept("keyword", "group"):
-            self._expect("keyword", "by")
-            group_by.append(self._expect("ident").text)
-            while self._accept("punct", ","):
-                group_by.append(self._expect("ident").text)
+        if self._accept(_WORD, "group"):
+            self._expect(_WORD, "by")
+            group_by.append(self._identifier())
+            while self._accept(_PUNCT, ","):
+                group_by.append(self._identifier())
 
-        if self._peek() is not None:
-            raise SqlSyntaxError(f"trailing input at {self._peek().text!r}")
+        self._end()
         return Query(tables=tuple(tables), joins=tuple(joins),
                      where=where, group_by=tuple(group_by))
 
+    def where(self) -> BoolExpr:
+        """A bare WHERE expression: no join predicates, nothing after."""
+        expr = self.or_expr()
+        self._end()
+        for marker in self._markers:
+            raise UnsupportedQueryError(
+                f"parse_where does not accept join predicates "
+                f"({marker.left} = {marker.right})"
+            )
+        return expr
+
     def or_expr(self) -> BoolExpr:
         children = [self.and_expr()]
-        while self._accept("keyword", "or"):
+        while self._accept(_WORD, "or"):
             children.append(self.and_expr())
         return children[0] if len(children) == 1 else Or(children)
 
     def and_expr(self) -> BoolExpr:
         children = [self.term()]
-        while self._accept("keyword", "and"):
+        while self._accept(_WORD, "and"):
             children.append(self.term())
         return children[0] if len(children) == 1 else And(children)
 
     def term(self) -> BoolExpr:
-        if self._accept("punct", "("):
-            expr = self.or_expr()
-            self._expect("punct", ")")
-            return expr
-        return self.comparison()
+        if not self._accept(_PUNCT, "("):
+            return self.comparison()
+        self._depth += 1
+        if self._depth > MAX_PAREN_DEPTH:
+            raise SqlSyntaxError(
+                f"parentheses nest deeper than {MAX_PAREN_DEPTH} levels")
+        expr = self.or_expr()
+        self._expect(_PUNCT, ")")
+        self._depth -= 1
+        return expr
 
     def comparison(self) -> BoolExpr:
-        left = self._next()
-        if left.kind != "ident":
-            raise SqlSyntaxError(f"expected attribute, got {left.text!r}")
-        if self._accept("keyword", "like"):
-            pattern_token = self._next()
-            if pattern_token.kind != "string":
+        attribute = self._identifier("attribute")
+        if self._accept(_WORD, "like"):
+            token = self._take()
+            if not token[_STRING]:
                 raise SqlSyntaxError(
-                    f"LIKE expects a quoted pattern, got {pattern_token.text!r}"
-                )
-            return _like_predicate(left.text, pattern_token.text[1:-1])
-        op_token = self._expect("op")
-        right = self._next()
-        op = Op.from_symbol(op_token.text)
-        if right.kind == "number":
-            return SimplePredicate(left.text, op, float(right.text))
-        if right.kind == "string":
-            if op not in (Op.EQ, Op.NE):
+                    f"LIKE expects a quoted pattern, got {_text(token)!r}")
+            return _like_predicate(attribute, token[_STRING][1:-1])
+        token = self._take()
+        if not token[_OP]:
+            raise SqlSyntaxError(f"expected 'op', got {_text(token)!r}")
+        op = Op.from_symbol(token[_OP])
+        operand = self._take()
+        if operand[_SLOT]:
+            value = self._values[self._slot]
+            self._slot += 1
+            return SimplePredicate(attribute, op, value)
+        if operand[_STRING]:
+            if op is not Op.EQ and op is not Op.NE:
                 raise SqlSyntaxError(
                     f"string literals support = and <> only, got "
-                    f"{op_token.text!r}"
+                    f"{token[_OP]!r}"
                 )
-            return StringPredicate(left.text, op, right.text[1:-1])
-        if right.kind == "ident":
+            return StringPredicate(attribute, op, operand[_STRING][1:-1])
+        word = operand[_WORD]
+        if word and word.lower() not in _KEYWORDS:
             if op is not Op.EQ:
                 raise SqlSyntaxError(
-                    f"only equi-joins are supported, got {op_token.text!r} "
-                    f"between {left.text!r} and {right.text!r}"
+                    f"only equi-joins are supported, got {token[_OP]!r} "
+                    f"between {attribute!r} and {word!r}"
                 )
-            return _JoinMarker(left.text, right.text)
-        raise SqlSyntaxError(f"expected literal or attribute, got {right.text!r}")
+            marker = _JoinMarker(attribute, word)
+            self._markers.append(marker)
+            return marker
+        raise SqlSyntaxError(
+            f"expected literal or attribute, got {_text(operand)!r}")
+
+    def _split_joins(self, expr: BoolExpr
+                     ) -> tuple[BoolExpr | None, list[JoinPredicate]]:
+        """Separate the top-level join markers from the selection.
+
+        A marker is top-level iff it is a child of the WHERE clause's
+        conjunction (or the clause itself).  The first marker in textual
+        order that is nested or unqualified decides the error.
+        """
+        if not self._markers:
+            return expr, []
+        items = expr.children if isinstance(expr, And) else (expr,)
+        top = {id(item) for item in items if isinstance(item, _JoinMarker)}
+        joins: list[JoinPredicate] = []
+        for marker in self._markers:
+            if id(marker) not in top:
+                raise UnsupportedQueryError(
+                    f"join predicate {marker.left} = {marker.right} must "
+                    "appear in the top-level conjunction"
+                )
+            left_table, left_col = _qualified(marker.left)
+            right_table, right_col = _qualified(marker.right)
+            joins.append(JoinPredicate(left_table, left_col,
+                                       right_table, right_col))
+        selections = [item for item in items
+                      if not isinstance(item, _JoinMarker)]
+        if not selections:
+            return None, joins
+        where = selections[0] if len(selections) == 1 else And(selections)
+        return where, joins
 
 
 def _like_predicate(attribute: str, pattern: str) -> BoolExpr:
@@ -246,102 +394,49 @@ def _qualified(name: str) -> tuple[str, str]:
     return table, column
 
 
-def _split_joins(expr: BoolExpr) -> tuple[BoolExpr | None, list[JoinPredicate]]:
-    """Separate top-level join markers from the selection expression."""
-    items = expr.children if isinstance(expr, And) else (expr,)
-    joins: list[JoinPredicate] = []
-    selections: list[BoolExpr] = []
-    for item in items:
-        if isinstance(item, _JoinMarker):
-            left_table, left_col = _qualified(item.left)
-            right_table, right_col = _qualified(item.right)
-            joins.append(JoinPredicate(left_table, left_col,
-                                       right_table, right_col))
-        else:
-            for marker in _find_markers(item):
-                raise UnsupportedQueryError(
-                    f"join predicate {marker.left} = {marker.right} must "
-                    "appear in the top-level conjunction"
-                )
-            selections.append(item)
-    if not selections:
-        return None, joins
-    where = selections[0] if len(selections) == 1 else And(selections)
-    return where, joins
+def parse_template(key: str, n_literals: int) -> Query:
+    """Parse a fingerprint key into its statement's template.
 
-
-def _find_markers(expr: BoolExpr):
-    if isinstance(expr, _JoinMarker):
-        yield expr
-    elif isinstance(expr, (And, Or)):
-        for child in expr.children:
-            yield from _find_markers(child)
+    ``key`` and ``n_literals`` are :func:`fingerprint_sql`'s key and
+    literal count.  The template is the query whose ``i``-th ``?`` slot,
+    in textual order, holds the value ``float(i)``:
+    ``bind_template(parse_template(key, len(literals)), literals)``
+    equals ``parse_query`` of the statement.  Malformed text raises the
+    parser's ``ValueError`` family, as in :func:`parse_query`; a ``?``
+    of the text itself is a :class:`SqlSyntaxError`, since the key then
+    has more slots than ``n_literals``.
+    """
+    return _Descent(key, [float(i) for i in range(n_literals)]).query()
 
 
 def parse_query(sql: str) -> Query:
     """Parse a full ``SELECT count(*)`` statement into a :class:`Query`."""
-    return _Parser(_tokenize(sql)).query()
+    key, literals = fingerprint_sql(sql)
+    return _Descent(key, literals).query()
+
+
+def parse_where(sql: str) -> BoolExpr:
+    """Parse a bare WHERE-clause expression (no joins) into a boolean AST."""
+    key, literals = fingerprint_sql(sql)
+    return _Descent(key, literals).where()
 
 
 # ---------------------------------------------------------------------------
-# Prepared-statement templates
+# Templates of parsed queries
 # ---------------------------------------------------------------------------
-#
-# Serving traffic is dominated by *parameterized* statements: the same
-# SQL text with different numeric literals.  Re-running the full
-# tokenizer + recursive descent for every instance wastes most of the
-# request budget, so the serve layer caches parses per *fingerprint* —
-# the SQL text with numeric literals masked out — together with each
-# statement's compiled plan, and re-binds the cached AST with an
-# instance's literals wherever an AST is still needed.
-
-# One capture group around a string literal (kept verbatim, so numbers
-# inside quotes are never masked) or a standalone numeric literal:
-# ``split`` then yields text and literal tokens alternately in a single
-# scan.  The lookbehind keeps digits inside identifiers like ``attr_3``
-# or ``t1.col`` intact; in this grammar every standalone number is a
-# predicate literal.  The leading lookahead only skips positions that
-# cannot start either alternative, cheaply.
-_LITERAL_SPLIT_RE = re.compile(
-    r"((?=[-\d'])(?:'[^']*'|(?<![\w.])-?\d+(?:\.\d+)?))")
-
-
-def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
-    """Mask numeric literals out of ``sql``; return ``(key, literals)``.
-
-    ``key`` is the statement's template fingerprint (literals replaced
-    by ``?``, string literals kept — they are part of a query's shape,
-    exactly as in :func:`repro.featurize.batch.query_shape`) and
-    ``literals`` the masked values in textual order.  Works on any
-    string; a malformed statement simply yields a fingerprint no valid
-    template will ever be cached under.
-    """
-    parts = _LITERAL_SPLIT_RE.split(sql)
-    if "'" not in sql:
-        # Every odd part is a number: join and convert without a
-        # per-token python branch.
-        return "?".join(parts[::2]), tuple(map(float, parts[1::2]))
-    values: list[float] = []
-    for index in range(1, len(parts), 2):
-        token = parts[index]
-        if token[0] != "'":
-            values.append(float(token))
-            parts[index] = "?"
-    return "".join(parts), tuple(values)
 
 
 def make_template(query: Query, literals: tuple[float, ...]) -> Query | None:
     """Freeze a parsed query into a re-bindable template, or ``None``.
 
     The template is ``query`` with every numeric predicate literal
-    replaced by its textual index, so :func:`bind_template` can stamp a
-    new instance's literals in without re-parsing.  Builds are
-    self-checking: re-binding the template with the original
-    ``literals`` (as collected by :func:`fingerprint_sql`) must
-    reproduce ``query`` exactly, otherwise the statement is declared
-    uncacheable and ``None`` is returned — callers then simply parse
-    every instance.  The check makes the cache robust by construction:
-    a template only exists if rebinding provably round-trips.
+    replaced by its walk-order index — what :func:`parse_template`
+    builds straight from the statement's fingerprint key — so
+    :func:`bind_template` can stamp a new instance's literals in
+    without re-parsing.  Builds are self-checking: re-binding the
+    template with ``literals`` must reproduce ``query`` exactly,
+    otherwise ``None`` is returned.  Serves callers that hold a query
+    rather than its text, e.g. tests planning a hand-built expression.
     """
     counter = [0]
 
@@ -368,14 +463,15 @@ def make_template(query: Query, literals: tuple[float, ...]) -> Query | None:
 
 
 def bind_template(template: Query, literals: tuple[float, ...]) -> Query:
-    """Instantiate a :func:`make_template` query with fresh literals.
+    """Instantiate a template with fresh literals.
 
-    This is the per-request leg of the template cache, so nodes are
-    rebuilt through ``object.__new__`` instead of their constructors:
-    the template's structure already passed construction-time
-    validation and ``And``/``Or`` flattening when it was parsed, and
-    :func:`make_template`'s round-trip self-check exercises exactly
-    this fast path before any template is ever cached.
+    ``template`` comes from :func:`parse_template` or
+    :func:`make_template`; slot ``i`` takes ``literals[i]``.  This is
+    the serving layer's per-request leg for statements it does not
+    plan, so nodes are rebuilt through ``object.__new__`` instead of
+    their constructors: the template's structure already passed
+    construction-time validation and ``And``/``Or`` flattening when it
+    was parsed.
     """
 
     def rebuild(node: BoolExpr) -> BoolExpr:
@@ -397,17 +493,3 @@ def bind_template(template: Query, literals: tuple[float, ...]) -> Query:
     if template.where is None:
         return template
     return replace(template, where=rebuild(template.where))
-
-
-def parse_where(sql: str) -> BoolExpr:
-    """Parse a bare WHERE-clause expression (no joins) into a boolean AST."""
-    parser = _Parser(_tokenize(sql))
-    expr = parser.or_expr()
-    if parser._peek() is not None:
-        raise SqlSyntaxError(f"trailing input at {parser._peek().text!r}")
-    for marker in _find_markers(expr):
-        raise UnsupportedQueryError(
-            f"parse_where does not accept join predicates "
-            f"({marker.left} = {marker.right})"
-        )
-    return expr

@@ -14,7 +14,10 @@ suites compare those kernels against:
   :func:`uniform_selectivity` (the algorithm's gray lines);
 * Limited Disjunction Encoding (Algorithm 2) —
   :func:`limited_disjunction`;
-* the join compositions and MSCN's qft-mode set rows built from them.
+* the join compositions and MSCN's qft-mode set rows built from them;
+* statement shapes (:func:`query_shape`) and templates
+  (:func:`plan_template`), by which tests key and compile the serving
+  leg's plans for hand-built queries.
 
 The functions are plain code over a *fitted* featurizer: they read its
 statistics and partition geometry (``stats``, ``partitions``,
@@ -43,14 +46,18 @@ from repro.featurize.selectivity import Interval, fold_conjunction
 from repro.sql.ast import (
     And,
     BoolExpr,
+    LikePredicate,
     Op,
     Or,
+    Query,
     SimplePredicate,
+    StringPredicate,
     is_conjunctive,
     iter_simple_predicates,
     to_compound_form,
 )
 from repro.sql.executor import per_table_selections
+from repro.sql.parser import make_template
 
 _HALF = 0.5
 
@@ -423,3 +430,60 @@ def mscn_qft_rows(builder, query) -> list[np.ndarray]:
             vector[n_attrs:n_attrs + merged.size] = merged
             rows.append(vector)
     return rows
+
+
+# ----------------------------------------------------------------------
+# Statement shapes and templates
+# ----------------------------------------------------------------------
+
+def query_shape(expr: BoolExpr | None) -> tuple[tuple, np.ndarray]:
+    """Return ``(shape_key, literals)`` of a WHERE expression.
+
+    The *shape* of a query is its boolean structure with every numeric
+    literal masked out: attribute names, operators, and the AND/OR tree
+    stay; comparison values do not.  Two queries with equal shape keys
+    compile to byte-identical predicate-batch structure and can
+    therefore share one compiled plan, re-binding only their literal
+    vectors — the AST counterpart of a SQL fingerprint.
+
+    ``literals`` holds the masked values in AST walk order (depth-first,
+    left-to-right — the order :func:`~repro.sql.ast.iter_simple_predicates`
+    yields).  String and LIKE literals are *not* masked: they stay part
+    of the key.
+    """
+    literals: list[float] = []
+
+    def walk(node: BoolExpr) -> tuple:
+        if isinstance(node, SimplePredicate):
+            literals.append(float(node.value))
+            return ("p", node.attribute, node.op.value)
+        if isinstance(node, StringPredicate):
+            return ("s", node.attribute, node.op.value, node.value)
+        if isinstance(node, LikePredicate):
+            return ("like", node.attribute, node.prefix)
+        if isinstance(node, And):
+            return ("and",) + tuple(walk(c) for c in node.children)
+        if isinstance(node, Or):
+            return ("or",) + tuple(walk(c) for c in node.children)
+        raise TypeError(f"not a boolean expression: {type(node).__name__}")
+
+    if expr is None:
+        return ("none",), np.empty(0, dtype=np.float64)
+    key = walk(expr)
+    return key, np.asarray(literals, dtype=np.float64)
+
+
+def plan_template(expr: BoolExpr | None) -> tuple[BoolExpr | None, int]:
+    """``(template, n_literals)``: ``expr`` as ``compile_plan`` takes it.
+
+    The template is ``expr`` with each numeric literal replaced by its
+    walk-order index (:func:`~repro.sql.parser.make_template`), which is
+    what ``parse_template`` builds from the statement's fingerprint key.
+    """
+    if expr is None:
+        return None, 0
+    _, literals = query_shape(expr)
+    template = make_template(Query.single_table("t", expr),
+                             tuple(literals.tolist()))
+    assert template is not None, expr
+    return template.where, len(literals)

@@ -23,7 +23,6 @@ from repro.featurize import (
     RangeEncoding,
     SingularEncoding,
 )
-from repro.featurize.batch import query_shape
 from repro.sql.ast import Query
 from tests.featurize import reference
 
@@ -50,12 +49,13 @@ def plan_encode(featurizer, queries):
     """Encode ``queries`` the way the serving planned leg does: one
     ``compile_plan`` per distinct shape, one stitched encode."""
     exprs = [featurizer.extract_expr(q) for q in queries]
-    shaped = [query_shape(e) for e in exprs]
+    shaped = [reference.query_shape(e) for e in exprs]
     plans: dict = {}
     per_query = []
     for (key, _), expr in zip(shaped, exprs):
         if key not in plans:
-            plans[key] = featurizer.compile_plan(expr)
+            plans[key] = featurizer.compile_plan(
+                *reference.plan_template(expr))
         per_query.append(plans[key])
     return featurizer.encode_with_plans(
         per_query, [literals for _, literals in shaped])
@@ -154,8 +154,8 @@ class TestPlanEncodeEquivalence:
         query = conjunctive_workload.queries[0]
         featurizer = ConjunctiveEncoding(small_forest, max_partitions=16)
         expr = featurizer.extract_expr(query)
-        key, literals = query_shape(expr)
-        plan = featurizer.compile_plan(expr)
+        _, literals = reference.query_shape(expr)
+        plan = featurizer.compile_plan(*reference.plan_template(expr))
         rows = [literals, literals * 0.5, literals + 1.0]
         matrix = featurizer.encode_with_plans([plan] * 3, rows)
         # Oracle cross-check on the first row (identical literals).
@@ -169,7 +169,7 @@ class TestPlanEncodeEquivalence:
         other = ConjunctiveEncoding(
             small_forest, attributes=featurizer.attributes[:1],
             max_partitions=16)
-        plan = other.compile_plan(None)
+        plan = other.compile_plan(None, 0)
         with pytest.raises(ValueError, match="different feature space"):
             featurizer.encode_with_plans([plan], [np.empty(0)])
         with pytest.raises(ValueError, match="parallel"):

@@ -8,10 +8,11 @@ from repro.featurize import (
     DisjunctionEncoding,
     GlobalJoinFeaturizer,
 )
-from repro.featurize.batch import query_shape
-from repro.sql.ast import UnsupportedQueryError
+from repro.sql.ast import MAX_COMPOUND_BRANCHES, UnsupportedQueryError
 from repro.sql.parser import parse_where
 from repro.workloads import generate_joblight_benchmark
+from tests.featurize import reference
+from tests.featurize.test_batch_equivalence import plan_encode
 
 H = 0.5
 
@@ -100,6 +101,33 @@ def test_non_dnf_mixed_query_supported(enc):
     assert vector.shape == (enc.feature_length,)
 
 
+class TestBranchCap:
+    """Compound predicates expand to at most MAX_COMPOUND_BRANCHES
+    branches; one more pair of ORs is a typed error, not seconds of
+    cross product."""
+
+    @staticmethod
+    def or_pairs(k):
+        return parse_where(" AND ".join(f"(A > {i} OR A < {-i})"
+                                        for i in range(k)))
+
+    @pytest.mark.parametrize("merge", ["max", "sum"])
+    def test_widest_compound_matches_oracle(self, paper_table, merge):
+        enc = DisjunctionEncoding(paper_table, max_partitions=12,
+                                  merge=merge)
+        queries = [self.or_pairs(MAX_COMPOUND_BRANCHES.bit_length() - 1)]
+        expected = reference.matrix(enc, queries)
+        np.testing.assert_array_equal(enc.featurize_batch(queries), expected)
+        np.testing.assert_array_equal(plan_encode(enc, queries), expected)
+
+    def test_one_more_pair_is_rejected(self, enc):
+        expr = self.or_pairs(MAX_COMPOUND_BRANCHES.bit_length())
+        with pytest.raises(UnsupportedQueryError, match="branches"):
+            enc.featurize_batch([expr])
+        with pytest.raises(UnsupportedQueryError, match="branches"):
+            enc.compile_plan(*reference.plan_template(expr))
+
+
 class TestAttributeResolution:
     """Table-qualified attributes resolve like their bare names."""
 
@@ -123,9 +151,10 @@ class TestAttributeResolution:
                                   enc.featurize_batch([None])[0])
         for i, expr in enumerate(qualified):
             np.testing.assert_array_equal(enc.featurize(expr), expected[i])
-            plan = enc.compile_plan(expr)
+            plan = enc.compile_plan(*reference.plan_template(expr))
             np.testing.assert_array_equal(
-                enc.encode_with_plans([plan], [query_shape(expr)[1]])[0],
+                enc.encode_with_plans(
+                    [plan], [reference.query_shape(expr)[1]])[0],
                 expected[i])
         np.testing.assert_array_equal(enc.featurize_batch(qualified),
                                       expected)
@@ -141,7 +170,7 @@ class TestAttributeResolution:
         with pytest.raises(KeyError, match="unknown attribute"):
             enc.featurize_batch([parse_where("A < 9"), expr])
         with pytest.raises(KeyError, match="unknown attribute"):
-            enc.compile_plan(expr)
+            enc.compile_plan(*reference.plan_template(expr))
 
     def test_joblight_encodes_like_conjunctive(self, imdb_schema):
         """JOB-light qualifies every attribute with its table; the paper

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.featurize.base import Featurizer
+from repro.featurize.base import Featurizer, LosslessnessError
 from repro.featurize.batch import CompiledPlan
 from repro.serve.fused import EstimatePipeline, Statement
 from repro.serve.server import EstimationService
 from repro.sql.ast import And, Or, Query, SimplePredicate
-from repro.sql.parser import fingerprint_sql
+from repro.sql.parser import SqlSyntaxError, fingerprint_sql, parse_query
 
 
 def perturb(query, delta):
@@ -96,19 +96,22 @@ class TestEligibility:
         fingerprint, _ = fingerprint_sql(sql)
         assert pipeline.parse_cache.lookup(fingerprint).plan is None
 
-    def test_rejected_template_takes_the_adapter(self, serve_estimator,
-                                                 instances, monkeypatch):
-        import repro.serve.fused as fused
-
-        monkeypatch.setattr(fused, "make_template",
-                            lambda query, literals: None)
+    def test_rejected_template_takes_the_adapter(self, serve_estimator):
+        # A disjunction is outside Universal Conjunction Encoding: the
+        # statement is stored unplanned, and its requests reach the
+        # adapter, which raises the featurizer's error.
+        sql = "SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2"
         pipeline = EstimatePipeline(serve_estimator)
-        resolved = pipeline.resolve([q.to_sql() for q in instances[:4]])
-        assert resolved == instances[:4]
-        assert len(pipeline.parse_cache) == 0
-        np.testing.assert_array_equal(
-            pipeline.execute(resolved),
-            serve_estimator.estimate_batch(instances[:4]))
+        for _ in range(2):  # first-seen, then seen
+            resolved = pipeline.resolve([sql])
+            assert resolved == [parse_query(sql)]
+            with pytest.raises(LosslessnessError) as error:
+                pipeline.execute(resolved)
+        with pytest.raises(LosslessnessError) as expected:
+            serve_estimator.estimate_batch([parse_query(sql)])
+        assert str(error.value) == str(expected.value)
+        fingerprint, _ = fingerprint_sql(sql)
+        assert pipeline.parse_cache.lookup(fingerprint).plan is None
 
 
 def count_compiles(monkeypatch) -> list:
@@ -116,9 +119,9 @@ def count_compiles(monkeypatch) -> list:
     calls: list = []
     original = Featurizer.compile_plan
 
-    def counting(self, query):
-        calls.append(query)
-        return original(self, query)
+    def counting(self, template, n_literals):
+        calls.append(template)
+        return original(self, template, n_literals)
 
     monkeypatch.setattr(Featurizer, "compile_plan", counting)
     return calls
@@ -216,6 +219,21 @@ class TestPlannedLeg:
         # The statement is cached but unplanned; the retry raises too.
         with pytest.raises(KeyError):
             uncached_service.estimate_many_sql([bad])
+
+    def test_raw_question_mark_on_a_seen_statement(self, serve_estimator):
+        # "A1 > ?" shares its fingerprint with "A1 > 2500"; the '?' is
+        # still a syntax error once the statement is cached, on the
+        # planned leg and on the adapter leg alike.
+        seen = "SELECT count(*) FROM forest WHERE A1 > 2500"
+        raw = "SELECT count(*) FROM forest WHERE A1 > ?"
+        for estimator in (serve_estimator, Opaque(serve_estimator)):
+            pipeline = EstimatePipeline(estimator)
+            pipeline.resolve([seen])
+            for batch in ([raw], [seen, raw]):
+                with pytest.raises(SqlSyntaxError, match="'\\?'"):
+                    pipeline.resolve(batch)
+            with pytest.raises(SqlSyntaxError, match="'\\?'"):
+                EstimatePipeline(estimator).resolve([seen, raw])
 
     def test_wrong_table_raises_value_error(self, uncached_service):
         bad = "SELECT count(*) FROM elsewhere WHERE A > 3"

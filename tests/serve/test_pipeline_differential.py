@@ -24,10 +24,10 @@ import pytest
 from repro.estimators import LearnedEstimator
 from repro.featurize import ConjunctiveEncoding, DisjunctionEncoding
 from repro.featurize.base import Featurizer
-from repro.featurize.batch import query_shape
 from repro.models import GradientBoostingRegressor
 from repro.serve.server import EstimationService
-from repro.sql.parser import bind_template, fingerprint_sql, parse_query
+from repro.sql.parser import (bind_template, fingerprint_sql,
+                              make_template, parse_query, parse_template)
 from tests.featurize import reference as oracle
 
 #: Statements per generated stream.
@@ -188,14 +188,16 @@ class TestConcurrentResolve:
 
 
 def count_calls(monkeypatch) -> dict[str, list]:
-    """Count parser, bind, shape-walk and plan-compile calls.
+    """Count parser, template, bind and plan-compile calls.
 
     Each function is replaced wherever a ``repro`` module binds it, so
     the count does not depend on which module calls it.
     """
     calls: dict[str, list] = {}
-    originals = {"parse_query": parse_query, "bind_template": bind_template,
-                 "query_shape": query_shape}
+    originals = {"parse_query": parse_query,
+                 "parse_template": parse_template,
+                 "make_template": make_template,
+                 "bind_template": bind_template}
 
     def counting(name, original):
         calls[name] = []
@@ -216,6 +218,16 @@ def count_calls(monkeypatch) -> dict[str, list]:
     return calls
 
 
+def counts(calls: dict[str, list]) -> dict[str, int]:
+    return {name: len(recorded) for name, recorded in calls.items()}
+
+
+#: What resolving one first-seen statement runs: its fingerprint key is
+#: parsed once, straight into the template the plan compiles from.
+FIRST_SEEN = {"parse_query": 0, "parse_template": 1, "make_template": 0,
+              "bind_template": 0, "compile_plan": 1}
+
+
 class TestSeenStatementMiss:
     def test_single_miss_runs_no_parser_bind_shape_or_compile(
             self, serve_estimator, conjunctive_workload, monkeypatch):
@@ -230,8 +242,7 @@ class TestSeenStatementMiss:
             calls = count_calls(monkeypatch)
             service.estimate(first)
             # The counters see the first-seen statement's work ...
-            assert len(calls["parse_query"]) == 1
-            assert len(calls["compile_plan"]) == 1
+            assert counts(calls) == FIRST_SEEN
             for recorded in calls.values():
                 recorded.clear()
             before = service.parse_cache.stats()
@@ -243,9 +254,32 @@ class TestSeenStatementMiss:
         assert cached is False and value == expected
         assert after["hits"] - before["hits"] == 1
         assert after["misses"] == before["misses"]
-        assert {name: len(recorded) for name, recorded in calls.items()} \
-            == {"parse_query": 0, "bind_template": 0, "query_shape": 0,
-                "compile_plan": 0}
+        assert counts(calls) == dict.fromkeys(FIRST_SEEN, 0)
+
+    def test_first_seen_statement_parses_its_key_once(self, case,
+                                                      monkeypatch):
+        """A first-seen statement costs one key parse and one plan
+        compile: no full parse, no template rebuild, no re-bind."""
+        estimator, queries = case
+        by_fingerprint = {fingerprint_sql(q.to_sql())[0]: q.to_sql()
+                          for q in queries}
+        sqls = list(by_fingerprint.values())[:4]
+        expected = reference(estimator, sqls)
+        service = EstimationService(estimator, cache_size=0)
+        try:
+            calls = count_calls(monkeypatch)
+            assert service.estimate(sqls[0])[0] == expected[0]
+            assert counts(calls) == FIRST_SEEN
+            for recorded in calls.values():
+                recorded.clear()
+            # A batch of three more first-seen statements, one repeated.
+            batch = sqls[1:] + sqls[1:2]
+            assert service.estimate_many_sql(batch) \
+                == expected[1:] + expected[1:2]
+            assert counts(calls) == {name: 3 * count
+                                     for name, count in FIRST_SEEN.items()}
+        finally:
+            service.close()
 
 
 class Opaque:

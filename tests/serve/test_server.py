@@ -19,7 +19,8 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
 )
-from repro.sql.parser import parse_query
+from repro.sql.ast import MAX_COMPOUND_BRANCHES
+from repro.sql.parser import MAX_PAREN_DEPTH, parse_query
 
 
 class SlowEstimator:
@@ -48,6 +49,42 @@ def running_server(serve_estimator):
     server.start()
     yield server
     server.stop()
+
+
+@pytest.fixture(scope="module")
+def complex_estimator(small_forest, mixed_workload):
+    """A GB estimator under Limited Disjunction Encoding."""
+    items = list(mixed_workload)[:200]
+    return LearnedEstimator(
+        DisjunctionEncoding(small_forest, max_partitions=8),
+        GradientBoostingRegressor(n_estimators=10),
+    ).fit([item.query for item in items],
+          np.asarray([item.cardinality for item in items], dtype=float))
+
+
+def nested_sql(depth: int) -> str:
+    """``A1 > 0 AND (A1 > 1 OR (A1 > 2 AND (…)))``: ``depth`` levels of
+    parentheses, each a new AND/OR node on one attribute."""
+    expr = f"A1 > {depth}"
+    for level in reversed(range(depth)):
+        joiner = "AND" if level % 2 == 0 else "OR"
+        expr = f"A1 > {level} {joiner} ({expr})"
+    return f"SELECT count(*) FROM forest WHERE {expr}"
+
+
+def or_pairs_sql(pairs: int) -> str:
+    """``pairs`` ANDed two-way ORs: ``2 ** pairs`` disjunction branches."""
+    return "SELECT count(*) FROM forest WHERE " + " AND ".join(
+        f"(A1 > {i} OR A1 < {-i})" for i in range(pairs))
+
+
+def status_of(call) -> int:
+    """200, or the HTTP status a client call failed with."""
+    try:
+        call()
+    except ServeClientError as exc:
+        return exc.status
+    return 200
 
 
 @pytest.fixture()
@@ -153,15 +190,8 @@ class TestErrorMapping:
         assert outcomes[bad].status == 400
         assert {sql: outcomes[sql] for sql in valid} == expected
 
-    def test_complex_qft_resolves_attributes(self, small_forest,
-                                             mixed_workload):
-        items = list(mixed_workload)[:200]
-        estimator = LearnedEstimator(
-            DisjunctionEncoding(small_forest, max_partitions=8),
-            GradientBoostingRegressor(n_estimators=10),
-        ).fit([item.query for item in items],
-              np.asarray([item.cardinality for item in items], dtype=float))
-        service = EstimationService(estimator, max_wait_ms=1.0)
+    def test_complex_qft_resolves_attributes(self, complex_estimator):
+        service = EstimationService(complex_estimator, max_wait_ms=1.0)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             with pytest.raises(ServeClientError) as excinfo:
@@ -174,6 +204,49 @@ class TestErrorMapping:
                 "SELECT count(*) FROM forest WHERE A1 > 3300",
             ])
             assert qualified == bare
+
+    def test_deeply_nested_sql_is_400(self, running_server):
+        sql = ("SELECT count(*) FROM forest WHERE " + "(" * 400 + "A1 > 1"
+               + ")" * 400)
+        client = ServeClient(running_server.url)
+        for call in (lambda: client.estimate(sql),
+                     lambda: client.estimate_batch([sql])):
+            with pytest.raises(ServeClientError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert "nest deeper" in str(excinfo.value)
+
+    def test_nesting_at_the_bound_is_estimated_or_400(
+            self, running_server, complex_estimator):
+        """AND/OR nested to the parser's bound on one attribute: every
+        AST walker behind a handler thread copes, for a QFT that
+        encodes it and for one that rejects it."""
+        sql = nested_sql(MAX_PAREN_DEPTH)
+        service = EstimationService(complex_estimator, max_wait_ms=1.0)
+        with EstimationServer(service) as server:
+            client = ServeClient(server.url)
+            expected = complex_estimator.estimate_batch([parse_query(sql)])
+            assert client.estimate(sql)["estimate"] == expected[0]
+            assert client.estimate_batch([sql]) == expected.tolist()
+        conjunctive = ServeClient(running_server.url)
+        assert status_of(lambda: conjunctive.estimate(sql)) == 400
+        assert status_of(lambda: conjunctive.estimate_batch([sql])) == 400
+
+    def test_exponential_compound_is_400(self, complex_estimator):
+        widest = MAX_COMPOUND_BRANCHES.bit_length() - 1
+        service = EstimationService(complex_estimator, max_wait_ms=1.0)
+        with EstimationServer(service) as server:
+            client = ServeClient(server.url)
+            sql = or_pairs_sql(widest)
+            assert client.estimate(sql)["estimate"] \
+                == complex_estimator.estimate(parse_query(sql))
+            sql = or_pairs_sql(widest + 1)
+            for call in (lambda: client.estimate(sql),
+                         lambda: client.estimate_batch([sql])):
+                with pytest.raises(ServeClientError) as excinfo:
+                    call()
+                assert excinfo.value.status == 400
+                assert "disjunction branches" in str(excinfo.value)
 
     def test_malformed_json_is_400(self, running_server):
         import urllib.request

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sql.ast import (
+    MAX_COMPOUND_BRANCHES,
     And,
     JoinPredicate,
     Op,
@@ -126,6 +127,20 @@ class TestCompoundForm:
         expr = Or([p("A", ">", 1), p("B", "<", 5)])
         with pytest.raises(UnsupportedQueryError, match="Definition 3.3"):
             to_compound_form(expr)
+
+    def test_branch_cap(self):
+        def or_pairs(k):
+            return And([Or([p("A", ">", i), p("A", "<", -i)])
+                        for i in range(k)])
+
+        widest = MAX_COMPOUND_BRANCHES.bit_length() - 1
+        assert len(to_compound_form(or_pairs(widest))["A"]) \
+            == MAX_COMPOUND_BRANCHES
+        with pytest.raises(UnsupportedQueryError, match="branches"):
+            to_compound_form(or_pairs(widest + 1))
+        flat = Or([p("A", "=", i) for i in range(MAX_COMPOUND_BRANCHES + 1)])
+        with pytest.raises(UnsupportedQueryError, match="branches"):
+            to_compound_form(flat)
 
 
 class TestQuery:

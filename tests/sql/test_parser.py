@@ -5,7 +5,7 @@ import pytest
 from repro.sql.ast import And, Op, Or, SimplePredicate, UnsupportedQueryError
 from repro.sql.parser import (SqlSyntaxError, bind_template,
                               fingerprint_sql, make_template,
-                              parse_query, parse_where)
+                              parse_query, parse_template, parse_where)
 
 
 class TestParseWhere:
@@ -148,8 +148,9 @@ class TestRoundTrip:
 
 
 class TestStatementTemplates:
-    """fingerprint_sql / make_template / bind_template — the textual
-    prepared-statement layer the serve parse cache stands on."""
+    """fingerprint_sql / parse_template / bind_template — the textual
+    prepared-statement layer the serve parse cache stands on — and
+    make_template, its counterpart for parsed queries."""
 
     def test_fingerprint_masks_numeric_literals_in_order(self):
         key, literals = fingerprint_sql(
@@ -170,6 +171,19 @@ class TestStatementTemplates:
         b, lits_b = fingerprint_sql("SELECT count(*) FROM t WHERE A > 250")
         assert a == b
         assert (lits_a, lits_b) == ((1.0,), (250.0,))
+
+    def test_key_parses_straight_into_the_template(self):
+        sql = ("SELECT count(*) FROM t WHERE (A >= 1 AND A <= 9 OR B = 4) "
+               "AND C <> -2.5")
+        key, literals = fingerprint_sql(sql)
+        template = parse_template(key, len(literals))
+        assert [p.value for p in template.predicates] == [0.0, 1.0, 2.0, 3.0]
+        assert template == make_template(parse_query(sql), literals)
+        # One slot more than literals: a '?' of the text itself.
+        with pytest.raises(SqlSyntaxError, match="'\\?'"):
+            parse_template(key, len(literals) - 1)
+        with pytest.raises(SqlSyntaxError, match="'\\?'"):
+            parse_query(sql.replace("-2.5", "?"))
 
     def test_template_rebinds_to_any_instance(self):
         sql = ("SELECT count(*) FROM t WHERE (A >= 1 AND A <= 9 OR B = 4) "

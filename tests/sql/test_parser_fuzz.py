@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sql.ast import UnsupportedQueryError
-from repro.sql.parser import SqlSyntaxError, parse_query, parse_where
+from repro.sql.parser import (
+    MAX_PAREN_DEPTH,
+    SqlSyntaxError,
+    fingerprint_sql,
+    parse_query,
+    parse_template,
+    parse_where,
+)
 
 EXPECTED = (SqlSyntaxError, UnsupportedQueryError)
 
@@ -48,6 +55,25 @@ class TestParserFuzz:
         sql = "(" * depth + "A > 1" + ")" * depth
         expr = parse_where(sql)
         assert expr.to_sql() == "A > 1"
+
+    @pytest.mark.parametrize("prefix", ["", "SELECT count(*) FROM t WHERE "])
+    def test_nesting_bound(self, prefix):
+        def nested(depth: int) -> str:
+            return prefix + "(" * depth + "A > 1" + ")" * depth
+
+        def parse(sql: str):
+            if not prefix:
+                return parse_where(sql)
+            key, literals = fingerprint_sql(sql)
+            assert parse_template(key, len(literals)).where.value == 0.0
+            return parse_query(sql).where
+
+        assert parse(nested(MAX_PAREN_DEPTH)).to_sql() == "A > 1"
+        with pytest.raises(SqlSyntaxError, match="nest deeper"):
+            parse(nested(MAX_PAREN_DEPTH + 1))
+        # Far past the bound: a syntax error, not a RecursionError.
+        with pytest.raises(SqlSyntaxError, match="nest deeper"):
+            parse(nested(5_000))
 
     def test_very_long_conjunction(self):
         sql = " AND ".join(f"A <> {i}" for i in range(2_000))
