@@ -1,4 +1,4 @@
-"""Micro-benchmarks: featurization throughput, lint cache, obs overhead.
+"""Micro-benchmarks: featurization throughput, lint run, obs overhead.
 
 :func:`run_featurize_bench` measures what batching a workload is worth:
 every case times a per-query ``featurize`` loop (one-query batches)
@@ -9,10 +9,9 @@ row-independent — before reporting a speedup.  Pass timings come from
 :func:`repro.obs.ensure_tracing`), so a traced benchmark run exports the
 same numbers it reports.
 
-:func:`run_lint_bench` measures the linter's incremental cache the same
-way: a cold full-repo analysis against a warm re-run over an unchanged
-tree, verifying the warm run re-analyses nothing and reporting the
-speedup (committed as ``BENCH_lint.json``).
+:func:`run_lint_bench` times full-tree lint runs, best of ``repeats``,
+and splits the best run into the engine's stage spans (committed as
+``BENCH_lint.json``).
 
 :func:`run_obs_bench` guards the observability layer itself: it times
 the conjunctive batch-featurize path uninstrumented (compile + encode
@@ -214,16 +213,13 @@ def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
     }
 
 
-def run_lint_bench(paths: Sequence[str] = ("src",), repeats: int = 3,
-                   jobs: int = 1) -> dict:
-    """Benchmark cold vs warm incremental lint runs; return the report.
+def run_lint_bench(paths: Sequence[str] = ("src",),
+                   repeats: int = 3) -> dict:
+    """Benchmark full-tree lint runs; return the report.
 
-    Uses a throwaway cache file: every cold run starts from a deleted
-    cache, every warm run reuses the cache the preceding full analysis
-    wrote over an unchanged tree.  The best of ``repeats`` runs is
-    reported for each, along with how many files each re-analysed (warm
-    must be zero — asserted here so a silently broken cache can never
-    report a fake speedup).
+    Every run analyses the tree from scratch (the linter keeps no state
+    between runs).  The best of ``repeats`` runs is reported, together
+    with its per-stage seconds read from the engine's ``lint.*`` spans.
     """
     from repro.lint import load_config
     from repro.lint.engine import run as lint_run
@@ -232,61 +228,29 @@ def run_lint_bench(paths: Sequence[str] = ("src",), repeats: int = 3,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     target_paths = [Path(p) for p in paths]
     lint_config = load_config(target_paths[0])
-    with tempfile.TemporaryDirectory(prefix="repro-lint-bench-") as tmp:
-        cache_path = Path(tmp) / "lint-cache.json"
-
-        cold_seconds = float("inf")
-        cold_passes: dict = {}
+    cold_seconds = float("inf")
+    stage_seconds: dict[str, float] = {}
+    with obs.ensure_tracing() as tracer:
         for _ in range(repeats):
-            cache_path.unlink(missing_ok=True)
-            start = time.perf_counter()
-            cold = lint_run(target_paths, lint_config, jobs=jobs,
-                            cache_path=cache_path)
-            elapsed = time.perf_counter() - start
-            if elapsed < cold_seconds:
-                cold_seconds = elapsed
-                cold_passes = dict(cold.pass_seconds)
-
-        warm_seconds = float("inf")
-        warm_passes: dict = {}
-        warm = cold
-        for _ in range(repeats):
-            start = time.perf_counter()
-            warm = lint_run(target_paths, lint_config, jobs=jobs,
-                            cache_path=cache_path)
-            elapsed = time.perf_counter() - start
-            if elapsed < warm_seconds:
-                warm_seconds = elapsed
-                warm_passes = dict(warm.pass_seconds)
-
-    if warm.files_reanalyzed:
-        raise RuntimeError(
-            "warm lint run re-analysed "
-            f"{len(warm.files_reanalyzed)} file(s) over an unchanged "
-            "tree; the incremental cache is broken")
-    if warm.findings != cold.findings:
-        raise RuntimeError("warm lint findings diverge from cold run")
-    speedup = (cold_seconds / warm_seconds if warm_seconds > 0.0
-               else float("inf"))
+            with obs.span("bench.lint_pass") as sp:
+                result = lint_run(target_paths, lint_config)
+            if sp.duration_seconds < cold_seconds:
+                cold_seconds = sp.duration_seconds
+                stage_seconds = {
+                    child.name.removeprefix("lint."):
+                        child.duration_seconds
+                    for child in tracer.finished()
+                    if child.parent_id == sp.span_id}
     return {
         "benchmark": "lint",
         "config": {
             "paths": [str(p) for p in target_paths],
             "repeats": repeats,
-            "jobs": jobs,
         },
-        "files_scanned": cold.files_scanned,
+        "files_scanned": result.files_scanned,
         "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        # Per-pass breakdown of the best run each way.  Only fresh work
-        # is attributed, so the warm figures collapse towards zero —
-        # the whole point of the incremental cache.
-        "cold_pass_seconds": cold_passes,
-        "warm_pass_seconds": warm_passes,
-        "cold_files_reanalyzed": len(cold.files_reanalyzed),
-        "warm_files_reanalyzed": len(warm.files_reanalyzed),
-        "findings": len(cold.findings),
-        "min_speedup": speedup,
+        "stage_seconds": stage_seconds,
+        "findings": len(result.findings),
     }
 
 

@@ -20,8 +20,8 @@ downstream user needs, plus dataset generation:
   benchmark; writes ``BENCH_featurize.json`` and fails if one
   ``featurize_batch`` call is slower than the per-query ``featurize``
   loop or their matrices differ.
-* ``repro bench lint`` — cold-vs-warm incremental lint benchmark;
-  writes ``BENCH_lint.json`` and fails below ``--min-speedup``.
+* ``repro bench lint`` — cold full-tree lint benchmark with its
+  per-stage split; writes ``BENCH_lint.json``.
 * ``repro bench obs`` — observability-overhead benchmark; writes
   ``BENCH_obs.json`` and fails if disabled-tracing overhead exceeds
   ``--max-overhead`` (default 3%).
@@ -44,8 +44,8 @@ downstream user needs, plus dataset generation:
 * ``repro obs stitch client.jsonl server.jsonl --output trace.json`` —
   stitch span logs from several processes into one Chrome trace with
   flow arrows joining each request's client and server spans.
-* ``repro lint [paths]`` — the repo's own static-analysis pass
-  (featurization/determinism contracts; see ``docs/lint_rules.md``).
+* ``repro lint [paths]`` — forwards to the repo's own static-analysis
+  pass, ``python -m repro.lint`` (see ``docs/lint_rules.md``).
 
 Invoke as ``python -m repro <subcommand>``.
 """
@@ -232,24 +232,15 @@ def _cmd_bench(args) -> int:
 def _cmd_bench_lint(args) -> int:
     from repro.bench import run_lint_bench, write_report
 
-    report = run_lint_bench(repeats=args.repeats, jobs=args.jobs)
+    report = run_lint_bench(repeats=args.repeats)
     print(f"lint bench: {report['files_scanned']} files, "
           f"cold {report['cold_seconds']:.3f}s "
-          f"({report['cold_files_reanalyzed']} analysed), "
-          f"warm {report['warm_seconds']:.3f}s "
-          f"({report['warm_files_reanalyzed']} analysed), "
-          f"speedup {report['min_speedup']:.2f}x")
-    for name in ("syntactic", "dataflow", "numeric", "semantic"):
-        cold_pass = report["cold_pass_seconds"].get(name, 0.0)
-        warm_pass = report["warm_pass_seconds"].get(name, 0.0)
-        print(f"  {name:10s} cold {cold_pass:.3f}s  warm {warm_pass:.3f}s")
+          f"(best of {report['config']['repeats']})")
+    for name, seconds in report["stage_seconds"].items():
+        print(f"  {name:10s} {seconds:.3f}s")
     output = args.output or Path("BENCH_lint.json")
     write_report(report, output)
     print(f"wrote {output}")
-    if report["min_speedup"] < args.min_speedup:
-        print(f"FAIL: warm/cold speedup {report['min_speedup']:.2f}x "
-              f"below required {args.min_speedup:.2f}x")
-        return 1
     return 0
 
 
@@ -484,33 +475,6 @@ def _cmd_obs_stitch(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    # Reassemble the flags for the lint front end so both entry points
-    # (`repro lint` and `python -m repro.lint`) share one parser.
-    from repro.lint.cli import main as lint_main
-
-    forwarded: list[str] = [str(p) for p in args.paths]
-    forwarded += ["--format", args.format]
-    forwarded += ["--jobs", str(args.jobs)]
-    if args.baseline is not None:
-        forwarded += ["--baseline", str(args.baseline)]
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.update_baseline:
-        forwarded.append("--update-baseline")
-    if args.no_baseline:
-        forwarded.append("--no-baseline")
-    if args.cache is not None:
-        forwarded += ["--cache", str(args.cache)]
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.explain is not None:
-        forwarded += ["--explain", args.explain]
-    return lint_main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -598,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="micro-benchmarks (featurize throughput, lint cache, "
+        help="micro-benchmarks (featurize throughput, lint run, "
              "obs overhead, serving latency, forest inference)")
     bench.add_argument("target", choices=["featurize", "lint", "obs",
                                           "serve", "predict"],
@@ -617,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed runs per case; the best is reported "
                             "(default: 3, smoke forces 1)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="lint bench: parse-stage worker processes "
-                            "(default: 1)")
     bench.add_argument("--output", type=Path, default=None,
                        help="JSON report path (default: "
                             "BENCH_<target>.json)")
@@ -701,33 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="stitched Chrome trace-event JSON path")
     obs_stitch.set_defaults(func=_cmd_obs_stitch)
 
-    lint = sub.add_parser(
-        "lint", help="run the repro static-analysis pass (RPR rules)")
-    lint.add_argument("paths", nargs="*", default=["src"], type=Path,
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text",
-                      help="report format (default: text)")
-    lint.add_argument("--baseline", type=Path, default=None,
-                      help="baseline file of grandfathered findings")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="record current findings as the new baseline")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="drop baseline entries no longer produced")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="report every finding, ignoring any baseline")
-    lint.add_argument("--jobs", type=int, default=1,
-                      help="parse-stage worker processes (default: 1)")
-    lint.add_argument("--cache", type=Path, default=None,
-                      help="incremental cache file")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="analyse from scratch without a cache")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--explain", metavar="CODE", default=None,
-                      help="print one rule's description, rationale, "
-                           "and a good/bad example, then exit")
-    lint.set_defaults(func=_cmd_lint)
+    sub.add_parser(
+        "lint", help="run the repro static-analysis pass (RPR rules; "
+                     "see lint --help)")
 
     return parser
 
@@ -740,6 +677,12 @@ def main(argv: list[str] | None = None) -> int:
     # experiment runner (argparse.REMAINDER mishandles leading options).
     if argv and argv[0] == "experiments":
         return experiments_runner.main(argv[1:])
+    # The lint subcommand forwards the same way, so the lint front end
+    # owns the one parser for its flags.
+    if argv and argv[0] == "lint":
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     # The fleet subcommand parses with its own parser so the top-level
     # CLI never pays the fleet/serve import unless a fleet command runs.
     if argv and argv[0] == "fleet":

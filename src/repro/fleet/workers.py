@@ -21,8 +21,9 @@ Three layers:
 
 Every handle exposes ``drain()`` (graceful: in-flight work completes)
 and ``terminate()`` (hard stop); the supervisor's ``stop()`` walks the
-pool so no spawned child outlives the fleet — the invariant lint rule
-RPR111 (subprocess-without-drain) checks statically.
+pool so no spawned child outlives the fleet — the invariant
+``tests/fleet/test_workers.py`` and ``tests/fleet/test_thread_drain.py``
+check at runtime (child reaped, reader thread joined).
 """
 
 from __future__ import annotations

@@ -3,20 +3,22 @@
 The paper's losslessness claim (Definition 3.1, Lemma 3.2) rests on
 contracts python's type system cannot express: featurization must be a
 deterministic function of the query (Equation 4), every stochastic
-component must thread a seeded ``np.random.Generator``, feature vectors
-must keep a fixed shape, and the featurize/sql/data substrates must stay
-independent of the model stack.  This package makes those contracts
-machine-checked:
+component must thread a seeded ``np.random.Generator``, the
+featurize/sql/data substrates must stay independent of the model
+stack, and the threaded serving stack must not race or deadlock.  This
+package machine-checks the contracts no runtime check or test covers
+as cheaply (the rest are runtime checks and tests; see
+``docs/lint_rules.md``, "Retired codes"):
 
 * :mod:`repro.lint.engine` — AST parsing, visitor dispatch, module and
-  project hooks, incremental caching, parse-stage fan-out.
+  project hooks, one in-process run with a span per stage.
 * :mod:`repro.lint.rules` — the built-in rules (``RPR1xx`` correctness,
-  ``RPR2xx`` determinism, ``RPR3xx`` layering/API hygiene).
-* :mod:`repro.lint.semantic` — the project index (module graph, class
-  hierarchy, call graph) and the interprocedural rules that run on it.
-* :mod:`repro.lint.cache` — content-hash-keyed per-file result cache.
+  ``RPR2xx`` determinism, ``RPR3xx`` layering/API hygiene, ``RPR4xx``
+  concurrency).
+* :mod:`repro.lint.semantic` — the project index (symbol resolution,
+  class ancestry, call graph, lock-order graph).
+* :mod:`repro.lint.dataflow` — per-function CFGs and the lock lattice.
 * :mod:`repro.lint.pragmas` — ``# repro: ignore[RPRnnn]`` suppression.
-* :mod:`repro.lint.baseline` — committed grandfathered findings.
 * :mod:`repro.lint.reporters` — text, JSON, and SARIF 2.1.0 output.
 * :mod:`repro.lint.cli` — ``repro lint`` / ``python -m repro.lint``.
 

@@ -1,6 +1,6 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro lint``.
 
-Exit codes: 0 = clean (no non-baselined finding), 1 = findings,
+Exit codes: 0 = clean (no unsuppressed finding), 1 = findings,
 2 = usage or configuration error.
 """
 
@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 from typing import IO
 
-from repro.lint import baseline as baseline_mod
 from repro.lint import engine
 from repro.lint.config import load_config
 from repro.lint.registry import PARSE_ERROR_CODE, all_rule_classes, \
@@ -25,35 +24,15 @@ def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the lint front end."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Static analysis enforcing the repro featurization, "
-                    "determinism, layering, concurrency, and numeric "
-                    "contracts (rules RPR1xx-5xx).",
+        description="Static analysis enforcing the repro correctness, "
+                    "determinism, layering, and concurrency contracts "
+                    "(rules RPR1xx-4xx).",
     )
     parser.add_argument("paths", nargs="*", default=["src"], type=Path,
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=["text", "json", "sarif"],
                         default="text", dest="fmt",
                         help="report format (default: text)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file of grandfathered findings "
-                             "(default: from [tool.repro.lint])")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record current findings as the new baseline "
-                             "and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="drop baseline entries no longer produced "
-                             "(never adds new ones) and exit 0")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parse-stage worker processes "
-                             "(1 = serial, 0 = auto; default: 1)")
-    parser.add_argument("--cache", type=Path, default=None,
-                        help="incremental cache file (default: from "
-                             "[tool.repro.lint])")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="analyse everything from scratch, "
-                             "read/write no cache")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--explain", metavar="CODE", default=None,
@@ -115,41 +94,8 @@ def main(argv: list[str] | None = None,
     if missing:
         out.write(f"error: path does not exist: {missing[0]}\n")
         return 2
-    config = load_config(args.paths[0])
-    if args.no_cache:
-        cache_path = None
-    elif args.cache is not None:
-        cache_path = args.cache
-    else:
-        cache_path = config.cache_path()
-    result = engine.run(args.paths, config, jobs=args.jobs,
-                        cache_path=cache_path)
-
-    baseline_path = (args.baseline if args.baseline is not None
-                     else config.baseline_path())
-    if args.write_baseline:
-        baseline_mod.write_baseline(result.findings, baseline_path)
-        out.write(f"wrote {len(result.findings)} finding(s) to "
-                  f"{baseline_path}\n")
-        return 0
-    if args.update_baseline:
-        removed = baseline_mod.update_baseline(
-            result.findings, baseline_path, root=Path.cwd())
-        out.write(f"removed {removed} stale baseline entr(y/ies) from "
-                  f"{baseline_path}\n")
-        return 0
-    if args.no_baseline:
-        known = baseline_mod.load_baseline(Path("/nonexistent"))
-    else:
-        try:
-            known = baseline_mod.load_baseline(baseline_path,
-                                               root=Path.cwd())
-        except baseline_mod.BaselineError as error:
-            out.write(f"error: {error}\n")
-            return 2
-    new, matched = baseline_mod.apply_baseline(result.findings, known)
-    report = Report(new=new, baselined=matched,
-                    suppressed=result.suppressed,
+    result = engine.run(args.paths, load_config(args.paths[0]))
+    report = Report(new=result.findings, suppressed=result.suppressed,
                     files_scanned=result.files_scanned)
     render(report, out, args.fmt)
     return report.exit_code

@@ -3,13 +3,7 @@
 Recognised keys::
 
     [tool.repro.lint]
-    select = ["RPR101", ...]        # only these rules (default: all)
-    ignore = ["RPR302"]             # disable these rules project-wide
     print-allowed = ["repro.cli"]   # modules where RPR302 does not apply
-    baseline = "lint-baseline.json" # default baseline path
-    cache = ".repro-lint-cache.json"  # incremental cache location
-    blocking-calls = ["redis.get"]  # extra dotted names RPR403 treats
-                                    # as blocking (suffix-matched)
 
     [tool.repro.lint.layering]      # RPR301: layer -> forbidden imports
     "repro.featurize" = ["repro.models", ...]
@@ -20,15 +14,13 @@ works on a bare tree with no configuration at all.
 
 from __future__ import annotations
 
-import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 __all__ = ["LintConfig", "load_config", "find_pyproject",
-           "DEFAULT_LAYERING", "DEFAULT_PRINT_ALLOWED", "DEFAULT_BASELINE",
-           "DEFAULT_CACHE"]
+           "DEFAULT_LAYERING", "DEFAULT_PRINT_ALLOWED"]
 
 #: Strict layering: lower layers never import upward.  The featurization,
 #: SQL, and data substrates must stay reusable without dragging in the
@@ -46,63 +38,16 @@ DEFAULT_PRINT_ALLOWED: tuple[str, ...] = (
     "repro.experiments.runner",
 )
 
-DEFAULT_BASELINE = "lint-baseline.json"
-
-DEFAULT_CACHE = ".repro-lint-cache.json"
-
 
 @dataclass(frozen=True)
 class LintConfig:
     """Resolved lint configuration."""
 
-    #: Codes to run exclusively (``None`` = every registered rule).
-    select: frozenset[str] | None = None
-    #: Codes disabled project-wide.
-    ignore: frozenset[str] = frozenset()
     #: Modules (or package prefixes) where ``print()`` is legitimate.
     print_allowed: tuple[str, ...] = DEFAULT_PRINT_ALLOWED
     #: RPR301 layer map: module prefix -> forbidden import prefixes.
     layering: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERING))
-    #: Default baseline file path, relative to the pyproject directory.
-    baseline: str = DEFAULT_BASELINE
-    #: Incremental-cache file path, relative to the pyproject directory.
-    cache: str = DEFAULT_CACHE
-    #: Extra dotted call names the dataflow pass classifies as blocking
-    #: for RPR403, matched against the call expression's dotted tail.
-    blocking_calls: tuple[str, ...] = ()
-    #: Directory the configuration was loaded from (resolves baseline).
-    root: Path = field(default_factory=Path.cwd)
-
-    def is_enabled(self, code: str) -> bool:
-        """Whether the rule with ``code`` participates in this run."""
-        if code in self.ignore:
-            return False
-        return self.select is None or code in self.select
-
-    def baseline_path(self) -> Path:
-        """Absolute path of the configured baseline file."""
-        return (self.root / self.baseline).resolve()
-
-    def cache_path(self) -> Path:
-        """Absolute path of the configured incremental-cache file."""
-        return (self.root / self.cache).resolve()
-
-    def fingerprint(self) -> str:
-        """Deterministic string identifying the behavioural settings.
-
-        Feeds the cache meta key: any configuration change that could
-        alter findings must change this value.
-        """
-        return json.dumps({
-            "select": sorted(self.select) if self.select is not None
-            else None,
-            "ignore": sorted(self.ignore),
-            "print_allowed": list(self.print_allowed),
-            "layering": {layer: list(forbidden) for layer, forbidden
-                         in sorted(self.layering.items())},
-            "blocking_calls": sorted(self.blocking_calls),
-        }, sort_keys=True)
 
 
 def find_pyproject(start: Path) -> Path | None:
@@ -125,7 +70,7 @@ def load_config(start: Path | None = None) -> LintConfig:
     try:
         data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     except (tomllib.TOMLDecodeError, OSError):
-        return LintConfig(root=pyproject.parent)
+        return LintConfig()
     section = data.get("tool", {}).get("repro", {}).get("lint", {})
     if not isinstance(section, dict):
         section = {}
@@ -135,18 +80,9 @@ def load_config(start: Path | None = None) -> LintConfig:
                     for layer, forbidden in layering_section.items()}
     else:
         layering = dict(DEFAULT_LAYERING)
-    select = section.get("select")
     return LintConfig(
-        select=(frozenset(str(c) for c in select)
-                if select is not None else None),
-        ignore=frozenset(str(c) for c in section.get("ignore", ())),
         print_allowed=tuple(
             str(m) for m in section.get("print-allowed",
                                         DEFAULT_PRINT_ALLOWED)),
         layering=layering,
-        baseline=str(section.get("baseline", DEFAULT_BASELINE)),
-        cache=str(section.get("cache", DEFAULT_CACHE)),
-        blocking_calls=tuple(
-            str(name) for name in section.get("blocking-calls", ())),
-        root=pyproject.parent,
     )

@@ -1,19 +1,15 @@
-"""Per-function CFG + dataflow engine backing the RPR4xx/RPR5xx bands.
+"""Per-function CFG + dataflow engine backing the RPR4xx band.
 
 Layers, bottom up:
 
 * :mod:`~repro.lint.dataflow.cfg` — control-flow graphs from the AST
   (branch/loop/try/with edges, ``with`` desugared to acquire/release);
 * :mod:`~repro.lint.dataflow.solver` — the generic forward fixed-point
-  solver and the reaching-definitions instance;
+  solver;
 * :mod:`~repro.lint.dataflow.locks` — the must-held lock-region
   lattice and the blocking-call catalogue;
 * :mod:`~repro.lint.dataflow.extract` — the pass distilling per-
-  function concurrency facts for the incremental cache and the
-  project-stage concurrency rules;
-* :mod:`~repro.lint.dataflow.numeric` — the abstract-interpretation
-  pass over a combined dtype/interval/shape lattice feeding the
-  numeric facts behind RPR501-505.
+  function concurrency facts for the project-stage concurrency rules.
 """
 
 from repro.lint.dataflow.cfg import CFG, Block, Op, build_cfg
@@ -24,19 +20,8 @@ from repro.lint.dataflow.locks import (
     classify_blocking,
     held_tokens,
 )
-from repro.lint.dataflow.numeric import (
-    NumericAnalysis,
-    NumState,
-    NumValue,
-    attach_numeric_facts,
-    dtype_range,
-    is_narrowing,
-    join_values,
-    promote,
-)
 from repro.lint.dataflow.solver import (
     ForwardAnalysis,
-    ReachingDefinitions,
     Solution,
     iter_op_states,
     solve,
@@ -51,18 +36,9 @@ __all__ = [
     "Solution",
     "solve",
     "iter_op_states",
-    "ReachingDefinitions",
     "LockModel",
     "LockStateAnalysis",
     "classify_blocking",
     "held_tokens",
     "attach_concurrency_facts",
-    "NumericAnalysis",
-    "NumState",
-    "NumValue",
-    "attach_numeric_facts",
-    "dtype_range",
-    "is_narrowing",
-    "join_values",
-    "promote",
 ]

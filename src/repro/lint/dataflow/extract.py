@@ -1,17 +1,13 @@
 """The dataflow pass: attach concurrency facts to a module's facts.
 
 Runs after base fact extraction (:func:`~repro.lint.semantic.facts.
-extract_module_facts`) and before caching, so the per-function lock
-summaries ride the same content-hash cache shards as every other fact.
-For each function it builds the CFG, solves the lock-state and
-reaching-definitions analyses, and distils what the RPR4xx rules need:
+extract_module_facts`).  For each function it builds the CFG, solves
+the lock-state analysis, and distils what the RPR4xx rules need:
 
 * every ``self.<attr>`` write with the must-held lock tokens,
 * attribute reads observed under a lock (guard-ownership evidence),
 * every lock acquisition with the locks already held (order edges),
 * known-blocking calls executed while holding a lock,
-* non-atomic check-then-act pairs on ``self`` attributes,
-* daemon-thread spawns and ``.join()`` sites,
 * held-lock annotations on ordinary call sites (so the project pass
   can propagate acquisition-order edges through the call graph).
 """
@@ -20,9 +16,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import replace
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.lint.dataflow.cfg import CFG, Op, build_cfg
+from repro.lint.dataflow.cfg import Op, build_cfg
 from repro.lint.dataflow.locks import (
     LOCK_CTORS,
     HeldState,
@@ -33,17 +29,15 @@ from repro.lint.dataflow.locks import (
     lock_token,
     op_expressions,
 )
-from repro.lint.dataflow.solver import ReachingDefinitions, solve
+from repro.lint.dataflow.solver import iter_op_states, solve
 from repro.lint.semantic.facts import (
     AttrWriteFact,
     BlockingCallFact,
     FunctionFacts,
-    LazyInitFact,
     LockAcquireFact,
     LockAttrFact,
     LockedReadFact,
     ModuleFacts,
-    ThreadSpawnFact,
 )
 
 __all__ = ["attach_concurrency_facts"]
@@ -107,22 +101,15 @@ def _lock_ctor_kind(value: ast.expr) -> str | None:
 class _Collector:
     """Accumulates concurrency facts while replaying op states."""
 
-    def __init__(self, model: LockModel, blocking_extra: Iterable[str],
-                 rd: ReachingDefinitions) -> None:
+    def __init__(self, model: LockModel) -> None:
         self._model = model
-        self._blocking_extra = tuple(blocking_extra)
-        self._rd = rd
         self.attr_writes: list[AttrWriteFact] = []
         self.lock_acquires: list[LockAcquireFact] = []
         self.blocking_calls: list[BlockingCallFact] = []
         self.locked_reads: set[tuple[str, str]] = set()
         self.held_at_call: dict[tuple[int, int], tuple[str, ...]] = {}
-        #: ``(attr, lineno, col, full held state)`` for every write.
-        self._writes_full: list[tuple[str, int, int, HeldState]] = []
-        #: ``(attr, lineno, col, full held state)`` for every check.
-        self._checks: list[tuple[str, int, int, HeldState]] = []
 
-    def visit(self, op: Op, held: HeldState, reaching: frozenset) -> None:
+    def visit(self, op: Op, held: HeldState) -> None:
         if op.kind == "enter":
             self._visit_enter(op, held)
             return
@@ -131,18 +118,13 @@ class _Collector:
         tokens = held_tokens(held)
         for child in op_expressions(op):
             if isinstance(child, ast.Call):
-                self._visit_call(child, held, tokens)
+                self._visit_call(child, tokens)
             elif (isinstance(child, ast.Attribute)
                   and isinstance(child.ctx, ast.Load)):
                 self._visit_read(child, tokens)
         if op.kind == "stmt":
             for attr, node in self._assignment_writes(op.node):
-                self._record_write(attr, node, held, tokens)
-        if op.kind == "test" and isinstance(op.node, ast.If):
-            attr = self._check_attr(op.node.test, reaching)
-            if attr is not None:
-                self._checks.append((attr, op.node.lineno,
-                                     op.node.col_offset + 1, held))
+                self._record_write(attr, node, tokens)
 
     # -- pieces --------------------------------------------------------
 
@@ -163,9 +145,9 @@ class _Collector:
                 # ``with self._lock, open(path):`` blocks under the lock.
                 for child in ast.walk(expr):
                     if isinstance(child, ast.Call):
-                        self._visit_call(child, interim, tokens)
+                        self._visit_call(child, tokens)
 
-    def _visit_call(self, call: ast.Call, held: HeldState,
+    def _visit_call(self, call: ast.Call,
                     tokens: tuple[str, ...]) -> None:
         func = call.func
         if isinstance(func, ast.Attribute):
@@ -179,9 +161,9 @@ class _Collector:
                 return
             attr = _self_attr(func.value)
             if attr is not None and func.attr in _MUTATORS:
-                self._record_write(attr, call, held, tokens)
+                self._record_write(attr, call, tokens)
         if tokens:
-            blocking = classify_blocking(call, self._blocking_extra)
+            blocking = classify_blocking(call)
             if blocking is not None:
                 self.blocking_calls.append(BlockingCallFact(
                     callee=blocking, lineno=call.lineno,
@@ -201,7 +183,7 @@ class _Collector:
         for token in tokens:
             self.locked_reads.add((attr, token))
 
-    def _record_write(self, attr: str, node: ast.AST, held: HeldState,
+    def _record_write(self, attr: str, node: ast.AST,
                       tokens: tuple[str, ...]) -> None:
         if self._model.is_lock(f"self.{attr}"):
             return
@@ -209,7 +191,6 @@ class _Collector:
         col = getattr(node, "col_offset", 0) + 1
         self.attr_writes.append(AttrWriteFact(
             attr=attr, lineno=lineno, col=col, held=tokens))
-        self._writes_full.append((attr, lineno, col, held))
 
     @staticmethod
     def _assignment_writes(stmt: ast.stmt
@@ -234,148 +215,19 @@ class _Collector:
             if attr is not None:
                 yield attr, target
 
-    def _check_attr(self, test: ast.expr,
-                    reaching: frozenset) -> str | None:
-        """The ``self`` attribute a guard condition inspects, if any."""
-        def attr_of(expr: ast.expr, depth: int = 0) -> str | None:
-            direct = _self_attr(expr)
-            if direct is not None:
-                return direct
-            if (isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr == "get"):
-                return attr_of(expr.func.value, depth)
-            if isinstance(expr, ast.Name) and depth == 0:
-                value = self._rd.resolve(reaching, expr.id)
-                if value is not None:
-                    return attr_of(value, depth + 1)
-            return None
-
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            op = test.ops[0]
-            right = test.comparators[0]
-            if isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) \
-                    and isinstance(right, ast.Constant) \
-                    and right.value is None:
-                return attr_of(test.left)
-            if isinstance(op, (ast.In, ast.NotIn)):
-                return attr_of(right)
-            return None
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return attr_of(test.operand)
-        return attr_of(test)
-
-    # -- assembly ------------------------------------------------------
-
-    def lazy_inits(self) -> list[LazyInitFact]:
-        """Check-then-act pairs with no shared lock region anywhere.
-
-        Per attribute: if some check shares an acquisition region with
-        some write, the function holds the lock continuously across one
-        decide-and-act path (single locked region, or the inner check of
-        double-checked locking) and the attribute is atomic here.
-        Otherwise every decision is stale by the time the write lands.
-        """
-        found: list[LazyInitFact] = []
-        seen: set[str] = set()
-        for attr, lineno, col, state in self._checks:
-            if attr in seen:
-                continue
-            seen.add(attr)
-            writes = [w for w in self._writes_full if w[0] == attr]
-            if not writes:
-                continue
-            checks = [c for c in self._checks if c[0] == attr]
-            if any(check[3] & write[3]
-                   for check in checks for write in writes):
-                continue
-            write = writes[0]
-            found.append(LazyInitFact(
-                attr=attr, lineno=lineno, col=col,
-                write_lineno=write[1], write_col=write[2],
-                held=held_tokens(state),
-                write_held=held_tokens(write[3])))
-        return found
-
-
-def _scan_threads(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                  ff: FunctionFacts) -> None:
-    """Collect thread spawn/start/join structure (flow-insensitive)."""
-    spawns: dict[str, ThreadSpawnFact] = {}
-    started: set[str] = set()
-    joins: list[str] = []
-    for child in _own_body_walk(fn):
-        if isinstance(child, ast.Assign) and len(child.targets) == 1:
-            target = child.targets[0]
-            binding = _dotted(target)
-            kind = _thread_ctor(child.value)
-            if binding is not None and kind is not None:
-                spawns[binding] = ThreadSpawnFact(
-                    binding=binding, daemon=kind,
-                    lineno=child.lineno, col=child.col_offset + 1)
-        elif isinstance(child, ast.Call) \
-                and isinstance(child.func, ast.Attribute):
-            receiver = child.func.value
-            if child.func.attr == "start":
-                binding = _dotted(receiver)
-                if binding is not None:
-                    started.add(binding)
-                else:
-                    kind = _thread_ctor(receiver)
-                    if kind is not None:
-                        # threading.Thread(...).start() — never joinable.
-                        ff.thread_spawns.append(ThreadSpawnFact(
-                            binding="", daemon=kind,
-                            lineno=child.lineno,
-                            col=child.col_offset + 1))
-            elif child.func.attr == "join":
-                binding = _dotted(receiver)
-                if binding is not None:
-                    joins.append(binding)
-    for binding, fact in spawns.items():
-        if binding in started:
-            ff.thread_spawns.append(fact)
-    ff.thread_joins.extend(sorted(set(joins)))
-
-
-def _thread_ctor(value: ast.expr) -> bool | None:
-    """``daemon`` flag when ``value`` constructs a ``threading.Thread``."""
-    if not (isinstance(value, ast.Call)
-            and _dotted(value.func) is not None
-            and _dotted(value.func).rpartition(".")[2] == "Thread"):
-        return None
-    for kw in value.keywords:
-        if kw.arg == "daemon":
-            return (isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True)
-    return False
-
 
 def _attach_function(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                     ff: FunctionFacts, model: LockModel,
-                     blocking_extra: Iterable[str]) -> None:
-    cfg: CFG = build_cfg(fn)
-    lock_analysis = LockStateAnalysis(model)
-    lock_solution = solve(cfg, lock_analysis)
-    rd = ReachingDefinitions(fn)
-    rd_solution = solve(cfg, rd)
-    collector = _Collector(model, blocking_extra, rd)
-    for block_id in cfg.rpo():
-        if block_id not in lock_solution.block_in:
-            continue
-        held = lock_solution.block_in[block_id]
-        reaching = rd_solution.block_in.get(block_id, rd.initial())
-        for op in cfg.blocks[block_id].ops:
-            collector.visit(op, held, reaching)
-            held = lock_analysis.transfer(op, held)
-            reaching = rd.transfer(op, reaching)
+                     ff: FunctionFacts, model: LockModel) -> None:
+    cfg = build_cfg(fn)
+    analysis = LockStateAnalysis(model)
+    collector = _Collector(model)
+    for op, held in iter_op_states(cfg, analysis, solve(cfg, analysis)):
+        collector.visit(op, held)
     ff.attr_writes = collector.attr_writes
     ff.locked_reads = [LockedReadFact(attr=a, lock=lk)
                        for a, lk in sorted(collector.locked_reads)]
     ff.lock_acquires = collector.lock_acquires
     ff.blocking_calls = collector.blocking_calls
-    ff.lazy_inits = collector.lazy_inits()
-    _scan_threads(fn, ff)
     if collector.held_at_call:
         ff.calls = [
             replace(call, held_locks=collector.held_at_call.get(
@@ -401,8 +253,7 @@ def _class_lock_attrs(cls: ast.ClassDef) -> list[LockAttrFact]:
             for name, kind in sorted(found.items())]
 
 
-def attach_concurrency_facts(facts: ModuleFacts, tree: ast.Module,
-                             blocking_extra: Iterable[str] = ()) -> None:
+def attach_concurrency_facts(facts: ModuleFacts, tree: ast.Module) -> None:
     """Populate ``facts`` with the dataflow-derived concurrency fields.
 
     Mutates the function/class fact records in place; pairing with the
@@ -425,8 +276,7 @@ def attach_concurrency_facts(facts: ModuleFacts, tree: ast.Module,
             ff = next(functions, None)
             if ff is None or ff.name != stmt.name:
                 return
-            _attach_function(stmt, ff, LockModel((), global_names),
-                             blocking_extra)
+            _attach_function(stmt, ff, LockModel((), global_names))
         elif isinstance(stmt, ast.ClassDef):
             cf = next(classes, None)
             if cf is None or cf.name != stmt.name:
@@ -441,5 +291,4 @@ def attach_concurrency_facts(facts: ModuleFacts, tree: ast.Module,
                     if mf is None or mf.name != sub.name:
                         return
                     _attach_function(sub, mf,
-                                     LockModel(self_locks, global_names),
-                                     blocking_extra)
+                                     LockModel(self_locks, global_names))

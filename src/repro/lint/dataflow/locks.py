@@ -3,10 +3,9 @@
 The state is a frozenset of ``(lock_token, region)`` pairs — the lock
 expression as written (``"self._lock"``, ``"_REGISTRY_LOCK"``) plus the
 source position of the acquisition that opened the current region.
-Carrying the region, not just the token, is what lets the lazy-init
-rule distinguish "checked and written under *one* continuous lock
-region" from "checked under the lock, released, re-acquired, written" —
-the latter is the classic non-atomic check-then-act.
+Carrying the region, not just the token, keeps the join conservative:
+two different acquisitions of one lock on two incoming paths do not
+merge into a single held region.
 
 The join is set intersection: a lock is held at a merge point only if
 it is held on *every* incoming path (must-analysis).  That also makes
@@ -169,19 +168,16 @@ class LockStateAnalysis:
         return state
 
 
-def classify_blocking(call: ast.Call,
-                      extra: Iterable[str] = ()) -> str | None:
+def classify_blocking(call: ast.Call) -> str | None:
     """Rendered callee when ``call`` is a known blocking operation.
 
     The catalogue is deliberately narrow — sleeps, future/thread waits,
     queue gets, file and HTTP I/O — because a false "blocking" tag on a
-    cheap call makes every held-lock region noisy.  Projects extend it
-    through the ``blocking-calls`` config key (``extra`` here).
+    cheap call makes every held-lock region noisy.
     """
-    extra_set = set(extra)
     func = call.func
     if isinstance(func, ast.Name):
-        if func.id in _BLOCKING_BARE or func.id in extra_set:
+        if func.id in _BLOCKING_BARE:
             return func.id
         return None
     if not isinstance(func, ast.Attribute):
@@ -189,8 +185,6 @@ def classify_blocking(call: ast.Call,
     dotted = _dotted(func)
     rendered = dotted if dotted is not None else f"<expr>.{func.attr}"
     tail = func.attr
-    if tail in extra_set or (dotted is not None and dotted in extra_set):
-        return rendered
     if tail in _BLOCKING_ANY:
         return rendered
     receiver = _dotted(func.value)

@@ -1,28 +1,21 @@
 """Generic forward dataflow solving over a :class:`~repro.lint.dataflow.
-cfg.CFG`, plus the reaching-definitions instance.
+cfg.CFG`.
 
 An analysis supplies an initial state, a join over predecessor states,
 and a per-op transfer function; :func:`solve` iterates the blocks in
 reverse post-order until the fixed point.  States must be immutable
 values with structural equality (frozensets here) so convergence is
 detected by comparison.
-
-:class:`ReachingDefinitions` is the classic may-analysis over local
-names: at each op, which assignments may have produced the current
-value of each name.  The concurrency rules use it to trace a guard
-check like ``if handle is not None:`` back to the guarded attribute the
-local was loaded from.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Generic, Hashable, Iterator, TypeVar
 
 from repro.lint.dataflow.cfg import CFG, Op
 
 __all__ = ["ForwardAnalysis", "Solution", "State", "solve",
-           "iter_op_states", "ReachingDefinitions", "DefSite"]
+           "iter_op_states"]
 
 State = TypeVar("State", bound=Hashable)
 
@@ -102,110 +95,3 @@ def iter_op_states(cfg: CFG, analysis: ForwardAnalysis[State],
             yield op, state
             state = analysis.transfer(op, state)
 
-
-# ----------------------------------------------------------------------
-# Reaching definitions
-# ----------------------------------------------------------------------
-
-#: One definition site of a local name: ``(name, lineno, col)``.
-DefSite = tuple[str, int, int]
-
-
-def _target_names(target: ast.expr) -> Iterator[str]:
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)
-    elif isinstance(target, ast.Starred):
-        yield from _target_names(target.value)
-
-
-class ReachingDefinitions(ForwardAnalysis[frozenset]):
-    """May-analysis: which definitions reach each program point.
-
-    The state is a frozenset of :data:`DefSite`; the join is union.
-    Parameters count as definitions at line 0.  ``values_of`` maps a
-    def site back to the assigned value expression (``None`` for
-    parameters and non-``Assign`` bindings), which is what lets a rule
-    chase ``handle = self._handles.get(key)`` from a later read.
-    """
-
-    def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._params = frozenset(
-            (arg.arg, 0, 0) for arg in [
-                *fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
-                *([fn.args.vararg] if fn.args.vararg else []),
-                *([fn.args.kwarg] if fn.args.kwarg else []),
-            ])
-        #: def site -> assigned value expression (``None`` if unknown).
-        self.values_of: dict[DefSite, ast.expr | None] = {
-            site: None for site in self._params}
-
-    def initial(self) -> frozenset:
-        """Every parameter reaches the entry (def site line 0)."""
-        return self._params
-
-    def join(self, states: list[frozenset]) -> frozenset:
-        """Union: a definition reaches if it reaches on *any* path."""
-        return frozenset().union(*states)
-
-    def transfer(self, op: Op, state: frozenset) -> frozenset:
-        """Kill same-name definitions, generate ``op``'s own."""
-        for name, value in self._definitions(op):
-            site = (name, op.node.lineno, op.node.col_offset)
-            self.values_of[site] = value
-            state = frozenset(s for s in state if s[0] != name) | {site}
-        return state
-
-    def _definitions(self, op: Op) -> Iterator[tuple[str,
-                                                     ast.expr | None]]:
-        node = op.node
-        if op.kind == "stmt":
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    single = isinstance(target, ast.Name) \
-                        and len(node.targets) == 1
-                    for name in _target_names(target):
-                        yield name, node.value if single else None
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                for name in _target_names(node.target):
-                    yield name, node.value
-            elif isinstance(node, ast.AugAssign):
-                for name in _target_names(node.target):
-                    yield name, None
-        elif op.kind == "for":
-            for name in _target_names(node.target):
-                yield name, None
-        elif op.kind == "enter":
-            for item in node.items:
-                if item.optional_vars is not None:
-                    for name in _target_names(item.optional_vars):
-                        yield name, None
-        # Walrus bindings can hide anywhere an expression can.
-        scan: ast.AST | None
-        if op.kind == "test":
-            scan = node.test
-        elif op.kind == "for":
-            scan = node.iter
-        elif op.kind in ("enter", "exit"):
-            scan = None
-        else:
-            scan = node
-        if scan is not None:
-            for child in ast.walk(scan):
-                if isinstance(child, ast.NamedExpr):
-                    for name in _target_names(child.target):
-                        yield name, child.value
-
-    def resolve(self, state: frozenset, name: str) -> ast.expr | None:
-        """The unique reaching value of ``name``, or ``None``.
-
-        Returns the assigned expression only when exactly one definition
-        reaches and its value is known — ambiguity stays invisible,
-        keeping downstream rules quiet rather than wrong.
-        """
-        sites = [site for site in state if site[0] == name]
-        if len(sites) != 1:
-            return None
-        return self.values_of.get(sites[0])

@@ -1,52 +1,43 @@
 """The visitor-driven rule engine.
 
-One run analyses every target file in two stages.  The **per-file
-stage** parses each source, walks its AST in source order dispatching
-node events to every enabled rule (``visit_Call``, ``visit_Compare``,
-...), and extracts the semantic fact summary; it is embarrassingly
-parallel and fans out over a process pool for large cold runs.  The
-**project stage** builds the :class:`~repro.lint.semantic.index.
-ProjectIndex` from the fact summaries and runs every rule's
-``finish_project`` hook — the interprocedural pass.
+One run goes through six stages in one process, each under its own
+``repro.obs`` span so a traced run (and ``repro bench lint``) shows
+where the time went:
 
-Both stages are incremental: with a :class:`~repro.lint.cache.
-LintCache`, unchanged files (by content hash) skip parsing entirely,
-and the project pass recomputes findings only for changed files plus
-their transitive importers, reusing cached results elsewhere.
+* ``lint.parse`` — discover, read, and parse every target file, and
+  collect its pragmas;
+* ``lint.syntactic`` — walk each AST in source order, dispatching node
+  events to every rule (``visit_Call``, ``visit_Compare``, ...) plus
+  the module hooks;
+* ``lint.facts`` — extract each module's semantic fact summary;
+* ``lint.dataflow`` — build per-function CFGs and attach lock facts;
+* ``lint.index`` — build the :class:`~repro.lint.semantic.index.
+  ProjectIndex` from the fact summaries;
+* ``lint.rules`` — run every rule's ``finish_project`` hook, the
+  interprocedural pass.
 
-Findings are collected centrally, pragma-suppressed, and sorted;
-baseline filtering happens in :mod:`repro.lint.baseline` on top of the
-result.
+Findings are collected centrally, pragma-suppressed, and sorted.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
-from repro.lint.cache import CacheEntry, LintCache, cache_meta_key, \
-    file_digest
 from repro.lint.config import LintConfig
-from repro.lint.dataflow import attach_concurrency_facts, \
-    attach_numeric_facts
+from repro.lint.dataflow import attach_concurrency_facts
 from repro.lint.findings import Finding
 from repro.lint.pragmas import decorator_pragmas, is_suppressed, \
     parse_pragmas
 from repro.lint.registry import PARSE_ERROR_CODE, Rule, all_rule_classes
-from repro.lint.semantic.facts import ModuleFacts, extract_module_facts
+from repro.lint.semantic.facts import extract_module_facts
 from repro.lint.semantic.index import ProjectIndex
 
-__all__ = ["ModuleContext", "ProjectContext", "FileAnalysis", "LintResult",
-           "discover_files", "module_name_for", "analyze_source",
-           "run", "lint_text"]
-
-#: Below this many changed files a process pool costs more than it saves.
-_MIN_FILES_FOR_POOL = 12
+__all__ = ["ModuleContext", "ProjectContext", "LintResult",
+           "discover_files", "module_name_for", "run", "lint_text"]
 
 
 class ModuleContext:
@@ -86,24 +77,20 @@ class ProjectContext:
     """Cross-module state handed to ``finish_project`` hooks.
 
     Project rules see the whole program through :attr:`index` and report
-    through :meth:`report`; pragma suppression uses the per-file pragma
-    tables carried by the cached fact shards, so the hooks work without
-    any AST for unchanged files.
+    through :meth:`report`, which honours the pragma table of the file
+    a finding lands in.
     """
 
     def __init__(self, index: ProjectIndex,
-                 pragmas_by_path: Mapping[str, Mapping[int, Iterable[str]]]
+                 pragmas_by_path: Mapping[str, dict[int, frozenset[str]]]
                  ) -> None:
         #: The project index built for this run.
         self.index = index
-        self._pragmas = {
-            path: {line: frozenset(codes)
-                   for line, codes in table.items()}
-            for path, table in pragmas_by_path.items()}
-        #: path -> fresh semantic findings reported this pass.
-        self.findings_by_path: dict[str, list[Finding]] = {}
-        #: path -> pragma-suppressed semantic findings.
-        self.suppressed_by_path: dict[str, list[Finding]] = {}
+        self._pragmas = pragmas_by_path
+        #: Fresh project-level findings reported this run.
+        self.findings: list[Finding] = []
+        #: Pragma-suppressed project-level findings.
+        self.suppressed: list[Finding] = []
 
     def report(self, code: str, path: str, line: int, col: int,
                message: str) -> None:
@@ -111,49 +98,19 @@ class ProjectContext:
         finding = Finding(path=path, line=line, col=col, code=code,
                           message=message)
         if is_suppressed(self._pragmas.get(path, {}), line, code):
-            self.suppressed_by_path.setdefault(path, []).append(finding)
+            self.suppressed.append(finding)
         else:
-            self.findings_by_path.setdefault(path, []).append(finding)
-
-
-@dataclass
-class FileAnalysis:
-    """Per-file stage outcome: findings plus the semantic fact shard."""
-
-    path: str
-    module_name: str
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: list[Finding] = field(default_factory=list)
-    #: ``None`` when the file failed to parse.
-    facts: ModuleFacts | None = None
-    #: Wall-clock seconds per per-file pass (``syntactic`` = parse +
-    #: rule walk, ``facts`` = fact extraction, ``dataflow`` = CFG +
-    #: fixed-point lock/reaching solves, ``numeric`` = the dtype/
-    #: interval/shape abstract interpretation).  Empty for cache hits —
-    #: warm runs spend nothing here, which is what the bench reports.
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+            self.findings.append(finding)
 
 
 @dataclass(frozen=True)
 class LintResult:
-    """Outcome of one engine run (before baseline filtering)."""
+    """Outcome of one engine run."""
 
     findings: tuple[Finding, ...]
     suppressed: tuple[Finding, ...] = ()
     files_scanned: int = 0
     rules_run: tuple[str, ...] = field(default_factory=tuple)
-    #: Files analysed fresh this run: re-parsed files plus those whose
-    #: semantic findings were recomputed (changed files and their
-    #: transitive importers).  Everything when uncached; empty on a
-    #: fully warm run.
-    files_reanalyzed: tuple[str, ...] = field(default_factory=tuple)
-    #: Wall-clock seconds per engine pass for this run: ``syntactic``
-    #: (parse + AST rule walk), ``dataflow`` (CFG + fixed-point lock/
-    #: reaching solves), ``numeric`` (the dtype/interval/shape abstract
-    #: interpretation), and ``semantic`` (fact extraction + index build
-    #: + project rules).  Only fresh work is counted, so a warm run's
-    #: figures collapse towards zero.
-    pass_seconds: Mapping[str, float] = field(default_factory=dict)
 
 
 def discover_files(paths: Sequence[Path]) -> list[Path]:
@@ -193,16 +150,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
-def _enabled_rules(config: LintConfig) -> list[Rule]:
-    return [cls(config) for cls in all_rule_classes()
-            if config.is_enabled(cls.code)]
-
-
-def _project_rules(rules: Sequence[Rule]) -> list[Rule]:
-    return [rule for rule in rules
-            if getattr(rule, "finish_project", None) is not None]
-
-
 def _dispatch_table(rules: Sequence[Rule]) -> dict[str, list]:
     """Node-type name -> bound ``visit_*`` handlers, in rule-code order."""
     table: dict[str, list] = {}
@@ -229,86 +176,20 @@ def _walk_module(module: ModuleContext, rules: Sequence[Rule],
             hook(module)
 
 
-def analyze_source(source: str, *, path: str, module_name: str,
-                   config: LintConfig) -> FileAnalysis:
-    """Run the per-file stage on one source string.
-
-    Parses, walks every enabled rule's visit and module hooks, and
-    extracts the semantic fact shard.  Pure function of its arguments —
-    the unit the process pool distributes and the cache stores.
-    """
-    analysis = FileAnalysis(path=path, module_name=module_name)
-    # The per-file stage runs inside pool workers where obs spans are
-    # invisible to the parent, so it reads the clock directly and ships
-    # the figures home on the analysis record.
-    started = time.perf_counter()  # repro: ignore[RPR108]
+def _parse(source: str, *, path: str,
+           module_name: str) -> ModuleContext | Finding:
+    """Parse one source; an unparseable file becomes its RPR001 finding."""
     try:
         tree = ast.parse(source)
     except (SyntaxError, ValueError) as error:
         line = getattr(error, "lineno", 1) or 1
         message = (error.msg if isinstance(error, SyntaxError) else
                    str(error))
-        analysis.findings.append(Finding(
-            path=path, line=line, col=1, code=PARSE_ERROR_CODE,
-            message=f"file does not parse: {message}"))
-        return analysis
+        return Finding(path=path, line=line, col=1, code=PARSE_ERROR_CODE,
+                       message=f"file does not parse: {message}")
     pragmas = decorator_pragmas(tree, parse_pragmas(source))
-    module = ModuleContext(path=path, module_name=module_name,
-                           source=source, tree=tree, pragmas=pragmas)
-    rules = _enabled_rules(config)
-    _walk_module(module, rules, _dispatch_table(rules))
-    analysis.findings.extend(module.findings)
-    analysis.suppressed.extend(module.suppressed)
-    syntactic_done = time.perf_counter()  # repro: ignore[RPR108]
-    analysis.facts = extract_module_facts(tree, path=path,
-                                          module_name=module_name,
-                                          pragmas=pragmas)
-    facts_done = time.perf_counter()  # repro: ignore[RPR108]
-    attach_concurrency_facts(analysis.facts, tree,
-                             blocking_extra=config.blocking_calls)
-    dataflow_done = time.perf_counter()  # repro: ignore[RPR108]
-    attach_numeric_facts(analysis.facts, tree)
-    numeric_done = time.perf_counter()  # repro: ignore[RPR108]
-    analysis.stage_seconds = {
-        "syntactic": syntactic_done - started,
-        "facts": facts_done - syntactic_done,
-        "dataflow": dataflow_done - facts_done,
-        "numeric": numeric_done - dataflow_done,
-    }
-    return analysis
-
-
-def _analyze_file_task(item: tuple[str, str, str, LintConfig]
-                       ) -> FileAnalysis:
-    """Process-pool task: read and analyse one file."""
-    file_str, display, module_name, config = item
-    source = Path(file_str).read_text(encoding="utf-8")
-    return analyze_source(source, path=display, module_name=module_name,
-                          config=config)
-
-
-def _effective_jobs(jobs: int, n_files: int) -> int:
-    if jobs == 1 or n_files < _MIN_FILES_FOR_POOL:
-        return 1
-    if jobs <= 0:
-        return min(8, os.cpu_count() or 1)
-    return jobs
-
-
-def _run_file_stage(items: Sequence[tuple[str, str, str, LintConfig]],
-                    jobs: int) -> list[FileAnalysis]:
-    effective = _effective_jobs(jobs, len(items))
-    if effective <= 1:
-        return [_analyze_file_task(item) for item in items]
-    import multiprocessing
-
-    # fork keeps the imported rule registry; spawn would re-import it in
-    # each worker, which also works but pays start-up cost per process.
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else None)
-    with context.Pool(processes=effective) as pool:
-        return pool.map(_analyze_file_task, items, chunksize=4)
+    return ModuleContext(path=path, module_name=module_name,
+                         source=source, tree=tree, pragmas=pragmas)
 
 
 def _display_path(file: Path, root: Path) -> str:
@@ -318,178 +199,61 @@ def _display_path(file: Path, root: Path) -> str:
         return file.as_posix()
 
 
-def _semantic_pass(analyses: Sequence[FileAnalysis],
-                   project_rules: Sequence[Rule]) -> ProjectContext:
-    """Build the index and run every ``finish_project`` hook."""
-    facts = [a.facts for a in analyses if a.facts is not None]
+def _analyze(parsed: Sequence[ModuleContext | Finding],
+             config: LintConfig) -> LintResult:
+    """Run every rule over the parsed files (all stages after parsing)."""
+    rules = [cls(config) for cls in all_rule_classes()]
+    modules = [m for m in parsed if isinstance(m, ModuleContext)]
+    findings = [m for m in parsed if isinstance(m, Finding)]
+    suppressed: list[Finding] = []
+    with obs.span("lint.syntactic", n_modules=len(modules)):
+        table = _dispatch_table(rules)
+        for module in modules:
+            _walk_module(module, rules, table)
+            findings.extend(module.findings)
+            suppressed.extend(module.suppressed)
+    with obs.span("lint.facts", n_modules=len(modules)):
+        facts = [extract_module_facts(m.tree, path=m.path,
+                                      module_name=m.module_name)
+                 for m in modules]
+    with obs.span("lint.dataflow", n_modules=len(modules)):
+        for module, module_facts in zip(modules, facts):
+            attach_concurrency_facts(module_facts, module.tree)
     with obs.span("lint.index", n_modules=len(facts)):
-        index = ProjectIndex(facts)
-        project = ProjectContext(index, {f.path: f.pragmas for f in facts})
+        project = ProjectContext(ProjectIndex(facts),
+                                 {m.path: m.pragmas for m in modules})
+    project_rules = [rule for rule in rules
+                     if getattr(rule, "finish_project", None) is not None]
     with obs.span("lint.rules", n_rules=len(project_rules)):
         for rule in project_rules:
             rule.finish_project(project)
-    return project
-
-
-def _assemble(analyses: Sequence[FileAnalysis],
-              semantic_findings: Mapping[str, Sequence[Finding]],
-              semantic_suppressed: Mapping[str, Sequence[Finding]],
-              rules: Sequence[Rule], files_scanned: int,
-              reanalyzed: Iterable[str],
-              pass_seconds: Mapping[str, float] | None = None
-              ) -> LintResult:
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    for analysis in analyses:
-        findings.extend(analysis.findings)
-        suppressed.extend(analysis.suppressed)
-        findings.extend(semantic_findings.get(analysis.path, ()))
-        suppressed.extend(semantic_suppressed.get(analysis.path, ()))
+    findings.extend(project.findings)
+    suppressed.extend(project.suppressed)
     return LintResult(
         findings=tuple(sorted(findings)),
         suppressed=tuple(sorted(suppressed)),
-        files_scanned=files_scanned,
+        files_scanned=len(parsed),
         rules_run=tuple(rule.code for rule in rules),
-        files_reanalyzed=tuple(sorted(set(reanalyzed))),
-        pass_seconds=dict(pass_seconds or {}),
     )
 
 
-def run(paths: Sequence[Path], config: LintConfig | None = None, *,
-        jobs: int = 1, cache_path: Path | None = None) -> LintResult:
-    """Lint every python file under ``paths`` with the enabled rules.
-
-    ``jobs`` controls the per-file stage fan-out (1 = serial, 0 = one
-    process per core up to 8, N = exactly N workers).  ``cache_path``
-    enables the incremental cache at that location; ``None`` (the
-    library default) analyses everything from scratch.
-    """
+def run(paths: Sequence[Path],
+        config: LintConfig | None = None) -> LintResult:
+    """Lint every python file under ``paths`` with every rule."""
     if config is None:
         config = LintConfig()
-    rules = _enabled_rules(config)
-    project_rules = _project_rules(rules)
-    files = discover_files([Path(p) for p in paths])
     root = Path.cwd()
-
-    cache: LintCache | None = None
-    if cache_path is not None:
-        with obs.span("lint.cache.load"):
-            meta = cache_meta_key(config.fingerprint(),
-                                  [rule.code for rule in rules])
-            cache = LintCache.load(Path(cache_path), meta)
-
-    analyses: dict[str, FileAnalysis] = {}
-    cached_semantic: dict[str, tuple[list[Finding], list[Finding]]] = {}
-    changed_items: list[tuple[str, str, str, LintConfig]] = []
-    displays: list[str] = []
-    hashes: dict[str, str] = {}
-    for file in files:
-        display = _display_path(file, root)
-        displays.append(display)
-        digest = None
-        entry = None
-        if cache is not None:
-            try:
-                digest = file_digest(file.read_bytes())
-            except OSError:
-                digest = None
-            if digest is not None:
-                entry = cache.lookup(display, digest)
-        hashes[display] = digest or ""
-        if entry is not None:
-            # Cache hits reuse the stored module name: module_name_for
-            # stats the package tree, so skipping it keeps the warm
-            # path at one hash per file.
-            analyses[display] = FileAnalysis(
-                path=display, module_name=entry.module_name,
-                findings=list(entry.findings),
-                suppressed=list(entry.suppressed),
-                facts=entry.facts)
-            if entry.semantic_findings is not None \
-                    and entry.semantic_suppressed is not None:
-                cached_semantic[display] = (
-                    list(entry.semantic_findings),
-                    list(entry.semantic_suppressed))
-        else:
-            changed_items.append((str(file), display,
-                                  module_name_for(file), config))
-
-    with obs.span("lint.parse", n_files=len(changed_items)):
-        for analysis in _run_file_stage(changed_items, jobs):
-            analyses[analysis.path] = analysis
-    ordered = [analyses[display] for display in displays]
-
-    changed_displays = {item[1] for item in changed_items}
-    missing_semantic = {display for display in displays
-                        if display not in cached_semantic}
-    pass_seconds = {"syntactic": 0.0, "dataflow": 0.0, "numeric": 0.0,
-                    "semantic": 0.0}
-    for analysis in ordered:
-        stage = analysis.stage_seconds
-        pass_seconds["syntactic"] += stage.get("syntactic", 0.0)
-        pass_seconds["dataflow"] += stage.get("dataflow", 0.0)
-        pass_seconds["numeric"] += stage.get("numeric", 0.0)
-        pass_seconds["semantic"] += stage.get("facts", 0.0)
-    semantic_findings: dict[str, Sequence[Finding]] = {}
-    semantic_suppressed: dict[str, Sequence[Finding]] = {}
-    if project_rules and (changed_displays or missing_semantic):
-        project_started = time.perf_counter()  # repro: ignore[RPR108]
-        project = _semantic_pass(ordered, project_rules)
-        pass_seconds["semantic"] += (
-            time.perf_counter() - project_started)  # repro: ignore[RPR108]
-        dirty = set(changed_displays) | missing_semantic
-        dirty |= project.index.dependent_paths(changed_displays)
-        dirty &= set(displays)
-        for display in displays:
-            if display in dirty:
-                semantic_findings[display] = \
-                    project.findings_by_path.get(display, [])
-                semantic_suppressed[display] = \
-                    project.suppressed_by_path.get(display, [])
-            else:
-                cached_f, cached_s = cached_semantic[display]
-                semantic_findings[display] = cached_f
-                semantic_suppressed[display] = cached_s
-        reanalyzed: Iterable[str] = dirty | changed_displays
-    else:
-        for display, (cached_f, cached_s) in cached_semantic.items():
-            semantic_findings[display] = cached_f
-            semantic_suppressed[display] = cached_s
-        reanalyzed = changed_displays
-
-    if cache is not None:
-        with obs.span("lint.cache.save", n_files=len(displays)):
-            for display in displays:
-                analysis = analyses[display]
-                cache.put(display, CacheEntry(
-                    file_hash=hashes[display],
-                    module_name=analysis.module_name,
-                    findings=list(analysis.findings),
-                    suppressed=list(analysis.suppressed),
-                    semantic_findings=list(
-                        semantic_findings.get(display, [])),
-                    semantic_suppressed=list(
-                        semantic_suppressed.get(display, [])),
-                    facts=analysis.facts))
-            cache.prune(displays)
-            cache.save()
-
-    return _assemble(ordered, semantic_findings, semantic_suppressed,
-                     rules, len(files), reanalyzed, pass_seconds)
+    with obs.span("lint.parse"):
+        parsed = [_parse(file.read_text(encoding="utf-8"),
+                         path=_display_path(file, root),
+                         module_name=module_name_for(file))
+                  for file in discover_files([Path(p) for p in paths])]
+    return _analyze(parsed, config)
 
 
 def lint_text(source: str, *, module_name: str = "snippet",
               path: str = "snippet.py",
               config: LintConfig | None = None) -> LintResult:
     """Lint a source string (the unit-test entry point)."""
-    if config is None:
-        config = LintConfig()
-    rules = _enabled_rules(config)
-    analysis = analyze_source(source, path=path, module_name=module_name,
-                              config=config)
-    project = _semantic_pass([analysis], _project_rules(rules))
-    return _assemble(
-        [analysis],
-        {path: project.findings_by_path.get(path, [])},
-        {path: project.suppressed_by_path.get(path, [])},
-        rules, 1, [path])
+    return _analyze([_parse(source, path=path, module_name=module_name)],
+                    config if config is not None else LintConfig())

@@ -1,8 +1,8 @@
 """Finding objects produced by lint rules.
 
 A finding pins one rule violation to one source location.  Findings are
-value objects: the engine sorts, deduplicates, baselines, and serializes
-them without ever consulting the rule that produced them.
+value objects: the engine sorts and serializes them without ever
+consulting the rule that produced them.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ class Finding:
     code: str
     #: Human-readable description of this specific violation.
     message: str
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-independent identity used for baseline matching.
-
-        Line and column are deliberately excluded so that unrelated edits
-        above a grandfathered finding do not un-baseline it.
-        """
-        return (self.path, self.code, self.message)
 
     def render(self) -> str:
         """``path:line:col: CODE message`` (the text-reporter line)."""

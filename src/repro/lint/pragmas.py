@@ -26,7 +26,7 @@ import tokenize
 __all__ = ["ALL_CODES", "parse_pragmas", "decorator_pragmas",
            "is_suppressed"]
 
-#: Sentinel entry meaning "every code" (the bare ``# repro: ignore``).
+#: Sentinel entry meaning "every code" (the bare pragma, no code list).
 ALL_CODES = "*"
 
 _PRAGMA = re.compile(

@@ -1,18 +1,16 @@
 """Rule base class and the registry of stable rule codes.
 
 Rules register themselves with :func:`register`; the engine instantiates
-every enabled rule once per run.  Codes are stable and banded:
+every registered rule once per run.  Codes are stable and banded:
 
 * ``RPR1xx`` — correctness (bugs waiting to happen),
 * ``RPR2xx`` — determinism (the paper's Equation-4 contract),
 * ``RPR3xx`` — layering and API hygiene,
 * ``RPR4xx`` — concurrency (races, deadlocks, and stalls in the
-  threaded serving stack, driven by the CFG/dataflow pass),
-* ``RPR5xx`` — numeric correctness (dtype narrowing, precision drift,
-  shape contracts, index-dtype capacity, and empty reductions in the
-  tensor hot path, driven by the abstract-interpretation pass).
+  threaded serving stack, driven by the CFG/dataflow pass).
 
-``RPR001`` is reserved by the engine for files that fail to parse.
+Retired codes (``docs/lint_rules.md``) are never reused.  ``RPR001`` is
+reserved by the engine for files that fail to parse.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ class Rule:
     * ``finish_module(module)`` — called after the walk of a module
       (for whole-module invariants such as ``__all__`` consistency).
     * ``finish_project(project)`` — called once after every module has
-      been walked (for cross-module invariants such as class hierarchy
-      checks).
+      been walked (for cross-module invariants such as the lock
+      acquisition order).
     """
 
     #: Stable code, e.g. ``"RPR101"``.

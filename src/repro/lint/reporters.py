@@ -30,17 +30,15 @@ class Report:
     """Everything one lint run produced, ready for rendering."""
 
     def __init__(self, *, new: Sequence[Finding],
-                 baselined: Sequence[Finding] = (),
                  suppressed: Sequence[Finding] = (),
                  files_scanned: int = 0) -> None:
         self.new = list(new)
-        self.baselined = list(baselined)
         self.suppressed = list(suppressed)
         self.files_scanned = files_scanned
 
     @property
     def exit_code(self) -> int:
-        """0 when no non-baselined finding remains, else 1."""
+        """0 when no unsuppressed finding remains, else 1."""
         return 1 if self.new else 0
 
 
@@ -50,13 +48,8 @@ def render_text(report: Report, stream: IO[str]) -> None:
         stream.write(finding.render() + "\n")
     summary = (
         f"{len(report.new)} finding(s) in {report.files_scanned} file(s)")
-    extras = []
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined")
     if report.suppressed:
-        extras.append(f"{len(report.suppressed)} pragma-suppressed")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(report.suppressed)} pragma-suppressed)"
     stream.write(summary + "\n")
 
 
@@ -68,7 +61,6 @@ def render_json(report: Report, stream: IO[str]) -> None:
         "summary": {
             "files_scanned": report.files_scanned,
             "new": len(report.new),
-            "baselined": len(report.baselined),
             "suppressed": len(report.suppressed),
             "exit_code": report.exit_code,
         },
@@ -79,10 +71,10 @@ def render_json(report: Report, stream: IO[str]) -> None:
 def render_sarif(report: Report, stream: IO[str]) -> None:
     """SARIF 2.1.0 log with one result per new finding.
 
-    Baselined and pragma-suppressed findings are omitted — SARIF
-    consumers treat every ``result`` as actionable, matching the text
-    reporter's notion of "new".  Rules are listed in code order so
-    ``ruleIndex`` is deterministic.
+    Pragma-suppressed findings are omitted — SARIF consumers treat every
+    ``result`` as actionable, matching the text reporter's notion of
+    "new".  Rules are listed in code order so ``ruleIndex`` is
+    deterministic.
     """
     from repro.lint.registry import all_rule_classes
 

@@ -6,18 +6,14 @@ Importing this package registers every rule with
 
 from repro.lint.rules.concurrency import (
     BlockingWhileLockedRule,
-    DaemonThreadDrainRule,
     LockOrderCycleRule,
-    ThreadUnsafeLazyInitRule,
     UnguardedSharedStateRule,
 )
 from repro.lint.rules.correctness import (
     AdHocTimingRule,
     BroadExceptRule,
-    FeaturizerSurfaceRule,
     FloatEqualityRule,
     MutableDefaultRule,
-    SubprocessWithoutDrainRule,
 )
 from repro.lint.rules.determinism import (
     GlobalNumpyRandomRule,
@@ -28,44 +24,18 @@ from repro.lint.rules.layering import (
     ImportLayeringRule,
     PrintInLibraryRule,
 )
-from repro.lint.rules.numeric import (
-    EmptyArrayReductionRule,
-    FloatPrecisionDriftRule,
-    ShapeContractViolationRule,
-    SilentDtypeNarrowingRule,
-    UnsafeIndexDtypeRule,
-)
-from repro.lint.semantic.rules import (
-    FeatureDtypeDriftRule,
-    FeatureShapeContractRule,
-    GeneratorThreadingRule,
-    UnorderedIterationRule,
-)
 
 __all__ = [
     "MutableDefaultRule",
     "FloatEqualityRule",
     "BroadExceptRule",
-    "FeaturizerSurfaceRule",
-    "SubprocessWithoutDrainRule",
     "AdHocTimingRule",
-    "FeatureDtypeDriftRule",
-    "FeatureShapeContractRule",
     "GlobalNumpyRandomRule",
     "UnseededGeneratorRule",
-    "GeneratorThreadingRule",
-    "UnorderedIterationRule",
     "ImportLayeringRule",
     "PrintInLibraryRule",
     "DunderAllRule",
     "UnguardedSharedStateRule",
     "LockOrderCycleRule",
     "BlockingWhileLockedRule",
-    "ThreadUnsafeLazyInitRule",
-    "DaemonThreadDrainRule",
-    "SilentDtypeNarrowingRule",
-    "FloatPrecisionDriftRule",
-    "ShapeContractViolationRule",
-    "UnsafeIndexDtypeRule",
-    "EmptyArrayReductionRule",
 ]

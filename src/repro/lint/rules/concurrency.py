@@ -3,20 +3,11 @@
 The serving stack (``repro.serve``) is the first genuinely threaded
 part of this codebase — batcher worker threads, a ThreadingHTTPServer,
 shared handle/estimate caches — and single-threaded tests cannot catch
-the bug classes these rules target.  All five run in the project stage
+the bug classes these rules target.  All three run in the project stage
 on the concurrency facts the dataflow pass attaches per function
-(:mod:`repro.lint.dataflow`), so they are incremental like every other
-semantic rule: a file change re-derives findings only for the changed
-files and their transitive importers.
-
-Anchoring invariant (shared with the other project rules): every
-finding is attributed to a file whose import closure determines it.
-RPR402 enforces this explicitly — a cross-module cycle is reported at
-acquisition sites whose module transitively imports every other module
-participating in the cycle, which is always true for call-mediated
-cycles (the caller imports the callee).  A cycle between modules with
-no import relation at all is a documented blind spot: reporting it
-anywhere would leave a stale finding when the *other* file changes.
+(:mod:`repro.lint.dataflow`).  RPR402 reports every acquisition edge of
+every cycle, wherever it sits: a lock-order cycle needs no import
+relation between the modules that close it.
 """
 
 from __future__ import annotations
@@ -24,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.lint.registry import Rule, register
-from repro.lint.semantic.facts import ClassFacts, ModuleFacts
 from repro.lint.semantic.index import ProjectIndex
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -34,8 +24,6 @@ __all__ = [
     "UnguardedSharedStateRule",
     "LockOrderCycleRule",
     "BlockingWhileLockedRule",
-    "ThreadUnsafeLazyInitRule",
-    "DaemonThreadDrainRule",
 ]
 
 
@@ -111,14 +99,8 @@ class LockOrderCycleRule(Rule):
 
     def finish_project(self, project: "ProjectContext") -> None:
         """Report each acquisition edge participating in a cycle."""
-        index = project.index
-        graph = index.lock_order_graph()
+        graph = project.index.lock_order_graph()
         for component in graph.cycles():
-            edges = graph.cycle_edges(component)
-            participants = {
-                module
-                for edge in edges
-                for _, module, _, _, _ in graph.sites.get(edge, ())}
             if len(component) == 1:
                 description = (f"non-reentrant lock `{component[0]}` is "
                                "re-acquired while already held "
@@ -126,12 +108,9 @@ class LockOrderCycleRule(Rule):
             else:
                 ring = " -> ".join([*component, component[0]])
                 description = f"lock acquisition order cycle {ring}"
-            for source, target in edges:
-                for path, module, lineno, col, via in \
+            for source, target in graph.cycle_edges(component):
+                for path, lineno, col, via in \
                         graph.sites.get((source, target), ()):
-                    closure = index.imports_closure(module)
-                    if not participants <= closure:
-                        continue
                     via_note = f" through `{via}()`" if via else ""
                     project.report(
                         self.code, path, lineno, col,
@@ -147,7 +126,7 @@ class BlockingWhileLockedRule(Rule):
     executed while holding a lock stall every thread contending for it
     — in a serving process that turns one slow disk read into a fleet-
     wide latency spike.  The blocking-call catalogue is narrow by
-    design and extensible via the ``blocking-calls`` config key.
+    design.
     """
 
     code = "RPR403"
@@ -167,96 +146,3 @@ class BlockingWhileLockedRule(Rule):
                     f"{held}; every thread contending for the lock "
                     "stalls behind it — move the slow operation outside "
                     "the lock region")
-
-
-@register
-class ThreadUnsafeLazyInitRule(Rule):
-    """The memoised-handle pattern: check an attribute, then populate
-    it.  When no lock region spans both the check and the write, two
-    threads can pass the check together and both act — duplicate loads,
-    lost updates, torn state.  Holding the lock for the check but
-    releasing it before the write (the tempting "don't hold the lock
-    while loading" shortcut) is *still* non-atomic; re-check under the
-    lock before writing, or use ``setdefault`` under the lock.
-    """
-
-    code = "RPR404"
-    name = "thread-unsafe-lazy-init"
-    summary = "Non-atomic check-then-act on a guarded attribute"
-    example_bad = 'if self._handle is None:\n    self._handle = expensive_load()'
-    example_good = 'with self._lock:\n    if self._handle is None:\n        self._handle = expensive_load()'
-
-    def finish_project(self, project: "ProjectContext") -> None:
-        """Flag lazy-init pairs on guarded attrs of lock-owning classes."""
-        for mf, cls, locks, guards in _lock_owning_classes(project.index):
-            for method in cls.methods:
-                if method.name == "__init__":
-                    continue
-                for lazy in method.lazy_inits:
-                    owners = guards.get(lazy.attr)
-                    if not owners:
-                        continue
-                    lock = sorted(owners)[0]
-                    project.report(
-                        self.code, mf.path, lazy.lineno, lazy.col,
-                        f"check-then-act on `self.{lazy.attr}` is not "
-                        f"atomic: the check here and the write at line "
-                        f"{lazy.write_lineno} never share a "
-                        f"`self.{lock}` region, so two threads can "
-                        "both pass the check and both act; hold the "
-                        "lock across both, or re-check (or "
-                        "`setdefault`) under the lock before writing")
-
-
-@register
-class DaemonThreadDrainRule(Rule):
-    """A ``daemon=True`` thread is killed abruptly at interpreter exit
-    — mid-batch, mid-write, without ``finally`` blocks.  Daemon status
-    is fine as a crash backstop, but only when an orderly drain path
-    ``join()``s the thread; a daemon thread nobody joins means shutdown
-    silently drops whatever it was doing.
-    """
-
-    code = "RPR405"
-    name = "daemon-thread-drain"
-    summary = "Daemon thread started but never joined on a drain path"
-    example_bad = 'worker = threading.Thread(target=drain, daemon=True)\nworker.start()  # never joined: close() may drop queued work'
-    example_good = 'worker = threading.Thread(target=drain)\nworker.start()\n# ... on shutdown:\nworker.join()'
-
-    def finish_project(self, project: "ProjectContext") -> None:
-        """Flag daemon-thread spawns with no matching join anywhere."""
-        index = project.index
-        for mf in index.modules.values():
-            for fn in mf.functions:
-                self._check_function(project, mf, None, fn, index)
-            for cls in mf.classes:
-                for method in cls.methods:
-                    self._check_function(project, mf, cls, method, index)
-
-    def _check_function(self, project: "ProjectContext", mf: ModuleFacts,
-                        cls: "ClassFacts | None", fn, index: ProjectIndex
-                        ) -> None:
-        for spawn in fn.thread_spawns:
-            if not spawn.daemon:
-                continue
-            if spawn.binding == "":
-                project.report(
-                    self.code, mf.path, spawn.lineno, spawn.col,
-                    "daemon thread started without keeping a handle — "
-                    "it can never be joined; bind it and join it on the "
-                    "shutdown path")
-                continue
-            if spawn.binding.startswith("self.") and cls is not None:
-                joined = any(
-                    spawn.binding in method.thread_joins
-                    for _, ancestor in index.iter_ancestry(mf, cls)
-                    for method in ancestor.methods)
-            else:
-                joined = spawn.binding in fn.thread_joins
-            if not joined:
-                project.report(
-                    self.code, mf.path, spawn.lineno, spawn.col,
-                    f"daemon thread `{spawn.binding}` is started but "
-                    "never joined: at interpreter exit it is killed "
-                    "mid-operation with no cleanup; join it from the "
-                    "owning close()/stop() drain path")

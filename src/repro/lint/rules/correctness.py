@@ -3,7 +3,8 @@
 These catch constructs that are legal python but are bugs waiting to
 happen in an estimator codebase: shared mutable defaults, exact float
 comparison against literals, exception handlers that swallow everything,
-and featurizers that silently miss part of the abstract surface.
+raw-clock timing that bypasses ``repro.obs``, and metric names built at
+the call site.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import ast
 import re
 from typing import Iterable
 
-from repro.lint.engine import ModuleContext, ProjectContext
+from repro.lint.engine import ModuleContext
 from repro.lint.registry import Rule, register
 
 __all__ = ["MutableDefaultRule", "FloatEqualityRule", "BroadExceptRule",
-           "FeaturizerSurfaceRule", "AdHocTimingRule",
-           "MetricNameDriftRule", "SubprocessWithoutDrainRule"]
+           "AdHocTimingRule", "MetricNameDriftRule"]
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
                      ast.DictComp, ast.SetComp)
@@ -150,58 +150,6 @@ class BroadExceptRule(Rule):
     def _reraises(handler: ast.ExceptHandler) -> bool:
         return any(isinstance(child, ast.Raise) and child.exc is None
                    for child in ast.walk(handler))
-
-
-@register
-class FeaturizerSurfaceRule(Rule):
-    """Every concrete ``Featurizer`` subclass must implement the full
-    abstract surface declared in ``featurize/base.py``.  A partial
-    implementation inherits ``abc``'s *instantiation-time* failure, which
-    a model-training run only hits long after import.
-
-    Runs on the project index (class hierarchy from cached fact shards),
-    so unchanged files need no AST for the check to cover them.
-    """
-
-    code = "RPR104"
-    name = "featurizer-abstract-surface"
-    summary = "Concrete Featurizer subclasses implement all abstract methods"
-    example_bad = 'class BitmapFeaturizer(Featurizer):\n    def featurize(self, query):\n        ...\n    # feature_names() left unimplemented'
-    example_good = 'class BitmapFeaturizer(Featurizer):\n    def featurize(self, query):\n        ...\n    def feature_names(self):\n        ...'
-
-    #: Root class whose abstract surface is enforced.
-    root_class = "Featurizer"
-
-    def finish_project(self, project: ProjectContext) -> None:
-        """Check every transitive Featurizer subclass in the project."""
-        index = project.index
-        required: set[str] = set()
-        for _, root in index.classes_by_name.get(self.root_class, []):
-            required.update(root.abstract_names)
-        if not required:
-            return
-        for mf, cls in index.subclasses_of(self.root_class):
-            if cls.abstract_names:
-                continue  # itself abstract: an intermediate base class
-            provided = self._provided_names(index, mf, cls)
-            missing = sorted(required - provided)
-            if missing:
-                project.report(
-                    self.code, mf.path, cls.lineno, cls.col,
-                    f"concrete Featurizer subclass {cls.name} is missing "
-                    f"abstract member(s) {', '.join(missing)} required "
-                    "by featurize/base.py")
-
-    @staticmethod
-    def _provided_names(index, mf, cls) -> set[str]:
-        """Concrete members defined by ``cls`` or any project ancestor."""
-        provided: set[str] = set()
-        for _, current in index.iter_ancestry(mf, cls):
-            abstract = set(current.abstract_names)
-            provided.update(m.name for m in current.methods
-                            if m.name not in abstract)
-            provided.update(current.assigned_names)
-        return provided
 
 
 @register
@@ -368,157 +316,3 @@ class MetricNameDriftRule(Rule):
                 "string literal, or resolve the name into a plain "
                 "variable up front (see serve/cache.py) so series "
                 "stay grep-able and stable")
-
-
-@register
-class SubprocessWithoutDrainRule(Rule):
-    """Serving-layer code that spawns a child process owns its whole
-    lifecycle.  A ``subprocess.Popen`` (or ``multiprocessing.Process``)
-    whose handle is never waited on, terminated, or drained anywhere in
-    the module leaks the child past shutdown: the fleet drains workers
-    on SIGTERM precisely because an orphaned worker keeps its port and
-    its model memory.  The handle (or an alias of it) must receive a
-    shutdown call — ``wait``/``join``/``terminate``/``kill``, or a
-    wrapper's ``drain``/``stop``/``close`` — somewhere in the same
-    module.  Applies to ``repro.serve`` and ``repro.fleet``; handles
-    that escape the module on purpose carry
-    ``# repro: ignore[RPR111]``.
-    """
-
-    code = "RPR111"
-    name = "subprocess-without-drain"
-    summary = "Spawned process handles must be drained in the same module"
-    example_bad = 'def start(self):\n    self._proc = subprocess.Popen(argv)'
-    example_good = ('def start(self):\n'
-                    '    self._proc = subprocess.Popen(argv)\n\n'
-                    'def stop(self):\n'
-                    '    self._proc.terminate()\n'
-                    '    self._proc.wait()')
-
-    #: Module prefixes the rule applies to (the serving layers).
-    module_prefixes = ("repro.serve", "repro.fleet")
-    #: ``module attribute`` spawn constructors, per import root.
-    _SPAWNERS = {"subprocess": frozenset({"Popen"}),
-                 "multiprocessing": frozenset({"Process"})}
-    #: Methods that settle a child process (or its owning wrapper).
-    _DRAINS = frozenset({"wait", "join", "terminate", "kill",
-                         "communicate", "drain", "stop", "close"})
-
-    @staticmethod
-    def _covered(module_name: str, prefix: str) -> bool:
-        return (module_name == prefix
-                or module_name.startswith(prefix + "."))
-
-    def begin_module(self, module: ModuleContext) -> None:
-        """Prescan imports for spawn-constructor aliases."""
-        self._applies = any(self._covered(module.module_name, prefix)
-                            for prefix in self.module_prefixes)
-        #: local alias -> spawning module root ("subprocess", ...).
-        self._module_aliases: dict[str, str] = {}
-        #: bare imported constructor name -> True ("Popen", "Process").
-        self._spawn_names: set[str] = set()
-        if not self._applies:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in self._SPAWNERS:
-                        local = alias.asname or alias.name
-                        self._module_aliases[local] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                members = self._SPAWNERS.get(node.module or "")
-                if members and node.level == 0:
-                    for alias in node.names:
-                        if alias.name in members:
-                            self._spawn_names.add(alias.asname or alias.name)
-
-    def finish_module(self, module: ModuleContext) -> None:
-        """Match spawn bindings against drain calls, through aliases."""
-        if not self._applies:
-            return
-        spawn_roots: dict[str, ast.Call] = {}
-        loose_spawns: list[ast.Call] = []
-        alias_edges: list[tuple[str, str]] = []
-        bound_calls: set[int] = set()
-        drained_keys: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                keys = [key for key in map(self._key, targets)
-                        if key is not None]
-                if isinstance(node.value, ast.Call) \
-                        and self._is_spawn(node.value):
-                    bound_calls.add(id(node.value))
-                    for key in keys:
-                        spawn_roots.setdefault(key, node.value)
-                else:
-                    source = self._key(node.value)
-                    if source is not None:
-                        alias_edges.extend((key, source) for key in keys)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in self._DRAINS):
-                    key = self._key(func.value)
-                    if key is not None:
-                        drained_keys.add(key)
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call) and self._is_spawn(node)
-                    and id(node) not in bound_calls):
-                loose_spawns.append(node)
-        resolved = self._resolve_aliases(set(spawn_roots), alias_edges)
-        for key, call in spawn_roots.items():
-            drained = any(resolved.get(drain_key) == key
-                          for drain_key in drained_keys)
-            if not drained:
-                self._report_spawn(module, call, key)
-        for call in loose_spawns:
-            self._report_spawn(module, call, None)
-
-    def _report_spawn(self, module: ModuleContext, call: ast.Call,
-                      key: str | None) -> None:
-        where = (f"handle `{key}`" if key is not None
-                 else "an unbound handle")
-        self.report(
-            module, call,
-            f"spawned process with {where} is never waited on, "
-            "terminated, or drained in this module; settle the child "
-            "(.wait()/.join()/.terminate(), or a wrapper's "
-            ".drain()/.stop()) so it cannot outlive shutdown, or add "
-            "`# repro: ignore[RPR111]` if the handle escapes on purpose")
-
-    def _is_spawn(self, node: ast.Call) -> bool:
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)):
-            root = self._module_aliases.get(func.value.id)
-            return (root is not None
-                    and func.attr in self._SPAWNERS[root])
-        return isinstance(func, ast.Name) and func.id in self._spawn_names
-
-    @staticmethod
-    def _key(node: ast.expr) -> str | None:
-        """A trackable binding key: a local name or a ``self.`` attr."""
-        if isinstance(node, ast.Name):
-            return node.id
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"):
-            return f"self.{node.attr}"
-        return None
-
-    @staticmethod
-    def _resolve_aliases(roots: set[str],
-                         edges: list[tuple[str, str]]) -> dict[str, str]:
-        """Map every key to the spawn root it (transitively) aliases."""
-        resolved = {root: root for root in roots}
-        changed = True
-        while changed:
-            changed = False
-            for target, source in edges:
-                root = resolved.get(source)
-                if root is not None and resolved.get(target) != root:
-                    resolved[target] = root
-                    changed = True
-        return resolved

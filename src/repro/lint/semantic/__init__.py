@@ -1,25 +1,15 @@
 """Semantic (interprocedural) analysis layer of the linter.
 
 The syntactic rules in :mod:`repro.lint.rules` see one file at a time,
-so they cannot catch a seed dropped at a call boundary or a dtype
-downcast two modules away — exactly the silent divergences that break
-the paper's determinism contract (Equation 4) across module boundaries.
-This package closes that gap in three stages:
+so they cannot see a lock taken two modules away through a call.  This
+package closes that gap for the concurrency rules (RPR401-403):
 
-* :mod:`repro.lint.semantic.facts` — per-file extraction of a compact,
-  serializable summary (imports, classes, functions, call sites, return
-  shapes) that the incremental cache can store per content hash.
+* :mod:`repro.lint.semantic.facts` — per-file extraction of a compact
+  summary (imports, classes, functions, call sites) that the dataflow
+  pass extends with lock facts.
 * :mod:`repro.lint.semantic.index` — the project index built from those
-  summaries: module graph, import/symbol resolution, the ``Featurizer``
-  class hierarchy, and an approximate call graph.
-* :mod:`repro.lint.semantic.rules` — the interprocedural rules
-  (``RPR106``, ``RPR107``, ``RPR203``, ``RPR204``) registered in the
-  ordinary rule registry, so pragmas, baseline, configuration, and
-  reporters all apply unchanged.
-
-Every semantic finding is attributed to a file whose *import closure*
-determines it, which is what makes transitive cache invalidation along
-the import graph sound (see ``docs/architecture.md``).
+  summaries: import/symbol resolution, class ancestry, an approximate
+  call graph, and the lock-acquisition-order graph.
 """
 
 from repro.lint.semantic.facts import ModuleFacts, extract_module_facts

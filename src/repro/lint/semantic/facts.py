@@ -1,83 +1,35 @@
 """Per-file semantic fact extraction.
 
 One pass over a module's AST produces a :class:`ModuleFacts` summary:
-resolved imports, class shapes, and per-function records of parameters,
-call sites, return values, and iteration sites.  Facts are plain
-dataclasses with a lossless ``to_dict``/``from_dict`` round trip, so the
-incremental cache can store them per content hash and the project index
-can be rebuilt without re-parsing unchanged files.
+resolved imports, class shapes, and per-function records of call sites.
+The dataflow pass (:mod:`repro.lint.dataflow.extract`) then attaches
+the per-function lock facts, and the project index is built from the
+summaries of every scanned module.
 
-The extraction is deliberately approximate — flow-insensitive, one
-level of local-assignment lookup — because the downstream analyses only
-need enough signal to flag *likely* contract violations; precision is
-recovered by the pragma mechanism on the rare false positive.
+The extraction is deliberately approximate — flow-insensitive, names
+as written — because the downstream analyses only need enough signal
+to flag *likely* contract violations; precision is recovered by the
+pragma mechanism on the rare false positive.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 __all__ = [
     "AttrWriteFact",
     "BlockingCallFact",
     "CallFact",
     "ClassFacts",
-    "EmptyReductionFact",
     "FunctionFacts",
     "ImportFact",
-    "IterationFact",
-    "LazyInitFact",
     "LockAcquireFact",
     "LockAttrFact",
     "LockedReadFact",
-    "MixedPrecisionFact",
     "ModuleFacts",
-    "NarrowingCastFact",
-    "ParamFact",
-    "ReturnFact",
-    "ShapeMismatchFact",
-    "SmallIndexFact",
-    "ThreadSpawnFact",
     "extract_module_facts",
-    "is_generator_param",
 ]
-
-#: Parameter names conventionally bound to ``np.random.Generator`` values
-#: throughout this codebase (see ``models/neural_net.py``).
-_GENERATOR_NAMES = frozenset({"rng", "generator"})
-
-#: numpy array constructors whose default dtype is float64.
-_FLOAT64_CTORS = frozenset({"zeros", "ones", "empty", "full"})
-
-#: numpy array constructors that take their dtype from the input.
-_ARRAY_CTORS = frozenset({"asarray", "array", "ascontiguousarray"})
-
-#: Rank-preserving / rank-erasing numpy combinators (kind stays "array").
-_ARRAY_COMBINATORS = frozenset({
-    "stack", "concatenate", "vstack", "hstack", "column_stack", "where",
-})
-
-#: Set-returning methods regardless of receiver type.
-_SET_METHODS = frozenset({
-    "intersection", "union", "difference", "symmetric_difference",
-})
-
-#: dtype spellings normalised to numpy canonical names.
-_DTYPE_ALIASES = {
-    "float": "float64", "double": "float64", "single": "float32",
-    "half": "float16", "int": "int64", "bool": "bool_",
-}
-
-
-@dataclass(frozen=True)
-class ParamFact:
-    """One parameter of a function: name, annotation text, default flag."""
-
-    name: str
-    annotation: str | None
-    has_default: bool
 
 
 @dataclass(frozen=True)
@@ -100,8 +52,6 @@ class CallFact:
     callee: str
     lineno: int
     col: int
-    #: Whether any argument looks like an ``np.random.Generator`` value.
-    passes_generator: bool
     #: Lock tokens must-held at the call site (dataflow pass; empty when
     #: no lock is provably held).
     held_locks: tuple[str, ...] = ()
@@ -164,142 +114,6 @@ class BlockingCallFact:
     held: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LazyInitFact:
-    """A non-atomic check-then-act on ``self.<attr>``.
-
-    Recorded only when no check of the attribute shares a lock *region*
-    with any write to it in the function — i.e. the lock (if any) was
-    released between deciding and acting.
-    """
-
-    attr: str
-    #: Check (``if``) site.
-    lineno: int
-    col: int
-    #: Representative write site.
-    write_lineno: int
-    write_col: int
-    #: Lock tokens held at the check / at the write.
-    held: tuple[str, ...] = ()
-    write_held: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ThreadSpawnFact:
-    """A ``threading.Thread`` constructed and started in a function."""
-
-    #: Rendered binding (``"self._worker"``, a local name, or ``""``
-    #: when started without ever being bound).
-    binding: str
-    daemon: bool
-    lineno: int
-    col: int
-
-
-@dataclass(frozen=True)
-class ReturnFact:
-    """Classification of one ``return`` expression."""
-
-    lineno: int
-    col: int
-    #: ``"array"``, ``"set"``, ``"call"``, or ``"other"``.
-    kind: str
-    #: Normalised numpy dtype when statically known (``"float32"``, ...).
-    dtype: str | None = None
-    #: Array rank when statically known (tuple-literal shapes).
-    rank: int | None = None
-    #: Dotted callee when ``kind == "call"``.
-    callee: str | None = None
-
-
-@dataclass(frozen=True)
-class NarrowingCastFact:
-    """A dtype cast that cannot represent every value of its source.
-
-    Recorded for explicit casts (``astype``, ``asarray(..., dtype=)``)
-    and for stores into a known-narrower array.  ``provable`` means the
-    tracked value interval fits the target dtype; ``guarded`` means a
-    bound guard (comparison against a numeric constant, ``np.clip``,
-    mask, or modulo) mentions a contributing name somewhere in the
-    function body.  RPR501 only fires when neither holds.
-    """
-
-    lineno: int
-    col: int
-    src_dtype: str
-    dst_dtype: str
-    provable: bool
-    guarded: bool
-    #: Rendered cast expression, for the finding message.
-    rendered: str
-
-
-@dataclass(frozen=True)
-class MixedPrecisionFact:
-    """An arithmetic op combining float arrays of different widths."""
-
-    lineno: int
-    col: int
-    left_dtype: str
-    right_dtype: str
-    rendered: str
-
-
-@dataclass(frozen=True)
-class ShapeMismatchFact:
-    """A provable broadcasting or rank mismatch in array algebra."""
-
-    lineno: int
-    col: int
-    #: Human-readable mismatch description (shapes involved).
-    detail: str
-    rendered: str
-
-
-@dataclass(frozen=True)
-class SmallIndexFact:
-    """A gather through an int32-or-smaller index tensor whose values
-    are bounded only by the index dtype itself."""
-
-    lineno: int
-    col: int
-    index_dtype: str
-    rendered: str
-
-
-@dataclass(frozen=True)
-class EmptyReductionFact:
-    """A min/max-style reduction over a possibly-empty array.
-
-    ``maybe_empty`` taint originates from boolean-mask indexing; the
-    fact is suppressed when the function checks the operand's size
-    (``.size``, ``len()``, ``.shape``) anywhere in a test or assert.
-    """
-
-    lineno: int
-    col: int
-    #: Reduction name (``"min"``, ``"argmax"``, ...).
-    func: str
-    #: Rendered operand expression.
-    operand: str
-
-
-@dataclass(frozen=True)
-class IterationFact:
-    """One iteration site whose order may be hash-seed dependent."""
-
-    lineno: int
-    col: int
-    #: ``"set"`` for syntactically set-valued, ``"call"`` for a call whose
-    #: return kind must be resolved through the index.
-    kind: str
-    #: Dotted callee when ``kind == "call"``.
-    callee: str | None
-    #: Rendered iterable expression, for the finding message.
-    rendered: str
-
-
 @dataclass
 class FunctionFacts:
     """Summary of one function or method."""
@@ -307,33 +121,12 @@ class FunctionFacts:
     name: str
     #: ``"Class.method"`` for methods, the bare name for functions.
     qualname: str
-    lineno: int
-    col: int
-    params: list[ParamFact] = field(default_factory=list)
-    #: Parameter names carrying an ``np.random.Generator``.
-    generator_params: list[str] = field(default_factory=list)
-    #: Whether some generator parameter has no default value.
-    generator_required: bool = False
-    #: Whether the body draws randomness from a generator value.
-    draws_generator: bool = False
     calls: list[CallFact] = field(default_factory=list)
-    returns: list[ReturnFact] = field(default_factory=list)
-    iterations: list[IterationFact] = field(default_factory=list)
     # -- concurrency facts (populated by the dataflow pass) ------------
     attr_writes: list[AttrWriteFact] = field(default_factory=list)
     locked_reads: list[LockedReadFact] = field(default_factory=list)
     lock_acquires: list[LockAcquireFact] = field(default_factory=list)
     blocking_calls: list[BlockingCallFact] = field(default_factory=list)
-    lazy_inits: list[LazyInitFact] = field(default_factory=list)
-    thread_spawns: list[ThreadSpawnFact] = field(default_factory=list)
-    #: Rendered receivers of ``.join()`` calls in the body.
-    thread_joins: list[str] = field(default_factory=list)
-    # -- numeric facts (populated by the numeric dataflow pass) --------
-    narrowing_casts: list[NarrowingCastFact] = field(default_factory=list)
-    mixed_precision: list[MixedPrecisionFact] = field(default_factory=list)
-    shape_mismatches: list[ShapeMismatchFact] = field(default_factory=list)
-    small_indices: list[SmallIndexFact] = field(default_factory=list)
-    empty_reductions: list[EmptyReductionFact] = field(default_factory=list)
 
 
 @dataclass
@@ -341,15 +134,9 @@ class ClassFacts:
     """Summary of one class definition."""
 
     name: str
-    lineno: int
-    col: int
     #: Base classes as written (dotted names; subscripts unwrapped).
     bases: list[str] = field(default_factory=list)
     methods: list[FunctionFacts] = field(default_factory=list)
-    #: Method names declared ``@abstractmethod``/``@abstractproperty``.
-    abstract_names: list[str] = field(default_factory=list)
-    #: Names bound by class-level assignments.
-    assigned_names: list[str] = field(default_factory=list)
     #: Locks this class constructs on ``self`` (the class *owns* them).
     lock_attrs: list[LockAttrFact] = field(default_factory=list)
 
@@ -365,104 +152,6 @@ class ModuleFacts:
     classes: list[ClassFacts] = field(default_factory=list)
     #: Module-global lock bindings (``_LOCK = threading.Lock()``).
     global_locks: list[LockAttrFact] = field(default_factory=list)
-    #: line -> suppressed pragma codes, carried so the semantic pass can
-    #: honour pragmas without re-reading the source.
-    pragmas: dict[int, list[str]] = field(default_factory=dict)
-
-    def all_functions(self) -> Iterable[FunctionFacts]:
-        """Every function and method in the module, methods included."""
-        yield from self.functions
-        for cls in self.classes:
-            yield from cls.methods
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (cache shard format)."""
-        from dataclasses import asdict
-        payload = asdict(self)
-        payload["pragmas"] = {str(k): v for k, v in self.pragmas.items()}
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ModuleFacts":
-        """Rebuild facts from :meth:`to_dict` output."""
-        def call(c: Mapping) -> CallFact:
-            return CallFact(
-                callee=c["callee"], lineno=c["lineno"], col=c["col"],
-                passes_generator=c["passes_generator"],
-                held_locks=tuple(c.get("held_locks", ())))
-
-        def function(d: Mapping) -> FunctionFacts:
-            return FunctionFacts(
-                name=d["name"], qualname=d["qualname"],
-                lineno=d["lineno"], col=d["col"],
-                params=[ParamFact(**p) for p in d["params"]],
-                generator_params=list(d["generator_params"]),
-                generator_required=d["generator_required"],
-                draws_generator=d["draws_generator"],
-                calls=[call(c) for c in d["calls"]],
-                returns=[ReturnFact(**r) for r in d["returns"]],
-                iterations=[IterationFact(**i) for i in d["iterations"]],
-                attr_writes=[AttrWriteFact(
-                    attr=w["attr"], lineno=w["lineno"], col=w["col"],
-                    held=tuple(w["held"]))
-                    for w in d.get("attr_writes", ())],
-                locked_reads=[LockedReadFact(**r)
-                              for r in d.get("locked_reads", ())],
-                lock_acquires=[LockAcquireFact(
-                    lock=a["lock"], lineno=a["lineno"], col=a["col"],
-                    held=tuple(a["held"]))
-                    for a in d.get("lock_acquires", ())],
-                blocking_calls=[BlockingCallFact(
-                    callee=b["callee"], lineno=b["lineno"], col=b["col"],
-                    held=tuple(b["held"]))
-                    for b in d.get("blocking_calls", ())],
-                lazy_inits=[LazyInitFact(
-                    attr=z["attr"], lineno=z["lineno"], col=z["col"],
-                    write_lineno=z["write_lineno"],
-                    write_col=z["write_col"], held=tuple(z["held"]),
-                    write_held=tuple(z["write_held"]))
-                    for z in d.get("lazy_inits", ())],
-                thread_spawns=[ThreadSpawnFact(**s)
-                               for s in d.get("thread_spawns", ())],
-                thread_joins=list(d.get("thread_joins", ())),
-                narrowing_casts=[NarrowingCastFact(**n)
-                                 for n in d.get("narrowing_casts", ())],
-                mixed_precision=[MixedPrecisionFact(**m)
-                                 for m in d.get("mixed_precision", ())],
-                shape_mismatches=[ShapeMismatchFact(**s)
-                                  for s in d.get("shape_mismatches", ())],
-                small_indices=[SmallIndexFact(**s)
-                               for s in d.get("small_indices", ())],
-                empty_reductions=[EmptyReductionFact(**e)
-                                  for e in d.get("empty_reductions", ())],
-            )
-
-        return cls(
-            path=payload["path"],
-            module_name=payload["module_name"],
-            imports=[ImportFact(**i) for i in payload["imports"]],
-            functions=[function(f) for f in payload["functions"]],
-            classes=[ClassFacts(
-                name=c["name"], lineno=c["lineno"], col=c["col"],
-                bases=list(c["bases"]),
-                methods=[function(m) for m in c["methods"]],
-                abstract_names=list(c["abstract_names"]),
-                assigned_names=list(c["assigned_names"]),
-                lock_attrs=[LockAttrFact(**a)
-                            for a in c.get("lock_attrs", ())],
-            ) for c in payload["classes"]],
-            global_locks=[LockAttrFact(**g)
-                          for g in payload.get("global_locks", ())],
-            pragmas={int(k): list(v)
-                     for k, v in payload["pragmas"].items()},
-        )
-
-
-def is_generator_param(name: str, annotation: str | None) -> bool:
-    """Whether a parameter is, by convention or annotation, a Generator."""
-    if annotation is not None and "Generator" in annotation:
-        return True
-    return name in _GENERATOR_NAMES or name.endswith("_rng")
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -477,234 +166,16 @@ def _dotted(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def _normalise_dtype(node: ast.expr | None) -> str | None:
-    """Canonical dtype name for a ``dtype=`` argument, if recognisable."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        name = node.value
-    else:
-        dotted = _dotted(node)
-        if dotted is None:
-            return None
-        name = dotted.rpartition(".")[2]
-    return _DTYPE_ALIASES.get(name, name)
-
-
-def _shape_rank(node: ast.expr) -> int | None:
-    """Array rank implied by a shape argument (tuple length or scalar)."""
-    if isinstance(node, ast.Tuple):
-        return len(node.elts)
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return 1
-    return None
-
-
-def _argument(call: ast.Call, position: int, keyword: str) -> ast.expr | None:
-    """Positional-or-keyword argument lookup on a call node."""
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    if len(call.args) > position:
-        return call.args[position]
-    return None
-
-
-class _GeneratorScope:
-    """Names and attribute patterns that hold generator values locally."""
-
-    def __init__(self, gen_params: Iterable[str]) -> None:
-        self.names = set(gen_params)
-
-    def note_assignment(self, target: str, value: ast.expr) -> None:
-        """Record ``target = np.random.default_rng(...)`` style bindings."""
-        if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
-            if dotted is not None and dotted.rpartition(".")[2] == "default_rng":
-                self.names.add(target)
-
-    def holds_generator(self, node: ast.expr) -> bool:
-        """Whether an expression syntactically carries a generator."""
-        if isinstance(node, ast.Name):
-            return (node.id in self.names
-                    or is_generator_param(node.id, None))
-        if isinstance(node, ast.Attribute):
-            attr = node.attr.lstrip("_")
-            return ("rng" in attr or attr == "generator"
-                    or attr.endswith("generator"))
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            return (dotted is not None
-                    and dotted.rpartition(".")[2] == "default_rng"
-                    and bool(node.args or node.keywords))
-        return False
-
-
-def _classify_value(node: ast.expr,
-                    locals_map: Mapping[str, ast.expr],
-                    depth: int = 0) -> tuple[str, str | None, int | None,
-                                             str | None]:
-    """``(kind, dtype, rank, callee)`` classification of an expression."""
-    if isinstance(node, ast.Name) and depth < 2:
-        assigned = locals_map.get(node.id)
-        if assigned is not None:
-            return _classify_value(assigned, locals_map, depth + 1)
-        return "other", None, None, None
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set", None, None, None
-    if not isinstance(node, ast.Call):
-        return "other", None, None, None
-
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-        return "set", None, None, None
-    if isinstance(func, ast.Attribute):
-        if func.attr in _SET_METHODS:
-            return "set", None, None, None
-        if func.attr == "astype":
-            return "array", _normalise_dtype(_argument(node, 0, "dtype")), \
-                None, None
-    dotted = _dotted(func)
-    if dotted is None:
-        return "other", None, None, None
-    tail = dotted.rpartition(".")[2]
-    if tail in _FLOAT64_CTORS:
-        shape = _argument(node, 0, "shape")
-        position = 2 if tail == "full" else 1
-        dtype_node = _argument(node, position, "dtype")
-        dtype = _normalise_dtype(dtype_node) if dtype_node is not None \
-            else "float64"
-        rank = _shape_rank(shape) if shape is not None else None
-        return "array", dtype, rank, None
-    if tail in _ARRAY_CTORS:
-        return "array", _normalise_dtype(_argument(node, 1, "dtype")), \
-            None, None
-    if tail in _ARRAY_COMBINATORS:
-        return "array", None, None, None
-    return "call", None, None, dotted
-
-
-def _unwrap_iterable(node: ast.expr) -> ast.expr | None:
-    """Strip order-neutral wrappers; ``None`` when order is made safe."""
-    while isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        name = node.func.id
-        if name in ("sorted", "min", "max", "sum", "len", "frozenset",
-                    "set", "any", "all"):
-            # sorted() fixes the order; the aggregations are orderless.
-            # set()/frozenset() of an iterable is flagged at *its* own
-            # iteration site, not here.
-            return None
-        if name in ("list", "tuple", "enumerate", "reversed", "iter"):
-            if not node.args:
-                return None
-            node = node.args[0]
-            continue
-        break
-    return node
-
-
-def _own_body_walk(node: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested defs."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef)):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
 def _extract_function(node: ast.FunctionDef | ast.AsyncFunctionDef,
                       qualname: str) -> FunctionFacts:
-    args = node.args
-    params: list[ParamFact] = []
-    positional = [*args.posonlyargs, *args.args]
-    n_without_default = len(positional) - len(args.defaults)
-    for position, arg in enumerate(positional):
-        annotation = (ast.unparse(arg.annotation)
-                      if arg.annotation is not None else None)
-        params.append(ParamFact(name=arg.arg, annotation=annotation,
-                                has_default=position >= n_without_default))
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        annotation = (ast.unparse(arg.annotation)
-                      if arg.annotation is not None else None)
-        params.append(ParamFact(name=arg.arg, annotation=annotation,
-                                has_default=default is not None))
-
-    generator_params = [p.name for p in params
-                        if is_generator_param(p.name, p.annotation)
-                        and p.name not in ("self", "cls")]
-    generator_required = any(
-        not p.has_default for p in params if p.name in generator_params)
-
-    scope = _GeneratorScope(generator_params)
-    locals_map: dict[str, ast.expr] = {}
-    conflicting: set[str] = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Assign) and len(child.targets) == 1:
-            target = child.targets[0]
-            if isinstance(target, ast.Name):
-                scope.note_assignment(target.id, child.value)
-                if target.id in locals_map:
-                    conflicting.add(target.id)
-                else:
-                    locals_map[target.id] = child.value
-    for name in conflicting:
-        locals_map.pop(name, None)
-
-    facts = FunctionFacts(name=node.name, qualname=qualname,
-                          lineno=node.lineno, col=node.col_offset + 1,
-                          params=params,
-                          generator_params=generator_params,
-                          generator_required=generator_required)
-
+    facts = FunctionFacts(name=node.name, qualname=qualname)
     for child in ast.walk(node):
         if not isinstance(child, ast.Call):
             continue
-        func = child.func
-        if (isinstance(func, ast.Attribute)
-                and scope.holds_generator(func.value)):
-            facts.draws_generator = True
-            continue
-        dotted = _dotted(func)
-        if dotted is None:
-            continue
-        passes = any(scope.holds_generator(arg) for arg in child.args)
-        passes = passes or any(scope.holds_generator(kw.value)
-                               for kw in child.keywords)
-        facts.calls.append(CallFact(callee=dotted, lineno=child.lineno,
-                                    col=child.col_offset + 1,
-                                    passes_generator=passes))
-
-    for child in _own_body_walk(node):
-        if isinstance(child, ast.Return) and child.value is not None:
-            kind, dtype, rank, callee = _classify_value(child.value,
-                                                        locals_map)
-            facts.returns.append(ReturnFact(
-                lineno=child.lineno, col=child.col_offset + 1,
-                kind=kind, dtype=dtype, rank=rank, callee=callee))
-        iterables: list[ast.expr] = []
-        if isinstance(child, (ast.For, ast.AsyncFor)):
-            iterables.append(child.iter)
-        elif isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                ast.GeneratorExp)):
-            iterables.extend(gen.iter for gen in child.generators)
-        for iterable in iterables:
-            unwrapped = _unwrap_iterable(iterable)
-            if unwrapped is None:
-                continue
-            kind, _, _, callee = _classify_value(unwrapped, locals_map)
-            if kind == "set":
-                facts.iterations.append(IterationFact(
-                    lineno=iterable.lineno, col=iterable.col_offset + 1,
-                    kind="set", callee=None,
-                    rendered=ast.unparse(unwrapped)))
-            elif kind == "call" and callee is not None:
-                facts.iterations.append(IterationFact(
-                    lineno=iterable.lineno, col=iterable.col_offset + 1,
-                    kind="call", callee=callee,
-                    rendered=ast.unparse(unwrapped)))
+        dotted = _dotted(child.func)
+        if dotted is not None:
+            facts.calls.append(CallFact(callee=dotted, lineno=child.lineno,
+                                        col=child.col_offset + 1))
     return facts
 
 
@@ -714,33 +185,15 @@ def _base_name(node: ast.expr) -> str | None:
     return _dotted(node)
 
 
-def _decorator_label(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Call):
-        node = node.func
-    dotted = _dotted(node)
-    return dotted.rpartition(".")[2] if dotted else None
-
-
 def _extract_class(node: ast.ClassDef) -> ClassFacts:
-    facts = ClassFacts(name=node.name, lineno=node.lineno,
-                       col=node.col_offset + 1,
+    facts = ClassFacts(name=node.name,
                        bases=[b for b in (_base_name(base)
                                           for base in node.bases)
                               if b is not None])
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            labels = {_decorator_label(d) for d in stmt.decorator_list}
-            if labels & {"abstractmethod", "abstractproperty"}:
-                facts.abstract_names.append(stmt.name)
             facts.methods.append(
                 _extract_function(stmt, f"{node.name}.{stmt.name}"))
-        elif isinstance(stmt, ast.Assign):
-            facts.assigned_names.extend(
-                t.id for t in stmt.targets if isinstance(t, ast.Name))
-        elif (isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.value is not None):
-            facts.assigned_names.append(stmt.target.id)
     return facts
 
 
@@ -759,14 +212,11 @@ def _resolve_relative(module_name: str, is_package_init: bool,
     return ".".join(base)
 
 
-def extract_module_facts(tree: ast.Module, *, path: str, module_name: str,
-                         pragmas: Mapping[int, Iterable[str]] | None = None
-                         ) -> ModuleFacts:
+def extract_module_facts(tree: ast.Module, *, path: str,
+                         module_name: str) -> ModuleFacts:
     """Extract the semantic fact summary of one parsed module."""
     is_package_init = path.rsplit("/", 1)[-1] == "__init__.py"
-    facts = ModuleFacts(path=path, module_name=module_name,
-                        pragmas={line: sorted(codes)
-                                 for line, codes in (pragmas or {}).items()})
+    facts = ModuleFacts(path=path, module_name=module_name)
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts.functions.append(_extract_function(stmt, stmt.name))

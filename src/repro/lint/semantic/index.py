@@ -1,18 +1,17 @@
-"""The project index: module graph, symbol resolution, call graph.
+"""The project index: symbol resolution, class ancestry, call graph.
 
 Built once per run from the per-file :class:`~repro.lint.semantic.facts.
-ModuleFacts` summaries (cached per content hash), the index answers the
-cross-module questions the interprocedural rules ask:
+ModuleFacts` summaries, the index answers the cross-module questions
+the concurrency rules ask:
 
-* *import graph* — which project modules does a module import, and,
-  transitively, which files must be re-analysed when one file changes
-  (:meth:`ProjectIndex.dependent_paths`);
 * *symbol resolution* — what does a name in a module refer to,
   following ``from x import y`` chains and package re-exports;
-* *class hierarchy* — ``Featurizer`` (or any root) subclass closure
-  with inherited-member lookup;
+* *class ancestry* — a class and its project ancestors, for inherited
+  locks and methods;
 * *call graph* — approximate resolution of call sites to project
-  functions, including ``self.method`` dispatch and constructor calls.
+  functions, including ``self.method`` dispatch and constructor calls;
+* *lock-order graph* — which locks are taken while which are held,
+  directly or through resolved calls.
 
 Resolution is best-effort: anything the index cannot resolve (builtins,
 third-party calls, dynamic dispatch) is simply invisible to the
@@ -22,6 +21,8 @@ analyses, which keeps them quiet rather than wrong.
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import networkx as nx
 
 from repro.lint.semantic.facts import ClassFacts, FunctionFacts, ModuleFacts
 
@@ -55,33 +56,8 @@ class ProjectIndex:
     def __init__(self, facts: Iterable[ModuleFacts]) -> None:
         #: Module facts keyed by dotted module name.
         self.modules: dict[str, ModuleFacts] = {}
-        #: Module facts keyed by scan-relative path.
-        self.by_path: dict[str, ModuleFacts] = {}
         for mf in facts:
             self.modules[mf.module_name] = mf
-            self.by_path[mf.path] = mf
-        #: module name -> project modules it imports (direct edges).
-        self.imports_of: dict[str, set[str]] = {}
-        #: module name -> project modules importing it (reverse edges).
-        self.importers_of: dict[str, set[str]] = {
-            name: set() for name in self.modules}
-        for name, mf in self.modules.items():
-            edges: set[str] = set()
-            for imp in mf.imports:
-                target = self._project_module(imp.module)
-                if target is not None and target != name:
-                    edges.add(target)
-                # ``from pkg import submodule`` depends on the submodule
-                # itself, not just the package __init__ — without this
-                # edge an edit to the submodule would never invalidate
-                # the importer's cached semantic findings.
-                if imp.name is not None and imp.name != "*":
-                    submodule = f"{imp.module}.{imp.name}"
-                    if submodule in self.modules and submodule != name:
-                        edges.add(submodule)
-            self.imports_of[name] = edges
-            for target in edges:
-                self.importers_of[target].add(name)
         #: bare class name -> [(module facts, class facts)] definitions.
         self.classes_by_name: dict[str, list[tuple[ModuleFacts,
                                                    ClassFacts]]] = {}
@@ -91,7 +67,7 @@ class ProjectIndex:
                     (mf, cls))
 
     # ------------------------------------------------------------------
-    # import graph
+    # symbol resolution
 
     def _project_module(self, dotted: str) -> str | None:
         """Longest known project module matching ``dotted`` (or prefix)."""
@@ -101,28 +77,6 @@ class ProjectIndex:
                 return name
             name = name.rpartition(".")[0]
         return None
-
-    def dependent_paths(self, paths: Iterable[str]) -> set[str]:
-        """Transitive importers (by path) of the given changed paths.
-
-        This is the cache-invalidation frontier: every semantic finding
-        is attributed to a file whose import closure determines it, so a
-        change can only affect the changed files and their transitive
-        importers.
-        """
-        queue = [self.by_path[p].module_name
-                 for p in paths if p in self.by_path]
-        seen: set[str] = set(queue)
-        while queue:
-            current = queue.pop()
-            for importer in self.importers_of.get(current, ()):
-                if importer not in seen:
-                    seen.add(importer)
-                    queue.append(importer)
-        return {self.modules[name].path for name in seen}
-
-    # ------------------------------------------------------------------
-    # symbol resolution
 
     def resolve_symbol(self, module_name: str,
                        name: str) -> ResolvedSymbol | None:
@@ -221,45 +175,6 @@ class ProjectIndex:
                 resolved = self.resolve_base(mf, base)
                 if resolved is not None:
                     queue.append(resolved)
-
-    def subclasses_of(self, root_name: str
-                      ) -> list[tuple[ModuleFacts, ClassFacts]]:
-        """Transitive project subclasses of the class named ``root_name``.
-
-        Matching follows resolved bases where possible and bare base
-        names otherwise, so single-file trees (unit tests) and the real
-        multi-module hierarchy both resolve.
-        """
-        known: set[tuple[str, str]] = {
-            (mf.module_name, cls.name)
-            for mf, cls in self.classes_by_name.get(root_name, [])}
-        if not known:
-            return []
-        result: list[tuple[ModuleFacts, ClassFacts]] = []
-        changed = True
-        members = [(mf, cls) for mf in self.modules.values()
-                   for cls in mf.classes]
-        while changed:
-            changed = False
-            for mf, cls in members:
-                key = (mf.module_name, cls.name)
-                if key in known:
-                    continue
-                for base in cls.bases:
-                    resolved = self.resolve_base(mf, base)
-                    if resolved is not None:
-                        base_key = (resolved[0].module_name,
-                                    resolved[1].name)
-                    else:
-                        base_key = None
-                    bare = base.rpartition(".")[2]
-                    if (base_key in known
-                            or any(k[1] == bare for k in known)):
-                        known.add(key)
-                        result.append((mf, cls))
-                        changed = True
-                        break
-        return result
 
     # ------------------------------------------------------------------
     # call graph
@@ -476,8 +391,7 @@ class ProjectIndex:
                     source = self.canonical_lock(mf, class_name, held)
                     if source is not None:
                         graph.add_edge(source, target, mf.path,
-                                       mf.module_name, acq.lineno,
-                                       acq.col, via=None)
+                                       acq.lineno, acq.col, via=None)
             key = (mf.module_name, fn.qualname)
             for target_key, call in resolved_calls[key]:
                 if not call.held_locks:
@@ -487,22 +401,9 @@ class ProjectIndex:
                         source = self.canonical_lock(mf, class_name, held)
                         if source is not None:
                             graph.add_edge(
-                                source, target, mf.path, mf.module_name,
+                                source, target, mf.path,
                                 call.lineno, call.col, via=call.callee)
         return graph
-
-    def imports_closure(self, module_name: str) -> set[str]:
-        """``module_name`` plus every project module it transitively
-        imports (the set of modules whose change dirties this one)."""
-        seen = {module_name}
-        queue = [module_name]
-        while queue:
-            current = queue.pop()
-            for target in self.imports_of.get(current, ()):
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        return seen
 
 
 class LockOrderGraph:
@@ -511,13 +412,13 @@ class LockOrderGraph:
     def __init__(self) -> None:
         #: source lock -> set of locks acquired while holding it.
         self.edges: dict[str, set[str]] = {}
-        #: (source, target) -> [(path, module, lineno, col, via)].
+        #: (source, target) -> [(path, lineno, col, via)].
         self.sites: dict[tuple[str, str],
-                         list[tuple[str, str, int, int, "str | None"]]] = {}
+                         list[tuple[str, int, int, "str | None"]]] = {}
         #: canonical lock id -> declared kind (``Lock``/``RLock``).
         self.kinds: dict[str, str] = {}
 
-    def add_edge(self, source: str, target: str, path: str, module: str,
+    def add_edge(self, source: str, target: str, path: str,
                  lineno: int, col: int, via: "str | None") -> None:
         """Record "``target`` acquired while ``source`` held" at a site."""
         if source == target:
@@ -528,7 +429,7 @@ class LockOrderGraph:
                 return
         self.edges.setdefault(source, set()).add(target)
         self.sites.setdefault((source, target), []).append(
-            (path, module, lineno, col, via))
+            (path, lineno, col, via))
 
     def cycles(self) -> list[list[str]]:
         """Strongly connected components with a cycle, sorted.
@@ -536,60 +437,15 @@ class LockOrderGraph:
         Each entry is the sorted list of lock ids in one SCC of size
         ``>= 2``, or a single lock with a self-edge.
         """
-        index_counter = [0]
-        stack: list[str] = []
-        on_stack: set[str] = set()
-        indices: dict[str, int] = {}
-        low: dict[str, int] = {}
-        result: list[list[str]] = []
-        nodes = sorted(set(self.edges)
-                       | {t for ts in self.edges.values() for t in ts})
-
-        def strongconnect(node: str) -> None:
-            work = [(node, iter(sorted(self.edges.get(node, ()))))]
-            indices[node] = low[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            while work:
-                current, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in indices:
-                        indices[succ] = low[succ] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append(
-                            (succ, iter(sorted(self.edges.get(succ,
-                                                              ())))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[current] = min(low[current], indices[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[current])
-                if low[current] == indices[current]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    if len(component) > 1 or (
-                            component[0] in self.edges.get(component[0],
-                                                           set())):
-                        result.append(sorted(component))
-
-        for node in nodes:
-            if node not in indices:
-                strongconnect(node)
-        return sorted(result)
+        graph = nx.DiGraph()
+        graph.add_edges_from((source, target)
+                             for source, targets in self.edges.items()
+                             for target in targets)
+        self_looped = {source for source, _ in nx.selfloop_edges(graph)}
+        return sorted(
+            sorted(component)
+            for component in nx.strongly_connected_components(graph)
+            if len(component) > 1 or component <= self_looped)
 
     def cycle_edges(self, component: list[str]
                     ) -> list[tuple[str, str]]:

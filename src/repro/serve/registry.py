@@ -302,7 +302,7 @@ class ModelRegistry:
         # disk I/O (the exact stall RPR403 exists to catch).  The racy
         # window is benign — concurrent losers load a duplicate, then
         # the last store below wins and every later caller shares it.
-        if cached is not None and cached[0] == expected:  # repro: ignore[RPR404]
+        if cached is not None and cached[0] == expected:
             return cached[1]
         if verify:
             self.verify(resolved)

@@ -3,6 +3,7 @@ subprocess worker's JSON control channel."""
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -169,4 +170,8 @@ class TestProcessWorker:
             worker.warm(fleet_sqls[:2])
         finally:
             worker.drain()
+        # drain() reaped the child (checked before alive(), which polls
+        # and would reap it too): it is no longer ours to wait for.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
         assert not worker.alive()

@@ -1,24 +1,25 @@
-"""Tests for the concurrency band (RPR401-RPR405).
+"""Tests for the concurrency band (RPR401-RPR403).
 
 Single-module behaviour goes through ``lint_text``; the cross-module
-lock-order cycle — the case that needs the ProjectIndex — builds a
-small package tree on disk and runs the full engine over it.
+lock-order cycles — the cases that need the ProjectIndex — build small
+package trees on disk and run the full engine over them.  Only RPR4xx
+findings are inspected.
 """
 
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintConfig, lint_text
+from repro.lint import lint_text
 from repro.lint.engine import run
 
-CONCURRENCY = LintConfig(select=frozenset(
-    {"RPR401", "RPR402", "RPR403", "RPR404", "RPR405"}))
+
+def concurrency(findings):
+    return [f for f in findings if f.code.startswith("RPR4")]
 
 
 def codes(source, *, module_name="repro.serve.mod"):
-    result = lint_text(textwrap.dedent(source), module_name=module_name,
-                       config=CONCURRENCY)
-    return [f.code for f in result.findings]
+    result = lint_text(textwrap.dedent(source), module_name=module_name)
+    return [f.code for f in concurrency(result.findings)]
 
 
 def write_tree(root: Path, files: dict) -> None:
@@ -28,10 +29,11 @@ def write_tree(root: Path, files: dict) -> None:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
 
 
-def tree_codes(tmp_path, files, config=CONCURRENCY):
+def tree_codes(tmp_path, files):
     write_tree(tmp_path, files)
-    result = run([tmp_path / "repro"], config)
-    return [(f.path.rsplit("/", 1)[-1], f.code) for f in result.findings]
+    result = run([tmp_path / "repro"])
+    return [(f.path.rsplit("/", 1)[-1], f.code)
+            for f in concurrency(result.findings)]
 
 
 PKG = {
@@ -201,8 +203,7 @@ class TestLockOrderCycleRPR402:
     def test_cross_module_cycle_through_a_call(self, tmp_path):
         # locks_a holds A while *calling into* locks_b (which takes B),
         # and elsewhere takes B then A directly: a cycle only the
-        # project-wide graph can see.  Both edges anchor in locks_a,
-        # whose import closure covers every participant.
+        # project-wide graph can see.  Both edges anchor in locks_a.
         found = tree_codes(tmp_path, {
             **PKG,
             "repro/serve/locks_b.py": """\
@@ -237,10 +238,9 @@ class TestLockOrderCycleRPR402:
         assert found == [("locks_a.py", "RPR402"),
                          ("locks_a.py", "RPR402")]
 
-    def test_fixing_the_callee_invalidates_the_cached_cycle(self, tmp_path):
-        # ``from repro.serve import locks_b`` must create an import
-        # edge to the submodule itself: editing only locks_b has to
-        # dirty locks_a's cached RPR402 findings on the warm run.
+    def test_fixing_the_callee_clears_the_cycle(self, tmp_path):
+        # The A -> B edge exists only through the call into locks_b, so
+        # editing only locks_b removes the cycle reported in locks_a.
         files = {
             **PKG,
             "repro/serve/locks_b.py": """\
@@ -273,9 +273,8 @@ class TestLockOrderCycleRPR402:
                 """,
         }
         write_tree(tmp_path, files)
-        cache = tmp_path / "cache.json"
-        cold = run([tmp_path / "repro"], CONCURRENCY, cache_path=cache)
-        assert {f.code for f in cold.findings} == {"RPR402"}
+        before = run([tmp_path / "repro"])
+        assert {f.code for f in concurrency(before.findings)} == {"RPR402"}
         (tmp_path / "repro/serve/locks_b.py").write_text(textwrap.dedent(
             """\
             import threading
@@ -286,10 +285,58 @@ class TestLockOrderCycleRPR402:
             def take_b():
                 pass
             """), encoding="utf-8")
-        warm = run([tmp_path / "repro"], CONCURRENCY, cache_path=cache)
-        assert warm.findings == ()
-        reanalyzed = {p.rsplit("/", 1)[-1] for p in warm.files_reanalyzed}
-        assert "locks_a.py" in reanalyzed
+        after = run([tmp_path / "repro"])
+        assert concurrency(after.findings) == []
+
+    def test_cycle_between_modules_that_do_not_import_each_other(
+            self, tmp_path):
+        # The textbook AB/BA deadlock split across two modules with no
+        # import relation: forward holds A and calls take_b(), backward
+        # holds B and calls take_a().  Each edge is reported where it
+        # is taken.
+        found = tree_codes(tmp_path, {
+            **PKG,
+            "repro/serve/locks_a.py": """\
+                import threading
+
+                LOCK_A = threading.Lock()
+
+
+                def take_a():
+                    with LOCK_A:
+                        pass
+                """,
+            "repro/serve/locks_b.py": """\
+                import threading
+
+                LOCK_B = threading.Lock()
+
+
+                def take_b():
+                    with LOCK_B:
+                        pass
+                """,
+            "repro/serve/forward.py": """\
+                from repro.serve.locks_a import LOCK_A
+                from repro.serve.locks_b import take_b
+
+
+                def a_then_b():
+                    with LOCK_A:
+                        take_b()
+                """,
+            "repro/serve/backward.py": """\
+                from repro.serve.locks_a import take_a
+                from repro.serve.locks_b import LOCK_B
+
+
+                def b_then_a():
+                    with LOCK_B:
+                        take_a()
+                """,
+        })
+        assert sorted(found) == [("backward.py", "RPR402"),
+                                 ("forward.py", "RPR402")]
 
     def test_cross_module_consistent_order_is_clean(self, tmp_path):
         assert tree_codes(tmp_path, {
@@ -365,184 +412,3 @@ class TestBlockingWhileLockedRPR403:
                     with self._lock:
                         self._worker.join()
             """) == ["RPR403"]
-
-    def test_config_extends_the_blocking_catalogue(self):
-        source = textwrap.dedent("""\
-            import threading
-
-            import redis
-
-
-            class Store:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def fetch(self, key):
-                    with self._lock:
-                        return redis.fetch_blocking(key)
-            """)
-        plain = lint_text(source, module_name="repro.serve.mod",
-                          config=CONCURRENCY)
-        extended = lint_text(source, module_name="repro.serve.mod",
-                             config=LintConfig(
-                                 select=frozenset({"RPR403"}),
-                                 blocking_calls=("redis.fetch_blocking",)))
-        assert [f.code for f in plain.findings] == []
-        assert [f.code for f in extended.findings] == ["RPR403"]
-
-
-class TestThreadUnsafeLazyInitRPR404:
-    def test_split_lock_regions_are_flagged(self):
-        assert codes("""\
-            import threading
-
-
-            class Registry:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._handles = {}
-
-                def load(self, key):
-                    with self._lock:
-                        handle = self._handles.get(key)
-                    if handle is None:
-                        handle = object()
-                        with self._lock:
-                            self._handles[key] = handle
-                    return handle
-            """) == ["RPR404"]
-
-    def test_single_region_is_clean(self):
-        assert codes("""\
-            import threading
-
-
-            class Registry:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._handles = {}
-
-                def load(self, key):
-                    with self._lock:
-                        handle = self._handles.get(key)
-                        if handle is None:
-                            handle = object()
-                            self._handles[key] = handle
-                    return handle
-            """) == []
-
-    def test_double_checked_locking_is_clean(self):
-        # The inner re-check shares a lock region with the write, which
-        # is exactly what makes the pattern safe.
-        assert codes("""\
-            import threading
-
-
-            class Registry:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._handles = {}
-
-                def load(self, key):
-                    handle = self._handles.get(key)
-                    if handle is None:
-                        with self._lock:
-                            handle = self._handles.get(key)
-                            if handle is None:
-                                handle = object()
-                                self._handles[key] = handle
-                    return handle
-            """) == []
-
-    def test_pragma_suppresses_the_finding(self):
-        result = lint_text(textwrap.dedent("""\
-            import threading
-
-
-            class Registry:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._handles = {}
-
-                def load(self, key):
-                    with self._lock:
-                        handle = self._handles.get(key)
-                    if handle is None:  # repro: ignore[RPR404]
-                        handle = object()
-                        with self._lock:
-                            self._handles.setdefault(key, handle)
-                    return handle
-            """), module_name="repro.serve.mod", config=CONCURRENCY)
-        assert [f.code for f in result.findings] == []
-        assert [f.code for f in result.suppressed] == ["RPR404"]
-
-
-class TestDaemonThreadDrainRPR405:
-    def test_unjoined_daemon_thread_is_flagged(self):
-        assert codes("""\
-            import threading
-
-
-            def spawn():
-                worker = threading.Thread(target=print, daemon=True)
-                worker.start()
-            """) == ["RPR405"]
-
-    def test_joined_daemon_thread_is_clean(self):
-        assert codes("""\
-            import threading
-
-
-            def spawn():
-                worker = threading.Thread(target=print, daemon=True)
-                worker.start()
-                worker.join()
-            """) == []
-
-    def test_self_bound_daemon_joined_in_another_method_is_clean(self):
-        assert codes("""\
-            import threading
-
-
-            class Batcher:
-                def start(self):
-                    self._worker = threading.Thread(target=print,
-                                                    daemon=True)
-                    self._worker.start()
-
-                def close(self):
-                    self._worker.join()
-            """) == []
-
-    def test_self_bound_daemon_never_joined_is_flagged(self):
-        assert codes("""\
-            import threading
-
-
-            class Batcher:
-                def start(self):
-                    self._worker = threading.Thread(target=print,
-                                                    daemon=True)
-                    self._worker.start()
-            """) == ["RPR405"]
-
-    def test_unbound_daemon_start_is_flagged(self):
-        assert codes("""\
-            import threading
-
-
-            def fire_and_forget():
-                threading.Thread(target=print, daemon=True).start()
-            """) == ["RPR405"]
-
-    def test_non_daemon_thread_is_clean(self):
-        # A non-daemon thread blocks interpreter exit until it finishes;
-        # there is no silent mid-operation kill to warn about.
-        assert codes("""\
-            import threading
-
-
-            def spawn():
-                worker = threading.Thread(target=print)
-                worker.start()
-            """) == []

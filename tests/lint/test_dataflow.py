@@ -1,9 +1,8 @@
 """Tests for the CFG/dataflow substrate under the RPR4xx band.
 
-Covers the three layers directly: CFG shapes for every structured
-statement ``build_cfg`` handles, the reaching-definitions fixed point
-(including the loop case that needs more than one solver pass), and
-the must-hold lock lattice (intersection join at merges).
+Covers the layers directly: CFG shapes for every structured statement
+``build_cfg`` handles, and the must-hold lock lattice (intersection
+join at merges) solved to its fixed point.
 """
 
 import ast
@@ -12,7 +11,6 @@ import textwrap
 from repro.lint.dataflow import (
     LockModel,
     LockStateAnalysis,
-    ReachingDefinitions,
     build_cfg,
     held_tokens,
     iter_op_states,
@@ -208,117 +206,6 @@ class TestCfgShapes:
         order = cfg.rpo()
         assert order[0] == cfg.entry_id
         assert set(order) <= set(cfg.blocks)
-
-
-class TestReachingDefinitions:
-    def states_at(self, source):
-        fn, cfg = fn_cfg(source)
-        analysis = ReachingDefinitions(fn)
-        solution = solve(cfg, analysis)
-        return fn, cfg, analysis, solution
-
-    def test_straight_line_resolves_unique_value(self):
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f(self, key):
-                handle = self._handles.get(key)
-                return handle
-            """)
-        for op, state in iter_op_states(cfg, analysis, solution):
-            if op.kind == "stmt" and isinstance(op.node, ast.Return):
-                value = analysis.resolve(state, "handle")
-                assert isinstance(value, ast.Call)
-                break
-        else:
-            raise AssertionError("return op not reached")
-
-    def test_loop_merge_is_ambiguous(self):
-        # x has two reaching definitions after the loop (the init and
-        # the body); convergence requires a second solver pass over the
-        # back edge, and resolve() must refuse to pick one.
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f(n):
-                x = 0
-                for i in range(n):
-                    x = x + 1
-                return x
-            """)
-        for op, state in iter_op_states(cfg, analysis, solution):
-            if op.kind == "stmt" and isinstance(op.node, ast.Return):
-                sites = {site for site in state if site[0] == "x"}
-                assert {site[1] for site in sites} == {2, 4}
-                assert analysis.resolve(state, "x") is None
-                break
-        else:
-            raise AssertionError("return op not reached")
-
-    def test_try_finally_join_merges_both_definitions(self):
-        # x is redefined on the normal path (line 4) and the handled
-        # path (line 6); the finally join must carry both sites, and
-        # neither kills the other.
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f():
-                x = 0
-                try:
-                    x = risky()
-                except ValueError:
-                    x = -1
-                finally:
-                    log()
-                return x
-            """)
-        for op, state in iter_op_states(cfg, analysis, solution):
-            if op.kind == "stmt" and isinstance(op.node, ast.Return):
-                sites = {site[1] for site in state if site[0] == "x"}
-                assert {4, 6} <= sites
-                assert analysis.resolve(state, "x") is None
-                break
-        else:
-            raise AssertionError("return op not reached")
-
-    def test_augmented_subscript_mutates_without_rebinding(self):
-        # ``a[0] += 1`` mutates the object a names but does not rebind
-        # ``a`` — its original definition must still resolve, while an
-        # augmented assignment to the bare name kills it.
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f(n):
-                a = make(n)
-                a[0] += 1
-                return a
-            """)
-        for op, state in iter_op_states(cfg, analysis, solution):
-            if op.kind == "stmt" and isinstance(op.node, ast.Return):
-                value = analysis.resolve(state, "a")
-                assert isinstance(value, ast.Call)
-                break
-        else:
-            raise AssertionError("return op not reached")
-
-    def test_augmented_name_assignment_kills_the_definition(self):
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f(n):
-                a = make(n)
-                a += 1
-                return a
-            """)
-        for op, state in iter_op_states(cfg, analysis, solution):
-            if op.kind == "stmt" and isinstance(op.node, ast.Return):
-                sites = {site[1] for site in state if site[0] == "a"}
-                assert sites == {3}
-                break
-        else:
-            raise AssertionError("return op not reached")
-
-    def test_parameters_reach_entry(self):
-        fn, cfg, analysis, solution = self.states_at("""\
-            def f(a, b=1):
-                return a
-            """)
-        entry_out = solution.block_in[cfg.rpo()[1]] \
-            if len(cfg.rpo()) > 1 else analysis.initial()
-        names = {site[0] for site in analysis.initial()}
-        assert names == {"a", "b"}
-        assert all(site[1] == 0 for site in analysis.initial())
-        assert entry_out >= analysis.initial()
 
 
 def held_at_line(source, lineno):

@@ -1,18 +1,15 @@
-"""Tests for the project index: resolution and cache invalidation.
+"""Tests for the project index: symbol, ancestry, and call resolution.
 
 The fixture package exercises the three resolution features the
-interprocedural rules lean on — a diamond import, a cross-file
-``Featurizer`` subclass, and a symbol re-exported through a package
-``__init__`` — and then proves the import-graph invalidation frontier
-matches the diamond exactly.
+interprocedural rules lean on — a diamond import, a cross-file class
+hierarchy, and a symbol re-exported through a package ``__init__``.
 """
 
 import ast
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintConfig
-from repro.lint.engine import module_name_for, run
+from repro.lint.engine import module_name_for
 from repro.lint.semantic import ProjectIndex, extract_module_facts
 
 #: Diamond: app -> (left, right) -> core, plus a package __init__
@@ -92,12 +89,16 @@ class TestResolution:
         assert symbol.kind == "function"
         assert symbol.module.module_name == "pkg.core"
 
-    def test_cross_file_subclass_closure(self, tmp_path):
+    def test_cross_file_ancestry(self, tmp_path):
         write_tree(tmp_path, FIXTURE)
         index = build_index(tmp_path)
-        subclasses = {cls.name for _, cls
-                      in index.subclasses_of("Featurizer")}
-        assert subclasses == {"Intermediate", "Leaf"}
+        app = index.modules["pkg.app"]
+        leaf = next(cls for cls in app.classes if cls.name == "Leaf")
+        ancestry = [(mf.module_name, cls.name)
+                    for mf, cls in index.iter_ancestry(app, leaf)]
+        assert ancestry == [("pkg.app", "Leaf"),
+                            ("pkg.right", "Intermediate"),
+                            ("pkg.core", "Featurizer")]
 
     def test_call_resolution_through_reexport(self, tmp_path):
         write_tree(tmp_path, FIXTURE)
@@ -105,55 +106,3 @@ class TestResolution:
         resolved = index.resolve_call("pkg.app", "helper")
         assert resolved is not None
         assert resolved[0].module_name == "pkg.core"
-
-    def test_diamond_import_edges(self, tmp_path):
-        write_tree(tmp_path, FIXTURE)
-        index = build_index(tmp_path)
-        assert index.imports_of["pkg.left"] == {"pkg.core"}
-        assert index.imports_of["pkg.right"] == {"pkg.core"}
-        assert index.imports_of["pkg.app"] == {
-            "pkg", "pkg.left", "pkg.right"}
-        assert index.importers_of["pkg.core"] == {
-            "pkg", "pkg.left", "pkg.right"}
-
-    def test_dependent_paths_walk_the_diamond(self, tmp_path):
-        write_tree(tmp_path, FIXTURE)
-        index = build_index(tmp_path)
-        dependents = index.dependent_paths(["pkg/core.py"])
-        assert dependents == {"pkg/core.py", "pkg/__init__.py",
-                              "pkg/left.py", "pkg/right.py", "pkg/app.py"}
-        assert index.dependent_paths(["pkg/loner.py"]) == {"pkg/loner.py"}
-
-
-class TestTransitiveInvalidation:
-    """Editing one file re-analyses exactly it plus its importers."""
-
-    def test_diamond_edit_invalidates_importers_only(self, tmp_path):
-        write_tree(tmp_path, FIXTURE)
-        config = LintConfig()
-        cache = tmp_path / "cache.json"
-        cold = run([tmp_path / "pkg"], config, cache_path=cache)
-        assert len(cold.files_reanalyzed) == len(FIXTURE)
-
-        warm = run([tmp_path / "pkg"], config, cache_path=cache)
-        assert warm.files_reanalyzed == ()
-
-        target = tmp_path / "pkg/core.py"
-        target.write_text(target.read_text(encoding="utf-8")
-                          + "\n# touched\n", encoding="utf-8")
-        edited = run([tmp_path / "pkg"], config, cache_path=cache)
-        names = {Path(p).name for p in edited.files_reanalyzed}
-        assert names == {"core.py", "__init__.py", "left.py",
-                         "right.py", "app.py"}
-
-    def test_leaf_edit_invalidates_only_itself(self, tmp_path):
-        write_tree(tmp_path, FIXTURE)
-        config = LintConfig()
-        cache = tmp_path / "cache.json"
-        run([tmp_path / "pkg"], config, cache_path=cache)
-        target = tmp_path / "pkg/loner.py"
-        target.write_text(target.read_text(encoding="utf-8")
-                          + "\n# touched\n", encoding="utf-8")
-        edited = run([tmp_path / "pkg"], config, cache_path=cache)
-        names = {Path(p).name for p in edited.files_reanalyzed}
-        assert names == {"loner.py"}

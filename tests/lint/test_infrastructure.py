@@ -1,20 +1,13 @@
-"""Tests for the engine plumbing: baseline, config, reporters, pragmas."""
+"""Tests for the engine plumbing: config, reporters, pragmas."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    update_baseline,
-    write_baseline,
-)
 from repro.lint.config import (
     DEFAULT_LAYERING,
-    LintConfig,
+    DEFAULT_PRINT_ALLOWED,
     find_pyproject,
     load_config,
 )
@@ -28,115 +21,28 @@ F1 = Finding(path="a.py", line=3, col=1, code="RPR101", message="m1")
 F2 = Finding(path="b.py", line=9, col=5, code="RPR303", message="m2")
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([F1, F2], path)
-        known = load_baseline(path)
-        new, matched = apply_baseline([F1, F2], known)
-        assert new == []
-        assert sorted(matched) == sorted([F1, F2])
-
-    def test_line_drift_still_matches(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([F1], path)
-        moved = Finding(path="a.py", line=77, col=2, code="RPR101",
-                        message="m1")
-        new, matched = apply_baseline([moved], load_baseline(path))
-        assert new == [] and matched == [moved]
-
-    def test_second_identical_violation_is_new(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([F1], path)
-        twice = [F1, Finding(path="a.py", line=50, col=1, code="RPR101",
-                             message="m1")]
-        new, matched = apply_baseline(twice, load_baseline(path))
-        assert len(new) == 1 and len(matched) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-        path.write_text("not json at all")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-    def test_stale_paths_are_pruned_on_load(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        path = tmp_path / "baseline.json"
-        write_baseline([F1, F2], path)  # a.py exists, b.py does not
-        known = load_baseline(path, root=tmp_path)
-        assert ("a.py", "RPR101", "m1") in known
-        assert ("b.py", "RPR303", "m2") not in known
-        # without a root, nothing is pruned (library callers opt in)
-        assert ("b.py", "RPR303", "m2") in load_baseline(path)
-
-    def test_update_baseline_drops_fixed_entries(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "b.py").write_text("x = 1\n")
-        path = tmp_path / "baseline.json"
-        write_baseline([F1, F2], path)
-        # Current run only produces F1 — F2 was fixed.
-        removed = update_baseline([F1], path, root=tmp_path)
-        assert removed == 1
-        assert set(load_baseline(path)) == {("a.py", "RPR101", "m1")}
-
-    def test_update_baseline_never_adds_new_findings(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        path = tmp_path / "baseline.json"
-        write_baseline([F1], path)
-        fresh = Finding(path="a.py", line=2, col=1, code="RPR102",
-                        message="brand new")
-        update_baseline([F1, fresh], path, root=tmp_path)
-        known = load_baseline(path)
-        assert set(known) == {("a.py", "RPR101", "m1")}
-
-    def test_update_baseline_is_deterministic(self, tmp_path):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "b.py").write_text("x = 1\n")
-        path = tmp_path / "baseline.json"
-        write_baseline([F2, F1], path)
-        update_baseline([F1, F2], path, root=tmp_path)
-        first = path.read_text()
-        update_baseline([F2, F1], path, root=tmp_path)
-        assert path.read_text() == first
-
-
 class TestConfig:
     def test_repo_pyproject_is_discovered(self):
         repo_root = Path(__file__).resolve().parents[2]
         config = load_config(repo_root / "src")
-        assert config.root == repo_root
-        assert "repro.cli" in config.print_allowed
+        assert "repro.fleet.worker" in config.print_allowed
         assert config.layering["repro.featurize"] == (
             "repro.models", "repro.estimators", "repro.experiments")
-        assert config.baseline_path() == repo_root / "lint-baseline.json"
 
     def test_defaults_without_pyproject(self, tmp_path):
         config = load_config(tmp_path)
         assert dict(config.layering) == dict(DEFAULT_LAYERING)
-        assert config.select is None and config.ignore == frozenset()
+        assert config.print_allowed == DEFAULT_PRINT_ALLOWED
 
     def test_section_overrides(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
             '[tool.repro.lint]\n'
-            'ignore = ["RPR302"]\n'
-            'select = ["RPR302", "RPR101"]\n'
             'print-allowed = ["x.y"]\n'
-            'baseline = "b.json"\n'
             '[tool.repro.lint.layering]\n'
             '"pkg.low" = ["pkg.high"]\n')
         config = load_config(tmp_path)
-        assert config.is_enabled("RPR101")
-        assert not config.is_enabled("RPR302")  # ignore beats select
-        assert not config.is_enabled("RPR303")  # not selected
         assert config.print_allowed == ("x.y",)
         assert config.layering == {"pkg.low": ("pkg.high",)}
-        assert config.baseline_path() == tmp_path / "b.json"
 
     def test_find_pyproject_walks_upward(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
@@ -194,8 +100,7 @@ class TestPragmas:
 
 class TestReporters:
     def _report(self):
-        return Report(new=[F1], baselined=[F2], suppressed=[],
-                      files_scanned=4)
+        return Report(new=[F1], suppressed=[F2], files_scanned=4)
 
     def test_text_reporter(self, tmp_path):
         out = (tmp_path / "o.txt").open("w+")
@@ -203,7 +108,7 @@ class TestReporters:
         out.seek(0)
         text = out.read()
         assert "a.py:3:1: RPR101 m1" in text
-        assert "1 finding(s) in 4 file(s) (1 baselined)" in text
+        assert "1 finding(s) in 4 file(s) (1 pragma-suppressed)" in text
 
     def test_json_reporter(self, tmp_path):
         out = (tmp_path / "o.json").open("w+")
@@ -211,7 +116,7 @@ class TestReporters:
         out.seek(0)
         payload = json.loads(out.read())
         assert payload["findings"] == [F1.to_dict()]
-        assert payload["summary"]["baselined"] == 1
+        assert payload["summary"]["suppressed"] == 1
         assert payload["summary"]["exit_code"] == 1
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -219,7 +124,7 @@ class TestReporters:
             render(self._report(), (tmp_path / "o").open("w"), "yaml")
 
     def test_exit_code_zero_when_clean(self):
-        assert Report(new=[], baselined=[F1], files_scanned=1).exit_code == 0
+        assert Report(new=[], suppressed=[F1], files_scanned=1).exit_code == 0
 
 
 class TestRegistry:
@@ -229,7 +134,7 @@ class TestRegistry:
         assert len(codes) == len(set(codes)) >= 9
         assert all(code.startswith("RPR") for code in codes)
         bands = {code[3] for code in codes}
-        assert bands == {"1", "2", "3", "4", "5"}
+        assert bands == {"1", "2", "3", "4"}
         for cls in classes:
             assert cls.name and cls.summary
             assert cls.example_bad and cls.example_good

@@ -67,67 +67,6 @@ class TestBroadExceptRPR103:
             "    except KeyError:\n        return None\n") == []
 
 
-FEATURIZER_BASE = """
-    import abc
-
-    class Featurizer(abc.ABC):
-        @property
-        @abc.abstractmethod
-        def feature_length(self):
-            ...
-
-        @abc.abstractmethod
-        def _featurize_expr(self, expr):
-            ...
-"""
-
-
-class TestFeaturizerSurfaceRPR104:
-    def test_flags_incomplete_concrete_subclass(self):
-        source = FEATURIZER_BASE + """
-    class Broken(Featurizer):
-        def feature_length(self):
-            return 3
-    """
-        assert "RPR104" in codes(source)
-
-    def test_accepts_complete_subclass(self):
-        source = FEATURIZER_BASE + """
-    class Good(Featurizer):
-        def feature_length(self):
-            return 3
-
-        def _featurize_expr(self, expr):
-            return expr
-    """
-        assert codes(source) == []
-
-    def test_accepts_inherited_implementation(self):
-        source = FEATURIZER_BASE + """
-    class Good(Featurizer):
-        def feature_length(self):
-            return 3
-
-        def _featurize_expr(self, expr):
-            return expr
-
-    class Derived(Good):
-        pass
-    """
-        assert codes(source) == []
-
-    def test_skips_abstract_intermediate_class(self):
-        source = FEATURIZER_BASE + """
-    import abc as _abc
-
-    class Intermediate(Featurizer):
-        @_abc.abstractmethod
-        def extra(self):
-            ...
-    """
-        assert codes(source) == []
-
-
 class TestGlobalNumpyRandomRPR201:
     def test_flags_np_random_seed(self):
         assert "RPR201" in codes(
@@ -319,15 +258,6 @@ class TestEngineBehaviour:
         source = "def f(x=[]):  # repro: ignore[RPR999]\n    return x\n"
         assert [f.code for f in lint_text(source).findings] == ["RPR101"]
 
-    def test_ignore_config_disables_rule(self):
-        config = LintConfig(ignore=frozenset({"RPR101"}))
-        assert codes("def f(x=[]):\n    return x\n", config=config) == []
-
-    def test_select_config_limits_rules(self):
-        config = LintConfig(select=frozenset({"RPR102"}))
-        source = "def f(x=[]):\n    return x == 1.0\n"
-        assert codes(source, config=config) == ["RPR102"]
-
     def test_findings_are_sorted_and_located(self):
         result = lint_text("x = 1 == 2.0\ny = 3 == 4.0\n")
         lines = [f.line for f in result.findings]
@@ -400,87 +330,3 @@ class TestMetricNameDriftRPR110:
         result = lint_text(source, module_name="repro.serve.cache")
         assert result.findings == ()
         assert [f.code for f in result.suppressed] == ["RPR110"]
-
-
-class TestSubprocessWithoutDrainRPR111:
-    def test_flags_undrained_attribute_binding(self):
-        assert "RPR111" in codes(
-            'import subprocess\n'
-            'class W:\n'
-            '    def start(self):\n'
-            '        self._proc = subprocess.Popen(["sleep", "1"])\n',
-            module_name="repro.fleet.evil")
-
-    def test_flags_undrained_local_and_unbound_spawn(self):
-        assert "RPR111" in codes(
-            'import subprocess\n'
-            'def f():\n'
-            '    proc = subprocess.Popen(["sleep", "1"])\n'
-            '    return proc.pid\n',
-            module_name="repro.serve.evil")
-        assert "RPR111" in codes(
-            'import subprocess\n'
-            'def f():\n'
-            '    subprocess.Popen(["sleep", "1"])\n',
-            module_name="repro.fleet.evil")
-
-    def test_accepts_direct_drain(self):
-        assert "RPR111" not in codes(
-            'import subprocess\n'
-            'class W:\n'
-            '    def start(self):\n'
-            '        self._proc = subprocess.Popen(["sleep", "1"])\n'
-            '    def stop(self):\n'
-            '        self._proc.wait()\n',
-            module_name="repro.fleet.ok")
-
-    def test_accepts_drain_through_alias(self):
-        assert "RPR111" not in codes(
-            'import subprocess\n'
-            'class W:\n'
-            '    def start(self):\n'
-            '        self._proc = subprocess.Popen(["sleep", "1"])\n'
-            '    def stop(self):\n'
-            '        proc = self._proc\n'
-            '        proc.terminate()\n'
-            '        proc.wait()\n',
-            module_name="repro.fleet.ok")
-
-    def test_flags_from_import_and_multiprocessing(self):
-        assert "RPR111" in codes(
-            'from subprocess import Popen\n'
-            'def f():\n'
-            '    worker = Popen(["sleep", "1"])\n'
-            '    return worker\n',
-            module_name="repro.fleet.evil")
-        assert "RPR111" in codes(
-            'import multiprocessing\n'
-            'def f(target):\n'
-            '    child = multiprocessing.Process(target=target)\n'
-            '    child.start()\n',
-            module_name="repro.fleet.evil")
-
-    def test_subprocess_run_is_not_a_spawn(self):
-        assert "RPR111" not in codes(
-            'import subprocess\n'
-            'def f():\n'
-            '    return subprocess.run(["ls"], check=True)\n',
-            module_name="repro.fleet.ok")
-
-    def test_only_applies_to_serving_layers(self):
-        assert "RPR111" not in codes(
-            'import subprocess\n'
-            'def f():\n'
-            '    proc = subprocess.Popen(["sleep", "1"])\n'
-            '    return proc.pid\n',
-            module_name="repro.experiments.runner")
-
-    def test_pragma_suppresses(self):
-        source = ('import subprocess\n'
-                  'def f():\n'
-                  '    proc = subprocess.Popen(["ls"])'
-                  '  # repro: ignore[RPR111]\n'
-                  '    return proc\n')
-        result = lint_text(source, module_name="repro.fleet.evil")
-        assert "RPR111" not in [f.code for f in result.findings]
-        assert "RPR111" in [f.code for f in result.suppressed]

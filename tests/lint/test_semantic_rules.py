@@ -1,315 +1,32 @@
-"""Tests for the interprocedural rules (RPR106/107/203/204).
+"""Pragma handling for project-stage (interprocedural) findings.
 
-Single-module behaviour goes through ``lint_text``; the cross-module
-cases — the reason the semantic layer exists — build small package
-trees on disk and run the full engine over them.
+Project rules report through ``ProjectContext.report`` after every
+module has been walked; the pragma table of the file a finding lands in
+must still suppress it.
 """
 
 import textwrap
-from pathlib import Path
 
-from repro.lint import LintConfig, lint_text
-from repro.lint.engine import run
-
-SEMANTIC = LintConfig(select=frozenset(
-    {"RPR106", "RPR107", "RPR203", "RPR204"}))
-
-
-def codes(source, *, module_name="repro.featurize.mod"):
-    result = lint_text(textwrap.dedent(source), module_name=module_name,
-                       config=SEMANTIC)
-    return [f.code for f in result.findings]
-
-
-def write_tree(root: Path, files: dict) -> None:
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-
-def tree_codes(tmp_path, files, config=SEMANTIC):
-    write_tree(tmp_path, files)
-    result = run([tmp_path / "repro"], config)
-    return [(f.path.rsplit("/", 1)[-1], f.code) for f in result.findings]
-
-
-PKG = {
-    "repro/__init__.py": '"""pkg."""\n',
-    "repro/featurize/__init__.py": '"""pkg."""\n',
-}
-
-
-class TestGeneratorThreadingRPR203:
-    def test_call_without_generator_is_flagged(self):
-        assert codes("""\
-            import numpy as np
-
-            def jitter(values, rng):
-                return values + rng.normal(size=values.shape)
-
-            def pipeline(values):
-                return jitter(values)
-            """) == ["RPR203"]
-
-    def test_threading_the_generator_is_clean(self):
-        assert codes("""\
-            import numpy as np
-
-            def jitter(values, rng):
-                return values + rng.normal(size=values.shape)
-
-            def pipeline(values, rng):
-                return jitter(values, rng)
-            """) == []
-
-    def test_seed_parameter_with_internal_rng_is_clean(self):
-        # A `seed: int` API is deterministic by construction; requiring
-        # a Generator there would fight the codebase's own convention.
-        assert codes("""\
-            import numpy as np
-
-            def sample(n, seed):
-                rng = np.random.default_rng(seed)
-                return rng.normal(size=n)
-
-            def pipeline(n):
-                return sample(n, 17)
-            """) == []
-
-    def test_transitive_requirement_propagates(self):
-        # pipeline -> middle -> jitter: middle forwards its rng into a
-        # drawing callee, so calling middle bare is as wrong as calling
-        # jitter bare.
-        assert codes("""\
-            import numpy as np
-
-            def jitter(values, rng):
-                return values + rng.normal(size=values.shape)
-
-            def middle(values, rng):
-                return jitter(values, rng)
-
-            def pipeline(values):
-                return middle(values)
-            """) == ["RPR203"]
-
-    def test_cross_module_call_is_flagged(self, tmp_path):
-        found = tree_codes(tmp_path, {
-            **PKG,
-            "repro/featurize/noise.py": """\
-                import numpy as np
-
-                def jitter(values, rng):
-                    return values + rng.normal(size=values.shape)
-                """,
-            "repro/featurize/pipe.py": """\
-                from repro.featurize.noise import jitter
-
-                def pipeline(values):
-                    return jitter(values)
-                """,
-        })
-        assert found == [("pipe.py", "RPR203")]
-
-
-class TestFeatureDtypeDriftRPR106:
-    def test_direct_float32_return_is_flagged(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize(self, query):
-                    return np.zeros(8, dtype=np.float32)
-            """) == ["RPR106"]
-
-    def test_float64_is_clean(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize(self, query):
-                    return np.zeros(8)
-            """) == []
-
-    def test_outside_featurize_package_is_ignored(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize(self, query):
-                    return np.zeros(8, dtype=np.float32)
-            """, module_name="repro.models.mod") == []
-
-    def test_drift_through_cross_module_helper(self, tmp_path):
-        # The headline case: the narrow dtype is created two modules
-        # away from the surface that emits it.
-        found = tree_codes(tmp_path, {
-            **PKG,
-            "repro/featurize/alloc.py": """\
-                import numpy as np
-
-                def make_vec(n):
-                    return np.zeros(n, dtype=np.float32)
-                """,
-            "repro/featurize/mid.py": """\
-                from repro.featurize.alloc import make_vec
-
-                def build(n):
-                    return make_vec(n)
-                """,
-            "repro/featurize/surface.py": """\
-                from repro.featurize.mid import build
-
-                class Thing:
-                    def featurize(self, query):
-                        return build(8)
-                """,
-        })
-        assert found == [("surface.py", "RPR106")]
-
-    def test_astype_float32_is_flagged(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize(self, query):
-                    return np.ones(8).astype(np.float32)
-            """) == ["RPR106"]
-
-
-class TestFeatureShapeContractRPR107:
-    def test_batch_surface_returning_vector_is_flagged(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize_batch(self, queries):
-                    return np.zeros(8)
-            """) == ["RPR107"]
-
-    def test_batch_surface_returning_matrix_is_clean(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize_batch(self, queries):
-                    return np.zeros((4, 8))
-            """) == []
-
-    def test_scalar_surface_returning_matrix_is_flagged(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize(self, query):
-                    return np.zeros((1, 8))
-            """) == ["RPR107"]
-
-    def test_unknown_rank_is_conservative(self):
-        assert codes("""\
-            import numpy as np
-
-            class Thing:
-                def featurize_batch(self, queries):
-                    return np.zeros(self.shape)
-            """) == []
-
-    def test_rank_through_helper(self, tmp_path):
-        found = tree_codes(tmp_path, {
-            **PKG,
-            "repro/featurize/alloc.py": """\
-                import numpy as np
-
-                def make_vec(n):
-                    return np.zeros(8)
-                """,
-            "repro/featurize/surface.py": """\
-                from repro.featurize.alloc import make_vec
-
-                class Thing:
-                    def featurize_batch(self, queries):
-                        return make_vec(8)
-                """,
-        })
-        assert found == [("surface.py", "RPR107")]
-
-
-class TestUnorderedIterationRPR204:
-    def test_set_literal_iteration_is_flagged(self):
-        assert codes("""\
-            def emit(columns):
-                seen = {c for c in columns}
-                out = []
-                for column in seen:
-                    out.append(column)
-                return out
-            """) == ["RPR204"]
-
-    def test_sorted_set_is_clean(self):
-        assert codes("""\
-            def emit(columns):
-                seen = {c for c in columns}
-                out = []
-                for column in sorted(seen):
-                    out.append(column)
-                return out
-            """) == []
-
-    def test_outside_emission_modules_is_ignored(self):
-        assert codes("""\
-            def emit(columns):
-                seen = set(columns)
-                return [c for c in seen]
-            """, module_name="repro.models.mod") == []
-
-    def test_cross_module_set_returning_helper(self, tmp_path):
-        found = tree_codes(tmp_path, {
-            **PKG,
-            "repro/featurize/cols.py": """\
-                def collect(exprs):
-                    return {e.column for e in exprs}
-                """,
-            "repro/featurize/surface.py": """\
-                from repro.featurize.cols import collect
-
-                def emit(exprs):
-                    out = []
-                    for column in collect(exprs):
-                        out.append(column)
-                    return out
-                """,
-        })
-        assert found == [("surface.py", "RPR204")]
-
-    def test_transitively_set_returning_helper(self, tmp_path):
-        found = tree_codes(tmp_path, {
-            **PKG,
-            "repro/featurize/cols.py": """\
-                def collect(exprs):
-                    return {e.column for e in exprs}
-
-                def gather(exprs):
-                    return collect(exprs)
-                """,
-            "repro/featurize/surface.py": """\
-                from repro.featurize.cols import gather
-
-                def emit(exprs):
-                    return [column for column in gather(exprs)]
-                """,
-        })
-        assert found == [("surface.py", "RPR204")]
+from repro.lint import lint_text
 
 
 class TestSemanticPragmas:
     def test_pragma_suppresses_semantic_finding(self):
         result = lint_text(textwrap.dedent("""\
-            import numpy as np
+            import threading
 
-            class Thing:
-                def featurize(self, query):
-                    return np.zeros(8, dtype=np.float32)  # repro: ignore[RPR106]
-            """), module_name="repro.featurize.mod", config=SEMANTIC)
+
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._count = 0
+
+                def bump(self):
+                    with self._lock:
+                        self._count += 1
+
+                def reset(self):
+                    self._count = 0  # repro: ignore[RPR401]
+            """), module_name="repro.serve.mod")
         assert [f.code for f in result.findings] == []
-        assert [f.code for f in result.suppressed] == ["RPR106"]
+        assert [f.code for f in result.suppressed] == ["RPR401"]

@@ -48,6 +48,14 @@ class TestBinMapper:
         with pytest.raises(ValueError, match="uint8"):
             mapper.fit(np.ones((4, 1)))
 
+    def test_transform_rejects_thresholds_beyond_uint8(self):
+        # Thresholds can also arrive via persistence, bypassing fit();
+        # 300 of them would make searchsorted codes wrap past 255.
+        mapper = BinMapper(max_bins=8).fit(np.arange(20.0)[:, None])
+        mapper._thresholds[0] = np.arange(300, dtype=np.float64)
+        with pytest.raises(ValueError, match="uint8"):
+            mapper.transform(np.full((2, 1), 299.5))
+
     def test_transform_checks_feature_count(self):
         mapper = BinMapper().fit(np.ones((3, 2)))
         with pytest.raises(ValueError, match="features"):
