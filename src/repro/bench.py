@@ -1,4 +1,4 @@
-"""Micro-benchmarks: featurization throughput, lint run, obs overhead.
+"""Micro-benchmarks: featurize, lint, obs overhead and forest inference.
 
 :func:`run_featurize_bench` measures what batching a workload is worth:
 every case times a per-query ``featurize`` loop (one-query batches)
@@ -19,24 +19,22 @@ called directly), with tracing disabled (the no-op span path), and with
 tracing enabled, and reports the overhead percentages (committed as
 ``BENCH_obs.json``; the disabled-mode number is gated at < 3% in CI).
 
-:func:`run_serve_bench` measures the serving stack end to end: an
-in-process HTTP server (estimate cache off) under a closed-loop
-multi-threaded client fleet, reporting p50/p95 latency and
-queries/sec at client batch sizes 1, 8, and 64, verifying the served
-estimates bitwise against ``estimate_batch`` on the parsed queries,
-and embedding the forest-inference microbenchmark plus parse-cache
-statistics (committed as ``BENCH_serve.json``).
-
 :func:`run_predict_bench` isolates forest inference: the legacy
 per-tree python predict loop against the packed
 :class:`~repro.models.compiled_forest.CompiledForest` on identical
-feature matrices, asserting bitwise-equal outputs (CI gates the
-compiled path at ≥ 3× across all measured batch sizes).
+feature matrices, asserting bitwise-equal outputs (committed as
+``BENCH_predict.json``; CI gates the compiled path at ≥ 3× across all
+measured batch sizes).
+
+Serving is measured end to end by the repository benchmark
+(``perfbench/``), not here; its per-workload medians are committed as
+``BENCH_serve.json``.
 
 This module computes and returns results only; printing and process exit
-codes live in :mod:`repro.cli` (``repro bench featurize`` / ``repro
-bench lint`` / ``repro bench obs`` / ``repro bench serve``), and the
-pytest-driven benchmark lives in ``benchmarks/test_featurize_throughput.py``.
+codes live in :mod:`repro.cli` (``repro bench featurize`` / ``lint`` /
+``obs`` / ``predict``), and the pytest-driven benchmark lives in
+``benchmarks/test_featurize_throughput.py``.  :func:`write_report` heads
+every report with the host, versions and commit it was measured on.
 
 Raw ``time.perf_counter`` use is deliberate here (and exempt from lint
 rule RPR108): interleaved best-of-N timing needs the clock directly,
@@ -48,10 +46,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-import threading
+import platform
+import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -66,12 +64,11 @@ from repro.featurize import (
     RangeEncoding,
     SingularEncoding,
 )
-from repro.sql.ast import And, BoolExpr, Or, Query, SimplePredicate
+from repro.sql.ast import Query
 from repro.workloads import generate_conjunctive_queries, generate_mixed_queries
 
-__all__ = ["BenchCase", "run_featurize_bench", "run_fleet_bench",
-           "run_lint_bench", "run_obs_bench", "run_predict_bench",
-           "run_serve_bench", "write_report"]
+__all__ = ["BenchCase", "run_featurize_bench", "run_lint_bench",
+           "run_obs_bench", "run_predict_bench", "write_report"]
 
 #: (featurizer label, workload label) cases the benchmark measures.
 _CASES = (
@@ -536,402 +533,30 @@ def run_predict_bench(rows: int = 4_000, queries: int = 4_096,
     }
 
 
-def _drive_closed_loop(url: str, payloads: list, threads: int, call) -> dict:
-    """Run a closed-loop client fleet over ``payloads``; return timings.
-
-    ``threads`` workers each hold their own :class:`ServeClient`, pull
-    the next payload from a shared queue, fire ``call(client, payload)``,
-    and record the request's wall latency — the classic closed-loop
-    (zero think time) load shape.  Returns per-request latencies plus
-    the fleet's wall-clock span.
-    """
-    import queue as queue_mod
-
-    from repro.serve import ServeClient
-
-    work: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-    for payload in payloads:
-        work.put(payload)
-    latencies: list[float] = []
-    failures: list[str] = []
-    lock = threading.Lock()
-
-    def worker() -> None:
-        client = ServeClient(url, timeout=60.0)
-        local: list[float] = []
-        try:
-            while True:
-                try:
-                    payload = work.get_nowait()
-                except queue_mod.Empty:
-                    break
-                start = time.perf_counter()
-                try:
-                    call(client, payload)
-                except Exception as exc:  # repro: ignore[RPR103] — collected and re-raised below
-                    with lock:
-                        failures.append(str(exc))
-                    break
-                local.append(time.perf_counter() - start)
-        finally:
-            client.close()
-        with lock:
-            latencies.extend(local)
-
-    fleet = [threading.Thread(target=worker, name=f"repro-bench-client-{i}")
-             for i in range(threads)]
-    start = time.perf_counter()
-    for thread in fleet:
-        thread.start()
-    for thread in fleet:
-        thread.join()
-    wall_seconds = time.perf_counter() - start
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} benchmark request(s) failed; first: "
-            f"{failures[0]}")
-    return {"latencies": latencies, "wall_seconds": wall_seconds}
-
-
-def _parameterized_queries(table: Table, num_queries: int, templates: int,
-                           seed: int) -> list[Query]:
-    """A prepared-statement-style workload: few shapes, many literals.
-
-    Draws ``templates`` base conjunctive queries, then emits
-    ``num_queries`` instances round-robin over them, each with every
-    numeric literal resampled from the predicate's own column domain.
-    This is the traffic shape the serving caches target: a dashboard or
-    ORM re-issues the same statement text with fresh parameters, so the
-    fingerprint (parse cache, which holds each statement's plan)
-    repeats while the exact-match estimate cache stays cold.
-    Deterministic in ``seed``.
-    """
-    if not 1 <= templates <= num_queries:
-        raise ValueError(
-            f"templates must be in [1, {num_queries}], got {templates}")
-    bases = generate_conjunctive_queries(table, templates, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-
-    def rebind(expr: BoolExpr) -> BoolExpr:
-        if isinstance(expr, SimplePredicate):
-            values = table.column(expr.attribute).values
-            fresh = float(values[int(rng.integers(values.shape[0]))])
-            return SimplePredicate(expr.attribute, expr.op, fresh)
-        if isinstance(expr, And):
-            return And([rebind(child) for child in expr.children])
-        if isinstance(expr, Or):
-            return Or([rebind(child) for child in expr.children])
-        return expr
-
-    return [replace(bases[i % templates], where=rebind(bases[i % templates].where))
-            for i in range(num_queries)]
-
-
-def run_serve_bench(artifact: str | Path | None = None, rows: int = 4_000,
-                    queries: int = 2_048, threads: int = 8,
-                    partitions: int = config.DEFAULT_PARTITIONS,
-                    seed: int = config.DEFAULT_SEED, smoke: bool = False,
-                    batch_sizes: Sequence[int] = (1, 8, 64),
-                    templates: int = 64) -> dict:
-    """Benchmark the serving stack end to end; return the report dict.
-
-    Boots an in-process :class:`~repro.serve.server.EstimationServer`
-    on an ephemeral port (estimate cache *disabled*, so every request
-    pays the real featurize → predict path), then drives it with a
-    closed-loop fleet of ``threads`` HTTP clients at each client-side
-    batch size: ``1`` hits ``POST /v1/estimate`` once per query, larger
-    sizes pack that many queries into one ``POST /v1/estimate_batch``
-    body.  Every case pushes the same workload, so the reported
-    ``speedup`` — batched queries/sec over single-request queries/sec at
-    the largest batch size — isolates what micro-batching amortises
-    (HTTP round trips, request dispatch, per-call featurization
-    overhead).
-
-    The workload is *parameterized*: ``templates`` statement shapes,
-    each instantiated with fresh literals per query
-    (:func:`_parameterized_queries`).  That models prepared-statement /
-    dashboard traffic — the regime the parse cache's prepared
-    statements exist for — while keeping every query distinct so the
-    disabled exact-match cache cannot short-circuit the work.
-
-    With ``artifact`` the persisted estimator at that path answers the
-    traffic; otherwise a small GB + conjunctive-QFT estimator is
-    trained in-process on the synthetic forest table.
-
-    Before any traffic, the whole workload is estimated through the
-    estimator's own ``estimate_batch`` and twice through the service's
-    ``estimate_many_sql`` on its SQL — cold (first-seen statements) and
-    warm (every statement cached with its plan) — and the report's
-    ``fused_identical`` records that all three agree bitwise.  The
-    parse cache's hit/miss statistics and the forest-inference
-    microbenchmark (:func:`run_predict_bench`, matching tree count)
-    are embedded under ``parse_cache`` and ``predict``.
-    """
-    from repro.estimators import LearnedEstimator
-    from repro.models import GradientBoostingRegressor
-    from repro.persistence import load_estimator
-    from repro.serve import EstimationServer, EstimationService
-    from repro.serve.client import ServeClient
-    from repro.workloads import generate_conjunctive_workload
-
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if smoke:
-        rows = min(rows, 1_000)
-        queries = min(queries, 256)
-        threads = min(threads, 4)
-        templates = min(templates, 16)
-    templates = min(templates, queries)
-    batch_sizes = tuple(sorted(set(int(b) for b in batch_sizes)))
-    if batch_sizes[0] != 1:
-        raise ValueError("batch_sizes must include 1 (the speedup baseline)")
-    table = generate_forest(rows=rows, seed=seed)
-    if artifact is not None:
-        estimator = load_estimator(artifact)
-    else:
-        train = generate_conjunctive_workload(
-            table, 120 if smoke else 400, seed=seed + 1)
-        estimator = LearnedEstimator(
-            ConjunctiveEncoding(table, max_partitions=partitions),
-            GradientBoostingRegressor(n_estimators=10 if smoke else 30),
-        ).fit(train.queries, train.cardinalities)
-    workload = _parameterized_queries(table, queries, templates, seed=seed)
-    sqls = [query.to_sql() for query in workload]
-
-    # The reference: the per-query compile→encode path on the parsed
-    # queries, which the served answers must reproduce bit for bit.
-    reference = estimator.estimate_batch(workload)
-    service = EstimationService(estimator, max_batch_size=64,
-                                max_wait_ms=1.0, cache_size=0,
-                                max_inflight=max(64, threads * 4))
-    cold = service.estimate_many_sql(sqls)
-    warm = service.estimate_many_sql(sqls)
-    fused_identical = bool(np.array_equal(reference, cold)
-                           and np.array_equal(reference, warm))
-    cases: list[dict] = []
-    with EstimationServer(service) as server:
-        # Untimed warm-up: first-request costs (lazy imports, allocator
-        # warm-up) must not pollute the smallest case.
-        with ServeClient(server.url, timeout=60.0) as warmup:
-            warmup.estimate(sqls[0])
-            warmup.estimate_batch(sqls[:8])
-        for batch_size in batch_sizes:
-            if batch_size == 1:
-                payloads: list = list(sqls)
-                call = (lambda client, sql: client.estimate(sql))
-            else:
-                payloads = [sqls[i:i + batch_size]
-                            for i in range(0, len(sqls), batch_size)]
-                call = (lambda client, batch: client.estimate_batch(batch))
-            timing = _drive_closed_loop(server.url, payloads, threads, call)
-            latencies_ms = np.asarray(timing["latencies"]) * 1000.0
-            wall = timing["wall_seconds"]
-            cases.append({
-                "batch_size": batch_size,
-                "requests": len(payloads),
-                "queries": len(sqls),
-                "wall_seconds": wall,
-                "queries_per_second": (len(sqls) / wall if wall > 0
-                                       else float("inf")),
-                "p50_latency_ms": float(np.percentile(latencies_ms, 50)),
-                "p95_latency_ms": float(np.percentile(latencies_ms, 95)),
-            })
-
-    by_size = {case["batch_size"]: case for case in cases}
-    single_qps = by_size[1]["queries_per_second"]
-    batched_qps = by_size[batch_sizes[-1]]["queries_per_second"]
-    raw_model = getattr(getattr(estimator, "model", None), "model", None)
-    served_trees = (len(raw_model.trees)
-                    if raw_model is not None and hasattr(raw_model, "trees")
-                    else 30)
-    predict_report = run_predict_bench(
-        rows=rows, queries=queries, trees=max(served_trees, 1),
-        partitions=partitions, seed=seed, smoke=smoke)
-    return {
-        "benchmark": "serve",
-        "config": {
-            "rows": rows,
-            "queries": queries,
-            "threads": threads,
-            "partitions": partitions,
-            "seed": seed,
-            "smoke": smoke,
-            "artifact": str(artifact) if artifact is not None else None,
-            "estimator": estimator.name,
-            "batch_sizes": list(batch_sizes),
-            "workload": "parameterized-conjunctive",
-            "templates": templates,
-            "max_batch_size": 64,
-            "max_wait_ms": 1.0,
-            "cache_size": 0,
-        },
-        "cases": cases,
-        "single_qps": single_qps,
-        "batched_qps": batched_qps,
-        "speedup": (batched_qps / single_qps if single_qps > 0
-                    else float("inf")),
-        "fused_identical": fused_identical,
-        "parse_cache": service.parse_cache.stats(),
-        "predict": predict_report,
-    }
-
-
-def run_fleet_bench(artifact: str | Path | None = None, rows: int = 4_000,
-                    queries: int = 2_048, threads: int = 8,
-                    partitions: int = config.DEFAULT_PARTITIONS,
-                    seed: int = config.DEFAULT_SEED, smoke: bool = False,
-                    worker_counts: Sequence[int] = (1, 2, 4),
-                    templates: int = 64, batch_size: int = 64) -> dict:
-    """Benchmark fleet scaling: the same workload at several worker counts.
-
-    Publishes one estimator into a scratch
-    :class:`~repro.serve.registry.ModelRegistry`, then for each count in
-    ``worker_counts`` boots a real fleet — ``N`` worker *subprocesses*
-    (estimate cache off, so every batch pays featurize → predict) behind
-    a :class:`~repro.fleet.router.FleetRouter` — and drives it with the
-    closed-loop client fleet from the serve benchmark, packing
-    ``batch_size`` queries per ``POST /v1/estimate_batch``.  Workers are
-    separate processes, so unlike a thread pool this scaling is not
-    GIL-bound; the reported ``fleet_speedup`` is aggregate
-    queries/second at the largest count over the single-worker rate.
-
-    Worker subprocesses make this benchmark 10-100x heavier to boot
-    than the in-process serve bench; the workload itself matches
-    :func:`run_serve_bench`'s parameterized-statement shape, so the two
-    reports compose (``repro bench serve --workers N`` embeds this one
-    under the serve report's ``fleet`` key).
-    """
-    import shutil
-
-    from repro.estimators import LearnedEstimator
-    from repro.fleet import (
-        FleetRouter,
-        ProcessWorker,
-        RouterServer,
-        WorkerSupervisor,
-    )
-    from repro.models import GradientBoostingRegressor
-    from repro.persistence import load_estimator
-    from repro.serve import ModelRegistry
-    from repro.serve.client import ServeClient
-    from repro.workloads import generate_conjunctive_workload
-
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if smoke:
-        rows = min(rows, 1_000)
-        queries = min(queries, 256)
-        threads = min(threads, 4)
-        templates = min(templates, 16)
-        worker_counts = tuple(c for c in worker_counts if c <= 2) or (1, 2)
-    worker_counts = tuple(sorted(set(int(c) for c in worker_counts)))
-    if worker_counts[0] != 1:
-        raise ValueError(
-            "worker_counts must include 1 (the scaling baseline)")
-    templates = min(templates, queries)
-    table = generate_forest(rows=rows, seed=seed)
-    if artifact is not None:
-        estimator = load_estimator(artifact)
-    else:
-        train = generate_conjunctive_workload(
-            table, 120 if smoke else 400, seed=seed + 1)
-        # A heavier forest than the serve bench's: per-batch worker
-        # compute must dominate the router's forwarding overhead for
-        # the scaling measurement to mean anything.
-        estimator = LearnedEstimator(
-            ConjunctiveEncoding(table, max_partitions=partitions),
-            GradientBoostingRegressor(n_estimators=10 if smoke else 60),
-        ).fit(train.queries, train.cardinalities)
-    workload = _parameterized_queries(table, queries, templates, seed=seed)
-    sqls = [query.to_sql() for query in workload]
-    payloads = [sqls[i:i + batch_size]
-                for i in range(0, len(sqls), batch_size)]
-
-    registry_root = Path(tempfile.mkdtemp(prefix="repro-fleet-bench-"))
-    cases: list[dict] = []
+def _git_sha() -> str | None:
+    """HEAD of the checkout this module runs from; None outside git."""
     try:
-        registry = ModelRegistry(registry_root)
-        published = registry.publish(estimator, "bench")
-        for count in worker_counts:
-            def factory(worker_id: str) -> ProcessWorker:
-                return ProcessWorker(
-                    worker_id, registry_root, "bench",
-                    cache_size=0, max_wait_ms=1.0,
-                    max_inflight=max(64, threads * 4),
-                    tick_every=0).start()
-
-            supervisor = WorkerSupervisor(factory, poll_interval=0.5)
-            supervisor.spawn(count)
-            supervisor.start()
-            router = FleetRouter(supervisor.pool, supervisor=supervisor)
-            server = RouterServer(router)
-            server.start()
-            try:
-                # Untimed warm-up: touch every worker's parse/plan
-                # caches and the router's keep-alive sockets.
-                with ServeClient(server.url, timeout=60.0) as warmup:
-                    for start_at in range(0, min(len(sqls), 256),
-                                          batch_size):
-                        warmup.estimate_batch(
-                            sqls[start_at:start_at + batch_size])
-                timing = _drive_closed_loop(
-                    server.url, list(payloads), threads,
-                    lambda client, batch: client.estimate_batch(batch))
-            finally:
-                server.stop(drain=True)
-                supervisor.stop(drain=True)
-            latencies_ms = np.asarray(timing["latencies"]) * 1000.0
-            wall = timing["wall_seconds"]
-            cases.append({
-                "workers": count,
-                "requests": len(payloads),
-                "queries": len(sqls),
-                "wall_seconds": wall,
-                "queries_per_second": (len(sqls) / wall if wall > 0
-                                       else float("inf")),
-                "p50_latency_ms": float(np.percentile(latencies_ms, 50)),
-                "p95_latency_ms": float(np.percentile(latencies_ms, 95)),
-            })
-    finally:
-        shutil.rmtree(registry_root, ignore_errors=True)
-
-    by_count = {case["workers"]: case for case in cases}
-    single_qps = by_count[1]["queries_per_second"]
-    fleet_qps = by_count[worker_counts[-1]]["queries_per_second"]
-    cpu_count = os.cpu_count() or 1
-    return {
-        "benchmark": "fleet",
-        "config": {
-            "rows": rows,
-            "queries": queries,
-            "threads": threads,
-            "partitions": partitions,
-            "seed": seed,
-            "smoke": smoke,
-            "artifact": str(artifact) if artifact is not None else None,
-            "estimator": estimator.name,
-            "model": published.label(),
-            "worker_counts": list(worker_counts),
-            "templates": templates,
-            "batch_size": batch_size,
-            "workload": "parameterized-conjunctive",
-            "cache_size": 0,
-            "cpu_count": cpu_count,
-        },
-        "cases": cases,
-        "single_worker_qps": single_qps,
-        "fleet_qps": fleet_qps,
-        "fleet_speedup": (fleet_qps / single_qps if single_qps > 0
-                          else float("inf")),
-        # Separate worker processes only add throughput when the host
-        # has cores for them; below this bound the measurement is the
-        # scheduler's, not the fleet's.
-        "cpu_limited": cpu_count < worker_counts[-1],
-    }
+        done = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=Path(__file__).resolve().parent,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def write_report(report: dict, path: Path) -> None:
-    """Write a benchmark report as indented JSON."""
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    """Write a benchmark report as indented JSON under a ``header``.
+
+    The header is what makes two reports comparable: ``cpu_count``,
+    the python and numpy versions, the git sha of the checkout, and the
+    run's ``smoke`` flag (the same fields as ``perfbench``'s header).
+    """
+    header = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": _git_sha(),
+        "smoke": bool(report.get("config", {}).get("smoke", False)),
+    }
+    path.write_text(json.dumps({"header": header, **report}, indent=2)
+                    + "\n", encoding="utf-8")

@@ -25,12 +25,11 @@ downstream user needs, plus dataset generation:
 * ``repro bench obs`` — observability-overhead benchmark; writes
   ``BENCH_obs.json`` and fails if disabled-tracing overhead exceeds
   ``--max-overhead`` (default 3%).
-* ``repro bench serve`` — end-to-end serving benchmark (closed-loop
-  client fleet, client batch sizes 1/8/64); writes ``BENCH_serve.json``
-  and fails if batched throughput is below ``--min-batch-speedup``
-  (default 5x) times the single-request rate.  ``--workers N`` adds a
-  fleet-scaling leg (router + worker subprocesses at 1..N workers)
-  gated on ``--min-fleet-speedup``.
+* ``repro bench predict`` — packed ``CompiledForest`` vs the per-tree
+  predict loop at serving batch sizes; writes ``BENCH_predict.json``
+  and fails if the two differ bitwise or the speedup is below
+  ``--min-speedup``.  Serving itself is measured end to end by
+  ``perfbench/run.py`` (medians committed as ``BENCH_serve.json``).
 * ``repro fleet serve --registry R --model M --workers N`` — sharded
   multi-process serving with canary rollouts; ``repro fleet
   status/rollout/promote/rollback`` drive a running fleet (see
@@ -183,13 +182,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    args.smoke = args.smoke or args.quick
     if args.target == "lint":
         return _cmd_bench_lint(args)
     if args.target == "obs":
         return _cmd_bench_obs(args)
-    if args.target == "serve":
-        return _cmd_bench_serve(args)
     if args.target == "predict":
         return _cmd_bench_predict(args)
     from repro import obs
@@ -273,98 +269,6 @@ def _cmd_bench_obs(args) -> int:
         print(f"FAIL: disabled-tracing overhead "
               f"{report['disabled_overhead_pct']:.2f}% above allowed "
               f"{args.max_overhead:.2f}%")
-        return 1
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.bench import run_serve_bench, write_report
-
-    # 10k HTTP requests per case is featurize-bench scale, not serving
-    # scale; cap the shared --queries default at a seconds-long run.
-    queries = min(args.queries, 4_096)
-    if queries < args.queries:
-        print(f"capping --queries at {queries} for the serving benchmark")
-    report = run_serve_bench(artifact=args.artifact, rows=args.rows,
-                             queries=queries, threads=args.threads,
-                             partitions=args.partitions, seed=args.seed,
-                             smoke=args.smoke, templates=args.templates)
-    cfg = report["config"]
-    print(f"serve bench: {cfg['queries']} queries over "
-          f"{cfg['templates']} statement templates, "
-          f"{cfg['threads']} client threads, estimator "
-          f"{cfg['estimator']}{', smoke' if cfg['smoke'] else ''}")
-    for case in report["cases"]:
-        print(f"  batch {case['batch_size']:>3}: "
-              f"{case['queries_per_second']:10.1f} q/s  "
-              f"p50 {case['p50_latency_ms']:7.2f}ms  "
-              f"p95 {case['p95_latency_ms']:7.2f}ms  "
-              f"({case['requests']} requests)")
-    print(f"  batched/single speedup: {report['speedup']:.2f}x")
-    verdict = "ok" if report["fused_identical"] else "MISMATCH"
-    parses = report["parse_cache"]
-    print(f"  served estimates: bitwise vs estimate_batch, cold and warm "
-          f"[{verdict}]")
-    print(f"  parse cache: {parses['hits']} hits / "
-          f"{parses['misses']} misses "
-          f"({parses['size']} statements)")
-    print(f"  forest inference (embedded bench predict): "
-          f"{report['predict']['min_speedup']:.2f}x min speedup, "
-          f"{report['predict']['n_trees']} trees")
-    output = args.output or Path("BENCH_serve.json")
-    write_report(report, output)
-    print(f"wrote {output}")
-    if not report["fused_identical"]:
-        print("FAIL: served estimates diverge from estimate_batch")
-        return 1
-    if not report["predict"]["all_identical"]:
-        print("FAIL: compiled forest diverges from the per-tree loop")
-        return 1
-    if report["speedup"] < args.min_batch_speedup:
-        print(f"FAIL: batched throughput speedup {report['speedup']:.2f}x "
-              f"below required {args.min_batch_speedup:.2f}x")
-        return 1
-    if args.workers > 1:
-        return _bench_serve_fleet_leg(args, report, output)
-    return 0
-
-
-def _bench_serve_fleet_leg(args, report: dict, output: Path) -> int:
-    """Fleet-scaling leg of ``repro bench serve --workers N``."""
-    from repro.bench import run_fleet_bench, write_report
-
-    counts = sorted({1, max(2, args.workers // 2), args.workers})
-    fleet = run_fleet_bench(artifact=args.artifact, rows=args.rows,
-                            queries=min(args.queries, 4_096),
-                            threads=args.threads, partitions=args.partitions,
-                            seed=args.seed, smoke=args.smoke,
-                            worker_counts=counts, templates=args.templates)
-    print(f"fleet bench: {fleet['config']['queries']} queries, "
-          f"batch {fleet['config']['batch_size']}, worker counts "
-          f"{fleet['config']['worker_counts']}")
-    for case in fleet["cases"]:
-        print(f"  workers {case['workers']:>2}: "
-              f"{case['queries_per_second']:10.1f} q/s  "
-              f"p50 {case['p50_latency_ms']:7.2f}ms  "
-              f"p95 {case['p95_latency_ms']:7.2f}ms")
-    print(f"  fleet speedup at {max(counts)} workers: "
-          f"{fleet['fleet_speedup']:.2f}x")
-    report["fleet"] = fleet
-    write_report(report, output)
-    print(f"rewrote {output} with the fleet leg")
-    cores = fleet["config"]["cpu_count"]
-    if cores < max(counts):
-        # Worker processes scale across cores; on a box with fewer
-        # cores than workers the aggregate is capped at ~1x by the
-        # hardware, so enforcing the speedup gate would only measure
-        # the machine.  The report says so instead of lying.
-        print(f"  NOTE: {cores} CPU core(s) < {max(counts)} workers — "
-              f"{args.min_fleet_speedup:.2f}x scaling gate not "
-              f"enforceable on this host (cpu_limited)")
-        return 0
-    if fleet["fleet_speedup"] < args.min_fleet_speedup:
-        print(f"FAIL: fleet speedup {fleet['fleet_speedup']:.2f}x below "
-              f"required {args.min_fleet_speedup:.2f}x")
         return 1
     return 0
 
@@ -563,12 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="micro-benchmarks (featurize throughput, lint run, "
-             "obs overhead, serving latency, forest inference)")
+             "obs overhead, forest inference)")
     bench.add_argument("target", choices=["featurize", "lint", "obs",
-                                          "serve", "predict"],
+                                          "predict"],
                        help="benchmark to run")
-    bench.add_argument("--quick", action="store_true",
-                       help="alias for --smoke")
     bench.add_argument("--smoke", action="store_true",
                        help="small CI-sized workload (caps rows/queries)")
     bench.add_argument("--rows", type=int, default=10_000,
@@ -593,28 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trace", type=Path, default=None,
                        help="featurize bench: record spans to this JSONL "
                             "trace file")
-    bench.add_argument("--artifact", default=None,
-                       help="serve bench: persisted .npz estimator to "
-                            "serve (default: train one in-process)")
-    bench.add_argument("--threads", type=int, default=8,
-                       help="serve bench: closed-loop client threads "
-                            "(default: 8)")
-    bench.add_argument("--templates", type=int, default=64,
-                       help="serve bench: distinct statement templates in "
-                            "the parameterized workload (default: 64)")
-    bench.add_argument("--min-batch-speedup", type=float, default=5.0,
-                       help="serve bench: fail if batched throughput is "
-                            "below this multiple of the single-request "
-                            "rate (default: 5.0)")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="serve bench: also run the fleet-scaling leg "
-                            "up to this many worker subprocesses "
-                            "(default: 0 = off)")
-    bench.add_argument("--min-fleet-speedup", type=float, default=3.0,
-                       help="serve bench: fail if aggregate fleet "
-                            "throughput at --workers is below this "
-                            "multiple of the single-worker rate "
-                            "(default: 3.0)")
     bench.add_argument("--batch-sizes", type=int, nargs="+", default=None,
                        help="predict bench: batch sizes to measure "
                             "(default: 1 8 64, the serving regime)")

@@ -54,6 +54,7 @@ from repro.obs.prometheus import (
 )
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
+from repro.serve.server import parse_feedback
 from repro.sql.parser import fingerprint_sql
 
 __all__ = ["FleetRouter", "RouterServer", "merge_prometheus_pages"]
@@ -439,20 +440,9 @@ class _RouterHandler(JsonRequestHandler):
         return self.router.estimate_batch(sqls, trace_id=trace_id)
 
     def _feedback(self, payload: dict, trace_id: int | None) -> dict:
-        sql = payload.get("sql")
-        true_cardinality = payload.get("true_cardinality")
-        if not isinstance(sql, str) \
-                or not isinstance(true_cardinality, (int, float)):
-            raise ValueError(
-                'request body must carry {"sql": "<query>", '
-                '"true_cardinality": <number>}')
-        estimate = payload.get("estimate")
-        if estimate is not None and not isinstance(estimate, (int, float)):
-            raise ValueError('"estimate" must be a number when present')
-        return self.router.feedback(
-            sql, float(true_cardinality),
-            estimate=None if estimate is None else float(estimate),
-            trace_id=trace_id)
+        sql, true_cardinality, estimate = parse_feedback(payload)
+        return self.router.feedback(sql, true_cardinality,
+                                    estimate=estimate, trace_id=trace_id)
 
     def _require_rollout(self):
         rollout = self.router.rollout

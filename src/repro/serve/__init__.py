@@ -21,8 +21,9 @@ putting a fitted estimator behind a service boundary:
 * :mod:`repro.serve.client` — minimal stdlib client with bounded
   ``Retry-After`` retries on saturation.
 
-Everything is stdlib + numpy; ``repro serve`` on the CLI boots a server
-and ``repro bench serve`` measures its latency/throughput envelope.
+Everything is stdlib + numpy; ``repro serve`` on the CLI boots a server,
+and the repository benchmark (``perfbench/run.py``) measures it end to
+end over HTTP (medians committed as ``BENCH_serve.json``).
 """
 
 from repro.serve.batcher import BatcherClosedError, MicroBatcher

