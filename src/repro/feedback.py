@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro import obs
 from repro.estimators.base import CardinalityEstimator
 from repro.metrics import qerror
 from repro.sql.ast import Query
@@ -73,18 +72,11 @@ class QueryFeedbackMonitor:
         Production feedback may include empty results, which the strict
         q-error rejects; the monitor treats those as cardinality 1 (the
         paper's floor) rather than refusing the observation.
-
-        Every observation is mirrored into the global windowed
-        ``feedback.qerror.window`` monitor, so sliding-window feedback
-        percentiles show up on the Prometheus exposition alongside the
-        monitor's own drift decision.
         """
         observed = float(qerror(max(float(true_cardinality), 1.0),
                                 max(float(estimate), 1.0)))
         self._window.append(observed)
         self._total_observations += 1
-        obs.get_windows().histogram(
-            "feedback.qerror.window").observe(observed)
 
     def current_quantile_error(self) -> float:
         """The monitored quantile of the current window (1.0 if empty)."""

@@ -17,13 +17,13 @@ feed this manager live traffic:
   traffic to the candidate pool (keyed on the statement fingerprint,
   so the same statements are always mirrored — comparisons stay
   apples-to-apples) and records baseline vs. candidate latency into
-  the ``fleet.canary.latency.window`` monitor and the two latency SLO
-  trackers.
+  the windowed ``fleet.canary.latency`` histogram and the two latency
+  SLO trackers.
 * ``on_feedback`` mirrors *every* feedback report: the baseline
   worker's observed q-error and the candidate's own re-estimated
-  q-error land in ``fleet.canary.qerror.window`` under their
-  ``deployment`` label — the windowed accuracy comparison the gate
-  reads.
+  q-error land in the windowed ``fleet.canary.qerror`` histogram under
+  their ``deployment`` label — the windowed accuracy comparison the
+  gate reads.
 
 Once both deployments have at least ``gate.min_feedback`` q-error
 observations in the window, the gate evaluates automatically: the
@@ -140,18 +140,18 @@ class RolloutManager:
         self._counts = {"baseline": 0, "candidate": 0}
         self._decision: dict | None = None
         self._history: list[dict] = []
-        windows = obs.get_windows()
-        self._qerror_window = windows.histogram(
-            "fleet.canary.qerror.window", label_names=("deployment",),
+        metrics = obs.get_registry()
+        self._qerror_window = metrics.histogram(
+            "fleet.canary.qerror", label_names=("deployment",),
             window_ticks=_WINDOW_TICKS)
-        self._latency_window = windows.histogram(
-            "fleet.canary.latency.window", label_names=("deployment",),
+        self._latency_window = metrics.histogram(
+            "fleet.canary.latency", label_names=("deployment",),
             window_ticks=_WINDOW_TICKS)
-        self._baseline_latency_slo = windows.slo(
+        self._baseline_latency_slo = metrics.slo(
             "fleet.canary.baseline.latency.slo", target=latency_slo,
             objective=slo_objective, short_ticks=_SLO_SHORT_TICKS,
             long_ticks=_SLO_LONG_TICKS)
-        self._candidate_latency_slo = windows.slo(
+        self._candidate_latency_slo = metrics.slo(
             "fleet.canary.candidate.latency.slo", target=latency_slo,
             objective=slo_objective, short_ticks=_SLO_SHORT_TICKS,
             long_ticks=_SLO_LONG_TICKS)
@@ -280,7 +280,7 @@ class RolloutManager:
         """Router hook: observe baseline latency, maybe mirror."""
         if self._state != "canary":
             return
-        self._latency_window.observe(seconds, deployment="baseline")
+        self._latency_window.record(seconds, deployment="baseline")
         self._baseline_latency_slo.observe(seconds)
         if not self.should_mirror(fingerprint):
             return
@@ -303,7 +303,7 @@ class RolloutManager:
                 obs.get_registry().counter(
                     "fleet.canary.candidate_errors_total").inc()
             return
-        self._latency_window.observe(watch.seconds, deployment="candidate")
+        self._latency_window.record(watch.seconds, deployment="candidate")
         self._candidate_latency_slo.observe(watch.seconds)
 
     def on_feedback(self, sql: str, true_cardinality: float,
@@ -314,8 +314,8 @@ class RolloutManager:
             return
         fingerprint_qerror = baseline_response.get("qerror")
         if isinstance(fingerprint_qerror, (int, float)):
-            self._qerror_window.observe(float(fingerprint_qerror),
-                                        deployment="baseline")
+            self._qerror_window.record(float(fingerprint_qerror),
+                                       deployment="baseline")
             with self._lock:
                 self._counts["baseline"] += 1
         handle = self._candidate_for(sql)
@@ -337,8 +337,8 @@ class RolloutManager:
             return
         candidate_qerror = mirrored.get("qerror")
         if isinstance(candidate_qerror, (int, float)):
-            self._qerror_window.observe(float(candidate_qerror),
-                                        deployment="candidate")
+            self._qerror_window.record(float(candidate_qerror),
+                                       deployment="candidate")
             with self._lock:
                 self._counts["candidate"] += 1
         self._maybe_evaluate()

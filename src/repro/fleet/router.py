@@ -22,10 +22,11 @@ request order.  The batch response additionally reports the distinct
 ``workers`` that served it.
 
 Telemetry aggregates here too: ``GET /metrics`` answers a JSON
-document with the router's own registry plus every worker's snapshot,
-and ``GET /metrics.prom`` merges the workers' Prometheus pages into
-one scrape, re-labeling every sample with ``worker="<id>"``
-(``worker="router"`` for the router's own series).
+document with the router's own registry snapshot plus every worker's
+``/metrics`` snapshot, and ``GET /metrics.prom`` renders those same
+snapshots as one scrape with the one renderer a server uses, labeling
+every sample with ``worker="<id>"`` (``worker="router"`` for the
+router's own series).
 
 A :class:`~repro.fleet.rollout.RolloutManager` may be attached; the
 router then calls its ``on_estimate``/``on_feedback`` hooks after each
@@ -37,79 +38,21 @@ rules.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro import obs
 from repro.fleet.rollout import RolloutError
 from repro.fleet.workers import WorkerHandle, WorkerPool, WorkerSupervisor
-from repro.obs.prometheus import (
-    CONTENT_TYPE,
-    escape_label_value,
-    parse_exposition,
-    render_prometheus,
-)
+from repro.obs.prometheus import CONTENT_TYPE, render_snapshots
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
 from repro.serve.server import parse_feedback
 from repro.sql.parser import fingerprint_sql
 
-__all__ = ["FleetRouter", "RouterServer", "merge_prometheus_pages"]
-
-
-def _format_value(value: float) -> str:
-    """Format a re-emitted sample value exactly like the renderer."""
-    value = float(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _relabel(name: str, labels: Mapping[str, str], value: float,
-             worker: str) -> str:
-    """One sample line with ``worker="<id>"`` appended to its labels."""
-    merged = {**labels, "worker": worker}
-    inner = ",".join(f'{key}="{escape_label_value(val)}"'
-                     for key, val in merged.items())
-    return f"{name}{{{inner}}} {_format_value(value)}"
-
-
-def merge_prometheus_pages(pages: Mapping[str, str]) -> str:
-    """Merge per-source exposition pages into one labeled scrape.
-
-    ``pages`` maps a source name (worker id, or ``router``) to its own
-    exposition text.  Every sample gains a ``worker`` label; each
-    family's ``# TYPE`` line is emitted once, with per-source sample
-    order preserved (histogram bucket runs stay cumulative within one
-    ``worker`` label set, which :func:`~repro.obs.prometheus.
-    parse_exposition` validates group-wise).  Sources merge in sorted
-    name order and families in sorted family order, so the page is a
-    deterministic function of its inputs.
-    """
-    families: dict[str, dict] = {}
-    for source in sorted(pages):
-        parsed = parse_exposition(pages[source])
-        for family in parsed:
-            data = parsed[family]
-            entry = families.setdefault(
-                family, {"type": data["type"], "lines": []})
-            if entry["type"] != data["type"]:
-                raise ValueError(
-                    f"family {family!r} is a {entry['type']} on one "
-                    f"worker and a {data['type']} on {source!r}")
-            for name, labels, value in data["samples"]:
-                entry["lines"].append(_relabel(name, labels, value, source))
-    lines: list[str] = []
-    for family in sorted(families):
-        entry = families[family]
-        lines.append(f"# TYPE {family} {entry['type']}")
-        lines.extend(entry["lines"])
-    return "\n".join(lines) + "\n" if lines else ""
+__all__ = ["FleetRouter", "RouterServer"]
 
 
 class FleetRouter:
@@ -341,7 +284,8 @@ class FleetRouter:
         return status
 
     def metrics(self) -> dict:
-        """Merged JSON metrics: the router's registry + every worker's."""
+        """Merged JSON metrics: the router's registry + every worker's
+        (``{"unreachable": reason}`` for a worker that did not answer)."""
         workers: dict[str, dict] = {}
         for handle in self._pool.handles():
             try:
@@ -349,7 +293,7 @@ class FleetRouter:
                     handle.client.metrics())
             except ServeClientError as exc:
                 workers[handle.worker_id] = {"unreachable": str(exc)}
-        return {"router": json.loads(obs.get_registry().to_json()),
+        return {"router": obs.get_registry().snapshot(),
                 "workers": workers}
 
     def metrics_prometheus(self) -> str:
@@ -358,13 +302,12 @@ class FleetRouter:
         Unreachable workers are simply absent from the scrape — their
         series going stale *is* the signal a monitoring stack expects.
         """
-        pages: dict[str, str] = {"router": render_prometheus()}
-        for handle in self._pool.handles():
-            try:
-                pages[handle.worker_id] = handle.client.metrics_prometheus()
-            except ServeClientError:
-                continue
-        return merge_prometheus_pages(pages)
+        document = self.metrics()
+        sources = {"router": document["router"]}
+        sources.update((worker, snapshot)
+                       for worker, snapshot in document["workers"].items()
+                       if "unreachable" not in snapshot)
+        return render_snapshots(sources, source_label="worker")
 
 
 class _RouterHandler(JsonRequestHandler):

@@ -8,18 +8,20 @@ Six pieces (see ``docs/observability.md``):
   path while disabled (the default), and cross-process **trace
   context**: deterministic trace ids minted per request, carried in the
   ``X-Repro-Trace`` header, stamped onto every span opened in context.
-* :mod:`repro.obs.metrics_runtime` — counters, gauges, and streaming
-  histograms over fixed log-spaced buckets, so summaries are
-  deterministic byte-for-byte.
-* :mod:`repro.obs.window` — sliding-window monitors: labeled ring
-  histograms advanced on a logical tick (windowed p50/p95/p99 per
-  model/table/QFT/cache dimension) and :class:`SloTracker` burn-rate
-  tracking against latency/q-error targets.
+* :mod:`repro.obs.metrics_runtime` — the one metrics registry:
+  counters, gauges, SLO burn-rate trackers and histograms over fixed
+  log-spaced buckets (so summaries are deterministic byte-for-byte),
+  each histogram optionally labeled (per model/table/QFT/cache series)
+  and windowed on a logical tick (sliding p50/p95/p99).
+* :mod:`repro.obs.window` — what a window means, and
+  :class:`WindowedHistogram`, a windowed histogram built standalone.
 * :mod:`repro.obs.events` — one wide event per served request with
   deterministic head sampling, always-keep-on-error, and a bounded
   worst-q-error exemplar reservoir that retains the offending SQL.
-* :mod:`repro.obs.prometheus` — text exposition of both registries for
-  standard scrapers, plus the strict format validator.
+* :mod:`repro.obs.prometheus` — one renderer from registry snapshots
+  to the text exposition standard scrapers read (a server's own page,
+  the fleet router's page over every worker), plus the strict format
+  validator.
 * :mod:`repro.obs.export` — JSONL span logs, Chrome trace-event output
   (including multi-process stitching with flow arrows), and the
   per-stage summary behind ``repro obs report``.
@@ -40,6 +42,7 @@ from repro.obs.metrics_runtime import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    SloTracker,
     get_registry,
     set_registry,
 )
@@ -63,13 +66,7 @@ from repro.obs.trace import (
     use_trace_context,
     use_tracer,
 )
-from repro.obs.window import (
-    SloTracker,
-    WindowedHistogram,
-    WindowRegistry,
-    get_windows,
-    set_windows,
-)
+from repro.obs.window import WindowedHistogram
 
 __all__ = [
     # tracing
@@ -80,11 +77,8 @@ __all__ = [
     "use_trace_context", "format_trace_header", "parse_trace_header",
     "reset_trace_ids",
     # metrics
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
-    "set_registry",
-    # windowed monitors
-    "WindowedHistogram", "SloTracker", "WindowRegistry", "get_windows",
-    "set_windows",
+    "Counter", "Gauge", "Histogram", "SloTracker", "MetricsRegistry",
+    "get_registry", "set_registry", "WindowedHistogram",
     # request events
     "EventLog", "ExemplarReservoir", "get_event_log", "set_event_log",
     # maintenance
@@ -93,10 +87,10 @@ __all__ = [
 
 
 def reset() -> None:
-    """Clear spans, metrics, windows, events, and the trace-id counter
-    (test/benchmark hygiene — and how two runs start byte-identical)."""
+    """Clear spans, metrics (windows and ticks included), events, and the
+    trace-id counter (test/benchmark hygiene — and how two runs start
+    byte-identical)."""
     get_tracer().reset()
     get_registry().reset()
-    get_windows().reset()
     get_event_log().reset()
     reset_trace_ids()

@@ -1,31 +1,38 @@
-"""Prometheus text exposition for the obs registries.
+"""Prometheus text exposition for the obs registry.
 
 The JSON ``/metrics`` endpoint is byte-stable and machine-friendly, but
-invisible to the standard scrape ecosystem.  This module renders the
-cumulative :class:`~repro.obs.metrics_runtime.MetricsRegistry` and the
-windowed :class:`~repro.obs.window.WindowRegistry` in the Prometheus
-`text exposition format`_ (version 0.0.4):
+invisible to the standard scrape ecosystem.  This module renders
+:class:`~repro.obs.metrics_runtime.MetricsRegistry` snapshots in the
+Prometheus `text exposition format`_ (version 0.0.4):
 
 * counters/gauges — one sample each, ``# TYPE`` annotated;
-* histograms — **cumulative** ``_bucket{le="..."}`` samples (the JSON
-  snapshot stores per-bucket counts; Prometheus wants running totals)
-  plus ``_sum`` and ``_count``;
-* windowed histograms — rendered as *summaries*: per-label-series
-  ``{quantile="0.5|0.95|0.99"}`` samples from the merged window, plus
-  ``_sum``/``_count``, so dashboards get sliding percentiles directly;
+* histograms — per label series, **cumulative** ``_bucket{le="..."}``
+  samples (the snapshot stores per-bucket counts; Prometheus wants
+  running totals) plus ``_sum`` and ``_count``;
+* a windowed histogram also renders its window as a *summary* family
+  named ``<name>_window``: per series ``{quantile="0.5|0.95|0.99"}``
+  samples plus ``_sum``/``_count``, so dashboards get sliding
+  percentiles directly;
 * SLO trackers — ``_good_total``/``_bad_total`` counters and a
   ``_burn_rate{window="short|long"}`` gauge pair.
+
+:func:`render_snapshots` is the one renderer.  It takes snapshots by
+source, so the fleet router renders its own registry and every
+worker's ``/metrics`` JSON into one page, labelling each sample with
+its source (``worker="w0"``, ``worker="router"``); a server renders its
+one registry with :func:`render_prometheus`.
 
 Dotted obs names map to Prometheus identifiers by replacing every
 ``.`` with ``_`` (``serve.requests_total`` → ``serve_requests_total``);
 RPR110 pins obs names to ``[a-z0-9_.]`` literals precisely so this
 mapping never needs escaping and scrape series never churn.
 
-Rendering is deterministic: families sort by output name, series by
-label string, and floats print via ``repr`` — two identical registries
-expose byte-identical pages.  :func:`parse_exposition` is the strict
-round-trip validator the tests and the CI smoke step use; it is a
-format checker, not a general Prometheus client.
+Rendering is deterministic: families sort by output name, sources by
+name, metrics by name, series by label values, and floats print via
+``repr`` — identical snapshots expose byte-identical pages.
+:func:`parse_exposition` is the strict round-trip validator the tests
+and the CI smoke step use; it is a format checker, not a general
+Prometheus client.
 
 .. _text exposition format:
    https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -38,10 +45,9 @@ import re
 from typing import Mapping
 
 from repro.obs.metrics_runtime import MetricsRegistry, get_registry
-from repro.obs.window import WindowRegistry, get_windows
 
-__all__ = ["render_prometheus", "parse_exposition", "prometheus_name",
-           "escape_label_value", "CONTENT_TYPE"]
+__all__ = ["render_prometheus", "render_snapshots", "parse_exposition",
+           "prometheus_name", "escape_label_value", "CONTENT_TYPE"]
 
 #: The scrape Content-Type for the 0.0.4 text format.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -53,6 +59,7 @@ _SAMPLE_RE = re.compile(
     r" (?P<value>\S+)$")
 _LABEL_RE = re.compile(
     r'(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:\\.|[^"\\])*)"')
+_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
 
 
 def prometheus_name(name: str) -> str:
@@ -80,125 +87,115 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _label_string(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{name}="{escape_label_value(value)}"'
-                     for name, value in labels.items())
-    return "{" + inner + "}"
-
-
 def _sample(name: str, labels: Mapping[str, str], value: float) -> str:
-    return f"{name}{_label_string(labels)} {_format_value(value)}"
+    if not labels:
+        return f"{name} {_format_value(value)}"
+    inner = ",".join(f'{key}="{escape_label_value(val)}"'
+                     for key, val in labels.items())
+    return f"{name}{{{inner}}} {_format_value(value)}"
 
 
-def _parse_series_labels(label_text: str, label_names: list[str]
-                         ) -> dict[str, str]:
-    """Split a window snapshot's ``k=v,k=v`` series key back to a dict."""
-    if not label_text:
-        return {}
-    labels: dict[str, str] = {}
-    remaining = label_text
-    # Values may themselves contain "," or "=", so split on the known
-    # ordered label names rather than naively on commas.
-    for i, name in enumerate(label_names):
-        prefix = f"{name}="
-        if not remaining.startswith(prefix):
-            raise ValueError(
-                f"series key {label_text!r} does not match labels "
-                f"{label_names}")
-        remaining = remaining[len(prefix):]
-        if i + 1 < len(label_names):
-            cut = remaining.index(f",{label_names[i + 1]}=")
-            labels[name] = remaining[:cut]
-            remaining = remaining[cut + 1:]
-        else:
-            labels[name] = remaining
-    return labels
-
-
-def _render_histogram_family(name: str, snapshot: Mapping) -> list[str]:
-    lines = [f"# TYPE {name} histogram"]
-    cumulative = 0
-    saw_inf = False
-    for le, count in snapshot["buckets"]:
-        cumulative += count
-        if le == "+Inf":
-            saw_inf = True
-        lines.append(_sample(f"{name}_bucket", {"le": str(le)}, cumulative))
-    if not saw_inf:
-        lines.append(_sample(f"{name}_bucket", {"le": "+Inf"},
-                             snapshot["count"]))
-    lines.append(_sample(f"{name}_sum", {}, snapshot["sum"]))
-    lines.append(_sample(f"{name}_count", {}, snapshot["count"]))
-    return lines
-
-
-def _render_window_family(name: str, snapshot: Mapping) -> list[str]:
-    lines = [f"# TYPE {name} summary"]
-    label_names = list(snapshot["labels"])
-    for series_key in sorted(snapshot["series"]):
-        series = snapshot["series"][series_key]
-        labels = _parse_series_labels(series_key, label_names)
-        for q in ("0.5", "0.95", "0.99"):
-            quantile = series[{"0.5": "p50", "0.95": "p95",
-                               "0.99": "p99"}[q]]
-            if quantile is None:
-                continue
-            lines.append(_sample(name, {**labels, "quantile": q}, quantile))
-        lines.append(_sample(f"{name}_sum", labels, series["sum"]))
-        lines.append(_sample(f"{name}_count", labels, series["count"]))
-    return lines
-
-
-def _render_slo_family(name: str, snapshot: Mapping) -> list[str]:
-    lines = [f"# TYPE {name}_good_total counter",
-             _sample(f"{name}_good_total", {}, snapshot["good_total"]),
-             f"# TYPE {name}_bad_total counter",
-             _sample(f"{name}_bad_total", {}, snapshot["bad_total"]),
-             f"# TYPE {name}_burn_rate gauge"]
-    for window in ("long", "short"):
-        lines.append(_sample(f"{name}_burn_rate", {"window": window},
-                             snapshot["windows"][window]["burn_rate"]))
-    return lines
-
-
-def render_prometheus(registry: MetricsRegistry | None = None,
-                      windows: WindowRegistry | None = None) -> str:
-    """Render both registries as one exposition page (trailing newline).
-
-    Families are emitted in sorted output-name order across both
-    registries, so the page is a deterministic function of the two
-    snapshots.
-    """
-    registry = registry if registry is not None else get_registry()
-    windows = windows if windows is not None else get_windows()
-
-    families: list[tuple[str, list[str]]] = []
-    for name, snapshot in registry.snapshot().items():
-        flat = prometheus_name(name)
-        kind = snapshot["kind"]
-        if kind == "counter":
-            families.append((flat, [f"# TYPE {flat} counter",
-                                    _sample(flat, {}, snapshot["value"])]))
-        elif kind == "gauge":
-            families.append((flat, [f"# TYPE {flat} gauge",
-                                    _sample(flat, {}, snapshot["value"])]))
-        elif kind == "histogram":
-            families.append((flat, _render_histogram_family(flat, snapshot)))
-    for name, snapshot in windows.snapshot().items():
-        flat = prometheus_name(name)
-        kind = snapshot["kind"]
-        if kind == "window_histogram":
-            families.append((flat, _render_window_family(flat, snapshot)))
-        elif kind == "slo":
-            families.append((flat, _render_slo_family(flat, snapshot)))
-
-    families.sort(key=lambda family: family[0])
+def _histogram_families(flat: str, snapshot: Mapping,
+                        extra: Mapping[str, str]
+                        ) -> list[tuple[str, str, list[str]]]:
     lines: list[str] = []
-    for _, family_lines in families:
-        lines.extend(family_lines)
-    return "\n".join(lines) + "\n" if lines else ""
+    window_lines: list[str] = []
+    for series in snapshot["series"]:
+        labels = {name: series["labels"][name]
+                  for name in snapshot["labels"]}
+        labels.update(extra)
+        cumulative = 0
+        for le, count in series["buckets"]:
+            cumulative += count
+            lines.append(_sample(f"{flat}_bucket", {**labels, "le": le},
+                                 cumulative))
+        if not series["buckets"] or series["buckets"][-1][0] != "+Inf":
+            lines.append(_sample(f"{flat}_bucket", {**labels, "le": "+Inf"},
+                                 series["count"]))
+        lines.append(_sample(f"{flat}_sum", labels, series["sum"]))
+        lines.append(_sample(f"{flat}_count", labels, series["count"]))
+        window = series.get("window")
+        if window is None:
+            continue
+        for quantile, key in _QUANTILES:
+            if window[key] is not None:
+                window_lines.append(_sample(
+                    f"{flat}_window", {**labels, "quantile": quantile},
+                    window[key]))
+        window_lines.append(_sample(f"{flat}_window_sum", labels,
+                                    window["sum"]))
+        window_lines.append(_sample(f"{flat}_window_count", labels,
+                                    window["count"]))
+    families = [(flat, "histogram", lines)]
+    if "window_ticks" in snapshot:
+        families.append((f"{flat}_window", "summary", window_lines))
+    return families
+
+
+def _families(name: str, snapshot: Mapping, extra: Mapping[str, str]
+              ) -> list[tuple[str, str, list[str]]]:
+    """``(family, type, sample lines)`` for one metric's snapshot, with
+    the ``extra`` labels on every sample."""
+    flat = prometheus_name(name)
+    kind = snapshot["kind"]
+    if kind in ("counter", "gauge"):
+        return [(flat, kind, [_sample(flat, extra, snapshot["value"])])]
+    if kind == "histogram":
+        return _histogram_families(flat, snapshot, extra)
+    if kind == "slo":
+        windows = snapshot["windows"]
+        return [
+            (f"{flat}_good_total", "counter",
+             [_sample(f"{flat}_good_total", extra, snapshot["good_total"])]),
+            (f"{flat}_bad_total", "counter",
+             [_sample(f"{flat}_bad_total", extra, snapshot["bad_total"])]),
+            (f"{flat}_burn_rate", "gauge",
+             [_sample(f"{flat}_burn_rate", {**extra, "window": window},
+                      windows[window]["burn_rate"])
+              for window in ("long", "short")]),
+        ]
+    raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
+
+
+def render_snapshots(sources: Mapping[str, Mapping],
+                     source_label: str | None = None) -> str:
+    """Render registry snapshots as one exposition page (trailing
+    newline).
+
+    ``sources`` maps a source name to a
+    :meth:`~repro.obs.metrics_runtime.MetricsRegistry.snapshot` (or the
+    same document read back from ``/metrics`` JSON).  With a
+    ``source_label``, every sample gains ``<source_label>="<source>"``;
+    without one the source names are not rendered.  Each family's
+    ``# TYPE`` line appears once, families in sorted name order, their
+    samples in sorted source order; a family whose type differs between
+    sources raises ``ValueError``.
+    """
+    families: dict[str, tuple[str, list[str]]] = {}
+    for source in sorted(sources):
+        extra = {source_label: source} if source_label else {}
+        snapshot = sources[source]
+        for name in sorted(snapshot):
+            for family, kind, lines in _families(name, snapshot[name],
+                                                 extra):
+                known, samples = families.setdefault(family, (kind, []))
+                if known != kind:
+                    raise ValueError(
+                        f"family {family!r} is a {known} in one source "
+                        f"and a {kind} in {source!r}")
+                samples.extend(lines)
+    page: list[str] = []
+    for family in sorted(families):
+        kind, samples = families[family]
+        page.append(f"# TYPE {family} {kind}")
+        page.extend(samples)
+    return "\n".join(page) + "\n" if page else ""
+
+
+def render_prometheus(registry: MetricsRegistry | None = None) -> str:
+    """One registry's exposition page (the global one by default)."""
+    registry = registry if registry is not None else get_registry()
+    return render_snapshots({"": registry.snapshot()})
 
 
 def parse_exposition(text: str) -> dict[str, dict]:

@@ -1,547 +1,43 @@
-"""Windowed accuracy/latency monitors: sliding histograms and SLOs.
+"""Sliding-window monitors, as views over the one histogram type.
 
-The cumulative histograms of :mod:`repro.obs.metrics_runtime` answer
-"what happened since the process started" — the wrong question for a
-serving fleet, where what matters is *stability over time*: is the
-q-error p95 of the last few minutes still inside the gate, did the
-latest model rollout move it, is the error budget burning.  This module
-adds the windowed view:
+The cumulative view of a histogram answers "what happened since the
+process started" — the wrong question for a serving fleet, where what
+matters is *stability over time*: is the q-error p95 of the last few
+minutes still inside the gate, did the latest model rollout move it.
+Windows are therefore part of
+:class:`~repro.obs.metrics_runtime.Histogram` itself: pass
+``window_ticks`` and each labeled series keeps a ring of per-tick
+slots, advanced on a logical tick by
+:meth:`~repro.obs.metrics_runtime.MetricsRegistry.advance_all`, with
+windowed p50/p95/p99 merged on read and the leaving ticks folded into
+the cumulative view.  Burn rates live in
+:class:`~repro.obs.metrics_runtime.SloTracker`, on the same ticks.
 
-* :class:`WindowedHistogram` — a **ring of the deterministic
-  log-bucketed histograms**, advanced on a logical *tick* (no
-  wall-clock anywhere: the caller decides what a tick means — every N
-  requests, every scrape, every test barrier).  Observations land in
-  the current tick's slot; reads merge the whole ring, so the sliding
-  window is always the last ``window_ticks`` ticks.  Each monitor can
-  carry **label dimensions** (table, QFT, model version, cache-hit …):
-  every distinct label-value combination gets its own ring, and
-  snapshots are byte-stable like the cumulative registry's.
-* :class:`SloTracker` — a good/bad counter pair against an explicit
-  target (latency bound, q-error bound) with an objective (e.g. 99 %
-  good), plus short- and long-window **burn rates**: how fast the error
-  budget is being consumed relative to sustainable pace.  Burn rate
-  over a short window catches a fast regression (a bad canary); over a
-  long window, slow drift.
-* :class:`WindowRegistry` — get-or-create store mirroring
-  :class:`~repro.obs.metrics_runtime.MetricsRegistry`, with
-  ``advance_all()`` as the single tick source so every monitor's window
-  moves in lockstep.
-
-Quantiles are computed Prometheus-style from the merged bucket counts:
-the reported pXX is the **upper edge of the bucket** holding the rank,
-clamped to the observed max — a deterministic function of the
-observation multiset, independent of arrival order and thread
-interleaving (the byte-stability tests rotate writers across threads
-and assert identical snapshots).
-
-Like everything in ``repro.obs``, this module imports nothing from the
-rest of ``repro``; the serve layer pushes labels in as plain strings.
+:class:`WindowedHistogram` is that histogram built standalone, outside
+any registry, with a window of 8 ticks unless told otherwise and
+``observe`` as its recording verb; ``repro bench obs`` and perfbench's
+ledger time the telemetry hot path through it.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import threading
-from collections import deque
-from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-import numpy as np
+from repro.obs.metrics_runtime import DEFAULT_EDGES, Histogram
 
-from repro.obs.metrics_runtime import DEFAULT_EDGES
-
-__all__ = ["WindowedHistogram", "SloTracker", "WindowRegistry",
-           "get_windows", "set_windows"]
+__all__ = ["WindowedHistogram"]
 
 
-def _check_value(name: str, value: float) -> float:
-    """Validate one observation (same contract as ``Histogram.record``)."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(
-            f"monitor {name!r} cannot observe {value!r}; observations "
-            "must be finite and non-negative")
-    return value
+class WindowedHistogram(Histogram):
+    """A :class:`~repro.obs.metrics_runtime.Histogram` with a window.
 
-
-def _accumulate(partials: list[float], value: float) -> None:
-    """Shewchuk exact accumulation (``math.fsum``'s core step).
-
-    ``partials`` holds non-overlapping floats whose exact sum equals
-    everything ever added, so the rendered total is a pure function of
-    the observation *multiset* — float ``+=`` is not associative, and a
-    naive running sum would leak thread interleaving into the last bits
-    of every snapshot (breaking byte-stability under concurrent
-    writers).
-    """
-    i = 0
-    for y in partials:
-        x = value
-        if abs(x) < abs(y):
-            x, y = y, x
-        high = x + y
-        low = y - (high - x)
-        if low:
-            partials[i] = low
-            i += 1
-        value = high
-    partials[i:] = [value]
-
-
-class _Slot:
-    """One tick's worth of observations for one label combination."""
-
-    __slots__ = ("counts", "count", "partials", "min", "max")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.count = 0
-        self.partials: list[float] = []
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    @property
-    def sum(self) -> float:
-        """The exact observation total, correctly rounded once."""
-        return math.fsum(self.partials)
-
-    def record(self, index: int, value: float) -> None:
-        self.counts[index] += 1
-        self.count += 1
-        _accumulate(self.partials, value)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-
-class _Ring:
-    """A bounded deque of slots: index 0 is the oldest surviving tick."""
-
-    __slots__ = ("slots", "n_buckets")
-
-    def __init__(self, n_buckets: int, window_ticks: int) -> None:
-        self.n_buckets = n_buckets
-        self.slots: deque[_Slot] = deque([_Slot(n_buckets)],
-                                         maxlen=window_ticks)
-
-    @property
-    def current(self) -> _Slot:
-        return self.slots[-1]
-
-    def advance(self) -> None:
-        self.slots.append(_Slot(self.n_buckets))
-
-    def merged(self) -> _Slot:
-        merged = _Slot(self.n_buckets)
-        for slot in self.slots:
-            merged.counts += slot.counts
-            merged.count += slot.count
-            for partial in slot.partials:
-                _accumulate(merged.partials, partial)
-            merged.min = min(merged.min, slot.min)
-            merged.max = max(merged.max, slot.max)
-        return merged
-
-
-class WindowedHistogram:
-    """A labeled sliding-window histogram over fixed log-spaced edges.
-
-    Parameters
-    ----------
-    name:
-        Dotted lowercase monitor name (``serve.request.seconds``).
-    label_names:
-        Ordered label dimensions every observation must supply, e.g.
-        ``("model", "table", "cache")``.  Empty for an unlabeled
-        monitor.
-    window_ticks:
-        How many logical ticks the sliding window spans.  The current
-        tick counts, so a window of 8 covers the 7 completed ticks plus
-        everything observed since the last :meth:`advance`.
-    edges:
-        Bucket upper bounds; defaults to the registry-wide
-        quarter-decade edges, so windowed and cumulative views of the
-        same quantity bucket identically.
+    ``observe(value, **labels)`` is :meth:`Histogram.record`.
     """
 
     def __init__(self, name: str, label_names: Iterable[str] = (),
                  window_ticks: int = 8,
                  edges: tuple[float, ...] = DEFAULT_EDGES) -> None:
-        if window_ticks < 1:
-            raise ValueError(
-                f"window {name!r} needs window_ticks >= 1, got "
-                f"{window_ticks}")
-        if not edges or list(edges) != sorted(set(edges)):
-            raise ValueError(
-                f"window {name!r} needs strictly increasing edges")
-        self.name = name
-        self.label_names = tuple(label_names)
-        self.window_ticks = int(window_ticks)
-        self.edges = tuple(float(e) for e in edges)
-        self._series: dict[tuple[str, ...], _Ring] = {}
-        self._lock = threading.Lock()
-        self._tick = 0
+        super().__init__(name, edges, label_names=label_names,
+                         window_ticks=window_ticks)
 
-    @property
-    def tick(self) -> int:
-        """How many times this monitor's window has advanced."""
-        return self._tick
-
-    def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"window {self.name!r} takes labels "
-                f"{list(self.label_names)}, got {sorted(labels)}")
-        return tuple(str(labels[name]) for name in self.label_names)
-
-    def observe(self, value: float, **labels: str) -> None:
-        """Record one observation into the current tick's slot."""
-        value = _check_value(self.name, value)
-        key = self._key(labels)
-        index = int(np.searchsorted(self.edges, value, side="left"))
-        with self._lock:
-            ring = self._series.get(key)
-            if ring is None:
-                ring = self._series[key] = _Ring(
-                    len(self.edges) + 1, self.window_ticks)
-            ring.current.record(index, value)
-
-    def advance(self) -> int:
-        """Start a new tick; the oldest slot falls out of the window."""
-        with self._lock:
-            self._tick += 1
-            for ring in self._series.values():
-                ring.advance()
-            return self._tick
-
-    def _merged(self, labels: Mapping[str, str]) -> _Slot:
-        key = self._key(labels)
-        with self._lock:
-            ring = self._series.get(key)
-            if ring is None:
-                return _Slot(len(self.edges) + 1)
-            return ring.merged()
-
-    def window_count(self, **labels: str) -> int:
-        """Observations currently inside the window for ``labels``."""
-        return self._merged(labels).count
-
-    def quantile(self, q: float, **labels: str) -> float | None:
-        """Deterministic windowed quantile, or ``None`` when empty.
-
-        Prometheus-style: the value reported is the upper edge of the
-        bucket containing the rank (clamped to the window's observed
-        max), so it is a pure function of the observation multiset.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {q}")
-        merged = self._merged(labels)
-        return _bucket_quantile(merged, self.edges, q)
-
-    def snapshot(self) -> dict:
-        """Byte-stable JSON-serialisable state, merged on read.
-
-        Series are keyed ``label=value`` pairs joined with commas (the
-        Prometheus label-string shape), sorted; each carries the merged
-        window's count/sum/min/max, non-empty buckets, and p50/p95/p99.
-        """
-        with self._lock:
-            keys = sorted(self._series)
-            merged = {key: self._series[key].merged() for key in keys}
-        series = {}
-        for key in keys:
-            slot = merged[key]
-            label_text = ",".join(
-                f"{name}={value}"
-                for name, value in zip(self.label_names, key))
-            buckets = []
-            for i, count in enumerate(slot.counts.tolist()):
-                if count == 0:
-                    continue
-                le = ("+Inf" if i == len(self.edges)
-                      else repr(self.edges[i]))
-                buckets.append([le, count])
-            series[label_text] = {
-                "count": slot.count,
-                "sum": slot.sum,
-                "min": slot.min if slot.count else None,
-                "max": slot.max if slot.count else None,
-                "buckets": buckets,
-                "p50": _bucket_quantile(slot, self.edges, 0.50),
-                "p95": _bucket_quantile(slot, self.edges, 0.95),
-                "p99": _bucket_quantile(slot, self.edges, 0.99),
-            }
-        return {
-            "kind": "window_histogram",
-            "window_ticks": self.window_ticks,
-            "tick": self._tick,
-            "labels": list(self.label_names),
-            "series": series,
-        }
-
-
-def _bucket_quantile(slot: _Slot, edges: tuple[float, ...],
-                     q: float) -> float | None:
-    """Quantile of a merged slot from its bucket counts (None if empty)."""
-    if slot.count == 0:
-        return None
-    rank = math.ceil(q * slot.count)
-    cumulative = 0
-    for i, count in enumerate(slot.counts.tolist()):
-        cumulative += count
-        if cumulative >= rank:
-            upper = edges[i] if i < len(edges) else slot.max
-            return float(min(upper, slot.max))
-    return float(slot.max)
-
-
-class _SloWindow:
-    """Good/bad counts per tick over a bounded ring."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, window_ticks: int) -> None:
-        self.slots: deque[list[int]] = deque([[0, 0]], maxlen=window_ticks)
-
-    def advance(self) -> None:
-        self.slots.append([0, 0])
-
-    def totals(self, last: int | None = None) -> tuple[int, int]:
-        slots = list(self.slots)
-        if last is not None:
-            slots = slots[-last:]
-        good = sum(slot[0] for slot in slots)
-        bad = sum(slot[1] for slot in slots)
-        return good, bad
-
-
-class SloTracker:
-    """A service-level objective over one scalar signal.
-
-    Parameters
-    ----------
-    name:
-        Dotted lowercase SLO name (``serve.latency.slo``).
-    target:
-        An observation is *good* iff ``value <= target`` (latency bound
-        in seconds, q-error bound as a ratio, …).
-    objective:
-        Fraction of observations that must be good (0.99 = "99 % of
-        requests answer under the bound").
-    short_ticks / long_ticks:
-        Burn-rate windows, in logical ticks.  The short window catches
-        fast regressions (a bad deploy); the long window, slow drift.
-
-    The **burn rate** over a window is the window's bad fraction
-    divided by the error budget ``1 - objective``: 1.0 means the budget
-    is being spent exactly as fast as sustainable, >1 means a breach is
-    coming.  Multiwindow alerting fires when *both* exceed a factor.
-    """
-
-    def __init__(self, name: str, target: float, objective: float = 0.99,
-                 short_ticks: int = 3, long_ticks: int = 12) -> None:
-        if not math.isfinite(float(target)) or float(target) <= 0.0:
-            raise ValueError(
-                f"slo {name!r} needs a positive finite target, got "
-                f"{target!r}")
-        if not 0.0 < objective < 1.0:
-            raise ValueError(
-                f"slo {name!r} needs objective in (0, 1), got {objective}")
-        if short_ticks < 1 or long_ticks < short_ticks:
-            raise ValueError(
-                f"slo {name!r} needs 1 <= short_ticks <= long_ticks, got "
-                f"{short_ticks}/{long_ticks}")
-        self.name = name
-        self.target = float(target)
-        self.objective = float(objective)
-        self.short_ticks = int(short_ticks)
-        self.long_ticks = int(long_ticks)
-        self._window = _SloWindow(long_ticks)
-        self._good_total = 0
-        self._bad_total = 0
-        self._tick = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> bool:
-        """Record one observation; returns whether it was good."""
-        value = _check_value(self.name, value)
-        good = value <= self.target
-        with self._lock:
-            if good:
-                self._good_total += 1
-                self._window.slots[-1][0] += 1
-            else:
-                self._bad_total += 1
-                self._window.slots[-1][1] += 1
-        return good
-
-    def advance(self) -> int:
-        """Start a new tick for both burn-rate windows."""
-        with self._lock:
-            self._tick += 1
-            self._window.advance()
-            return self._tick
-
-    def burn_rate(self, window: str = "short") -> float:
-        """Error-budget burn rate over the named window (0.0 if empty)."""
-        if window not in ("short", "long"):
-            raise ValueError(
-                f"window must be 'short' or 'long', got {window!r}")
-        last = self.short_ticks if window == "short" else None
-        with self._lock:
-            good, bad = self._window.totals(last)
-        total = good + bad
-        if total == 0:
-            return 0.0
-        return (bad / total) / (1.0 - self.objective)
-
-    def snapshot(self) -> dict:
-        """Byte-stable JSON-serialisable state."""
-        with self._lock:
-            good_total, bad_total = self._good_total, self._bad_total
-            short_good, short_bad = self._window.totals(self.short_ticks)
-            long_good, long_bad = self._window.totals(None)
-            tick = self._tick
-
-        def rate(good: int, bad: int) -> float:
-            total = good + bad
-            if total == 0:
-                return 0.0
-            return (bad / total) / (1.0 - self.objective)
-
-        return {
-            "kind": "slo",
-            "target": self.target,
-            "objective": self.objective,
-            "tick": tick,
-            "good_total": good_total,
-            "bad_total": bad_total,
-            "windows": {
-                "short": {"ticks": self.short_ticks, "good": short_good,
-                          "bad": short_bad,
-                          "burn_rate": rate(short_good, short_bad)},
-                "long": {"ticks": self.long_ticks, "good": long_good,
-                         "bad": long_bad,
-                         "burn_rate": rate(long_good, long_bad)},
-            },
-        }
-
-
-class WindowRegistry:
-    """Get-or-create store of windowed monitors with one tick source.
-
-    Mirrors :class:`~repro.obs.metrics_runtime.MetricsRegistry`: reusing
-    a name with a different monitor kind (or conflicting configuration)
-    is a programming error and raises; :meth:`advance_all` is the
-    single place a logical tick happens, so every monitor's window
-    moves in lockstep and cross-monitor comparisons stay meaningful.
-    """
-
-    def __init__(self) -> None:
-        self._monitors: dict[str, WindowedHistogram | SloTracker] = {}
-        self._lock = threading.Lock()
-        self._tick = 0
-
-    @property
-    def tick(self) -> int:
-        """How many times :meth:`advance_all` has run."""
-        return self._tick
-
-    def histogram(self, name: str, label_names: Iterable[str] = (),
-                  window_ticks: int = 8,
-                  edges: tuple[float, ...] | None = None) -> WindowedHistogram:
-        """The windowed histogram named ``name`` (created on first use)."""
-        with self._lock:
-            monitor = self._monitors.get(name)
-            if monitor is None:
-                monitor = self._monitors[name] = WindowedHistogram(
-                    name, label_names=label_names,
-                    window_ticks=window_ticks,
-                    edges=edges if edges is not None else DEFAULT_EDGES)
-            elif not isinstance(monitor, WindowedHistogram):
-                raise ValueError(
-                    f"monitor {name!r} is a {type(monitor).__name__}, "
-                    "not a WindowedHistogram")
-            elif monitor.label_names != tuple(label_names):
-                raise ValueError(
-                    f"window {name!r} already exists with labels "
-                    f"{list(monitor.label_names)}")
-            return monitor
-
-    def slo(self, name: str, target: float | None = None,
-            objective: float = 0.99, short_ticks: int = 3,
-            long_ticks: int = 12) -> SloTracker:
-        """The SLO tracker named ``name`` (created on first use).
-
-        ``target`` is required on creation; asking for an existing
-        tracker with a conflicting target raises.
-        """
-        with self._lock:
-            monitor = self._monitors.get(name)
-            if monitor is None:
-                if target is None:
-                    raise ValueError(
-                        f"slo {name!r} does not exist yet; pass a target")
-                monitor = self._monitors[name] = SloTracker(
-                    name, target, objective=objective,
-                    short_ticks=short_ticks, long_ticks=long_ticks)
-            elif not isinstance(monitor, SloTracker):
-                raise ValueError(
-                    f"monitor {name!r} is a {type(monitor).__name__}, "
-                    "not an SloTracker")
-            elif target is not None and monitor.target != float(target):
-                raise ValueError(
-                    f"slo {name!r} already exists with target "
-                    f"{monitor.target}")
-            return monitor
-
-    def advance_all(self) -> int:
-        """Advance every monitor one logical tick; returns the tick."""
-        with self._lock:
-            self._tick += 1
-            monitors = list(self._monitors.values())
-            tick = self._tick
-        for monitor in monitors:
-            monitor.advance()
-        return tick
-
-    def names(self) -> tuple[str, ...]:
-        """Registered monitor names, sorted."""
-        with self._lock:
-            return tuple(sorted(self._monitors))
-
-    def snapshot(self) -> dict:
-        """name -> monitor snapshot, in sorted-name order."""
-        with self._lock:
-            items = sorted(self._monitors.items())
-        return {name: monitor.snapshot() for name, monitor in items}
-
-    def to_json(self) -> str:
-        """Deterministic JSON rendering of :meth:`snapshot`."""
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2)
-
-    def write_json(self, path: Path) -> None:
-        """Write the snapshot as indented JSON (byte-stable per stream)."""
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    def reset(self) -> None:
-        """Drop every monitor (tests and benchmark repeats use this)."""
-        with self._lock:
-            self._monitors.clear()
-            self._tick = 0
-
-
-#: Process-global window registry the serving stack records into.
-_windows = WindowRegistry()
-
-
-def get_windows() -> WindowRegistry:
-    """The process-global windowed-monitor registry."""
-    return _windows
-
-
-def set_windows(registry: WindowRegistry) -> WindowRegistry:
-    """Install ``registry`` as the global window registry; returns it."""
-    global _windows
-    _windows = registry
-    return registry
+    observe = Histogram.record

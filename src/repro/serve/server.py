@@ -16,8 +16,7 @@ Two layers, separable for testing:
   ==========================  ==================================================
   ``GET  /healthz``           liveness probe, ``{"status": "ok"}``
   ``GET  /metrics``           the byte-stable runtime-metrics snapshot (JSON)
-  ``GET  /metrics.prom``      Prometheus text exposition (also
-                              ``/metrics?format=prometheus``): counters,
+  ``GET  /metrics.prom``      that snapshot as Prometheus text: counters,
                               histograms, windowed summaries, SLO burn rates
   ``POST /v1/estimate``       ``{"sql": "..."}`` → ``{"estimate": c, "cached": b}``
   ``POST /v1/estimate_batch`` ``{"sql": [...]}`` → ``{"estimates": [...]}``
@@ -25,16 +24,17 @@ Two layers, separable for testing:
                               ``{"qerror": q, "estimate": c}``
   ==========================  ==================================================
 
-Accuracy-aware telemetry (``repro.obs`` v2): every ``/v1/estimate*``
-request emits one wide event into the process event log (fingerprint,
-trace id, batch id, model version, cache outcome, latency, estimate),
-request latency feeds the windowed ``serve.request.seconds.window``
-monitor and the ``serve.latency.slo`` tracker, and ``/v1/feedback``
-closes the accuracy loop: the observed true cardinality becomes a
-q-error observation in the per-model/table/QFT
-``serve.qerror.window``, the ``serve.qerror.slo`` burn rate, the
-service's :class:`~repro.feedback.QueryFeedbackMonitor`, and the
-worst-q-error exemplar reservoir (which keeps the offending SQL).
+Accuracy-aware telemetry (``repro.obs`` v2), each quantity recorded
+once: every ``/v1/estimate*`` request emits one wide event into the
+process event log (fingerprint, trace id, batch id, model version,
+cache outcome, latency, estimate), and its latency lands in the
+``serve.request.seconds`` histogram (labeled by model and cache
+outcome, windowed) and the ``serve.latency.slo`` tracker.
+``/v1/feedback`` closes the accuracy loop: the observed true
+cardinality becomes a q-error observation in the per-model/table/QFT
+``serve.qerror`` histogram (windowed), the ``serve.qerror.slo`` burn
+rate, and the worst-q-error exemplar reservoir (which keeps the
+offending SQL).
 Requests carrying an ``X-Repro-Trace`` header adopt the client's trace
 id — every span the request opens is stamped with it, so client and
 server span logs stitch into one Chrome trace.
@@ -60,12 +60,10 @@ from __future__ import annotations
 
 import math
 import threading
-import urllib.parse
 
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
 from repro.featurize.base import Featurizer, LosslessnessError
-from repro.feedback import QueryFeedbackMonitor
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
@@ -80,6 +78,8 @@ __all__ = ["EstimationService", "EstimationServer",
 
 #: Seconds a rejected client should wait before retrying (503 header).
 _RETRY_AFTER_SECONDS = 1
+#: Ticks the latency and q-error histograms' windows span.
+_WINDOW_TICKS = 8
 
 
 class ServiceUnavailableError(RuntimeError):
@@ -133,7 +133,7 @@ class _RequestTelemetry:
     are captured too); the body fills in ``cache`` / ``batch_id`` /
     ``estimate`` as they become known.  On exit — normal or exceptional
     — the latency stopwatch stops and the service records the event,
-    the windowed latency observation, the latency SLO sample, and the
+    the latency observation, the latency SLO sample, and the
     logical-tick bump.
     """
 
@@ -188,9 +188,9 @@ class EstimationService:
         Label value for per-model telemetry dimensions; defaults to the
         estimator's ``name`` (or its class name).
     tick_every:
-        Auto-advance the global windowed monitors one logical tick
-        every this many requests (estimates *and* feedback); ``0``
-        (the default) leaves ticking to the operator / tests.
+        Advance the global registry's windows one logical tick every
+        this many requests (estimates *and* feedback); ``0`` (the
+        default) leaves ticking to the operator / tests.
     latency_slo / qerror_slo:
         Targets for the ``serve.latency.slo`` (seconds) and
         ``serve.qerror.slo`` (ratio) trackers.
@@ -232,18 +232,19 @@ class EstimationService:
             self._qft_label = type(estimator).__name__
         self._tick_every = tick_every
         self._request_seq = 0
-        self._monitor = QueryFeedbackMonitor()
-        windows = obs.get_windows()
-        self._latency_window = windows.histogram(
-            "serve.request.seconds.window", label_names=("model", "cache"))
-        self._qerror_window = windows.histogram(
-            "serve.qerror.window", label_names=("model", "table", "qft"))
-        self._latency_slo = windows.slo("serve.latency.slo",
-                                        target=latency_slo,
+        registry = obs.get_registry()
+        self._latency = registry.histogram(
+            "serve.request.seconds", label_names=("model", "cache"),
+            window_ticks=_WINDOW_TICKS)
+        self._qerror = registry.histogram(
+            "serve.qerror", label_names=("model", "table", "qft"),
+            window_ticks=_WINDOW_TICKS)
+        self._latency_slo = registry.slo("serve.latency.slo",
+                                         target=latency_slo,
+                                         objective=slo_objective)
+        self._qerror_slo = registry.slo("serve.qerror.slo",
+                                        target=qerror_slo,
                                         objective=slo_objective)
-        self._qerror_slo = windows.slo("serve.qerror.slo",
-                                       target=qerror_slo,
-                                       objective=slo_objective)
 
     @property
     def estimator(self) -> CardinalityEstimator:
@@ -270,11 +271,6 @@ class EstimationService:
         """The model-version label on this service's telemetry."""
         return self._model_version
 
-    @property
-    def feedback_monitor(self) -> QueryFeedbackMonitor:
-        """The drift monitor fed by :meth:`feedback` (for stats/tests)."""
-        return self._monitor
-
     def estimate(self, sql: str,
                  trace_id: int | None = None) -> tuple[float, bool]:
         """Estimate one SQL statement; returns ``(estimate, was_cached)``.
@@ -293,7 +289,7 @@ class EstimationService:
         with _RequestTelemetry(self, sql, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds"):
+                obs.span("serve.request"):
             registry = obs.get_registry()
             registry.counter("serve.requests_total").inc()
             registry.counter("serve.queries_total").inc()
@@ -331,8 +327,7 @@ class EstimationService:
         with _RequestTelemetry(self, None, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 self._admit(1), \
-                obs.span("serve.request", metric="serve.request.seconds",
-                         n_queries=len(sqls)):
+                obs.span("serve.request", n_queries=len(sqls)):
             telemetry.cache = "batch"
             registry = obs.get_registry()
             registry.counter("serve.requests_total").inc()
@@ -364,8 +359,7 @@ class EstimationService:
 
         This closes the accuracy loop: the observed q-error (floored at
         cardinality 1, the paper's convention) feeds the per-model
-        ``serve.qerror.window`` monitor, the ``serve.qerror.slo`` burn
-        rate, the drift :class:`~repro.feedback.QueryFeedbackMonitor`,
+        ``serve.qerror`` histogram, the ``serve.qerror.slo`` burn rate,
         and the worst-q-error exemplar reservoir (which keeps ``sql``
         itself).  ``estimate`` is the estimate the caller was served;
         when omitted the service re-estimates the query through the
@@ -382,14 +376,9 @@ class EstimationService:
             true_floored = max(float(true_cardinality), 1.0)
             estimate_floored = max(float(estimate), 1.0)
             observed = float(qerror(true_floored, estimate_floored))
-            self._monitor.record(true_cardinality, estimate)
-            self._qerror_window.observe(observed, model=self._model_version,
-                                        table=self._table_label,
-                                        qft=self._qft_label)
+            self._qerror.record(observed, model=self._model_version,
+                                table=self._table_label, qft=self._qft_label)
             self._qerror_slo.observe(observed)
-            registry = obs.get_registry()
-            registry.counter("serve.feedback_total").inc()
-            registry.histogram("serve.feedback.qerror").record(observed)
             try:
                 fingerprint, _ = fingerprint_sql(sql)
             except (ValueError, SqlSyntaxError):
@@ -402,7 +391,7 @@ class EstimationService:
 
     def _record_request(self, telemetry: "_RequestTelemetry",
                         error: str | None) -> None:
-        """Emit one finished request's telemetry (event + windows)."""
+        """Emit one finished request's telemetry (event + latency)."""
         fingerprint = None
         if telemetry.sql is not None:
             try:
@@ -421,21 +410,20 @@ class EstimationService:
             error=error,
         )
         cache_label = telemetry.cache or ("error" if error else "none")
-        self._latency_window.observe(telemetry.watch.seconds,
-                                     model=self._model_version,
-                                     cache=cache_label)
+        self._latency.record(telemetry.watch.seconds,
+                             model=self._model_version, cache=cache_label)
         self._latency_slo.observe(telemetry.watch.seconds)
         self._bump_tick()
 
     def _bump_tick(self) -> None:
-        """Advance the global windows every ``tick_every`` requests."""
+        """Advance the global registry every ``tick_every`` requests."""
         if not self._tick_every:
             return
         with self._inflight_lock:
             self._request_seq += 1
             advance = self._request_seq % self._tick_every == 0
         if advance:
-            obs.get_windows().advance_all()
+            obs.get_registry().advance_all()
 
     def close(self, drain: bool = True) -> None:
         """Refuse new requests and drain (or cancel) queued ones."""
@@ -492,25 +480,20 @@ class _RequestHandler(JsonRequestHandler):
     # ------------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        """Serve ``/healthz`` and the two ``/metrics`` renderings.
+        """Serve ``/healthz`` and the two renderings of one snapshot.
 
-        ``/metrics`` keeps its byte-stable JSON snapshot; the
-        Prometheus text exposition answers on ``/metrics.prom`` and
-        ``/metrics?format=prometheus`` (both render counters, gauges,
-        cumulative histograms, windowed summaries, and SLO burn rates
-        with labels).
+        ``/metrics`` is the registry's byte-stable JSON snapshot;
+        ``/metrics.prom`` renders that snapshot as Prometheus text
+        (counters, gauges, labeled histograms, windowed summaries, and
+        SLO burn rates).
         """
-        parsed = urllib.parse.urlsplit(self.path)
-        query = urllib.parse.parse_qs(parsed.query)
-        if parsed.path == "/healthz":
+        if self.path == "/healthz":
             self._send_json(200, {"status": "ok"})
-        elif (parsed.path == "/metrics.prom"
-              or (parsed.path == "/metrics"
-                  and query.get("format") == ["prometheus"])):
+        elif self.path == "/metrics.prom":
             body = render_prometheus()
             self._send_bytes(200, body.encode("utf-8"),
                              content_type=CONTENT_TYPE)
-        elif parsed.path == "/metrics":
+        elif self.path == "/metrics":
             body = obs.get_registry().to_json() + "\n"
             self._send_bytes(200, body.encode("utf-8"),
                              content_type="application/json")

@@ -2,10 +2,11 @@
 
 ``true_cardinality`` and ``estimate`` must be JSON numbers, not
 booleans, that convert to a finite float >= 0.  Anything else is a 400
-that reaches no monitor: the drift monitor's observation count stays
-put.  0 stays valid — an empty result, floored to 1 by the paper's
-convention.  Both an :class:`EstimationServer` and a fleet
-:class:`RouterServer` over two in-process workers are driven.
+that reaches no monitor: the count of the ``serve.qerror`` histogram
+stays put.  0 stays valid — an empty result, floored to 1 by the
+paper's convention.  Both an :class:`EstimationServer` and a fleet
+:class:`RouterServer` over two in-process workers are driven; the
+in-process workers record into the one global registry.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.fleet import RouterServer
 from repro.serve import EstimationServer, ServeClient, ServeClientError
 
@@ -41,42 +43,39 @@ BAD_BODIES = {
 
 @pytest.fixture(params=["server", "router"])
 def served(request, fleet_estimator, local_fleet):
-    """``(url, services)``: a server, or a router over two workers."""
+    """The URL of a server, or of a router over two workers."""
     if request.param == "server":
-        service = make_service(fleet_estimator)
-        server = EstimationServer(service).start()
-        services = [service]
+        server = EstimationServer(make_service(fleet_estimator)).start()
     else:
-        supervisor, router = local_fleet(workers=2)
+        _, router = local_fleet(workers=2)
         server = RouterServer(router).start()
-        services = [worker.service for worker in supervisor.pool.handles()]
-    yield server.url, services
+    yield server.url
     server.stop()
 
 
-def _observations(services) -> int:
-    return sum(service.feedback_monitor.observation_count
-               for service in services)
+def _observations() -> int:
+    snapshot = obs.get_registry().snapshot()["serve.qerror"]
+    return sum(series["count"] for series in snapshot["series"])
 
 
 @pytest.mark.parametrize("body", list(BAD_BODIES.values()),
                          ids=list(BAD_BODIES))
 def test_bad_count_is_400_and_unrecorded(served, fleet_sqls, body):
-    url, services = served
-    before = _observations(services)
+    url = served
+    before = _observations()
     with ServeClient(url) as client:
         with pytest.raises(ServeClientError) as excinfo:
             client.post_json("/v1/feedback", {"sql": fleet_sqls[0], **body})
     assert excinfo.value.status == 400, excinfo.value
-    assert _observations(services) == before
+    assert _observations() == before
 
 
 def test_zero_true_cardinality_is_recorded(served, fleet_sqls):
-    url, services = served
-    before = _observations(services)
+    url = served
+    before = _observations()
     with ServeClient(url) as client:
         response = client.post_json(
             "/v1/feedback", {"sql": fleet_sqls[0], "true_cardinality": 0,
                              "estimate": 4})
     assert response["qerror"] == 4.0
-    assert _observations(services) == before + 1
+    assert _observations() == before + 1

@@ -8,8 +8,7 @@ import pytest
 
 from repro import obs
 from repro.fleet import FleetRouter, RouterServer, WorkerPool
-from repro.fleet.router import merge_prometheus_pages
-from repro.obs.prometheus import parse_exposition
+from repro.obs.prometheus import parse_exposition, render_snapshots
 from repro.serve import ServeClient, ServeClientError
 
 
@@ -121,12 +120,16 @@ class TestTelemetry:
                 assert "worker" in labels
                 sources.add(labels["worker"])
         assert {"router", "w0", "w1"} <= sources
+        windowed = {labels["worker"] for _, labels, _ in
+                    parsed["serve_request_seconds_window"]["samples"]}
+        assert {"w0", "w1"} <= windowed
 
     def test_merge_rejects_conflicting_types(self):
-        counter = '# TYPE x_total counter\nx_total 1\n'
-        gauge = '# TYPE x_total gauge\nx_total 2\n'
+        counter = {"x.total": {"kind": "counter", "value": 1}}
+        gauge = {"x_total": {"kind": "gauge", "value": 2.0}}
         with pytest.raises(ValueError, match="family 'x_total'"):
-            merge_prometheus_pages({"a": counter, "b": gauge})
+            render_snapshots({"a": counter, "b": gauge},
+                             source_label="worker")
 
     def test_health_probes_every_worker(self, local_fleet):
         supervisor, router = local_fleet(workers=2)

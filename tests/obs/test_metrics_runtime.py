@@ -58,7 +58,7 @@ class TestHistogram:
         histogram = Histogram("h", edges=(1.0, 10.0, 100.0))
         for value in (0.5, 1.0, 5.0, 100.0, 1000.0):
             histogram.record(value)
-        snapshot = histogram.snapshot()
+        snapshot, = histogram.snapshot()["series"]
         assert snapshot["buckets"] == [["1.0", 2], ["10.0", 1],
                                        ["100.0", 1], ["+Inf", 1]]
         assert snapshot["count"] == 5
@@ -72,7 +72,7 @@ class TestHistogram:
         for value in values:
             one.record(value)
         many.record_many(values)
-        assert one.snapshot()["buckets"] == many.snapshot()["buckets"]
+        assert one.snapshot()["series"] == many.snapshot()["series"]
         assert one.count == many.count == 500
         assert one.sum == pytest.approx(many.sum)
 
@@ -90,7 +90,7 @@ class TestHistogram:
         assert build() == build()
 
     def test_empty_histogram_snapshot(self):
-        snapshot = Histogram("h").snapshot()
+        snapshot, = Histogram("h").snapshot()["series"]
         assert snapshot["count"] == 0
         assert snapshot["buckets"] == []
         assert snapshot["min"] is None and snapshot["max"] is None
@@ -165,11 +165,11 @@ class TestHistogramValueHardening:
         with pytest.raises(ValueError, match="finite and non-negative"):
             histogram.record_many([0.1, -0.2])
         # Nothing was recorded by the failed batches.
-        assert histogram.snapshot()["count"] == 0
+        assert histogram.count == 0
 
     def test_record_still_accepts_zero_and_positive(self):
         histogram = MetricsRegistry().histogram("h")
         histogram.record(0.0)
         histogram.record(12.5)
         histogram.record_many([0.25, 3.0])
-        assert histogram.snapshot()["count"] == 4
+        assert histogram.count == 4

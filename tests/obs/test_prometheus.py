@@ -11,8 +11,8 @@ from repro.obs.prometheus import (
     parse_exposition,
     prometheus_name,
     render_prometheus,
+    render_snapshots,
 )
-from repro.obs.window import WindowRegistry
 
 
 class TestNames:
@@ -37,7 +37,7 @@ class TestRender:
         registry = MetricsRegistry()
         registry.counter("serve.requests_total").inc(3)
         registry.gauge("serve.inflight").set(2)
-        text = render_prometheus(registry, WindowRegistry())
+        text = render_prometheus(registry)
         assert "# TYPE serve_requests_total counter" in text
         assert "serve_requests_total 3" in text
         assert "# TYPE serve_inflight gauge" in text
@@ -48,47 +48,51 @@ class TestRender:
         histogram = registry.histogram("h.lat", edges=(0.1, 1.0))
         for value in (0.05, 0.05, 0.5, 5.0):
             histogram.record(value)
-        text = render_prometheus(registry, WindowRegistry())
+        text = render_prometheus(registry)
         assert 'h_lat_bucket{le="0.1"} 2' in text
         assert 'h_lat_bucket{le="1.0"} 3' in text
         assert 'h_lat_bucket{le="+Inf"} 4' in text
         assert "h_lat_count 4" in text
 
     def test_windowed_histogram_renders_as_summary(self):
-        windows = WindowRegistry()
-        window = windows.histogram("w.qerr", label_names=("model",))
+        registry = MetricsRegistry()
+        window = registry.histogram("w.qerr", label_names=("model",),
+                                    window_ticks=8)
         for value in (1.0, 2.0, 50.0):
-            window.observe(value, model="m1")
-        text = render_prometheus(MetricsRegistry(), windows)
-        assert "# TYPE w_qerr summary" in text
-        assert 'w_qerr{model="m1",quantile="0.99"} 50' in text
+            window.record(value, model="m1")
+        text = render_prometheus(registry)
+        assert "# TYPE w_qerr_window summary" in text
+        assert 'w_qerr_window{model="m1",quantile="0.99"} 50' in text
+        assert 'w_qerr_window_count{model="m1"} 3' in text
+        # The same series is also a labeled cumulative histogram.
+        assert "# TYPE w_qerr histogram" in text
+        assert 'w_qerr_bucket{model="m1",le="+Inf"} 3' in text
         assert 'w_qerr_count{model="m1"} 3' in text
 
     def test_slo_renders_totals_and_burn_rates(self):
-        windows = WindowRegistry()
-        slo = windows.slo("s.lat", target=1.0, objective=0.5)
+        registry = MetricsRegistry()
+        slo = registry.slo("s.lat", target=1.0, objective=0.5)
         slo.observe(0.1)
         slo.observe(9.0)
-        text = render_prometheus(MetricsRegistry(), windows)
+        text = render_prometheus(registry)
         assert "s_lat_good_total 1" in text
         assert "s_lat_bad_total 1" in text
         assert 's_lat_burn_rate{window="short"} 1' in text
         assert 's_lat_burn_rate{window="long"} 1' in text
 
     def test_empty_registries_render_empty_page(self):
-        assert render_prometheus(MetricsRegistry(), WindowRegistry()) == ""
+        assert render_prometheus(MetricsRegistry()) == ""
 
     def test_rendering_is_deterministic(self):
         def build():
             registry = MetricsRegistry()
-            windows = WindowRegistry()
             registry.counter("b.total").inc()
             registry.counter("a.total").inc(2)
             registry.histogram("h.lat").record(0.5)
-            windows.histogram("w.lat", label_names=("m",)).observe(
-                0.1, m="x")
-            windows.slo("s.lat", target=1.0).observe(0.5)
-            return render_prometheus(registry, windows)
+            registry.histogram("w.lat", label_names=("m",),
+                               window_ticks=8).record(0.1, m="x")
+            registry.slo("s.lat", target=1.0).observe(0.5)
+            return render_prometheus(registry)
 
         first, second = build(), build()
         assert first == second
@@ -96,24 +100,40 @@ class TestRender:
         # block itself holds three TYPE lines, so compare block starts).
         order = [first.index(f"# TYPE {name}") for name in
                  ("a_total", "b_total", "h_lat", "s_lat_good_total",
-                  "w_lat")]
+                  "w_lat", "w_lat_window")]
         assert order == sorted(order)
+
+    def test_sources_gain_a_label_and_share_type_lines(self):
+        def snapshot(count: int) -> dict:
+            registry = MetricsRegistry()
+            registry.counter("x.total").inc(count)
+            registry.histogram("h.lat", label_names=("m",),
+                               window_ticks=8).record(0.5, m="a")
+            return registry.snapshot()
+
+        text = render_snapshots({"w1": snapshot(2), "w0": snapshot(1)},
+                                source_label="worker")
+        assert text.count("# TYPE x_total counter") == 1
+        assert 'x_total{worker="w0"} 1\nx_total{worker="w1"} 2' in text
+        assert 'h_lat_bucket{m="a",worker="w1",le="+Inf"} 1' in text
+        assert 'h_lat_window_count{m="a",worker="w0"} 1' in text
+        parse_exposition(text)
 
 
 class TestParseExposition:
     def test_round_trip(self):
         registry = MetricsRegistry()
-        windows = WindowRegistry()
         registry.counter("serve.requests_total").inc(5)
         registry.histogram("serve.request.seconds").record(0.02)
-        windows.histogram("serve.qerror.window",
-                          label_names=("model", "table")).observe(
+        registry.histogram("serve.qerror", label_names=("model", "table"),
+                           window_ticks=8).record(
             3.0, model="m1", table="forest")
-        windows.slo("serve.latency.slo", target=0.5).observe(0.1)
-        text = render_prometheus(registry, windows)
+        registry.slo("serve.latency.slo", target=0.5).observe(0.1)
+        text = render_prometheus(registry)
         families = parse_exposition(text)
         assert families["serve_requests_total"]["type"] == "counter"
         assert families["serve_request_seconds"]["type"] == "histogram"
+        assert families["serve_qerror"]["type"] == "histogram"
         assert families["serve_qerror_window"]["type"] == "summary"
         quantiles = [labels for name, labels, _ in
                      families["serve_qerror_window"]["samples"]

@@ -1,4 +1,5 @@
-"""Windowed monitors: sliding histograms, SLO burn rates, registry."""
+"""Windowed monitors: sliding histograms, SLO burn rates, and the one
+registry's window configuration and tick."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import json
 
 import pytest
 
-from repro.obs.window import SloTracker, WindowedHistogram, WindowRegistry
+from repro.obs.metrics_runtime import MetricsRegistry, SloTracker
+from repro.obs.window import WindowedHistogram
 
 
 class TestWindowedHistogram:
@@ -83,9 +85,33 @@ class TestWindowedHistogram:
         first, second = build(), build()
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True)
-        assert list(first["series"]) == ["m=a", "m=b"]
+        assert [series["labels"] for series in first["series"]] == [
+            {"m": "a"}, {"m": "b"}]
         assert first["tick"] == 1
-        assert first["series"]["m=a"]["count"] == 2
+        assert first["series"][0]["window"]["count"] == 2
+
+    def test_cumulative_view_keeps_ticks_that_left_the_window(self):
+        window = WindowedHistogram("w.test", window_ticks=2)
+        window.observe(100.0)
+        window.advance()
+        window.observe(0.5)
+        window.advance()          # 100.0 leaves the window
+        assert window.window_count() == 1
+        series, = window.snapshot()["series"]
+        assert series["window"]["count"] == 1
+        assert series["window"]["max"] == 0.5
+        assert (series["count"], series["sum"], series["max"]) == (
+            2, 100.5, 100.0)
+        assert window.count == 2
+
+    def test_label_values_with_separators_stay_distinct(self):
+        window = WindowedHistogram("w.test", label_names=("model", "cache"))
+        window.observe(1.0, model="a,cache=b", cache="c")
+        window.observe(2.0, model="a", cache="b,cache=c")
+        series = window.snapshot()["series"]
+        assert [(s["labels"], s["count"]) for s in series] == [
+            ({"model": "a", "cache": "b,cache=c"}, 1),
+            ({"model": "a,cache=b", "cache": "c"}, 1)]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="window_ticks"):
@@ -149,44 +175,55 @@ class TestSloTracker:
 
 class TestWindowRegistry:
     def test_get_or_create_returns_same_monitor(self):
-        windows = WindowRegistry()
-        assert windows.histogram("w.a") is windows.histogram("w.a")
-        assert windows.slo("s.a", target=1.0) is windows.slo("s.a")
+        registry = MetricsRegistry()
+        assert registry.histogram("w.a", window_ticks=8) is (
+            registry.histogram("w.a", window_ticks=8))
+        assert registry.slo("s.a", target=1.0) is registry.slo("s.a",
+                                                               target=1.0)
 
     def test_kind_and_config_conflicts_raise(self):
-        windows = WindowRegistry()
-        windows.histogram("w.a", label_names=("m",))
-        with pytest.raises(ValueError, match="labels"):
-            windows.histogram("w.a", label_names=("m", "c"))
-        with pytest.raises(ValueError, match="not an SloTracker"):
-            windows.slo("w.a", target=1.0)
-        windows.slo("s.a", target=1.0)
-        with pytest.raises(ValueError, match="already exists with target"):
-            windows.slo("s.a", target=2.0)
-        with pytest.raises(ValueError, match="not a WindowedHistogram"):
-            windows.histogram("s.a")
-        with pytest.raises(ValueError, match="pass a target"):
-            windows.slo("s.new")
+        registry = MetricsRegistry()
+        registry.histogram("w.a", label_names=("m",), window_ticks=8)
+        with pytest.raises(ValueError, match="different label_names"):
+            registry.histogram("w.a", label_names=("m", "c"),
+                               window_ticks=8)
+        with pytest.raises(ValueError, match="different window_ticks"):
+            registry.histogram("w.a", label_names=("m",), window_ticks=2)
+        with pytest.raises(ValueError, match="different edges"):
+            registry.histogram("w.a", edges=(1.0, 2.0), label_names=("m",),
+                               window_ticks=8)
+        with pytest.raises(ValueError, match="not a SloTracker"):
+            registry.slo("w.a", target=1.0)
+        registry.slo("s.a", target=1.0)
+        with pytest.raises(ValueError, match="different target"):
+            registry.slo("s.a", target=2.0)
+        with pytest.raises(ValueError, match="different objective"):
+            registry.slo("s.a", target=1.0, objective=0.9)
+        with pytest.raises(ValueError,
+                           match="different short_ticks, long_ticks"):
+            registry.slo("s.a", target=1.0, short_ticks=2, long_ticks=6)
+        with pytest.raises(ValueError, match="not a Histogram"):
+            registry.histogram("s.a")
 
     def test_advance_all_moves_every_monitor_in_lockstep(self):
-        windows = WindowRegistry()
-        histogram = windows.histogram("w.a", window_ticks=2)
-        slo = windows.slo("s.a", target=1.0, short_ticks=1, long_ticks=2)
-        histogram.observe(5.0)
+        registry = MetricsRegistry()
+        histogram = registry.histogram("w.a", window_ticks=2)
+        slo = registry.slo("s.a", target=1.0, short_ticks=1, long_ticks=2)
+        histogram.record(5.0)
         slo.observe(5.0)
-        assert windows.advance_all() == 1
-        assert windows.advance_all() == 2
+        assert registry.advance_all() == 1
+        assert registry.advance_all() == 2
         assert histogram.tick == 2
         assert histogram.quantile(0.99) is None  # rolled off
         assert slo.burn_rate("long") == 0.0
 
     def test_snapshot_and_json_are_deterministic(self, tmp_path):
         def build():
-            windows = WindowRegistry()
-            windows.histogram("w.b").observe(0.5)
-            windows.histogram("w.a").observe(1.5)
-            windows.slo("s.a", target=1.0).observe(2.0)
-            return windows
+            registry = MetricsRegistry()
+            registry.histogram("w.b", window_ticks=8).record(0.5)
+            registry.histogram("w.a", window_ticks=8).record(1.5)
+            registry.slo("s.a", target=1.0).observe(2.0)
+            return registry
 
         first, second = build(), build()
         assert first.to_json() == second.to_json()
@@ -196,9 +233,9 @@ class TestWindowRegistry:
         assert out.read_text(encoding="utf-8") == first.to_json() + "\n"
 
     def test_reset_drops_everything(self):
-        windows = WindowRegistry()
-        windows.histogram("w.a").observe(1.0)
-        windows.advance_all()
-        windows.reset()
-        assert windows.names() == ()
-        assert windows.tick == 0
+        registry = MetricsRegistry()
+        registry.histogram("w.a", window_ticks=8).record(1.0)
+        registry.advance_all()
+        registry.reset()
+        assert registry.names() == ()
+        assert registry.tick == 0

@@ -24,3 +24,15 @@ def serve_estimator(small_forest, conjunctive_workload):
         GradientBoostingRegressor(n_estimators=10),
     ).fit([item.query for item in items],
           np.asarray([item.cardinality for item in items], dtype=float))
+
+
+def stepping_clock(step_ns: int = 1_000_000):
+    """A clock_ns advancing a fixed step per call — latencies become a
+    pure function of the request sequence, not of wall time."""
+    state = {"now": 0}
+
+    def clock() -> int:
+        state["now"] += step_ns
+        return state["now"]
+
+    return clock

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.estimators import LearnedEstimator
+from repro.obs.events import EventLog
 from repro.featurize import DisjunctionEncoding
 from repro.models import GradientBoostingRegressor
 from repro.serve import (
@@ -21,6 +22,8 @@ from repro.serve import (
 )
 from repro.sql.ast import MAX_COMPOUND_BRANCHES
 from repro.sql.parser import MAX_PAREN_DEPTH, parse_query
+
+from .conftest import stepping_clock
 
 
 class SlowEstimator:
@@ -264,10 +267,13 @@ class TestErrorMapping:
             client._post("/v1/estimate_batch", {"sql": "not a list"})
         assert excinfo.value.status == 400
 
-    def test_unknown_route_is_404(self, running_server):
+    @pytest.mark.parametrize(
+        "path", ["/v2/everything", "/metrics?format=prometheus"],
+        ids=["unknown-path", "prometheus-query-alias"])
+    def test_unknown_route_is_404(self, running_server, path):
         client = ServeClient(running_server.url)
         with pytest.raises(ServeClientError) as excinfo:
-            client._get("/v2/everything")
+            client._get(path)
         assert excinfo.value.status == 404
 
 
@@ -374,6 +380,9 @@ class TestMetricsByteStability:
     def test_identical_runs_identical_bytes(self, serve_estimator, sqls):
         def run_once() -> str:
             obs.reset()
+            # Request latency is on /metrics: pin the clock it is read
+            # from, so latencies are a function of the request sequence.
+            obs.set_event_log(EventLog(clock_ns=stepping_clock()))
             service = EstimationService(serve_estimator, max_batch_size=8,
                                         max_wait_ms=0.0, cache_size=64,
                                         max_inflight=32)

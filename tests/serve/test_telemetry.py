@@ -19,6 +19,8 @@ from repro.obs.events import EventLog
 from repro.obs.prometheus import parse_exposition
 from repro.serve import EstimationServer, EstimationService, ServeClient
 
+from .conftest import stepping_clock
+
 
 @pytest.fixture(autouse=True)
 def fresh_obs():
@@ -34,20 +36,8 @@ def sqls(conjunctive_workload):
     return [q.to_sql() for q in conjunctive_workload.queries[:12]]
 
 
-def stepping_clock(step_ns: int = 1_000_000):
-    """A clock_ns advancing a fixed step per call — latencies become a
-    pure function of the request sequence, not of wall time."""
-    state = {"now": 0}
-
-    def clock() -> int:
-        state["now"] += step_ns
-        return state["now"]
-
-    return clock
-
-
 def qerror_labels(estimator, model_version: str) -> dict:
-    """The label tuple the service stamps on serve.qerror.window."""
+    """The label tuple the service stamps on serve.qerror."""
     featurizer = estimator.featurizer
     return {"model": model_version, "table": featurizer.table_name,
             "qft": type(featurizer).__name__}
@@ -58,22 +48,23 @@ class TestWindowedDegradation:
                                                 sqls):
         service = EstimationService(serve_estimator, model_version="gb-a")
         labels = qerror_labels(serve_estimator, "gb-a")
-        windows = obs.get_windows()
-        window = windows.histogram("serve.qerror.window",
-                                   label_names=("model", "table", "qft"))
+        registry = obs.get_registry()
+        window = registry.histogram("serve.qerror",
+                                    label_names=("model", "table", "qft"),
+                                    window_ticks=8)
         try:
             for sql in sqls[:8]:
                 service.feedback(sql, true_cardinality=50.0, estimate=50.0)
-            windows.advance_all()
+            registry.advance_all()
             healthy = window.quantile(0.95, **labels)
             assert healthy == pytest.approx(1.0)
 
-            tick_at_injection = windows.tick
+            tick_at_injection = registry.tick
             for sql in sqls[:4]:  # estimates suddenly off by 400x
                 service.feedback(sql, true_cardinality=400.0, estimate=1.0)
-            windows.advance_all()
+            registry.advance_all()
             degraded = window.quantile(0.95, **labels)
-            assert windows.tick - tick_at_injection <= 2
+            assert registry.tick - tick_at_injection <= 2
             assert degraded >= 100 * healthy
         finally:
             service.close()
@@ -82,7 +73,7 @@ class TestWindowedDegradation:
                                                 sqls):
         service = EstimationService(serve_estimator, model_version="gb-a",
                                     qerror_slo=10.0, slo_objective=0.99)
-        slo = obs.get_windows().slo("serve.qerror.slo")
+        slo = obs.get_registry().slo("serve.qerror.slo", target=10.0)
         try:
             for sql in sqls[:8]:
                 service.feedback(sql, true_cardinality=50.0, estimate=50.0)
@@ -102,7 +93,7 @@ class TestWindowedDegradation:
         try:
             for sql in sqls[:4]:
                 service.feedback(sql, true_cardinality=10.0, estimate=10.0)
-            assert obs.get_windows().tick == 2
+            assert obs.get_registry().tick == 2
         finally:
             service.close()
 
@@ -111,9 +102,9 @@ class TestWindowedDegradation:
                                                         sqls):
         service = EstimationService(serve_estimator, model_version="gb-a",
                                     max_wait_ms=0.0, cache_size=32)
-        window = obs.get_windows().histogram(
-            "serve.request.seconds.window",
-            label_names=("model", "cache"))
+        window = obs.get_registry().histogram(
+            "serve.request.seconds", label_names=("model", "cache"),
+            window_ticks=8)
         try:
             service.estimate(sqls[0])   # miss
             service.estimate(sqls[0])   # hit
@@ -217,7 +208,8 @@ class TestPrometheusScrape:
                                                       sqls):
         families = parse_exposition(self._run_once(serve_estimator, sqls))
         assert families["serve_requests_total"]["type"] == "counter"
-        assert families["serve_feedback_qerror"]["type"] == "histogram"
+        assert families["serve_request_seconds"]["type"] == "histogram"
+        assert families["serve_qerror"]["type"] == "histogram"
         assert families["serve_qerror_window"]["type"] == "summary"
         labels = [label_set for _, label_set, _ in
                   families["serve_qerror_window"]["samples"]]
@@ -234,3 +226,20 @@ class TestPrometheusScrape:
         second = self._run_once(serve_estimator, sqls)
         assert first == second
         assert "serve_request_seconds_window" in first
+
+
+class TestLabelValues:
+    def test_separators_in_a_model_version_stay_one_label(
+            self, serve_estimator, sqls):
+        service = EstimationService(serve_estimator,
+                                    model_version="gb,cache=x",
+                                    max_wait_ms=0.0, cache_size=8)
+        with EstimationServer(service) as server:
+            client = ServeClient(server.url)
+            client.estimate(sqls[0])   # miss
+            client.estimate(sqls[0])   # hit
+            families = parse_exposition(client.metrics_prometheus())
+        for family in ("serve_request_seconds", "serve_request_seconds_window"):
+            series = {(labels["model"], labels["cache"])
+                      for _, labels, _ in families[family]["samples"]}
+            assert series == {("gb,cache=x", "hit"), ("gb,cache=x", "miss")}
