@@ -7,17 +7,22 @@ verifies the two matrices are identical — i.e. that batching is
 row-independent — before reporting a speedup.  Pass timings come from
 ``bench.scalar_pass`` / ``bench.batch_pass`` spans (under
 :func:`repro.obs.ensure_tracing`), so a traced benchmark run exports the
-same numbers it reports.
+same numbers it reports.  Its **planned** legs time the serving path's
+encode — ``encode_with_plans`` over statements planned once from their
+SQL fingerprints — per query at the batch sizes the server sees, each
+with its own bitwise check against ``featurize_batch``.
 
 :func:`run_lint_bench` times full-tree lint runs, best of ``repeats``,
 and splits the best run into the engine's stage spans (committed as
 ``BENCH_lint.json``).
 
-:func:`run_obs_bench` guards the observability layer itself: it times
-the conjunctive batch-featurize path uninstrumented (compile + encode
-called directly), with tracing disabled (the no-op span path), and with
-tracing enabled, and reports the overhead percentages (committed as
-``BENCH_obs.json``; the disabled-mode number is gated at < 3% in CI).
+:func:`run_obs_bench` guards the observability layer itself: it
+measures what the instrumented ``featurize_batch`` wrapper costs over
+compile + encode called directly — with tracing disabled (the no-op span
+path) as a per-call plus per-query model scaled to the gated batch, and
+with tracing enabled end to end — and reports the overhead percentages
+(committed as ``BENCH_obs.json``; the disabled-mode number is gated at
+≤ 3% in CI).
 
 :func:`run_predict_bench` isolates forest inference: the legacy
 per-tree python predict loop against the packed
@@ -44,6 +49,7 @@ touching the tracer it is measuring.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -78,6 +84,19 @@ _CASES = (
     ("complex", "conjunctive"),
     ("complex", "mixed"),
 )
+
+#: (featurizer label, workload label) of the planned-encode legs.
+_PLANNED_CASES = (
+    ("conjunctive", "conjunctive"),
+    ("complex", "mixed"),
+)
+
+#: Planned-encode batch sizes: a single request, a mixed ad-hoc batch,
+#: and the micro-batcher's full batch.
+_PLANNED_BATCH_SIZES = (1, 16, 64)
+
+#: Queries timed per planned leg (the workload's first ones).
+_PLANNED_QUERIES = 2_048
 
 
 @dataclass(frozen=True)
@@ -165,6 +184,53 @@ def _time_case(featurizer, queries: Sequence[Query],
     )
 
 
+def _time_planned(featurizer, queries: Sequence[Query],
+                  featurizer_label: str, workload_label: str,
+                  repeats: int) -> list[dict]:
+    """Per-query ``encode_with_plans`` time at each planned batch size.
+
+    Every statement is planned as the server plans it — its SQL text's
+    fingerprint key parsed into a template and compiled once per key —
+    untimed.  Each leg then encodes the statements in consecutive
+    batches of ``n``, best of ``repeats``, and is ``identical`` when the
+    stacked batches equal ``featurize_batch`` of the same queries.
+    """
+    from repro.sql.parser import fingerprint_sql, parse_template
+
+    plans: dict = {}
+    requests = []
+    for query in queries:
+        key, literals = fingerprint_sql(query.to_sql())
+        if key not in plans:
+            plans[key] = featurizer.compile_plan(
+                parse_template(key, len(literals)), len(literals))
+        requests.append((plans[key], literals))
+    expected = featurizer.featurize_batch(queries)
+    legs = []
+    for n in _PLANNED_BATCH_SIZES:
+        batches = [([plan for plan, _ in requests[i:i + n]],
+                    [literals for _, literals in requests[i:i + n]])
+                   for i in range(0, len(requests), n)]
+        encoded = np.concatenate([featurizer.encode_with_plans(*batch)
+                                  for batch in batches])
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for batch in batches:
+                featurizer.encode_with_plans(*batch)
+            best = min(best, time.perf_counter() - start)
+        legs.append({
+            "featurizer": featurizer_label,
+            "workload": workload_label,
+            "batch_size": n,
+            "n_queries": len(requests),
+            "n_plans": len(plans),
+            "us_per_query": best / len(requests) * 1e6,
+            "identical": bool(np.array_equal(encoded, expected)),
+        })
+    return legs
+
+
 def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
                         partitions: int = config.DEFAULT_PARTITIONS,
                         seed: int = config.DEFAULT_SEED,
@@ -173,9 +239,12 @@ def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
 
     Each case runs one untimed warm-up pass per path (whose output also
     feeds the bitwise-equality check), then reports the best of
-    ``repeats`` timed runs.  ``smoke`` shrinks the workload to a
-    seconds-long configuration for CI: the equivalence checks still run
-    on real queries, only the timing sample is small.
+    ``repeats`` timed runs.  The ``planned`` legs time the serving
+    encode per query at batch sizes 1, 16 and 64 (see
+    :func:`_time_planned`); ``all_identical`` covers them too.
+    ``smoke`` shrinks the workload to a seconds-long configuration for
+    CI: the equivalence checks still run on real queries, only the
+    timing sample is small.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -194,6 +263,12 @@ def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
         featurizer = _build_featurizer(featurizer_label, table, partitions)
         cases.append(_time_case(featurizer, workloads[workload_label],
                                 featurizer_label, workload_label, repeats))
+    planned: list[dict] = []
+    for featurizer_label, workload_label in _PLANNED_CASES:
+        featurizer = _build_featurizer(featurizer_label, table, partitions)
+        planned += _time_planned(
+            featurizer, workloads[workload_label][:_PLANNED_QUERIES],
+            featurizer_label, workload_label, repeats)
     return {
         "benchmark": "featurize",
         "config": {
@@ -205,7 +280,9 @@ def run_featurize_bench(rows: int = 10_000, queries: int = 10_000,
             "repeats": repeats,
         },
         "cases": [case.row() for case in cases],
-        "all_identical": all(case.identical for case in cases),
+        "planned": planned,
+        "all_identical": (all(case.identical for case in cases)
+                          and all(leg["identical"] for leg in planned)),
         "min_speedup": min(case.speedup for case in cases),
     }
 
@@ -251,27 +328,68 @@ def run_lint_bench(paths: Sequence[str] = ("src",),
     }
 
 
+#: Batch sizes the disabled-tracing overhead is measured at: one query
+#: prices the wrapper's per-call cost, the larger batch its per-query
+#: cost (capped by the workload size).
+_OVERHEAD_SIZES = (1, 256)
+
+
+def _paired_overhead(direct, wrapped, calls: int, rounds: int) -> float:
+    """Median extra seconds per call of ``wrapped`` over ``direct``.
+
+    Each round times one block of ``calls`` calls per path, back to
+    back and with the garbage collector off, alternating which path
+    goes first; the median of the per-round differences shrugs off a
+    block that a noisy neighbour slowed down.
+    """
+    differences = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for round_index in range(rounds):
+            order = ((direct, wrapped) if round_index % 2 == 0
+                     else (wrapped, direct))
+            elapsed = []
+            for fn in order:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                elapsed.append(time.perf_counter() - start)
+            if round_index % 2:
+                elapsed.reverse()
+            differences.append((elapsed[1] - elapsed[0]) / calls)
+    finally:
+        if collecting:
+            gc.enable()
+    return float(np.median(differences))
+
+
 def run_obs_bench(rows: int = 10_000, queries: int = 10_000,
                   partitions: int = config.DEFAULT_PARTITIONS,
                   seed: int = config.DEFAULT_SEED,
                   smoke: bool = False, repeats: int = 7) -> dict:
     """Measure the observability layer's overhead on batch featurization.
 
-    Times the conjunctive-QFT batch path over the conjunctive workload
-    three ways, interleaved, best of ``repeats``:
+    The gated number is what the instrumented ``featurize_batch``
+    wrapper adds, with tracing off (no-op spans plus the always-on
+    counters, the production default), to compile + encode called
+    directly on the conjunctive workload.  Timing two whole batches and
+    subtracting would bury a cost of microseconds per call under the
+    run-to-run noise of a batch lasting tens of milliseconds, so the
+    wrapper is measured instead: interleaved, GC-off blocks of wrapper
+    calls against direct calls at two batch sizes
+    (:data:`_OVERHEAD_SIZES`), whose difference splits into a per-call
+    and a per-query cost.  That model, scaled to the whole workload and
+    divided by its direct compile + encode time (``baseline_seconds``),
+    is ``disabled_overhead_pct`` — the number the CI gate holds under
+    3%: instrumentation must cost nothing when nobody is looking.
 
-    * **baseline** — compile + encode called directly, bypassing the
-      instrumented ``featurize_batch`` wrapper entirely;
-    * **disabled** — ``featurize_batch`` with tracing off (no-op spans
-      plus the always-on counters), the production default;
-    * **enabled** — ``featurize_batch`` with tracing on (live spans).
-
-    The report's ``disabled_overhead_pct`` is the number the CI gate
-    holds under 3%: instrumentation must cost nothing when nobody is
-    looking.
+    ``enabled_overhead_pct`` (informational, not gated) times the whole
+    workload through the wrapper with tracing on, against the direct
+    path, interleaved, best of ``repeats``.
 
     Two telemetry hot-path legs ride along (best of the same
-    ``repeats``), since PR 9 put both on the serving request path:
+    ``repeats``), since both sit on the serving request path:
 
     * **window** — per-``observe`` cost of a labelled
       :class:`~repro.obs.window.WindowedHistogram` and per-``advance``
@@ -290,12 +408,12 @@ def run_obs_bench(rows: int = 10_000, queries: int = 10_000,
     workload = generate_conjunctive_queries(table, queries, seed=seed)
     featurizer = _build_featurizer("conjunctive", table, partitions)
 
-    def uninstrumented():
-        batch = featurizer.compile_batch(workload)
+    def direct(batch_queries):
+        batch = featurizer.compile_batch(batch_queries)
         return featurizer._featurize_compiled(batch)
 
     # Untimed warm-up of every path (page-faults, lazy allocations).
-    reference = uninstrumented()
+    reference = direct(workload)
     with obs.use_tracer(obs.Tracer(enabled=False)):
         instrumented = featurizer.featurize_batch(workload)
     if not np.array_equal(reference, instrumented):
@@ -304,30 +422,65 @@ def run_obs_bench(rows: int = 10_000, queries: int = 10_000,
             "compile+encode path")
 
     baseline_seconds = float("inf")
-    disabled_seconds = float("inf")
     enabled_seconds = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        uninstrumented()
+        direct(workload)
         baseline_seconds = min(baseline_seconds,
                                time.perf_counter() - start)
-
-        with obs.use_tracer(obs.Tracer(enabled=False)):
-            start = time.perf_counter()
-            featurizer.featurize_batch(workload)
-            disabled_seconds = min(disabled_seconds,
-                                   time.perf_counter() - start)
-
         with obs.use_tracer(obs.Tracer(enabled=True)):
             start = time.perf_counter()
             featurizer.featurize_batch(workload)
             enabled_seconds = min(enabled_seconds,
                                   time.perf_counter() - start)
 
+    # Disabled-tracing overhead per call at two batch sizes, with the
+    # work both paths share stubbed out: compile and encode return
+    # their precomputed results, so the blocks time the wrapper itself
+    # rather than the noise of the kernels it wraps.
+    sizes = sorted({min(size, len(workload)) for size in _OVERHEAD_SIZES})
+    compiled = {size: featurizer.compile_batch(workload[:size])
+                for size in sizes}
+    encoded = {id(batch): featurizer._featurize_compiled(batch)
+               for batch in compiled.values()}
+
+    def stub_compile(batch_queries):
+        return compiled[len(batch_queries)]
+
+    def stub_encode(batch):
+        return encoded[id(batch)]
+
+    per_call_overhead = []
+    featurizer.compile_batch = stub_compile
+    featurizer._featurize_compiled = stub_encode
+    try:
+        with obs.use_tracer(obs.Tracer(enabled=False)):
+            for size in sizes:
+                batch_queries = workload[:size]
+                start = time.perf_counter()
+                featurizer.featurize_batch(batch_queries)
+                call_seconds = time.perf_counter() - start
+                # Blocks of about 5 ms.
+                calls = min(200, max(2, int(0.005 / max(call_seconds,
+                                                        1e-6))))
+                per_call_overhead.append(_paired_overhead(
+                    lambda: stub_encode(stub_compile(batch_queries)),
+                    lambda: featurizer.featurize_batch(batch_queries),
+                    calls, rounds=4 * repeats))
+    finally:
+        del featurizer.compile_batch, featurizer._featurize_compiled
+    if len(sizes) > 1:
+        per_query = ((per_call_overhead[1] - per_call_overhead[0])
+                     / (sizes[1] - sizes[0]))
+    else:
+        per_query = 0.0
+    per_call = per_call_overhead[0] - per_query * sizes[0]
+    disabled_overhead = per_call + per_query * len(workload)
+
     def overhead_pct(seconds: float) -> float:
         if baseline_seconds <= 0.0:
             return 0.0
-        return (seconds - baseline_seconds) / baseline_seconds * 100.0
+        return seconds / baseline_seconds * 100.0
 
     from repro.obs.events import EventLog
     from repro.obs.window import WindowedHistogram
@@ -384,10 +537,18 @@ def run_obs_bench(rows: int = 10_000, queries: int = 10_000,
         "n_queries": len(workload),
         "feature_length": featurizer.feature_length,
         "baseline_seconds": baseline_seconds,
-        "disabled_seconds": disabled_seconds,
+        "disabled_seconds": baseline_seconds + disabled_overhead,
         "enabled_seconds": enabled_seconds,
-        "disabled_overhead_pct": overhead_pct(disabled_seconds),
-        "enabled_overhead_pct": overhead_pct(enabled_seconds),
+        "disabled_overhead_pct": overhead_pct(disabled_overhead),
+        "enabled_overhead_pct": overhead_pct(
+            enabled_seconds - baseline_seconds),
+        "disabled_model": {
+            "batch_sizes": sizes,
+            "per_call_overhead_us": [seconds * 1e6
+                                     for seconds in per_call_overhead],
+            "per_call_us": per_call * 1e6,
+            "per_query_us": per_query * 1e6,
+        },
         "window": {
             "observe_ops": telemetry_ops,
             "observe_seconds": observe_seconds,

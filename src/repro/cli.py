@@ -212,11 +212,17 @@ def _cmd_bench(args) -> int:
               f"per-query {case['scalar_seconds']:8.3f}s  "
               f"batch {case['batch_seconds']:8.3f}s  "
               f"speedup {case['speedup']:6.2f}x  [{status}]")
+    for leg in report["planned"]:
+        status = "ok" if leg["identical"] else "MISMATCH"
+        print(f"  {leg['featurizer']:>12} / {leg['workload']:<12} "
+              f"planned n={leg['batch_size']:<3} "
+              f"{leg['us_per_query']:9.1f}us/query  [{status}]")
     output = args.output or Path("BENCH_featurize.json")
     write_report(report, output)
     print(f"wrote {output}")
     if not report["all_identical"]:
-        print("FAIL: per-query featurize diverges from featurize_batch")
+        print("FAIL: per-query featurize or a planned encode diverges "
+              "from featurize_batch")
         return 1
     if report["min_speedup"] < args.min_speedup:
         print(f"FAIL: min speedup {report['min_speedup']:.2f}x below "
@@ -251,8 +257,11 @@ def _cmd_bench_obs(args) -> int:
           f"rows, best of {cfg['repeats']} "
           f"({'smoke' if cfg['smoke'] else 'full'})")
     print(f"  baseline (uninstrumented) {report['baseline_seconds']:8.3f}s")
+    model = report["disabled_model"]
     print(f"  tracing disabled          {report['disabled_seconds']:8.3f}s "
-          f"({report['disabled_overhead_pct']:+.2f}%)")
+          f"({report['disabled_overhead_pct']:+.2f}%: wrapper "
+          f"{model['per_call_us']:.1f}us/call + "
+          f"{model['per_query_us']:.3f}us/query)")
     print(f"  tracing enabled           {report['enabled_seconds']:8.3f}s "
           f"({report['enabled_overhead_pct']:+.2f}%)")
     window = report["window"]

@@ -30,7 +30,7 @@ from repro import obs
 from repro.data.stats import ColumnStats, TableStats
 from repro.data.table import Table
 from repro.featurize.batch import (
-    OP_CODES,
+    BatchBuilder,
     CompiledPlan,
     PredicateBatch,
     stitch_plans,
@@ -81,6 +81,7 @@ class Featurizer(abc.ABC):
             raise KeyError(f"attributes {missing} not in table "
                            f"{snapshot.name!r}")
         self._attributes: tuple[str, ...] = tuple(names)
+        self._attr_ids = {name: i for i, name in enumerate(names)}
         self._stats: dict[str, ColumnStats] = {
             name: snapshot.column_stats(name) for name in names
         }
@@ -213,14 +214,7 @@ class Featurizer(abc.ABC):
         :meth:`encode_with_plans` without re-walking its AST.
         """
         batch = self._compile_exprs([self._extract_expr(template)])
-        return CompiledPlan(
-            attributes=batch.attributes,
-            attr_index=batch.attr_index,
-            branch_index=batch.branch_index,
-            op_code=batch.op_code,
-            perm=batch.value.astype(np.int64),
-            n_literals=n_literals,
-        )
+        return CompiledPlan.from_batch(batch, n_literals)
 
     def encode_with_plans(self, plans: Sequence[CompiledPlan],
                           literal_rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -235,12 +229,13 @@ class Featurizer(abc.ABC):
         on.  Produces the same matrix ``featurize_batch`` would for the
         original queries, minus every per-query compile pass.
         """
-        for plan in plans:
-            if plan.attributes != self._attributes:
-                raise ValueError(
-                    "plan was compiled against a different feature space "
-                    f"({plan.attributes} != {self._attributes})"
-                )
+        if plans and plans[0].attributes is not self._attributes \
+                and plans[0].attributes != self._attributes:
+            # stitch_plans holds every other plan to plans[0]'s space.
+            raise ValueError(
+                "plan was compiled against a different feature space "
+                f"({plans[0].attributes} != {self._attributes})"
+            )
         matrix = self._featurize_compiled(stitch_plans(plans, literal_rows))
         self._check_encoded(matrix, len(plans))
         return matrix
@@ -258,34 +253,28 @@ class Featurizer(abc.ABC):
 
     def _compile_exprs(self, exprs: Sequence[BoolExpr | None]
                        ) -> PredicateBatch:
-        """Flatten conjunctive WHERE expressions into predicate columns.
+        """Flatten conjunctive WHERE expressions into grouped predicate rows.
 
         The default compile accepts the conjunctive query class shared
-        by Singular, Range, and Universal Conjunction Encoding; QFTs
-        with a wider class (Limited Disjunction Encoding) override this
-        to emit disjunction-branch ids.
+        by Singular, Range, and Universal Conjunction Encoding: each
+        query's predicates are grouped by attribute (feature-space
+        order, compile order within an attribute), one branch per
+        segment.  QFTs with a wider class (Limited Disjunction
+        Encoding) override this to emit several branches per segment.
         """
-        attr_ids = {name: i for i, name in enumerate(self._attributes)}
-        query_index: list[int] = []
-        attr_index: list[int] = []
-        op_code: list[int] = []
-        value: list[float] = []
+        builder = BatchBuilder(self._attributes)
         for qi, expr in enumerate(exprs):
             if expr is None:
                 continue
             if not is_conjunctive(expr):
                 raise self._disjunction_error(expr)
+            by_attr: dict[int, list[SimplePredicate]] = {}
             for predicate in iter_simple_predicates(expr):
-                attr_index.append(attr_ids[self._resolve(predicate)])
-                query_index.append(qi)
-                op_code.append(OP_CODES[predicate.op])
-                value.append(float(predicate.value))
-        return PredicateBatch.from_lists(
-            n_queries=len(exprs), attributes=self._attributes,
-            query_index=query_index, attr_index=attr_index,
-            branch_index=[0] * len(query_index), op_code=op_code,
-            value=value,
-        )
+                by_attr.setdefault(self._attr_ids[self._resolve(predicate)],
+                                   []).append(predicate)
+            builder.add_query(qi, [(attr_id, (by_attr[attr_id],))
+                                   for attr_id in sorted(by_attr)])
+        return builder.build(len(exprs))
 
     def _disjunction_error(self, expr: BoolExpr) -> "LosslessnessError":
         """The error this QFT raises for disjunctive queries."""

@@ -37,12 +37,47 @@ from repro.featurize.batch import (
     OP_LT,
     OP_NE,
     PredicateBatch,
+    exclusive_offsets,
+    ragged_positions,
 )
 from repro.sql.ast import BoolExpr
 
 __all__ = ["ConjunctiveEncoding"]
 
 _HALF = 0.5
+
+
+def _op_table(*ops: int) -> np.ndarray:
+    """Op-code-indexed flags: True for ``ops``."""
+    table = np.zeros(6, dtype=bool)
+    table[list(ops)] = True
+    return table
+
+
+#: Operators that bound the keep-window (and the folded interval)
+#: from below / above; strict ones tighten the fold by one step.
+_SETS_LOWER = _op_table(OP_EQ, OP_GT, OP_GE)
+_SETS_UPPER = _op_table(OP_EQ, OP_LT, OP_LE)
+_FREE_LOWER = ~_SETS_LOWER
+_FREE_UPPER = ~_SETS_UPPER
+_STRICT_LOWER = _op_table(OP_GT)
+_STRICT_UPPER = _op_table(OP_LT)
+
+def _fails_table() -> np.ndarray:
+    """``table[op, c]``: does an exact partition's single value ``u``
+    fail the predicate ``A op v``, where ``c`` is 0, 1 or 2 for
+    ``u < v``, ``u == v`` or ``u > v``?"""
+    table = np.zeros((6, 3), dtype=bool)
+    table[OP_EQ] = (True, False, True)
+    table[OP_NE] = (False, True, False)
+    table[OP_LT] = (False, True, True)
+    table[OP_LE] = (False, False, True)
+    table[OP_GT] = (True, True, False)
+    table[OP_GE] = (True, False, False)
+    return table
+
+
+_FAILS = _fails_table()
 
 
 class ConjunctiveEncoding(Featurizer):
@@ -99,9 +134,13 @@ class ConjunctiveEncoding(Featurizer):
             dtype=np.int64)
         self._exact_flags = np.array(
             [self._exact[a] for a in self.attributes], dtype=bool)
-        widths = self._counts + self._segment_extra
-        self._seg_offsets = np.concatenate(
-            ([0], np.cumsum(widths)[:-1]))
+        self._widths = self._counts + self._segment_extra
+        self._seg_offsets = exclusive_offsets(self._widths)
+        self._feature_length = int(self._widths.sum())
+        # Per-attribute constants of the selectivity fold.
+        self._safe_spans = np.where(self._spans > 0.0, self._spans, 1.0)
+        self._collapse = 1.0 / np.maximum(self._distinct_counts, 1.0)
+        self._degenerate = self._spans <= 0.0
 
     def get_config(self) -> dict:
         return {"max_partitions": self._max_partitions,
@@ -131,9 +170,9 @@ class ConjunctiveEncoding(Featurizer):
 
     @property
     def feature_length(self) -> int:
-        """Dimension of the produced feature vectors."""
-        return sum(self._partition_counts[a] + self._segment_extra
-                   for a in self.attributes)
+        """Dimension of the produced feature vectors (fixed by the
+        partition layout)."""
+        return self._feature_length
 
     def attribute_slices(self) -> dict[str, slice]:
         """Map each attribute to its segment of the feature vector."""
@@ -159,16 +198,35 @@ class ConjunctiveEncoding(Featurizer):
 
     def _partition_indices(self, attr_ids: np.ndarray,
                            values: np.ndarray) -> np.ndarray:
-        """:meth:`partition_index` over predicate rows (equal width)."""
+        """:meth:`partition_index` over predicate rows."""
+        idx, below, above = self._partition_lookup(attr_ids, values)
+        idx[below] = -1
+        idx[above] = self._counts[attr_ids][above]
+        return idx
+
+    def _partition_lookup(self, attr_ids: np.ndarray, values: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(partition, below, above)`` of each value (equal width).
+
+        ``below``/``above`` flag values outside the observed domain,
+        whose virtual partitions are ``-1``/``n_A``.  ``partition`` is
+        Algorithm 1's line 4 clamped into ``[0, n_A - 1]``, and the
+        first/last partition for a value below/above the domain — the
+        keep-window edge such a bound leaves.  Subclasses with other
+        geometries (equi-depth) override this.
+        """
         counts = self._counts[attr_ids]
+        last = counts - 1
         mins = self._min_values[attr_ids]
         scaled = (values - mins) / self._domain_sizes[attr_ids] * counts
         idx = np.floor(scaled).astype(np.int64)
-        np.minimum(np.maximum(idx, 0, out=idx), counts - 1, out=idx)
-        idx[values < mins] = -1
+        np.minimum(np.maximum(idx, 0, out=idx), last, out=idx)
+        # Line 4 can land short of the last partition just above the
+        # maximum (the domain size of a continuous attribute is its
+        # span plus one).
         above = values > self._max_values[attr_ids]
-        idx[above] = counts[above]
-        return idx
+        np.copyto(idx, last, where=above)
+        return idx, values < mins, above
 
     def _partition_values(self, attr_ids: np.ndarray,
                           indices: np.ndarray) -> np.ndarray:
@@ -194,162 +252,127 @@ class ConjunctiveEncoding(Featurizer):
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:
         # Attributes without predicates keep all-one entries and (when
         # enabled) selectivity 1.0, so all-ones is the matrix default.
-        matrix = np.ones((batch.n_queries, self.feature_length),
+        matrix = np.ones((batch.n_queries, self._feature_length),
                          dtype=np.float64)
         if batch.n_predicates == 0:
             return matrix
-        segments, group_queries, group_attrs, _ = (
-            self._compiled_attribute_segments(batch))
-        counts = self._counts[group_attrs]
-        offsets = self._seg_offsets[group_attrs]
-        max_n = segments.shape[1] - self._segment_extra
-        cols = np.arange(max_n)
-        # Scatter each group's first n_A columns into its segment; the
-        # trailing columns of wider-than-n_A rows are padding.
-        dest = offsets[:, None] + cols[None, :]
-        valid = cols[None, :] < counts[:, None]
-        rows2d = np.broadcast_to(group_queries[:, None], dest.shape)
-        matrix[rows2d[valid], dest[valid]] = segments[:, :max_n][valid]
-        if self._segment_extra:
-            matrix[group_queries, offsets + counts] = segments[:, -1]
+        entries, widths = self._compiled_attribute_segments(batch)
+        # Each segment's run lands at its attribute's offset in its
+        # query's row of the (row-major) matrix.
+        starts = (batch.segment_query * self._feature_length
+                  + self._seg_offsets[batch.segment_attr])
+        matrix.reshape(-1)[ragged_positions(starts, widths)] = entries
         return matrix
 
     def _compiled_attribute_segments(
-            self, batch: PredicateBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Encode one merged segment row per predicated (query, attribute).
+            self, batch: PredicateBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Encode one merged segment per predicated (query, attribute).
 
-        Returns ``(segments, group_queries, group_attrs, group_positions)``
-        where ``segments`` has ``max(n_A)`` partition columns (padded)
-        plus, when enabled, the selectivity appendix as last column, and
-        ``group_positions`` holds each group's first compile-order
-        position (set consumers like the MSCN input builder use it to
-        reproduce per-query row order).
+        Returns ``(entries, widths)``: ``entries`` lays the segments end
+        to end in segment order, each ``widths[s]`` long — its
+        attribute's ``n_A`` partition entries plus, when enabled, the
+        selectivity appendix.  Set consumers (the MSCN input builder)
+        place the same runs into their own rows.
 
         Equivalence with the sequential Algorithm 1 (lines 5-16): each
         predicate lowers entries by an elementwise *minimum* with a
         per-predicate mask — ones on a keep-window ``[wlo, whi]``, zero
         outside, with an optional ``{0, 1/2}`` point update at the
-        boundary partition.  Minimum is exactly commutative, so a group's
-        entries equal the intersection of its windows with all point
-        updates min-applied, which grouped reductions compute directly.
-        For exact partitions the boundary partition's single value is
-        known, so it resolves to 0 or 1 instead of ½ (the refinement at
-        the end of Section 3.2).
+        boundary partition.  Minimum is exactly commutative, so a
+        branch's entries equal the intersection of its windows with all
+        point updates min-applied, which grouped reductions over the
+        compile stage's branch groups compute directly.  For exact
+        partitions the boundary partition's single value is known, so
+        it resolves to 0 or 1 instead of ½ (the refinement at the end
+        of Section 3.2).
         """
-        order = np.lexsort(
-            (batch.branch_index, batch.attr_index, batch.query_index))
-        q = batch.query_index[order]
-        a = batch.attr_index[order]
-        b = batch.branch_index[order]
-        op = batch.op_code[order]
-        values = batch.value[order]
-        positions = batch.position[order]
-
+        a = batch.attr_index
+        op = batch.op_code
+        values = batch.value
         counts = self._counts[a]
-        idx = self._partition_indices(a, values)
-        in_dom = (idx >= 0) & (idx < counts)
-        exact = self._exact_flags[a] & in_dom
-        u = np.zeros(values.size, dtype=np.float64)
-        if np.any(exact):
-            u[exact] = self._partition_values(a[exact], idx[exact])
+        boundary, below, above = self._partition_lookup(a, values)
 
-        is_eq = op == OP_EQ
-        is_ne = op == OP_NE
-        is_gt = op == OP_GT
-        is_ge = op == OP_GE
-        is_lt = op == OP_LT
-        is_le = op == OP_LE
-        lower = is_gt | is_ge
-        upper = is_lt | is_le
-
-        # Keep-windows (defaults: the full partition range).
-        wlo = np.zeros(values.size, dtype=np.int64)
-        whi = counts - 1
-        eq_dom = is_eq & in_dom
-        wlo[eq_dom] = idx[eq_dom]
-        whi[eq_dom] = idx[eq_dom]
-        low_dom = lower & in_dom
-        wlo[low_dom] = idx[low_dom]
-        up_dom = upper & in_dom
-        whi[up_dom] = idx[up_dom]
-        empty_win = ((is_eq & ~in_dom) | (lower & (idx >= counts))
-                     | (upper & (idx < 0)))
-        wlo[empty_win] = counts[empty_win]
-        whi[empty_win] = -1
+        # Keep-windows: a bound inside the domain moves its window edge
+        # to its boundary partition; one below (above) the domain keeps
+        # the full range or empties it, by operator.
+        sets_lower = _SETS_LOWER[op]
+        sets_upper = _SETS_UPPER[op]
+        wlo = boundary * sets_lower
+        whi = np.where(sets_upper, boundary, counts - 1)
+        empty = (sets_lower & above) | (sets_upper & below)
+        np.copyto(wlo, counts, where=empty)
 
         # Boundary-partition point updates: 1/2 when the partition's
-        # content is unknown, 0 when the exact value fails the predicate.
-        half_point = in_dom & ~exact
-        zero_point = exact & (
-            (is_eq & (u != values))
-            | (is_ne & (u == values))
-            | (is_gt & (u <= values))
-            | (is_ge & (u < values))
-            | (is_lt & (u >= values))
-            | (is_le & (u > values))
-        )
+        # content is unknown, 0 when the exact value fails the predicate
+        # (1, a no-op under the minimum, for every other row).
+        in_dom = ~(below | above)
+        exact = self._exact_flags[a] & in_dom
+        point = np.where(in_dom, _HALF, 1.0)
+        if np.count_nonzero(exact):
+            u = self._partition_values(a[exact], boundary[exact])
+            v = values[exact]
+            order = (u > v).astype(np.int64) - (u < v) + 1
+            point[exact] = np.where(_FAILS[op[exact], order], 0.0, 1.0)
 
-        # Group rows by (query, attribute, branch).
-        key_change = np.empty(values.size, dtype=bool)
-        key_change[0] = True
-        key_change[1:] = ((q[1:] != q[:-1]) | (a[1:] != a[:-1])
-                          | (b[1:] != b[:-1]))
-        starts = np.flatnonzero(key_change)
-        gid = np.cumsum(key_change) - 1
-        group_queries = q[starts]
-        group_attrs = a[starts]
-        # The stable lexsort keeps compile order within a group, so the
-        # start row holds the group's first-seen position.
-        group_positions = positions[starts]
-
-        cols = np.arange(int(self._counts.max()))
-        g_wlo = np.maximum.reduceat(wlo, starts)
-        g_whi = np.minimum.reduceat(whi, starts)
-        segments = ((cols[None, :] >= g_wlo[:, None])
-                    & (cols[None, :] <= g_whi[:, None])).astype(np.float64)
-        point = half_point | zero_point
-        if np.any(point):
-            np.minimum.at(
-                segments,
-                (gid[point], idx[point]),
-                np.where(zero_point[point], 0.0, _HALF),
-            )
-
+        # One run of entries per branch group: 1 inside the group's
+        # intersected window, 0 outside it, then the point updates.
+        group_start = batch.group_start
+        group_attrs = a[group_start]
+        widths = self._widths[group_attrs]
+        ends = widths.cumsum()
+        begins = ends - widths
+        cols = np.arange(int(ends[-1])) - begins.repeat(widths)
+        g_wlo = np.maximum.reduceat(wlo, group_start)
+        g_whi = np.minimum.reduceat(whi, group_start)
+        entries = ((cols >= g_wlo.repeat(widths))
+                   & (cols <= g_whi.repeat(widths))).astype(np.float64)
+        gid = batch.group_of_rows()
+        np.minimum.at(entries, begins[gid] + boundary, point)
         if self._segment_extra:
-            selectivity = self._group_selectivities(
-                op, values, self._steps[a], starts, gid, group_attrs)
-            segments = np.concatenate(
-                [segments, selectivity[:, None]], axis=1)
+            entries[ends - 1] = self._group_selectivities(
+                op, values, self._steps[a], group_start, gid, group_attrs)
+        if batch.has_branches:
+            entries = self._merge_branches(entries, batch, widths, begins)
+            widths = self._widths[batch.segment_attr]
+        return entries, widths
 
-        # Merge disjunction branches within each (query, attribute).
-        merge_key = np.empty(starts.size, dtype=bool)
-        merge_key[0] = True
-        merge_key[1:] = ((group_queries[1:] != group_queries[:-1])
-                         | (group_attrs[1:] != group_attrs[:-1]))
-        if not merge_key.all():
-            attr_starts = np.flatnonzero(merge_key)
-            segments = self._merge_branch_rows(segments, attr_starts)
-            group_queries = group_queries[attr_starts]
-            group_attrs = group_attrs[attr_starts]
-            group_positions = group_positions[attr_starts]
-        return segments, group_queries, group_attrs, group_positions
+    def _merge_branches(self, entries: np.ndarray, batch: PredicateBatch,
+                        widths: np.ndarray,
+                        begins: np.ndarray) -> np.ndarray:
+        """Merge each segment's branch runs into one run, branch by branch.
 
-    def _merge_branch_rows(self, rows: np.ndarray,
-                           starts: np.ndarray) -> np.ndarray:
-        """Merge consecutive disjunction-branch rows into attribute rows.
-
-        The conjunctive compile emits a single branch per group, so this
-        only runs for the disjunction subclass; max is Algorithm 2's
-        entry-wise merge, and the "sum" ablation overrides it.
+        The conjunctive compile emits a single branch per segment, so
+        this only runs for the disjunction subclass.  Branch ``r`` of
+        every segment that has one merges into the accumulated run in
+        branch order, through :meth:`_merge_branch`.
         """
-        return np.maximum.reduceat(rows, starts, axis=0)
+        first = batch.segment_start
+        n_branches = np.diff(first, append=batch.group_start.size)
+        seg_widths = widths[first]
+        out_begins = exclusive_offsets(seg_widths)
+        merged = entries[ragged_positions(begins[first], seg_widths)]
+        for rank in range(1, int(n_branches.max())):
+            has = np.flatnonzero(n_branches > rank)
+            target = ragged_positions(out_begins[has], seg_widths[has])
+            branch = entries[ragged_positions(begins[first[has] + rank],
+                                              seg_widths[has])]
+            merged[target] = self._merge_branch(merged[target], branch)
+        return merged
+
+    def _merge_branch(self, merged: np.ndarray,
+                      branch: np.ndarray) -> np.ndarray:
+        """Merge one more disjunction branch into accumulated entries.
+
+        Max is Algorithm 2's entry-wise merge; the "sum" ablation
+        overrides it.
+        """
+        return np.maximum(merged, branch)
 
     def _group_selectivities(self, op: np.ndarray, values: np.ndarray,
                              steps: np.ndarray, starts: np.ndarray,
                              gid: np.ndarray,
                              group_attrs: np.ndarray) -> np.ndarray:
-        """Fold + uniformity selectivity per predicate group.
+        """Fold + uniformity selectivity per branch group.
 
         Algorithm 1's gray lines: each group's conjunction folds into a
         closed interval (as :func:`~repro.featurize.selectivity.
@@ -362,20 +385,10 @@ class ConjunctiveEncoding(Featurizer):
         zero), and an equality collapse is credited
         ``1 / distinct_count``.
         """
-        lo_cand = np.full(values.size, -np.inf)
-        hi_cand = np.full(values.size, np.inf)
-        m = op == OP_EQ
-        lo_cand[m] = values[m]
-        hi_cand[m] = values[m]
-        m = op == OP_GE
-        lo_cand[m] = values[m]
-        m = op == OP_GT
-        lo_cand[m] = values[m] + steps[m]
-        m = op == OP_LE
-        hi_cand[m] = values[m]
-        m = op == OP_LT
-        hi_cand[m] = values[m] - steps[m]
-
+        lo_cand = np.where(_STRICT_LOWER[op], values + steps, values)
+        np.copyto(lo_cand, -np.inf, where=_FREE_LOWER[op])
+        hi_cand = np.where(_STRICT_UPPER[op], values - steps, values)
+        np.copyto(hi_cand, np.inf, where=_FREE_UPPER[op])
         lo = np.maximum(np.maximum.reduceat(lo_cand, starts),
                         self._min_values[group_attrs])
         hi = np.minimum(np.minimum.reduceat(hi_cand, starts),
@@ -385,31 +398,36 @@ class ConjunctiveEncoding(Featurizer):
         # integer-valued <> exclusions inside the folded interval.
         ilo = np.ceil(lo)
         ihi = np.floor(hi)
-        excluded = np.zeros(starts.size, dtype=np.float64)
+        qualifying = (ihi - ilo) + 1.0
         ne = op == OP_NE
-        if np.any(ne):
-            pairs = np.unique(
-                np.column_stack([gid[ne].astype(np.float64), values[ne]]),
-                axis=0)
-            pair_gid = pairs[:, 0].astype(np.int64)
-            pair_value = pairs[:, 1]
-            inside = ((pair_value >= ilo[pair_gid])
-                      & (pair_value <= ihi[pair_gid])
-                      & (pair_value == np.floor(pair_value)))
-            np.add.at(excluded, pair_gid[inside], 1.0)
-        qualifying = np.maximum((ihi - ilo + 1.0) - excluded, 0.0)
-        integral_sel = qualifying / self._domain_sizes[group_attrs]
+        if np.count_nonzero(ne):
+            # Rows arrive grouped, so sorting each group's <> literals
+            # puts repeats next to each other; count each value once.
+            ne_gid = gid[ne]
+            ne_values = values[ne]
+            order = np.lexsort((ne_values, ne_gid))
+            ne_gid = ne_gid[order]
+            ne_values = ne_values[order]
+            counted = ((ne_values >= ilo[ne_gid])
+                       & (ne_values <= ihi[ne_gid])
+                       & (ne_values == np.floor(ne_values)))
+            counted[1:] &= ((ne_gid[1:] != ne_gid[:-1])
+                            | (ne_values[1:] != ne_values[:-1]))
+            qualifying -= np.bincount(ne_gid[counted],
+                                      minlength=starts.size)
+        selectivity = (np.maximum(qualifying, 0.0)
+                       / self._domain_sizes[group_attrs])
 
         # Continuous domains: interval length over the span; an equality
         # collapse is credited one distinct value.
-        width = hi - lo
-        span = self._spans[group_attrs]
-        safe_span = np.where(span > 0.0, span, 1.0)
-        continuous_sel = np.minimum(width / safe_span, 1.0)
-        collapse = 1.0 / np.maximum(self._distinct_counts[group_attrs], 1.0)
-        continuous_sel = np.where(width <= 0.0, collapse, continuous_sel)
-        continuous_sel = np.where(span <= 0.0, 1.0, continuous_sel)
-
-        selectivity = np.where(self._integral[group_attrs],
-                               integral_sel, continuous_sel)
-        return np.where(lo > hi, 0.0, selectivity)
+        integral = self._integral[group_attrs]
+        if np.count_nonzero(integral) < integral.size:
+            width = hi - lo
+            continuous = np.minimum(width / self._safe_spans[group_attrs],
+                                    1.0)
+            continuous = np.where(width <= 0.0,
+                                  self._collapse[group_attrs], continuous)
+            continuous[self._degenerate[group_attrs]] = 1.0
+            selectivity = np.where(integral, selectivity, continuous)
+        selectivity[lo > hi] = 0.0
+        return selectivity

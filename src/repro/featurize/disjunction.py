@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.featurize.batch import OP_CODES, PredicateBatch
+from repro.featurize.batch import BatchBuilder, PredicateBatch
 from repro.featurize.conjunctive import ConjunctiveEncoding
 from repro.sql.ast import (
     And,
@@ -75,38 +75,23 @@ class DisjunctionEncoding(ConjunctiveEncoding):
 
     def _compile_exprs(self, exprs: Sequence[BoolExpr | None]
                        ) -> PredicateBatch:
-        """Compile mixed queries, tagging disjunction-branch ids.
+        """Compile mixed queries, one branch group per disjunction branch.
 
         Each query is normalised into Definition 3.3 form
-        (:meth:`_compound_form`); branch ``i`` of an attribute's
-        compound predicate gets branch id ``i``.
+        (:meth:`_compound_form`); its attributes are visited in
+        feature-space order and each compound predicate's branches in
+        order, so the rows come out grouped by (query, attribute,
+        branch) without a sort.
         """
-        attr_ids = {name: i for i, name in enumerate(self._attributes)}
-        query_index: list[int] = []
-        attr_index: list[int] = []
-        branch_index: list[int] = []
-        op_code: list[int] = []
-        value: list[float] = []
+        builder = BatchBuilder(self._attributes)
+        attr_ids = self._attr_ids
         for qi, expr in enumerate(exprs):
             if expr is None:
                 continue
-            compound = self._compound_form(expr)
-            for attr, attr_id in attr_ids.items():
-                branches = compound.get(attr)
-                if not branches:
-                    continue
-                for bi, branch in enumerate(branches):
-                    for predicate in branch:
-                        query_index.append(qi)
-                        attr_index.append(attr_id)
-                        branch_index.append(bi)
-                        op_code.append(OP_CODES[predicate.op])
-                        value.append(float(predicate.value))
-        return PredicateBatch.from_lists(
-            n_queries=len(exprs), attributes=self._attributes,
-            query_index=query_index, attr_index=attr_index,
-            branch_index=branch_index, op_code=op_code, value=value,
-        )
+            builder.add_query(qi, sorted(
+                (attr_ids[attr], branches) for attr, branches
+                in self._compound_form(expr).items()))
+        return builder.build(len(exprs))
 
     def _compound_form(self, expr: BoolExpr) -> CompoundForm:
         """``expr`` in Definition 3.3 form, keyed by feature-space names.
@@ -141,19 +126,11 @@ class DisjunctionEncoding(ConjunctiveEncoding):
             return replace(expr, attribute=expr.attribute[len(prefix):])
         return expr
 
-    def _merge_branch_rows(self, rows: np.ndarray,
-                           starts: np.ndarray) -> np.ndarray:
+    def _merge_branch(self, merged: np.ndarray,
+                      branch: np.ndarray) -> np.ndarray:
         if self._merge == "max":
-            return super()._merge_branch_rows(rows, starts)
-        # Entry-wise sum clipped to 1 after each branch.  Accumulated
-        # branch-by-branch in branch order (not reduceat, which does not
-        # fix the association order of float addition), so the result is
-        # the sequential merge of Algorithm 2 bitwise.
-        ends = np.append(starts[1:], rows.shape[0])
-        sizes = ends - starts
-        merged = rows[starts].copy()
-        for rank in range(1, int(sizes.max())):
-            has = np.flatnonzero(sizes > rank)
-            merged[has] += rows[starts[has] + rank]
-            np.minimum(merged, 1.0, out=merged)
-        return merged
+            return super()._merge_branch(merged, branch)
+        # Entry-wise sum clipped to 1 after each branch, in branch order
+        # (float addition does not reassociate), so the result is the
+        # sequential merge of Algorithm 2 bitwise.
+        return np.minimum(merged + branch, 1.0)

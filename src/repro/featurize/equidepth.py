@@ -74,12 +74,14 @@ class EquiDepthConjunctiveEncoding(ConjunctiveEncoding):
         # geometry the batch encode kernel indexes.
         self._refresh_partition_arrays()
 
-    def _partition_indices(self, attr_ids: np.ndarray,
-                           values: np.ndarray) -> np.ndarray:
+    def _partition_lookup(self, attr_ids: np.ndarray, values: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Quantile-boundary partition lookup (replaces the linear formula).
 
-        Values outside the observed domain map to the virtual indices
-        ``-1`` / ``n_A`` exactly like the base class.
+        Values outside the observed domain are flagged ``below`` /
+        ``above`` exactly like the base class; their partition is the
+        first / last one, where ``searchsorted`` leaves them (the last
+        partition is unbounded above).
         """
         idx = np.empty(values.size, dtype=np.int64)
         for attr_id in np.unique(attr_ids):
@@ -87,11 +89,8 @@ class EquiDepthConjunctiveEncoding(ConjunctiveEncoding):
             boundaries = self._boundaries[self.attributes[attr_id]]
             idx[selected] = np.searchsorted(
                 boundaries, values[selected], side="left")
-        mins = self._min_values[attr_ids]
-        idx[values < mins] = -1
-        above = values > self._max_values[attr_ids]
-        idx[above] = self._counts[attr_ids][above]
-        return idx
+        return (idx, values < self._min_values[attr_ids],
+                values > self._max_values[attr_ids])
 
     def _partition_values(self, attr_ids: np.ndarray,
                           indices: np.ndarray) -> np.ndarray:

@@ -63,27 +63,17 @@ class RangeEncoding(Featurizer):
                           dtype=np.float64)
         matrix[:, 0::2] = 0.0
         matrix[:, 1::2] = 1.0
-        # <> predicates cannot be folded into a single closed range and
-        # are dropped (this QFT's defining information loss);
-        # attributes constrained only by <> keep the full-domain default.
-        keep = batch.op_code != OP_NE
-        if not np.any(keep):
+        if batch.n_predicates == 0:
             return matrix
-        queries = batch.query_index[keep]
-        attrs = batch.attr_index[keep]
-        ops = batch.op_code[keep]
-        values = batch.value[keep]
-
-        # Group predicates by (query, attribute) and fold each group's
-        # conjunction into one closed interval with grouped max/min.
-        key = queries * len(self.attributes) + attrs
-        order = np.argsort(key, kind="stable")
-        key, queries, attrs, ops, values = (
-            x[order] for x in (key, queries, attrs, ops, values))
-        starts = np.flatnonzero(
-            np.concatenate(([True], key[1:] != key[:-1])))
-
-        steps = self._steps[attrs]
+        # Fold each segment's conjunction into one closed interval with
+        # grouped max/min over the segment boundaries the compile stage
+        # emitted.  <> predicates cannot be folded into a single closed
+        # range and are dropped (this QFT's defining information loss):
+        # their candidates are the neutral ±inf, and segments
+        # constrained only by <> keep the full-domain default.
+        ops = batch.op_code
+        values = batch.value
+        steps = self._steps[batch.attr_index]
         lo_cand = np.full(values.shape, -np.inf)
         hi_cand = np.full(values.shape, np.inf)
         point = ops == OP_EQ
@@ -98,11 +88,13 @@ class RangeEncoding(Featurizer):
         upper = ops == OP_LT
         hi_cand[upper] = values[upper] - steps[upper]
 
-        group_attrs = attrs[starts]
-        group_queries = queries[starts]
-        lo = np.maximum(np.maximum.reduceat(lo_cand, starts),
+        starts = batch.segment_rows
+        bounded = np.logical_or.reduceat(ops != OP_NE, starts)
+        group_attrs = batch.segment_attr[bounded]
+        group_queries = batch.segment_query[bounded]
+        lo = np.maximum(np.maximum.reduceat(lo_cand, starts)[bounded],
                         self._min_values[group_attrs])
-        hi = np.minimum(np.minimum.reduceat(hi_cand, starts),
+        hi = np.minimum(np.minimum.reduceat(hi_cand, starts)[bounded],
                         self._max_values[group_attrs])
         empty = lo > hi
         lo_norm = self._normalize_values(group_attrs, lo)

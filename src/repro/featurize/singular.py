@@ -72,18 +72,15 @@ class SingularEncoding(Featurizer):
         if batch.n_predicates == 0:
             return matrix
         # The first predicate per (query, attribute) wins; later ones
-        # are dropped (Section 3's motivating failure case).  Compile
-        # order is query-major and preserves predicate order, so
-        # np.unique's first-occurrence indices select the survivors.
-        m = len(self.attributes)
-        key = batch.query_index * m + batch.attr_index
-        _, first = np.unique(key, return_index=True)
-        queries = batch.query_index[first]
-        attrs = batch.attr_index[first]
-        base = attrs * _ENTRIES_PER_ATTRIBUTE
+        # are dropped (Section 3's motivating failure case).  The
+        # compile stage keeps predicate order inside a segment, so each
+        # segment's first row is the survivor.
+        first = batch.segment_rows
+        queries = batch.segment_query
+        base = batch.segment_attr * _ENTRIES_PER_ATTRIBUTE
         bits = _OP_BIT_TABLE[batch.op_code[first]]
         for offset in range(3):
             matrix[queries, base + offset] = bits[:, offset]
         matrix[queries, base + 3] = self._normalize_values(
-            attrs, batch.value[first])
+            batch.segment_attr, batch.value[first])
         return matrix

@@ -27,7 +27,11 @@ import numpy as np
 from repro import config, obs
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.featurize.batch import OP_CODES, PredicateBatch
+from repro.featurize.batch import (
+    BatchBuilder,
+    PredicateBatch,
+    ragged_positions,
+)
 from repro.featurize.disjunction import DisjunctionEncoding
 from repro.featurize.joins import predicate_columns
 from repro.sql.ast import Op, Query, to_compound_form
@@ -227,71 +231,60 @@ class MSCNInputBuilder:
                          and selection.get(table_name) is not None]
             if not query_ids:
                 continue
-            batch = self._compile_table(
+            batch, positions = self._compile_table(
                 featurizer, [selections[i][table_name] for i in query_ids])
-            segments, group_queries, group_attrs, group_positions = (
-                featurizer._compiled_attribute_segments(batch))
-            counts = np.asarray(
-                [featurizer.partitions(a) for a in featurizer.attributes],
-                dtype=np.int64)[group_attrs]
+            entries, widths = featurizer._compiled_attribute_segments(batch)
             onehot_ids = np.asarray(
                 [self._attr_index[(table_name, a)]
                  for a in featurizer.attributes],
-                dtype=np.int64)[group_attrs]
-            max_n = segments.shape[1] - (1 if featurizer.attr_selectivity
-                                         else 0)
-            n_groups = segments.shape[0]
-            rows = np.zeros((n_groups, self.predicate_dim), dtype=np.float64)
-            rows[np.arange(n_groups), onehot_ids] = 1.0
-            # Padded segment columns beyond a group's n_A are all zero,
-            # so the block copy leaves zero padding.
-            rows[:, n_attrs:n_attrs + max_n] = segments[:, :max_n]
-            if featurizer.attr_selectivity:
-                rows[np.arange(n_groups), n_attrs + counts] = segments[:, -1]
-            for g in range(n_groups):
-                query_id = query_ids[group_queries[g]]
+                dtype=np.int64)[batch.segment_attr]
+            n_segments = widths.size
+            rows = np.zeros((n_segments, self.predicate_dim),
+                            dtype=np.float64)
+            rows[np.arange(n_segments), onehot_ids] = 1.0
+            # Each segment's run (partitions, then the selectivity
+            # appendix) starts right after the one-hot block.
+            starts = np.arange(n_segments) * self.predicate_dim + n_attrs
+            rows.reshape(-1)[ragged_positions(starts, widths)] = entries
+            for g in range(n_segments):
+                query_id = query_ids[batch.segment_query[g]]
                 rank = queries[query_id].tables.index(table_name)
-                collected[query_id].append(
-                    (rank, int(group_positions[g]), rows[g]))
+                collected[query_id].append((rank, positions[g], rows[g]))
         return [
             [row for _, _, row in sorted(per_query, key=lambda t: t[:2])]
             for per_query in collected
         ]
 
     @staticmethod
-    def _compile_table(featurizer: DisjunctionEncoding,
-                       exprs: list) -> PredicateBatch:
-        """Compile WHERE expressions in ``compound.items()`` order.
+    def _compile_table(featurizer: DisjunctionEncoding, exprs: list
+                       ) -> tuple[PredicateBatch, list[int]]:
+        """Compile WHERE expressions; return the batch and set positions.
 
-        Unlike the featurizer's own compile (feature-space attribute
-        order), set rows follow each query's ``to_compound_form``
-        order, so positions must be assigned in that order for the
-        sort above to reproduce it.
+        Set rows follow each query's ``to_compound_form`` order, not the
+        feature-space order the grouped batch uses, so each segment's
+        position is the rank of its attribute's first compound entry
+        among its query's entries.  Entries that spell one attribute
+        differently share a segment, their branches joined rank by rank.
         """
         attr_ids = {name: i for i, name in
                     enumerate(featurizer.attributes)}
-        query_index: list[int] = []
-        attr_index: list[int] = []
-        branch_index: list[int] = []
-        op_code: list[int] = []
-        value: list[float] = []
+        builder = BatchBuilder(featurizer.attributes)
+        positions: list[int] = []
         for qi, expr in enumerate(exprs):
-            compound = to_compound_form(expr)
-            for attr, branches in compound.items():
+            by_attr: dict[int, tuple[int, list[list]]] = {}
+            for rank, (attr, branches) in enumerate(
+                    to_compound_form(expr).items()):
                 name = attr.partition(".")[2] if "." in attr else attr
-                attr_id = attr_ids[name]
+                _, joined = by_attr.setdefault(attr_ids[name], (rank, []))
                 for bi, branch in enumerate(branches):
-                    for predicate in branch:
-                        query_index.append(qi)
-                        attr_index.append(attr_id)
-                        branch_index.append(bi)
-                        op_code.append(OP_CODES[predicate.op])
-                        value.append(float(predicate.value))
-        return PredicateBatch.from_lists(
-            n_queries=len(exprs), attributes=featurizer.attributes,
-            query_index=query_index, attr_index=attr_index,
-            branch_index=branch_index, op_code=op_code, value=value,
-        )
+                    if bi == len(joined):
+                        joined.append([])
+                    joined[bi].extend(branch)
+            ordered = sorted(by_attr.items())
+            builder.add_query(qi, [(attr_id, joined)
+                                   for attr_id, (_, joined) in ordered])
+            positions += [rank for _, (rank, _) in ordered]
+        return builder.build(len(exprs)), positions
 
     def build(self, queries: list[Query]) -> tuple[SetBatch, SetBatch, SetBatch]:
         """Build the (tables, joins, predicates) set batches for ``queries``."""

@@ -39,10 +39,23 @@ leg is exact from a statement's first request on.  The planned execute
 emits ``serve.fused.compile`` (gathering plans and literal rows;
 ``n_shapes`` counts the distinct plans in the batch),
 ``serve.fused.encode`` and ``serve.fused.predict`` spans.
+
+**One compute lane.**  The pipeline owns one lock, and ``resolve`` and
+``execute`` run while holding it, so at most one thread of the process
+runs estimator work on this pipeline at a time: single requests
+(resolve in the handler thread, execute on the batcher worker), client
+batches, feedback re-estimates.  Threads that share one GIL gain
+nothing from running numpy kernels side by side; they convoy, each
+paying for the others' GIL hand-offs.  Waiting on the lane instead
+blocks without the GIL, and what stays outside it (HTTP parsing, JSON,
+the estimate-cache probe, telemetry) still overlaps.  The wait is the
+``serve.lane.wait`` span, under whichever span is open.  The lane is
+never held across the batcher's wait, a future or socket I/O.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -89,14 +102,15 @@ Resolved = Union[tuple[Statement, tuple[float, ...]], Query]
 class EstimatePipeline:
     """Resolve → execute for one estimator.
 
-    Thread safety: the parse cache is locked, statements are immutable
-    once stored, and encode and predict are pure, so concurrent
-    ``resolve`` and ``execute`` calls are safe.
+    Thread safety: ``resolve`` and ``execute`` hold the pipeline's
+    compute lane, the parse cache is locked, and statements are
+    immutable once stored.
     """
 
     def __init__(self, estimator: CardinalityEstimator) -> None:
         self._estimator = estimator
         self._parse_cache = ParseCache()
+        self._lane = threading.Lock()
         featurizer = getattr(estimator, "featurizer", None)
         plannable = (isinstance(featurizer, Featurizer)
                      and hasattr(estimator, "estimate_features"))
@@ -116,6 +130,14 @@ class EstimatePipeline:
         statements are stored together.  Malformed SQL raises the
         parser's ``ValueError`` family here, in the caller's thread.
         """
+        with obs.span("serve.lane.wait"):
+            self._lane.acquire()
+        try:
+            return self._resolve(sqls)
+        finally:
+            self._lane.release()
+
+    def _resolve(self, sqls: Sequence[str]) -> list[Resolved]:
         fingerprints = [fingerprint_sql(sql) for sql in sqls]
         statements = self._parse_cache.lookup_many(
             [key for key, _ in fingerprints])
@@ -161,6 +183,14 @@ class EstimatePipeline:
         Planned requests share one stitched encode and one predict;
         the rest share one ``estimator.estimate_batch`` call.
         """
+        with obs.span("serve.lane.wait"):
+            self._lane.acquire()
+        try:
+            return self._execute(requests)
+        finally:
+            self._lane.release()
+
+    def _execute(self, requests: Sequence[Resolved]) -> np.ndarray:
         estimates = np.empty(len(requests), dtype=np.float64)
         planned = [i for i, request in enumerate(requests)
                    if isinstance(request, tuple)]

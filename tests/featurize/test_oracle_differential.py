@@ -11,18 +11,28 @@ predicates.  For every configuration in ``featurizer_cases``, both
 ``featurize_batch`` and the serving leg's ``compile_plan`` +
 ``encode_with_plans`` must equal :mod:`tests.featurize.reference` row
 by row, bitwise — or raise the oracle's error when a QFT cannot
-represent a query.
+represent a query.  A second property draws serving-sized batches: up
+to 64 statements re-issuing a few shapes with fresh literals, so one
+plan object repeats within a batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.table import Table
 from repro.featurize import LosslessnessError
-from repro.sql.ast import And, Op, Or, SimplePredicate
+from repro.sql.ast import (
+    And,
+    Op,
+    Or,
+    Query,
+    SimplePredicate,
+    iter_simple_predicates,
+)
+from repro.sql.parser import bind_template
 from tests.featurize import reference
 from tests.featurize.test_batch_equivalence import (
     featurizer_cases,
@@ -130,3 +140,74 @@ def check_against_oracle(queries) -> None:
 @settings(max_examples=80, deadline=None)
 def test_kernels_match_oracle_on_generated_queries(queries):
     check_against_oracle(queries)
+
+
+@st.composite
+def statement_batches(draw):
+    """A few statement shapes and up to 64 instances of them.
+
+    Returns ``(shapes, statements)``: each shape is ``(template,
+    n_literals)`` as ``compile_plan`` takes it (``None`` for a
+    predicate-free statement); each statement is ``(shape index,
+    walk-order literals)``, the literals drawn per slot from the slot's
+    attribute, out-of-domain values included.  The first statement's
+    shape is drawn again at the end, so a batch always repeats a plan.
+    """
+    exprs = draw(st.lists(st.one_of(conjunctions(), mixed_queries(),
+                                    st.none()), min_size=1, max_size=4))
+    shapes = [reference.plan_template(expr) for expr in exprs]
+    slot_attributes = [
+        [] if template is None else
+        [p.attribute.removeprefix("t.")
+         for p in iter_simple_predicates(template)]
+        for template, _ in shapes]
+    picks = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1,
+                          max_size=63))
+    picks.append(picks[0])
+    statements = [(pick, tuple(draw(literals(attr))
+                               for attr in slot_attributes[pick]))
+                  for pick in picks]
+    return shapes, statements
+
+
+def _bound_query(template, values) -> Query:
+    if template is None:
+        return Query.single_table("t")
+    return bind_template(Query.single_table("t", template), values)
+
+
+def check_plan_batch(shapes, statements) -> None:
+    """Every QFT's planned batch equals ``featurize_batch``, the oracle,
+    and row by row its statements' ``n = 1`` encodes."""
+    for label, featurizer in CASES:
+        plans = {}
+        for index, (template, n_literals) in enumerate(shapes):
+            try:
+                plans[index] = featurizer.compile_plan(template, n_literals)
+            except LosslessnessError:
+                continue
+        kept = [(pick, values) for pick, values in statements
+                if pick in plans]
+        if not kept:
+            continue
+        queries = [_bound_query(shapes[pick][0], values)
+                   for pick, values in kept]
+        matrix = featurizer.encode_with_plans(
+            [plans[pick] for pick, _ in kept],
+            [values for _, values in kept])
+        assert np.array_equal(matrix, featurizer.featurize_batch(queries)), (
+            f"{label}: planned batch diverges from featurize_batch")
+        assert np.array_equal(matrix, reference.matrix(featurizer, queries)), (
+            f"{label}: planned batch diverges from the oracle")
+        for row, (pick, values) in zip(matrix, kept):
+            single = featurizer.encode_with_plans([plans[pick]], [values])
+            assert np.array_equal(row, single[0]), (
+                f"{label}: batch row differs from its n = 1 encode")
+
+
+@given(statement_batches())
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_plan_batches_at_serving_size_match_batch_and_oracle(batch):
+    check_plan_batch(*batch)

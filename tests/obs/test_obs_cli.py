@@ -20,6 +20,43 @@ def traced_bench(tmp_path_factory):
     return trace
 
 
+def test_bench_report_has_planned_legs(traced_bench):
+    report = json.loads((traced_bench.parent / "bench.json").read_text(
+        encoding="utf-8"))
+    legs = {(leg["featurizer"], leg["workload"], leg["batch_size"]): leg
+            for leg in report["planned"]}
+    assert set(legs) == {(qft, workload, n)
+                         for qft, workload in (("conjunctive", "conjunctive"),
+                                               ("complex", "mixed"))
+                         for n in (1, 16, 64)}
+    assert all(leg["identical"] and leg["us_per_query"] > 0
+               for leg in legs.values())
+    assert report["all_identical"]
+
+
+def test_bench_fails_on_a_planned_mismatch(tmp_path, monkeypatch, capsys):
+    from repro.featurize.base import Featurizer
+
+    original = Featurizer.encode_with_plans
+
+    def skewed(self, plans, literal_rows):
+        matrix = original(self, plans, literal_rows)
+        if len(plans) == 16:
+            matrix[-1, 0] += 1.0
+        return matrix
+
+    monkeypatch.setattr(Featurizer, "encode_with_plans", skewed)
+    code = main(["bench", "featurize", "--smoke",
+                 "--output", str(tmp_path / "bench.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "planned n=16 " in out and "MISMATCH" in out
+    report = json.loads((tmp_path / "bench.json").read_text(
+        encoding="utf-8"))
+    assert [leg["batch_size"] for leg in report["planned"]
+            if not leg["identical"]] == [16, 16]
+
+
 def test_bench_trace_contains_stage_spans(traced_bench):
     records = read_spans_jsonl(traced_bench)
     names = {r["name"] for r in records}
