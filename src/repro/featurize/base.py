@@ -42,6 +42,7 @@ from repro.sql.ast import (
     SimplePredicate,
     is_conjunctive,
     iter_simple_predicates,
+    shape_sql,
 )
 
 __all__ = ["Featurizer", "LosslessnessError"]
@@ -280,7 +281,7 @@ class Featurizer(abc.ABC):
         """The error this QFT raises for disjunctive queries."""
         return LosslessnessError(
             f"{type(self).__name__} cannot represent disjunctions; "
-            f"got: {expr.to_sql()}"
+            f"got: {shape_sql(expr)}"
         )
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.featurize.batch import (
     exclusive_offsets,
     ragged_positions,
 )
-from repro.sql.ast import BoolExpr
+from repro.sql.ast import BoolExpr, shape_sql
 
 __all__ = ["ConjunctiveEncoding"]
 
@@ -241,7 +241,7 @@ class ConjunctiveEncoding(Featurizer):
     def _disjunction_error(self, expr: BoolExpr) -> LosslessnessError:
         return LosslessnessError(
             "Universal Conjunction Encoding handles conjunctions only; "
-            f"got: {expr.to_sql()} — use Limited Disjunction Encoding "
+            f"got: {shape_sql(expr)} — use Limited Disjunction Encoding "
             "for mixed queries"
         )
 

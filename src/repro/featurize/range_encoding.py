@@ -33,7 +33,7 @@ from repro.featurize.batch import (
     OP_NE,
     PredicateBatch,
 )
-from repro.sql.ast import BoolExpr
+from repro.sql.ast import BoolExpr, shape_sql
 
 __all__ = ["RangeEncoding"]
 
@@ -54,7 +54,7 @@ class RangeEncoding(Featurizer):
     def _disjunction_error(self, expr: BoolExpr) -> LosslessnessError:
         return LosslessnessError(
             "Range Predicate Encoding cannot represent disjunctions; "
-            f"got: {expr.to_sql()}"
+            f"got: {shape_sql(expr)}"
         )
 
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:

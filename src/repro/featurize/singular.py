@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.featurize.base import Featurizer, LosslessnessError
 from repro.featurize.batch import OP_CODES, PredicateBatch
-from repro.sql.ast import BoolExpr, Op
+from repro.sql.ast import BoolExpr, Op, shape_sql
 
 __all__ = ["SingularEncoding"]
 
@@ -63,7 +63,7 @@ class SingularEncoding(Featurizer):
     def _disjunction_error(self, expr: BoolExpr) -> LosslessnessError:
         return LosslessnessError(
             "Singular Predicate Encoding cannot represent disjunctions; "
-            f"got: {expr.to_sql()}"
+            f"got: {shape_sql(expr)}"
         )
 
     def _featurize_compiled(self, batch: PredicateBatch) -> np.ndarray:

@@ -10,12 +10,14 @@ putting a fitted estimator behind a service boundary:
   the pipeline's execute stage across concurrent single requests.
 * :mod:`repro.serve.cache` — thread-safe LRU caches: exact-match
   estimates keyed on the request's SQL text, and prepared statements
-  (template plus compiled plan) keyed on the literal-masked SQL
+  (compiled plan, or rejection) keyed on the literal-masked SQL
   fingerprint.
 * :mod:`repro.serve.fused` — the one serving pipeline: resolve SQL to
-  prepared statements, then execute them through one stitched encode
-  and one compiled predict, or through the estimator's own
-  ``estimate_batch`` for what has no plan.
+  prepared statements (a statement the featurizer rejects raises its
+  error here, once parsed, for every instance), then execute them
+  through one stitched encode and one compiled predict.  It serves
+  estimators with a single-table featurizer and ``estimate_features``
+  and refuses any other with a ``TypeError``.
 * :mod:`repro.serve.server` — threaded HTTP JSON API with admission
   control, ``/metrics`` export, and graceful drain.
 * :mod:`repro.serve.client` — minimal stdlib client with bounded

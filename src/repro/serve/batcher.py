@@ -13,12 +13,13 @@ serving pipeline's execute stage
 are requests already resolved in their callers' threads.
 
 Correctness contract: batch featurization is bitwise-identical to the
-scalar path (PR 2's equivalence gate) and the models predict row-wise,
-so a request's result does not depend on which batch it happened to
-ride in — ``tests/serve/test_batcher.py`` stress-asserts this.  Errors
-are isolated the same way: a batch that fails as a whole is re-run one
-request at a time, so one request's bad input fails only its own
-future.
+scalar path and the models predict row-wise, so a request's result does
+not depend on which batch it happened to ride in —
+``tests/serve/test_batcher.py`` stress-asserts this.  A bad statement
+never rides a batch: the service resolves each request in its caller's
+thread, where malformed SQL and statements the featurizer rejects
+raise.  So a batch function that raises has hit a fault, not a bad
+input, and its exception fails every future in the batch.
 
 The worker thread emits ``serve.batch.collect`` / ``serve.batch.execute``
 spans and records every dispatched batch size into the
@@ -118,8 +119,8 @@ class MicroBatcher:
         """Enqueue one item; returns the future carrying its estimate.
 
         The future resolves to a ``float`` once the batch containing the
-        item executes, or raises what ``estimate_batch`` raises for the
-        item on its own.  Raises :class:`BatcherClosedError` once the
+        item executes, or raises what ``estimate_batch`` raised for the
+        whole batch.  Raises :class:`BatcherClosedError` once the
         batcher has been closed — requests accepted *before* close are
         always drained, never dropped.
         """
@@ -234,28 +235,18 @@ class MicroBatcher:
                         if request.trace_id is not None})
         for request in batch:
             request.batch_id = batch_id
-        with obs.span("serve.batch.execute", n_queries=len(batch),
-                      metric="serve.batch.execute.seconds",
-                      batch_id=batch_id, links=links):
-            outcomes = self._outcomes([request.item for request in batch])
-        for request, outcome in zip(batch, outcomes):
-            if isinstance(outcome, Exception):
-                request.future.set_exception(outcome)
-            else:
-                request.future.set_result(float(outcome))
-
-    def _outcomes(self, items: list) -> list:
-        """Each item's estimate, or the exception the item raises alone.
-
-        A batch that fails as a whole is re-run one item at a time, so
-        an error reaches only the callers whose own items raise it.
-        """
         try:
-            return list(self._estimate_batch(items))
+            with obs.span("serve.batch.execute", n_queries=len(batch),
+                          metric="serve.batch.execute.seconds",
+                          batch_id=batch_id, links=links):
+                estimates = list(self._estimate_batch(
+                    [request.item for request in batch]))
         except Exception as exc:  # repro: ignore[RPR103] — forwarded to futures
-            if len(items) == 1:
-                return [exc]
-        return [self._outcomes([item])[0] for item in items]
+            for request in batch:
+                request.future.set_exception(exc)
+            return
+        for request, estimate in zip(batch, estimates):
+            request.future.set_result(float(estimate))
 
     def _finish_shutdown(self) -> None:
         """Drain (or cancel) everything still queued after the sentinel."""

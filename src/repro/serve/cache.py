@@ -15,8 +15,8 @@ maps built on one locked core (:class:`_LruCache`):
 * :class:`ParseCache` — prepared statements.  Keys are SQL
   *fingerprints* (:func:`repro.sql.parser.fingerprint_sql` — the
   statement text with numeric literals masked), so a parameterized
-  statement's thousandth instance reuses the template and compiled
-  plan its first instance produced
+  statement's thousandth instance reuses the compiled plan, or the
+  rejection, its first instance produced
   (:class:`~repro.serve.fused.Statement`) instead of re-running the
   tokenizer, the recursive descent and the plan compile.
 
@@ -185,11 +185,11 @@ class ParseCache(_LruCache):
 
     Sits in front of the parser on the request path: an instance of a
     previously seen statement skips tokenization, recursive descent and
-    plan compilation entirely.  Every stored template is
-    :func:`repro.sql.parser.parse_template` of its key — the descent
-    :func:`~repro.sql.parser.parse_query` runs, with slot indices for
-    literals — so a hit re-binds to exactly the query a fresh parse
-    would build.
+    plan compilation entirely.  Every stored statement was planned
+    from :func:`repro.sql.parser.parse_template` of its key — the
+    descent :func:`~repro.sql.parser.parse_query` runs, with slot
+    indices for literals — so a hit encodes exactly the query a fresh
+    parse would build.
     """
 
     _metric_prefix = "serve.parse_cache"

@@ -13,32 +13,43 @@ two stages of :class:`EstimatePipeline`:
    fingerprint key is parsed once, straight into its template
    (:func:`~repro.sql.parser.parse_template`), planned once, and
    stored: the cached :class:`Statement` carries its own
-   :class:`~repro.featurize.batch.CompiledPlan`.
-2. **execute** (:meth:`EstimatePipeline.execute`): planned requests —
-   a statement plus its fingerprint literals — are stamped into one
+   :class:`~repro.featurize.batch.CompiledPlan`, or the featurizer's
+   rejection of it.
+2. **execute** (:meth:`EstimatePipeline.execute`): requests — a
+   statement plus its fingerprint literals — are stamped into one
    stitched encode
    (:meth:`~repro.featurize.base.Featurizer.encode_with_plans`) and one
    ``estimate_features`` predict (for gradient boosting the packed
    :class:`~repro.models.compiled_forest.CompiledForest`), with no
-   bound AST ever built.  Every other request reaches the **adapter**
-   leg as a bound query, and the adapter is the estimator's own
-   ``estimate_batch``.
+   bound AST ever built.
 
-The adapter leg serves estimators without a plannable single-table
-featurizer (joins, the global model, MSCN) and statements the
+Execute has one leg, so the pipeline serves only estimators it can plan
+for: a single-table :class:`~repro.featurize.base.Featurizer` as
+``estimator.featurizer``, and ``estimate_features``.  Every artifact
+``repro serve`` and the fleet workers load is such a
+:class:`~repro.estimators.learned.LearnedEstimator`; any other
+estimator is refused at construction with a ``TypeError``.
+
+A QFT's query class is decided by a statement's AND/OR shape,
+attributes and table, never by its literals.  So a statement the
 featurizer rejects (unknown attribute, wrong table, a query class the
-QFT cannot represent — the adapter raises their error).
+QFT cannot represent) is rejected once: the stored statement keeps the
+exception's class and arguments, and ``resolve`` raises a fresh one for
+every instance with the class and message ``estimator.estimate_batch``
+raises for the parsed statement.  It raises in the caller's thread, so
+a bad statement fails its own request and never rides a batch; a batch
+that still raises in execute fails every request in it.  A seen
+rejected statement costs one parse-cache probe, like a planned one.
 
-Both legs are bitwise-identical to ``estimator.estimate_batch`` on the
+Execute is bitwise-identical to ``estimator.estimate_batch`` on the
 parsed statements.  A plan is the statement's own compile stage run
 once, over its template.  The template holds slot index ``i`` where the
 ``i``-th fingerprint literal stands, and the parser builds the tree in
 textual order, so slot order is walk order: a request's fingerprint
-literals are its walk-order literal row as they stand, and the planned
-leg is exact from a statement's first request on.  The planned execute
-emits ``serve.fused.compile`` (gathering plans and literal rows;
-``n_shapes`` counts the distinct plans in the batch),
-``serve.fused.encode`` and ``serve.fused.predict`` spans.
+literals are its walk-order literal row as they stand.  Execute emits
+``serve.fused.compile`` (gathering plans and literal rows; ``n_shapes``
+counts the distinct plans in the batch), ``serve.fused.encode`` and
+``serve.fused.predict`` spans.
 
 **One compute lane.**  The pipeline owns one lock, and ``resolve`` and
 ``execute`` run while holding it, so at most one thread of the process
@@ -57,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -67,14 +78,9 @@ from repro.featurize.base import Featurizer
 from repro.featurize.batch import CompiledPlan
 from repro.serve.cache import ParseCache
 from repro.sql.ast import Query
-from repro.sql.parser import (
-    SqlSyntaxError,
-    bind_template,
-    fingerprint_sql,
-    parse_template,
-)
+from repro.sql.parser import SqlSyntaxError, fingerprint_sql, parse_template
 
-__all__ = ["EstimatePipeline", "Resolved", "Statement"]
+__all__ = ["EstimatePipeline", "Statement"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +88,24 @@ class Statement:
     """A prepared statement: the value the parse cache stores.
 
     Immutable, so a statement one thread stored is safe for every other
-    thread to execute.
+    thread to execute.  Exactly one of ``plan`` and ``rejection`` is
+    set.
     """
 
-    #: The re-bindable AST (:func:`~repro.sql.parser.parse_template`).
-    template: Query
     #: Numeric literals per instance: the template's slot count.
     n_literals: int
-    #: The statement's compiled plan; ``None`` when the adapter leg
-    #: serves it.
+    #: The statement's compiled plan.
     plan: CompiledPlan | None = None
-
-
-#: A resolved request: a planned statement with its fingerprint
-#: literals, or the bound query the adapter leg estimates.
-Resolved = Union[tuple[Statement, tuple[float, ...]], Query]
+    #: The featurizer's rejection as ``(exception class, args)``: each
+    #: instance raises a fresh exception, never one shared across threads.
+    rejection: tuple[type[Exception], tuple] | None = None
 
 
 class EstimatePipeline:
-    """Resolve → execute for one estimator.
+    """Resolve → execute for one plannable estimator.
+
+    Raises ``TypeError`` for an estimator without a single-table
+    :class:`~repro.featurize.base.Featurizer` or ``estimate_features``.
 
     Thread safety: ``resolve`` and ``execute`` hold the pipeline's
     compute lane, the parse cache is locked, and statements are
@@ -108,27 +113,35 @@ class EstimatePipeline:
     """
 
     def __init__(self, estimator: CardinalityEstimator) -> None:
+        featurizer = getattr(estimator, "featurizer", None)
+        if not (isinstance(featurizer, Featurizer)
+                and callable(getattr(estimator, "estimate_features", None))):
+            raise TypeError(
+                f"cannot serve {type(estimator).__name__}: serving needs a "
+                "single-table Featurizer as the estimator's featurizer and "
+                "an estimate_features method")
         self._estimator = estimator
+        self._featurizer = featurizer
         self._parse_cache = ParseCache()
         self._lane = threading.Lock()
-        featurizer = getattr(estimator, "featurizer", None)
-        plannable = (isinstance(featurizer, Featurizer)
-                     and hasattr(estimator, "estimate_features"))
-        self._featurizer = featurizer if plannable else None
 
     @property
     def parse_cache(self) -> ParseCache:
         """The fingerprint-keyed statement cache (for stats and tests)."""
         return self._parse_cache
 
-    def resolve(self, sqls: Sequence[str]) -> list[Resolved]:
-        """Resolve SQL statements into executable requests.
+    def resolve(self, sqls: Sequence[str]
+                ) -> list[tuple[Statement, tuple[float, ...]]]:
+        """Resolve SQL statements into ``(statement, literals)`` requests.
 
         One parse-cache probe for the whole sequence; a first-seen
         statement is parsed and planned once, however many of its
         instances the sequence holds, and the sequence's first-seen
-        statements are stored together.  Malformed SQL raises the
-        parser's ``ValueError`` family here, in the caller's thread.
+        statements are stored together.  Bad input raises here, in the
+        caller's thread: malformed SQL the parser's ``ValueError``
+        family at once, a rejected statement its featurizer error once
+        the sequence is stored, so a syntax error anywhere wins over
+        rejections, and the first rejection in order over the rest.
         """
         with obs.span("serve.lane.wait"):
             self._lane.acquire()
@@ -137,12 +150,14 @@ class EstimatePipeline:
         finally:
             self._lane.release()
 
-    def _resolve(self, sqls: Sequence[str]) -> list[Resolved]:
+    def _resolve(self, sqls: Sequence[str]
+                 ) -> list[tuple[Statement, tuple[float, ...]]]:
         fingerprints = [fingerprint_sql(sql) for sql in sqls]
         statements = self._parse_cache.lookup_many(
             [key for key, _ in fingerprints])
         fresh: dict[str, Statement] = {}
-        requests: list[Resolved] = []
+        requests: list[tuple[Statement, tuple[float, ...]]] = []
+        rejection = None
         for (key, literals), statement in zip(fingerprints, statements):
             if statement is None:
                 statement = fresh.get(key)
@@ -155,33 +170,28 @@ class EstimatePipeline:
                 raise SqlSyntaxError(
                     "unexpected character '?' where the statement has a "
                     "literal")
-            if statement.plan is not None:
-                requests.append((statement, literals))
-            else:
-                requests.append(bind_template(statement.template, literals))
+            rejection = rejection or statement.rejection
+            requests.append((statement, literals))
         if fresh:
             self._parse_cache.store_many(fresh.items())
+        if rejection is not None:
+            error_class, args = rejection
+            raise error_class(*args)
         return requests
 
     def _prepare(self, template: Query, n_literals: int) -> Statement:
-        """Plan a statement template, or leave it to the adapter leg.
-
-        A template the featurizer rejects stays unplanned; its requests
-        reach the adapter, which raises the same error per request.
-        """
-        if self._featurizer is None:
-            return Statement(template, n_literals)
+        """Plan a statement template, or keep the featurizer's rejection."""
         try:
             plan = self._featurizer.compile_plan(template, n_literals)
-        except (ValueError, TypeError, KeyError):
-            return Statement(template, n_literals)
-        return Statement(template, n_literals, plan)
+        except (ValueError, TypeError, KeyError) as error:
+            return Statement(n_literals, rejection=(type(error), error.args))
+        return Statement(n_literals, plan=plan)
 
-    def execute(self, requests: Sequence[Resolved]) -> np.ndarray:
+    def execute(self, requests: Sequence[tuple[Statement, tuple[float, ...]]]
+                ) -> np.ndarray:
         """Estimate resolved requests; one estimate per request, in order.
 
-        Planned requests share one stitched encode and one predict;
-        the rest share one ``estimator.estimate_batch`` call.
+        The requests share one stitched encode and one predict.
         """
         with obs.span("serve.lane.wait"):
             self._lane.acquire()
@@ -190,22 +200,8 @@ class EstimatePipeline:
         finally:
             self._lane.release()
 
-    def _execute(self, requests: Sequence[Resolved]) -> np.ndarray:
-        estimates = np.empty(len(requests), dtype=np.float64)
-        planned = [i for i, request in enumerate(requests)
-                   if isinstance(request, tuple)]
-        bound = [i for i, request in enumerate(requests)
-                 if not isinstance(request, tuple)]
-        if planned:
-            estimates[planned] = self._execute_planned(
-                [requests[i] for i in planned])
-        if bound:
-            estimates[bound] = self._estimator.estimate_batch(
-                [requests[i] for i in bound])
-        return estimates
-
-    def _execute_planned(self, requests: Sequence[tuple]) -> np.ndarray:
-        """Stitch-encode and predict planned requests."""
+    def _execute(self, requests: Sequence[tuple[Statement, tuple[float, ...]]]
+                 ) -> np.ndarray:
         k = len(requests)
         with obs.span("serve.fused.compile", n_queries=k) as span:
             plans = [statement.plan for statement, _ in requests]

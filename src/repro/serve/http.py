@@ -15,7 +15,8 @@ machinery lives here once:
   serving thread, and the graceful-stop sequence: flip the draining
   flag, half-close every registered connection's read side (blocked
   keep-alive readers see EOF immediately, in-flight responses still go
-  out), join the listener, then run the subclass's ``_on_stop`` hook.
+  out, one whose body was still arriving closes unanswered), join the
+  listener, then run the subclass's ``_on_stop`` hook.
 
 Nothing here knows about estimators, services, or workers — it is the
 transport layer both servers stand on.
@@ -85,16 +86,20 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         super().handle_one_request()
 
     def parse_request(self) -> bool:
-        """Parse the request line and headers; refuse unreadable bodies.
+        """Parse the request line and headers, then read the body.
 
         Runs before routing.  A ``Content-Length`` that is not a
         non-negative integer is answered ``400``, one above
         :data:`MAX_BODY_BYTES` ``413``, without reading the body.
         Either answer closes the connection: the unread body would
-        otherwise be parsed as the next request.
+        otherwise be parsed as the next request.  A shorter body than
+        declared means the connection died mid-request (the peer left,
+        or ``stop()`` half-closed it): it closes unanswered, a
+        transport error the caller may re-send, never a 4xx.
         """
         if not super().parse_request():
             return False
+        self._body = b""
         declared = self.headers.get("Content-Length")
         if declared is None:
             return True
@@ -110,18 +115,19 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             message = (f"request body of {length} bytes exceeds the "
                        f"{MAX_BODY_BYTES}-byte limit")
         else:
-            return True
+            self._body = self.rfile.read(length)
+            if len(self._body) == length:
+                return True
+            self.close_connection = True
+            return False
         self.close_connection = True
         self._send_json(status, {"error": message},
                         extra_headers={"Connection": "close"})
         return False
 
     def _read_json(self) -> dict:
-        # parse_request already bounded the declared length.
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(self._body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") \
                 from exc
@@ -206,11 +212,12 @@ class ThreadedJsonServer:
     def stop(self, drain: bool = True) -> None:
         """Stop accepting, join in-flight handlers, run ``_on_stop``.
 
-        Every request accepted before ``stop`` completes normally; only
+        Every request read before ``stop`` completes normally; only
         then does the subclass hook run.  Keep-alive connections are
         half-closed (read side only), so idle handler threads unblock
         immediately while in-flight responses still reach their
-        clients.  Idempotent.
+        clients; one whose body was still arriving closes unanswered.
+        Idempotent.
         """
         self._httpd._repro_draining = True
         with self._httpd._repro_handlers_lock:

@@ -63,7 +63,7 @@ import threading
 
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
-from repro.featurize.base import Featurizer, LosslessnessError
+from repro.featurize.base import LosslessnessError
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
@@ -174,8 +174,9 @@ class EstimationService:
     Parameters
     ----------
     estimator:
-        A fitted estimator (``estimate_batch`` must be usable from the
-        batcher's worker thread).
+        A fitted estimator with a single-table featurizer and
+        ``estimate_features``; any other raises ``TypeError`` (see
+        :class:`~repro.serve.fused.EstimatePipeline`).
     max_batch_size / max_wait_ms:
         Micro-batching knobs, see :class:`~repro.serve.batcher.MicroBatcher`.
     cache_size:
@@ -223,13 +224,8 @@ class EstimationService:
         self._model_version = (model_version
                                or getattr(estimator, "name", None)
                                or type(estimator).__name__)
-        featurizer = getattr(estimator, "featurizer", None)
-        if isinstance(featurizer, Featurizer):
-            self._table_label = featurizer.table_name
-            self._qft_label = type(featurizer).__name__
-        else:
-            self._table_label = "-"
-            self._qft_label = type(estimator).__name__
+        self._table_label = estimator.featurizer.table_name
+        self._qft_label = type(estimator.featurizer).__name__
         self._tick_every = tick_every
         self._request_seq = 0
         registry = obs.get_registry()
@@ -282,9 +278,9 @@ class EstimationService:
         is cached on the way out.  Saturation raises
         :class:`ServiceUnavailableError` *before* any work is queued;
         malformed SQL raises the parser's ``ValueError`` family, and a
-        statement the estimator rejects raises its error for this
-        request alone.  ``trace_id`` joins the request's spans and wide
-        event to the caller's trace.
+        statement the featurizer rejects raises its error, both at
+        resolve, so neither reaches the batcher.  ``trace_id`` joins
+        the request's spans and wide event to the caller's trace.
         """
         with _RequestTelemetry(self, sql, trace_id) as telemetry, \
                 obs.use_trace_context(trace_id or obs.current_trace_id()), \
@@ -366,7 +362,8 @@ class EstimationService:
         pipeline's execute stage directly (bypassing the estimate
         cache, the batcher and admission — feedback must not compete
         with live traffic for in-flight slots).  Either way the SQL is
-        resolved, so malformed SQL raises the parser's error.
+        resolved first, so malformed SQL and a statement the featurizer
+        rejects raise what ``estimate`` raises and record nothing.
         """
         with obs.use_trace_context(trace_id or obs.current_trace_id()), \
                 obs.span("serve.feedback"):

@@ -42,6 +42,7 @@ __all__ = [
     "attributes_of",
     "is_conjunctive",
     "iter_simple_predicates",
+    "shape_sql",
     "to_compound_form",
 ]
 
@@ -271,6 +272,23 @@ def attributes_of(expr: BoolExpr) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def shape_sql(expr: BoolExpr) -> str:
+    """Render ``expr`` as SQL with each numeric literal written ``?``.
+
+    Every instance of a statement renders alike, so an error message
+    that quotes an expression this way depends on the statement's
+    AND/OR shape alone, never on its literals.
+    """
+    if isinstance(expr, SimplePredicate):
+        return f"{expr.attribute} {expr.op} ?"
+    if isinstance(expr, And):
+        return " AND ".join(f"({shape_sql(c)})" if isinstance(c, Or)
+                            else shape_sql(c) for c in expr.children)
+    if isinstance(expr, Or):
+        return " OR ".join(shape_sql(c) for c in expr.children)
+    return expr.to_sql()
+
+
 def is_conjunctive(expr: BoolExpr) -> bool:
     """True iff ``expr`` contains no disjunction."""
     if isinstance(expr, LEAF_TYPES):
@@ -342,7 +360,7 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
         if len(attrs) != 1:
             raise UnsupportedQueryError(
                 "not a mixed query (Definition 3.3): the term "
-                f"{item.to_sql()!r} references attributes {list(attrs)}; "
+                f"{shape_sql(item)!r} references attributes {list(attrs)}; "
                 "compound predicates must reference exactly one attribute"
             )
         compounds.setdefault(attrs[0], []).append(item)

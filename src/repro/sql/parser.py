@@ -25,9 +25,9 @@ of the text as ``?``, in textual order; its key is the parser's input.
 One tokenizer-and-descent pass over the key builds the query:
 
 * :func:`parse_template` stamps slot index ``i`` into the ``i``-th
-  ``?`` — the statement's *template*, which the serving layer caches
-  per fingerprint and re-binds with each request's literals
-  (:func:`bind_template`);
+  ``?`` — the statement's *template*, which the serving layer plans
+  once per fingerprint and encodes with each request's literals
+  (:func:`bind_template` stamps them into the tree instead);
 * :func:`parse_query` and :func:`parse_where` stamp the fingerprint's
   literals instead.
 
@@ -82,7 +82,7 @@ class SqlSyntaxError(ValueError):
 # Serving traffic is dominated by *parameterized* statements: the same
 # SQL text with different numeric literals.  The fingerprint — the text
 # with numeric literals masked out — names the statement; the serve
-# layer caches each statement's template and compiled plan under it.
+# layer caches each statement's compiled plan under it.
 
 # One capture group around a string literal (kept verbatim, so numbers
 # inside quotes are never masked) or a standalone numeric literal:
@@ -466,12 +466,10 @@ def bind_template(template: Query, literals: tuple[float, ...]) -> Query:
     """Instantiate a template with fresh literals.
 
     ``template`` comes from :func:`parse_template` or
-    :func:`make_template`; slot ``i`` takes ``literals[i]``.  This is
-    the serving layer's per-request leg for statements it does not
-    plan, so nodes are rebuilt through ``object.__new__`` instead of
-    their constructors: the template's structure already passed
-    construction-time validation and ``And``/``Or`` flattening when it
-    was parsed.
+    :func:`make_template`; slot ``i`` takes ``literals[i]``.  Nodes are
+    rebuilt through ``object.__new__`` instead of their constructors:
+    the template's structure already passed construction-time
+    validation and ``And``/``Or`` flattening when it was parsed.
     """
 
     def rebuild(node: BoolExpr) -> BoolExpr:

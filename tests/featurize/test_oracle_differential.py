@@ -13,7 +13,12 @@ predicates.  For every configuration in ``featurizer_cases``, both
 by row, bitwise — or raise the oracle's error when a QFT cannot
 represent a query.  A second property draws serving-sized batches: up
 to 64 statements re-issuing a few shapes with fresh literals, so one
-plan object repeats within a batch.
+plan object repeats within a batch.  Its shapes also reference unknown
+attributes, the wrong table and disjunctions across attributes, and a
+shape ``compile_plan`` rejects must be rejected by ``featurize_batch``
+with the same class and message on every binding of its literals: the
+serving layer rejects a statement once and answers every instance with
+that error.
 """
 
 from __future__ import annotations
@@ -143,54 +148,89 @@ def test_kernels_match_oracle_on_generated_queries(queries):
 
 
 @st.composite
+def out_of_class(draw, expr):
+    """``expr`` conjoined with a term every configuration rejects: an
+    unknown attribute (bare, or qualified by another table), or a
+    disjunction across two attributes."""
+    first, second = draw(st.lists(st.sampled_from(ATTRS), min_size=2,
+                                  max_size=2, unique=True))
+    term = draw(st.one_of(
+        st.builds(SimplePredicate, st.sampled_from(["Z", "u.I"]),
+                  st.sampled_from(list(Op)), st.integers(-3, 3).map(float)),
+        st.builds(lambda a, b: Or([a, b]), predicates(first),
+                  predicates(second))))
+    return term if expr is None else conjoin([expr, term])
+
+
+@st.composite
 def statement_batches(draw):
     """A few statement shapes and up to 64 instances of them.
 
     Returns ``(shapes, statements)``: each shape is ``(template,
-    n_literals)`` as ``compile_plan`` takes it (``None`` for a
-    predicate-free statement); each statement is ``(shape index,
-    walk-order literals)``, the literals drawn per slot from the slot's
-    attribute, out-of-domain values included.  The first statement's
-    shape is drawn again at the end, so a batch always repeats a plan.
+    n_literals)`` as ``compile_plan`` takes it, the template a query
+    on ``t`` or, now and then, on the wrong table ``u``; each
+    statement is ``(shape index, walk-order literals)``, the literals
+    drawn per slot from the slot's attribute, out-of-domain values
+    included.  The first statement's shape is drawn again at the end,
+    so a batch always repeats a plan.
     """
     exprs = draw(st.lists(st.one_of(conjunctions(), mixed_queries(),
                                     st.none()), min_size=1, max_size=4))
-    shapes = [reference.plan_template(expr) for expr in exprs]
+    exprs = [draw(out_of_class(expr)) if draw(st.integers(0, 3)) == 0
+             else expr for expr in exprs]
+    shapes = []
+    for expr in exprs:
+        template, n_literals = reference.plan_template(expr)
+        table = draw(st.sampled_from(["t", "t", "t", "u"]))
+        shapes.append((Query.single_table(table, template), n_literals))
     slot_attributes = [
-        [] if template is None else
+        [] if template.where is None else
         [p.attribute.removeprefix("t.")
-         for p in iter_simple_predicates(template)]
+         for p in iter_simple_predicates(template.where)]
         for template, _ in shapes]
     picks = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1,
                           max_size=63))
     picks.append(picks[0])
-    statements = [(pick, tuple(draw(literals(attr))
+    statements = [(pick, tuple(draw(literals(attr) if attr in ATTRS
+                                    else st.integers(-3, 3).map(float))
                                for attr in slot_attributes[pick]))
                   for pick in picks]
     return shapes, statements
 
 
-def _bound_query(template, values) -> Query:
-    if template is None:
-        return Query.single_table("t")
-    return bind_template(Query.single_table("t", template), values)
+def _rejection(featurizer, query) -> tuple[type, str] | None:
+    """The class and message of ``featurize_batch``'s error on
+    ``query``, if it raises one."""
+    try:
+        featurizer.featurize_batch([query])
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+    return None
 
 
 def check_plan_batch(shapes, statements) -> None:
-    """Every QFT's planned batch equals ``featurize_batch``, the oracle,
-    and row by row its statements' ``n = 1`` encodes."""
+    """Every QFT plans a shape or rejects it as ``featurize_batch``
+    rejects each binding of it.  Planned batches encode without raising
+    and equal ``featurize_batch``, the oracle, and row by row their
+    statements' ``n = 1`` encodes."""
     for label, featurizer in CASES:
-        plans = {}
+        plans, rejections = {}, {}
         for index, (template, n_literals) in enumerate(shapes):
             try:
                 plans[index] = featurizer.compile_plan(template, n_literals)
-            except LosslessnessError:
-                continue
+            except (ValueError, KeyError) as error:
+                rejections[index] = type(error), str(error)
+        for pick, values in statements:
+            if pick not in plans:
+                query = bind_template(shapes[pick][0], values)
+                assert _rejection(featurizer, query) == rejections[pick], (
+                    f"{label}: featurize_batch and compile_plan disagree "
+                    f"on {query.to_sql()}")
         kept = [(pick, values) for pick, values in statements
                 if pick in plans]
         if not kept:
             continue
-        queries = [_bound_query(shapes[pick][0], values)
+        queries = [bind_template(shapes[pick][0], values)
                    for pick, values in kept]
         matrix = featurizer.encode_with_plans(
             [plans[pick] for pick, _ in kept],

@@ -29,16 +29,13 @@ class ScaledEstimator:
 
     def __init__(self, base, factor: float = 1.0,
                  name: str = "scaled") -> None:
+        self.featurizer = base.featurizer
         self._base = base
         self._factor = factor
         self.name = name
 
-    def estimate(self, query) -> float:
-        return float(self._base.estimate(query)) * self._factor
-
-    def estimate_batch(self, queries):
-        return np.asarray(self._base.estimate_batch(queries),
-                          dtype=float) * self._factor
+    def estimate_features(self, features):
+        return self._base.estimate_features(features) * self._factor
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,9 @@
 """``/v1/feedback`` validates its counts once, for server and router.
 
 ``true_cardinality`` and ``estimate`` must be JSON numbers, not
-booleans, that convert to a finite float >= 0.  Anything else is a 400
-that reaches no monitor: the count of the ``serve.qerror`` histogram
-stays put.  0 stays valid — an empty result, floored to 1 by the
+booleans, that convert to a finite float >= 0, and the statement must
+be one the model can estimate.  Anything else is a 400 that reaches no
+monitor: the count of the ``serve.qerror`` histogram stays put.  0 stays valid — an empty result, floored to 1 by the
 paper's convention.  Both an :class:`EstimationServer` and a fleet
 :class:`RouterServer` over two in-process workers are driven; the
 in-process workers record into the one global registry.
@@ -66,6 +66,19 @@ def test_bad_count_is_400_and_unrecorded(served, fleet_sqls, body):
     with ServeClient(url) as client:
         with pytest.raises(ServeClientError) as excinfo:
             client.post_json("/v1/feedback", {"sql": fleet_sqls[0], **body})
+    assert excinfo.value.status == 400, excinfo.value
+    assert _observations() == before
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2",
+    "SELECT count(*) FROM forest WHERE nosuchcol > 3",
+], ids=["disjunction", "unknown-attribute"])
+def test_rejected_statement_is_400_and_unrecorded(served, sql):
+    before = _observations()
+    with ServeClient(served) as client:
+        with pytest.raises(ServeClientError) as excinfo:
+            client.feedback(sql, 500, estimate=3)
     assert excinfo.value.status == 400, excinfo.value
     assert _observations() == before
 

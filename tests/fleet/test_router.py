@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
+import time
+import urllib.parse
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro import obs
 from repro.fleet import FleetRouter, RouterServer, WorkerPool
 from repro.obs.prometheus import parse_exposition, render_snapshots
 from repro.serve import ServeClient, ServeClientError
+from repro.sql.parser import fingerprint_sql, parse_query
 
 
 class TestRouting:
@@ -52,6 +57,42 @@ class TestFailover:
         assert all(r["estimate"] > 0 for r in responses)
         after = obs.get_registry().counter("fleet.failovers_total").value
         assert after > before
+
+    def test_owner_stopping_mid_forward_fails_over(
+            self, local_fleet, fleet_sqls, fleet_estimator, monkeypatch):
+        """The owner stops between the forward's header write and its
+        body write: the request gets the right estimate (from a
+        sibling, once the owner closes the half-read request
+        unanswered), or a typed 5xx, never the owner's 4xx."""
+        supervisor, router = local_fleet(workers=2, retries=1)
+        sql = fleet_sqls[0]
+        owner = supervisor.pool.preference(fingerprint_sql(sql)[0], 1)[0]
+        owner_port = urllib.parse.urlsplit(owner.url).port
+        stoppers: list[threading.Thread] = []
+        send = http.client.HTTPConnection.send
+
+        def send_then_stop_owner(connection, data):
+            send(connection, data)
+            if (connection.port == owner_port and not stoppers
+                    and bytes(data).startswith(b"POST /v1/estimate ")):
+                time.sleep(0.2)  # the owner now waits for the body
+                stoppers.append(threading.Thread(target=owner.drain))
+                stoppers[0].start()
+                time.sleep(0.2)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "send",
+                            send_then_stop_owner)
+        with RouterServer(router) as server, \
+                ServeClient(server.url) as client:
+            try:
+                response = client.estimate(sql)
+            except ServeClientError as exc:
+                assert 500 <= exc.status < 600, exc
+            else:
+                assert response["estimate"] == float(
+                    fleet_estimator.estimate_batch([parse_query(sql)])[0])
+        stoppers[0].join(10)
+        assert not stoppers[0].is_alive()
 
     def test_no_workers_is_transport_error(self):
         router = FleetRouter(WorkerPool())

@@ -1,27 +1,29 @@
 """The serving pipeline: resolve to prepared statements, then execute.
 
-Covers which leg a statement takes (planned for a learned estimator
-with a single-table featurizer, the ``estimate_batch`` adapter for an
-estimator without one), bitwise equivalence of both legs against
-``estimate_batch``, statements carrying their own compiled plan in the
-parse cache, the pipeline's cache interplay (with the estimate cache
-off, and under the shipped defaults where it is on), and error-contract
-parity.
+Covers which estimators the pipeline serves (a learned estimator with a
+single-table featurizer; anything else is refused at construction),
+statements rejected once at resolve, bitwise equivalence of the planned
+execute against ``estimate_batch``, statements carrying their own
+compiled plan in the parse cache, the pipeline's cache interplay (with
+the estimate cache off, and under the shipped defaults where it is on),
+and error-contract parity.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.featurize import ConjunctiveEncoding, JoinQueryFeaturizer
 from repro.featurize.base import Featurizer, LosslessnessError
 from repro.featurize.batch import CompiledPlan
 from repro.serve.fused import EstimatePipeline, Statement
 from repro.serve.server import EstimationService
-from repro.sql.ast import And, Or, Query, SimplePredicate
+from repro.sql.ast import And, Or, SimplePredicate
 from repro.sql.parser import SqlSyntaxError, fingerprint_sql, parse_query
 
 
@@ -61,18 +63,30 @@ def uncached_service(serve_estimator):
     service.close()
 
 
-class Opaque:
-    """An estimator without a featurizer: the adapter leg serves it."""
-
-    name = "opaque"
+class NoFeatures:
+    """A fitted estimator's featurizer without ``estimate_features``."""
 
     def __init__(self, inner) -> None:
-        self._inner = inner
-        self.batches: list[list] = []
+        self.featurizer = inner.featurizer
+        self.estimate_batch = inner.estimate_batch
 
-    def estimate_batch(self, queries):
-        self.batches.append(list(queries))
-        return self._inner.estimate_batch(queries)
+
+class JoinFeaturized:
+    """``estimate_features`` over a join featurizer, which is no
+    single-table :class:`Featurizer`."""
+
+    def __init__(self, inner, imdb_schema) -> None:
+        self.featurizer = JoinQueryFeaturizer(
+            imdb_schema, ("title",), lambda table, attributes:
+            ConjunctiveEncoding(table, attributes, max_partitions=8))
+        self.estimate_features = inner.estimate_features
+
+
+def rejection(call) -> tuple[type, str]:
+    """The class and message of the exception ``call()`` raises."""
+    with pytest.raises((ValueError, KeyError)) as error:
+        call()
+    return type(error.value), str(error.value)
 
 
 class TestEligibility:
@@ -84,34 +98,53 @@ class TestEligibility:
         assert isinstance(statement.plan, CompiledPlan)
         assert literals == fingerprint_sql(instances[0].to_sql())[1]
 
-    def test_estimator_without_featurizer_bypasses(self, serve_estimator,
-                                                   instances):
-        sql = instances[0].to_sql()
-        pipeline = EstimatePipeline(Opaque(serve_estimator))
-        # First-seen: the parsed query; seen: the re-bound template.
-        for _ in range(2):
-            resolved, = pipeline.resolve([sql])
-            assert isinstance(resolved, Query)
-            assert resolved == instances[0]
-        fingerprint, _ = fingerprint_sql(sql)
-        assert pipeline.parse_cache.lookup(fingerprint).plan is None
+    def test_unplannable_estimator_is_refused(self, serve_estimator,
+                                              imdb_schema):
+        batchers = {t for t in threading.enumerate()
+                    if t.name == "repro-serve-batcher"}
+        for estimator in (serve_estimator.model, NoFeatures(serve_estimator),
+                          JoinFeaturized(serve_estimator, imdb_schema)):
+            for construct in (EstimatePipeline, EstimationService):
+                with pytest.raises(TypeError, match="cannot serve"):
+                    construct(estimator)
+        # A refused service starts no batcher thread.
+        assert {t for t in threading.enumerate()
+                if t.name == "repro-serve-batcher"} == batchers
 
-    def test_rejected_template_takes_the_adapter(self, serve_estimator):
+    def test_rejected_statement_raises_at_resolve(self, serve_estimator,
+                                                  monkeypatch):
         # A disjunction is outside Universal Conjunction Encoding: the
-        # statement is stored unplanned, and its requests reach the
-        # adapter, which raises the featurizer's error.
-        sql = "SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2"
-        pipeline = EstimatePipeline(serve_estimator)
-        for _ in range(2):  # first-seen, then seen
-            resolved = pipeline.resolve([sql])
-            assert resolved == [parse_query(sql)]
-            with pytest.raises(LosslessnessError) as error:
-                pipeline.execute(resolved)
-        with pytest.raises(LosslessnessError) as expected:
-            serve_estimator.estimate_batch([parse_query(sql)])
-        assert str(error.value) == str(expected.value)
-        fingerprint, _ = fingerprint_sql(sql)
-        assert pipeline.parse_cache.lookup(fingerprint).plan is None
+        # statement is stored with its rejection, and every instance,
+        # first-seen or seen, raises it afresh at resolve.
+        compiles = count_compiles(monkeypatch)
+        executed: list = []
+        monkeypatch.setattr(EstimatePipeline, "execute",
+                            lambda self, requests: executed.append(requests))
+        service = EstimationService(serve_estimator, cache_size=0)
+        raised = []
+        try:
+            for sql in ("SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2",
+                        "SELECT count(*) FROM forest WHERE A1 > 7 OR A1 < 1"):
+                expected = rejection(lambda: serve_estimator.estimate_batch(
+                    [parse_query(sql)]))
+                assert expected[0] is LosslessnessError
+                for call in (lambda: service.estimate(sql),
+                             lambda: service.estimate_many_sql([sql]),
+                             lambda: service.feedback(sql, 10.0)):
+                    with pytest.raises(LosslessnessError) as error:
+                        call()
+                    assert (type(error.value), str(error.value)) == expected
+                    raised.append(error.value)
+        finally:
+            service.close()
+        assert executed == []
+        assert len(compiles) == 1
+        assert len({id(error) for error in raised}) == len(raised)
+        fingerprint, _ = fingerprint_sql(
+            "SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2")
+        statement = service.parse_cache.lookup(fingerprint)
+        assert statement.plan is None
+        assert statement.rejection[0] is LosslessnessError
 
 
 def count_compiles(monkeypatch) -> list:
@@ -216,24 +249,23 @@ class TestPlannedLeg:
         bad = "SELECT count(*) FROM forest WHERE no_such_column > 3"
         with pytest.raises(KeyError):
             uncached_service.estimate_many_sql([bad])
-        # The statement is cached but unplanned; the retry raises too.
+        # The statement is cached with its rejection; the retry raises
+        # too.
         with pytest.raises(KeyError):
             uncached_service.estimate_many_sql([bad])
 
     def test_raw_question_mark_on_a_seen_statement(self, serve_estimator):
         # "A1 > ?" shares its fingerprint with "A1 > 2500"; the '?' is
-        # still a syntax error once the statement is cached, on the
-        # planned leg and on the adapter leg alike.
+        # still a syntax error once the statement is cached.
         seen = "SELECT count(*) FROM forest WHERE A1 > 2500"
         raw = "SELECT count(*) FROM forest WHERE A1 > ?"
-        for estimator in (serve_estimator, Opaque(serve_estimator)):
-            pipeline = EstimatePipeline(estimator)
-            pipeline.resolve([seen])
-            for batch in ([raw], [seen, raw]):
-                with pytest.raises(SqlSyntaxError, match="'\\?'"):
-                    pipeline.resolve(batch)
+        pipeline = EstimatePipeline(serve_estimator)
+        pipeline.resolve([seen])
+        for batch in ([raw], [seen, raw]):
             with pytest.raises(SqlSyntaxError, match="'\\?'"):
-                EstimatePipeline(estimator).resolve([seen, raw])
+                pipeline.resolve(batch)
+        with pytest.raises(SqlSyntaxError, match="'\\?'"):
+            EstimatePipeline(serve_estimator).resolve([seen, raw])
 
     def test_wrong_table_raises_value_error(self, uncached_service):
         bad = "SELECT count(*) FROM elsewhere WHERE A > 3"

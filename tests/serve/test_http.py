@@ -1,15 +1,18 @@
-"""Raw-socket tests of the shared JSON handler's request-body bound.
+"""Raw-socket tests of the shared JSON handler's request-body handling.
 
 ``repro serve`` and the fleet router stand on the same
 :class:`~repro.serve.http.JsonRequestHandler`, so every case runs
 against both.  The client side is a bare socket: the point is what the
-server does with a ``Content-Length`` no well-behaved client sends.
+server does with a ``Content-Length`` no well-behaved client sends, and
+with a body a graceful stop cuts short.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -97,6 +100,39 @@ class TestBodyBound:
                    b"Connection: close\r\n\r\n")
         status, _, body = parse_reply(exchange(server, healthz))
         assert status == 200 and body["status"] == "ok"
+
+
+class TestDrainMidBody:
+    """``stop()`` while a request's body is still on its way: the
+    server half-closes the connection, so the handler reads a body
+    shorter than its ``Content-Length``.  That is a dead connection,
+    not a bad request: no answer (a transport error the caller may
+    re-send), or a typed 5xx, and never a 4xx.  (A handler that had
+    not yet registered when ``stop()`` ran reads the whole body and
+    answers it, which is fine too.)"""
+
+    def test_half_read_request_gets_no_4xx(self, server):
+        body = json.dumps({"sql": "SELECT count(*) FROM forest "
+                                  "WHERE A1 > 2500"}).encode("utf-8")
+        stopper = threading.Thread(target=server.stop)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=TIMEOUT_S) as sock:
+            sock.sendall(post_head(str(len(body))))
+            time.sleep(0.2)
+            stopper.start()
+            time.sleep(0.2)
+            chunks = []
+            try:
+                sock.sendall(body)
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+        stopper.join(TIMEOUT_S)
+        assert not stopper.is_alive()
+        raw = b"".join(chunks)
+        if raw:
+            assert not 400 <= parse_reply(raw)[0] < 500, raw
 
 
 class TestKeepAliveUnchanged:

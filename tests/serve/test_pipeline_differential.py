@@ -3,13 +3,16 @@
 A seeded generator spells SQL statements the way clients do: exact
 repeats, new literal instances of seen statements, first-seen
 statements, and every literal spelling the parser accepts (``5``,
-``5.0``, ``05``, ``-3``).  Each of the service's entry points —
+``5.0``, ``05``, ``-3``).  Among them are statements the featurizer
+rejects: a disjunction, a disjunction across attributes, an unknown
+attribute and a wrong table.  Each of the service's entry points —
 ``estimate`` (through the micro-batcher), ``estimate_many_sql`` and
 ``feedback(estimate=None)`` — must answer every statement
 bitwise-equal to the estimator's model applied to the oracle encoding
-(:mod:`tests.featurize.reference`) of ``parse_query(sql)``, for
-conjunctive statements under Universal Conjunction Encoding and mixed
-AND/OR statements under Limited Disjunction Encoding, with the
+(:mod:`tests.featurize.reference`) of ``parse_query(sql)``, or raise
+the class and message ``estimate_batch([parse_query(sql)])`` raises,
+for conjunctive statements under Universal Conjunction Encoding and
+mixed AND/OR statements under Limited Disjunction Encoding, with the
 estimate cache at its shipped default and disabled.
 """
 
@@ -33,6 +36,16 @@ from tests.featurize import reference as oracle
 #: Statements per generated stream.
 STREAM_LENGTH = 72
 
+#: Statements outside a QFT's query class or the table's attributes.
+#: Universal Conjunction Encoding rejects all four; Limited Disjunction
+#: Encoding takes the first and rejects the other three.
+REJECTED = [
+    "SELECT count(*) FROM forest WHERE A1 > 2500 OR A1 < 100",
+    "SELECT count(*) FROM forest WHERE A1 > 2500 OR A2 < 100",
+    "SELECT count(*) FROM forest WHERE nosuchcol > 3 AND A1 < 3000",
+    "SELECT count(*) FROM elsewhere WHERE A1 > 3",
+]
+
 
 def spell(value: float, rng: np.random.Generator) -> str:
     """One of the spellings the parser reads as ``value`` (integral)."""
@@ -54,9 +67,13 @@ def render(fingerprint: str, values, rng: np.random.Generator) -> str:
 
 
 def statement_stream(queries, seed: int) -> list[str]:
-    """A seeded client stream over the statements of ``queries``."""
+    """A seeded client stream over the statements of ``queries``, with
+    the :data:`REJECTED` statements among the first seen."""
     rng = np.random.default_rng(seed)
-    bases = [fingerprint_sql(q.to_sql()) for q in queries]
+    sqls = [q.to_sql() for q in queries]
+    for position, sql in enumerate(REJECTED):
+        sqls.insert(2 * position + 1, sql)
+    bases = [fingerprint_sql(sql) for sql in sqls]
     seen: list[int] = []
     sent: list[str] = []
     for _ in range(STREAM_LENGTH):
@@ -99,9 +116,31 @@ def case(request, small_forest, conjunctive_workload, mixed_workload):
     return estimator, workload.queries[200:224]
 
 
-def reference(estimator, sqls) -> list[float]:
-    return [float(estimator.estimate_features(oracle.matrix(
-        estimator.featurizer, [parse_query(sql)]))[0]) for sql in sqls]
+def outcome(call):
+    """``call()``'s value, or the class and message of its error."""
+    try:
+        return call()
+    except (ValueError, KeyError) as error:
+        return type(error), str(error)
+
+
+def reference(estimator, sqls) -> list:
+    """Per statement, the oracle's estimate, or the error
+    ``estimate_batch`` raises on the parsed statement."""
+    expected = []
+    for sql in sqls:
+        error = outcome(lambda: estimator.estimate_batch([parse_query(sql)]))
+        if isinstance(error, tuple):
+            expected.append(error)
+        else:
+            expected.append(float(estimator.estimate_features(oracle.matrix(
+                estimator.featurizer, [parse_query(sql)]))[0]))
+    return expected
+
+
+def batch_reference(expected: list):
+    """A batch's expected answer: its first error, else its estimates."""
+    return next((e for e in expected if isinstance(e, tuple)), expected)
 
 
 @pytest.mark.parametrize("cache_size", [1024, 0], ids=["shipped", "no-cache"])
@@ -112,7 +151,8 @@ class TestEntryPointsAgree:
         sqls = statement_stream(queries, seed)
         service = EstimationService(estimator, cache_size=cache_size)
         try:
-            got = [service.estimate(sql)[0] for sql in sqls]
+            got = [outcome(lambda: service.estimate(sql)[0])
+                   for sql in sqls]
         finally:
             service.close()
         assert got == reference(estimator, sqls)
@@ -120,29 +160,53 @@ class TestEntryPointsAgree:
     def test_batches(self, case, cache_size, seed):
         estimator, queries = case
         sqls = statement_stream(queries, seed)
+        expected = reference(estimator, sqls)
         rng = np.random.default_rng(seed)
         service = EstimationService(estimator, cache_size=cache_size)
-        got: list[float] = []
+        got, want = [], []
         try:
             start = 0
             while start < len(sqls):
-                size = int(rng.integers(1, 17))
-                got.extend(service.estimate_many_sql(sqls[start:start + size]))
-                start += size
+                stop = start + int(rng.integers(1, 17))
+                got.append(outcome(
+                    lambda: service.estimate_many_sql(sqls[start:stop])))
+                want.append(batch_reference(expected[start:stop]))
+                start = stop
         finally:
             service.close()
-        assert got == reference(estimator, sqls)
+        assert got == want
 
     def test_feedback_re_estimates(self, case, cache_size, seed):
         estimator, queries = case
         sqls = statement_stream(queries, seed)
         service = EstimationService(estimator, cache_size=cache_size)
         try:
-            got = [service.feedback(sql, true_cardinality=100.0)[1]
-                   for sql in sqls]
+            got = [outcome(lambda: service.feedback(
+                sql, true_cardinality=100.0)[1]) for sql in sqls]
         finally:
             service.close()
         assert got == reference(estimator, sqls)
+
+    def test_errors_keep_batch_precedence(self, case, cache_size, seed):
+        """A syntax error anywhere in a batch beats a rejection; among
+        rejections the first in request order wins."""
+        estimator, queries = case
+        sqls = statement_stream(queries, seed)
+        expected = dict(zip(sqls, reference(estimator, sqls)))
+        rejected = [sql for sql in sqls if isinstance(expected[sql], tuple)]
+        good = [sql for sql in sqls if not isinstance(expected[sql], tuple)]
+        broken = "SELECT count(*) FROM forest WHERE A1 >"
+        service = EstimationService(estimator, cache_size=cache_size)
+        try:
+            for batch, want in (
+                    (rejected[:2], expected[rejected[0]]),
+                    (good[:2] + rejected[::-1], expected[rejected[-1]]),
+                    (good[:1] + rejected + [broken],
+                     outcome(lambda: parse_query(broken)))):
+                assert outcome(
+                    lambda: service.estimate_many_sql(batch)) == want
+        finally:
+            service.close()
 
 
 class TestConcurrentResolve:
@@ -164,8 +228,8 @@ class TestConcurrentResolve:
         def worker(offset: int) -> None:
             start.wait()
             for sql in sqls[offset:] + sqls[:offset]:
-                value, _ = service.estimate(sql)
-                if value != expected[sql]:
+                if outcome(lambda: service.estimate(sql)[0]) \
+                        != expected[sql]:
                     with lock:
                         failures.append(sql)
 
@@ -256,6 +320,34 @@ class TestSeenStatementMiss:
         assert after["misses"] == before["misses"]
         assert counts(calls) == dict.fromkeys(FIRST_SEEN, 0)
 
+    def test_seen_rejected_statement_runs_no_parser_or_compile(
+            self, case, monkeypatch):
+        estimator, _ = case
+        rng = np.random.default_rng(3)
+        service = EstimationService(estimator, cache_size=0)
+        try:
+            calls = count_calls(monkeypatch)
+            for sql in REJECTED:
+                fingerprint, values = fingerprint_sql(sql)
+                instance = render(fingerprint, [v + 1.0 for v in values],
+                                  rng)
+                want = reference(estimator, [sql, instance])
+                if not isinstance(want[0], tuple):
+                    continue  # within this QFT's query class
+                for recorded in calls.values():
+                    recorded.clear()
+                assert outcome(lambda: service.estimate(sql)) == want[0]
+                assert counts(calls) == FIRST_SEEN
+                for recorded in calls.values():
+                    recorded.clear()
+                for call in (lambda: service.estimate(instance),
+                             lambda: service.estimate_many_sql([instance]),
+                             lambda: service.feedback(instance, 10.0)):
+                    assert outcome(call) == want[1]
+                assert counts(calls) == dict.fromkeys(FIRST_SEEN, 0)
+        finally:
+            service.close()
+
     def test_first_seen_statement_parses_its_key_once(self, case,
                                                       monkeypatch):
         """A first-seen statement costs one key parse and one plan
@@ -280,34 +372,3 @@ class TestSeenStatementMiss:
                                      for name, count in FIRST_SEEN.items()}
         finally:
             service.close()
-
-
-class Opaque:
-    """An estimator without a featurizer: the adapter leg serves it."""
-
-    name = "opaque"
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.calls = 0
-
-    def estimate_batch(self, queries):
-        self.calls += 1
-        return self._inner.estimate_batch(queries)
-
-
-class TestAdapterLeg:
-    def test_single_and_batch_requests_use_the_adapter(
-            self, serve_estimator, conjunctive_workload):
-        sqls = statement_stream(conjunctive_workload.queries[:8], seed=5)
-        opaque = Opaque(serve_estimator)
-        service = EstimationService(opaque, cache_size=0)
-        try:
-            singles = [service.estimate(sql)[0] for sql in sqls[:24]]
-            single_calls = opaque.calls
-            batch = service.estimate_many_sql(sqls[24:])
-        finally:
-            service.close()
-        assert single_calls >= 1
-        assert opaque.calls == single_calls + 1
-        assert singles + batch == reference(serve_estimator, sqls)

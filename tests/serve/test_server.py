@@ -27,19 +27,18 @@ from .conftest import stepping_clock
 
 
 class SlowEstimator:
-    """Stub estimator whose batches take a configurable time."""
+    """Wraps an estimator; every predict takes a configurable time."""
 
     name = "slow-stub"
 
-    def __init__(self, delay: float) -> None:
+    def __init__(self, base, delay: float) -> None:
+        self.featurizer = base.featurizer
+        self._base = base
         self._delay = delay
 
-    def estimate_batch(self, queries):
+    def estimate_features(self, features):
         time.sleep(self._delay)
-        return np.asarray([float(len(str(q))) for q in queries])
-
-    def estimate(self, query):
-        return float(self.estimate_batch([query])[0])
+        return self._base.estimate_features(features)
 
 
 @pytest.fixture()
@@ -278,8 +277,9 @@ class TestErrorMapping:
 
 
 class TestAdmissionControl:
-    def test_saturated_service_returns_503_with_retry_after(self, sqls):
-        service = EstimationService(SlowEstimator(delay=0.5),
+    def test_saturated_service_returns_503_with_retry_after(
+            self, serve_estimator, sqls):
+        service = EstimationService(SlowEstimator(serve_estimator, 0.5),
                                     max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=1)
         with EstimationServer(service) as server:
@@ -303,9 +303,9 @@ class TestAdmissionControl:
         assert excinfo.value.retry_after == 1
         assert len(results) == 1  # the occupying request still succeeded
 
-    def test_rejections_counted(self, sqls):
+    def test_rejections_counted(self, serve_estimator, sqls):
         obs.reset()
-        service = EstimationService(SlowEstimator(delay=0.3),
+        service = EstimationService(SlowEstimator(serve_estimator, 0.3),
                                     max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=1)
         with EstimationServer(service) as server:
@@ -326,9 +326,9 @@ class TestAdmissionControl:
 
 
 class TestGracefulDrain:
-    def test_accepted_requests_survive_stop(self, sqls):
+    def test_accepted_requests_survive_stop(self, serve_estimator, sqls):
         n_requests = 6
-        service = EstimationService(SlowEstimator(delay=0.1),
+        service = EstimationService(SlowEstimator(serve_estimator, 0.1),
                                     max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=64)
         server = EstimationServer(service).start()

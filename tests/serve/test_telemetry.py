@@ -129,6 +129,33 @@ class TestExemplars:
         assert worst["qerror"] == pytest.approx(300.0)
 
 
+class TestRejectedFeedback:
+    """Feedback resolves its statement first, so one the featurizer
+    rejects raises what ``estimate`` raises and reaches no monitor."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT count(*) FROM forest WHERE A1 > 5 OR A1 < 2",
+        "SELECT count(*) FROM forest WHERE nosuchcol > 3",
+    ], ids=["disjunction", "unknown-attribute"])
+    def test_rejected_statement_records_nothing(self, serve_estimator,
+                                                sql):
+        service = EstimationService(serve_estimator, model_version="gb-a")
+        registry = obs.get_registry()
+        try:
+            with pytest.raises((ValueError, KeyError)) as estimated:
+                service.estimate(sql)
+            before = registry.snapshot()
+            with pytest.raises(type(estimated.value)) as fed_back:
+                service.feedback(sql, 500, estimate=3)
+            after = registry.snapshot()
+        finally:
+            service.close()
+        assert str(fed_back.value) == str(estimated.value)
+        for name in ("serve.qerror", "serve.qerror.slo"):
+            assert after[name] == before[name]
+        assert obs.get_event_log().exemplars.worst() is None
+
+
 class TestTracedRoundTrip:
     def test_client_server_spans_stitch_into_one_trace(self,
                                                        serve_estimator,
