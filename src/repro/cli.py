@@ -59,7 +59,6 @@ from repro import config
 from repro.data.forest import generate_forest
 from repro.data.loaders import load_table_csv, save_table_csv
 from repro.estimators import LearnedEstimator
-from repro.experiments import runner as experiments_runner
 from repro.featurize import BY_PAPER_LABEL
 from repro.metrics import qerror
 from repro.models import GradientBoostingRegressor, NeuralNetRegressor
@@ -181,6 +180,20 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _write_bench_report(report: dict, args) -> None:
+    """Write a bench report to ``--output``, by default
+    ``BENCH_<target>.json``.  A ``--smoke`` run has no default file, so
+    it never overwrites a committed full-run report."""
+    from repro.bench import write_report
+
+    output = args.output
+    if output is None and not args.smoke:
+        output = Path(f"BENCH_{args.target}.json")
+    if output is not None:
+        write_report(report, output)
+        print(f"wrote {output}")
+
+
 def _cmd_bench(args) -> int:
     if args.target == "lint":
         return _cmd_bench_lint(args)
@@ -189,7 +202,7 @@ def _cmd_bench(args) -> int:
     if args.target == "predict":
         return _cmd_bench_predict(args)
     from repro import obs
-    from repro.bench import run_featurize_bench, write_report
+    from repro.bench import run_featurize_bench
 
     tracer = obs.Tracer(enabled=bool(args.trace))
     with obs.use_tracer(tracer):
@@ -217,9 +230,7 @@ def _cmd_bench(args) -> int:
         print(f"  {leg['featurizer']:>12} / {leg['workload']:<12} "
               f"planned n={leg['batch_size']:<3} "
               f"{leg['us_per_query']:9.1f}us/query  [{status}]")
-    output = args.output or Path("BENCH_featurize.json")
-    write_report(report, output)
-    print(f"wrote {output}")
+    _write_bench_report(report, args)
     if not report["all_identical"]:
         print("FAIL: per-query featurize or a planned encode diverges "
               "from featurize_batch")
@@ -232,7 +243,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bench_lint(args) -> int:
-    from repro.bench import run_lint_bench, write_report
+    from repro.bench import run_lint_bench
 
     report = run_lint_bench(repeats=args.repeats)
     print(f"lint bench: {report['files_scanned']} files, "
@@ -240,14 +251,12 @@ def _cmd_bench_lint(args) -> int:
           f"(best of {report['config']['repeats']})")
     for name, seconds in report["stage_seconds"].items():
         print(f"  {name:10s} {seconds:.3f}s")
-    output = args.output or Path("BENCH_lint.json")
-    write_report(report, output)
-    print(f"wrote {output}")
+    _write_bench_report(report, args)
     return 0
 
 
 def _cmd_bench_obs(args) -> int:
-    from repro.bench import run_obs_bench, write_report
+    from repro.bench import run_obs_bench
 
     report = run_obs_bench(rows=args.rows, queries=args.queries,
                            partitions=args.partitions, seed=args.seed,
@@ -271,9 +280,7 @@ def _cmd_bench_obs(args) -> int:
     print(f"  event record   {events['keep_all_ns_per_op']:8.0f}ns/op "
           f"(keep all)  {events['sample_16_ns_per_op']:8.0f}ns/op "
           f"(1-in-16 sampling)")
-    output = args.output or Path("BENCH_obs.json")
-    write_report(report, output)
-    print(f"wrote {output}")
+    _write_bench_report(report, args)
     if report["disabled_overhead_pct"] > args.max_overhead:
         print(f"FAIL: disabled-tracing overhead "
               f"{report['disabled_overhead_pct']:.2f}% above allowed "
@@ -283,7 +290,7 @@ def _cmd_bench_obs(args) -> int:
 
 
 def _cmd_bench_predict(args) -> int:
-    from repro.bench import run_predict_bench, write_report
+    from repro.bench import run_predict_bench
 
     kwargs = {}
     if args.batch_sizes:
@@ -305,9 +312,7 @@ def _cmd_bench_predict(args) -> int:
               f"compiled {case['compiled_seconds'] * 1000:9.3f}ms  "
               f"speedup {case['speedup']:7.2f}x  [{status}]")
     print(f"  min speedup: {report['min_speedup']:.2f}x")
-    output = args.output or Path("BENCH_predict.json")
-    write_report(report, output)
-    print(f"wrote {output}")
+    _write_bench_report(report, args)
     if not report["all_identical"]:
         print("FAIL: compiled forest diverges from the per-tree loop")
         return 1
@@ -481,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                                           "predict"],
                        help="benchmark to run")
     bench.add_argument("--smoke", action="store_true",
-                       help="small CI-sized workload (caps rows/queries)")
+                       help="small CI-sized workload (caps rows/queries); "
+                            "writes a report only with --output")
     bench.add_argument("--rows", type=int, default=10_000,
                        help="synthetic table rows (default: 10000)")
     bench.add_argument("--queries", type=int, default=10_000,
@@ -494,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 3, smoke forces 1)")
     bench.add_argument("--output", type=Path, default=None,
                        help="JSON report path (default: "
-                            "BENCH_<target>.json)")
+                            "BENCH_<target>.json; a --smoke run writes "
+                            "no file unless this is given)")
     bench.add_argument("--min-speedup", type=float, default=1.0,
                        help="fail if any case's speedup is below this "
                             "(default: 1.0)")
@@ -565,7 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     # The experiments subcommand forwards everything verbatim to the
     # experiment runner (argparse.REMAINDER mishandles leading options).
     if argv and argv[0] == "experiments":
-        return experiments_runner.main(argv[1:])
+        from repro.experiments import runner
+
+        return runner.main(argv[1:])
     # The lint subcommand forwards the same way, so the lint front end
     # owns the one parser for its flags.
     if argv and argv[0] == "lint":

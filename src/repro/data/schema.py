@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.data.table import Table
+from repro.graph import adjacency, is_connected
 
 __all__ = ["ForeignKey", "Schema"]
 
@@ -88,13 +88,11 @@ class Schema:
     def __contains__(self, name: str) -> bool:
         return name in self._tables
 
-    def join_graph(self) -> nx.Graph:
-        """Return the undirected join graph (tables as nodes, FKs as edges)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._tables)
-        for fk in self._foreign_keys:
-            graph.add_edge(fk.child_table, fk.parent_table, fk=fk)
-        return graph
+    def join_graph(self) -> dict[str, set[str]]:
+        """Return the undirected join graph as adjacency sets: each table
+        maps to the tables one FK edge away."""
+        return adjacency(self._tables, ((fk.child_table, fk.parent_table)
+                                        for fk in self._foreign_keys))
 
     def foreign_keys_between(self, tables: Iterable[str]) -> list[ForeignKey]:
         """Return the FK edges whose both endpoints lie within ``tables``."""
@@ -108,12 +106,12 @@ class Schema:
         Local models are only built for connected sub-schemata; a cross
         product of unrelated tables is not a meaningful estimation target.
         """
-        table_list = list(tables)
-        if not table_list:
+        table_set = set(tables)
+        if not table_set <= self._tables.keys():
             return False
-        subgraph = self.join_graph().subgraph(table_list)
-        return (subgraph.number_of_nodes() == len(set(table_list))
-                and nx.is_connected(subgraph))
+        graph = self.join_graph()
+        return is_connected({table: graph[table] & table_set
+                             for table in table_set})
 
     def connected_subschemata(self, max_tables: int | None = None) -> list[tuple[str, ...]]:
         """Enumerate all connected sub-schemata, smallest first.

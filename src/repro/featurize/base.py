@@ -247,9 +247,17 @@ class Featurizer(abc.ABC):
 
         Performs all per-query validation (table checks, attribute
         resolution, this QFT's query-class contract), raising at the
-        first offending query.
+        first offending query in order.
         """
-        exprs = [self._extract_expr(q) for q in queries]
+        exprs: list[BoolExpr | None] = []
+        for query in queries:
+            try:
+                exprs.append(self._extract_expr(query))
+            except ValueError:
+                # A query before this one may fail to compile; its
+                # error comes first.
+                self._compile_exprs(exprs)
+                raise
         return self._compile_exprs(exprs)
 
     def _compile_exprs(self, exprs: Sequence[BoolExpr | None]

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
+from repro.graph import strongly_connected_components
 from repro.lint.semantic.facts import ClassFacts, FunctionFacts, ModuleFacts
 
 __all__ = ["ProjectIndex", "ResolvedSymbol", "LockOrderGraph"]
@@ -437,14 +436,11 @@ class LockOrderGraph:
         Each entry is the sorted list of lock ids in one SCC of size
         ``>= 2``, or a single lock with a self-edge.
         """
-        graph = nx.DiGraph()
-        graph.add_edges_from((source, target)
-                             for source, targets in self.edges.items()
-                             for target in targets)
-        self_looped = {source for source, _ in nx.selfloop_edges(graph)}
+        self_looped = {source for source, targets in self.edges.items()
+                       if source in targets}
         return sorted(
             sorted(component)
-            for component in nx.strongly_connected_components(graph)
+            for component in strongly_connected_components(self.edges)
             if len(component) > 1 or component <= self_looped)
 
     def cycle_edges(self, component: list[str]

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.data.schema import Schema
 from repro.estimators.base import CardinalityEstimator
+from repro.graph import adjacency, is_connected
 from repro.optimizer.subqueries import subquery
 from repro.sql.ast import Query
 
@@ -59,12 +58,10 @@ class JoinPlan:
         return list(self.intermediates)
 
 
-def _join_graph(query: Query) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(query.tables)
-    for join in query.joins:
-        graph.add_edge(join.left_table, join.right_table)
-    if not nx.is_connected(graph):
+def _join_graph(query: Query) -> dict[str, set[str]]:
+    graph = adjacency(query.tables, ((join.left_table, join.right_table)
+                                     for join in query.joins))
+    if not is_connected(graph):
         raise ValueError(
             f"join graph of {query.tables} is not connected; cross products "
             "are not supported"
@@ -101,13 +98,12 @@ def optimize(query: Query, schema: Schema, estimator: CardinalityEstimator,
     return _optimize_left_deep(query, graph, index, estimate_subset)
 
 
-def _optimize_left_deep(query: Query, graph: nx.Graph, index, estimate_subset
-                        ) -> JoinPlan:
+def _optimize_left_deep(query: Query, graph: dict[str, set[str]], index,
+                        estimate_subset) -> JoinPlan:
     full_mask = (1 << len(query.tables)) - 1
     best: dict[int, tuple[float, tuple[str, ...]]] = {}
     for table in query.tables:
         best[1 << index[table]] = (0.0, (table,))
-    neighbors = {t: set(graph.neighbors(t)) for t in query.tables}
 
     frontier = list(best)
     while frontier:
@@ -117,7 +113,7 @@ def _optimize_left_deep(query: Query, graph: nx.Graph, index, estimate_subset
             in_subset = set(order)
             candidates = set()
             for t in in_subset:
-                candidates |= neighbors[t]
+                candidates |= graph[t]
             candidates -= in_subset
             for table in candidates:
                 new_mask = mask | (1 << index[table])
@@ -132,17 +128,17 @@ def _optimize_left_deep(query: Query, graph: nx.Graph, index, estimate_subset
     return JoinPlan(order=order, estimated_cost=cost)
 
 
-def _optimize_bushy(query: Query, graph: nx.Graph, index, estimate_subset
-                    ) -> JoinPlan:
+def _optimize_bushy(query: Query, graph: dict[str, set[str]], index,
+                    estimate_subset) -> JoinPlan:
     tables = query.tables
     n = len(tables)
     full_mask = (1 << n) - 1
 
     # Precompute per-table neighbour masks for the edge-crossing check.
     neighbor_mask = [0] * n
-    for left, right in graph.edges:
-        neighbor_mask[index[left]] |= 1 << index[right]
-        neighbor_mask[index[right]] |= 1 << index[left]
+    for left, neighbours in graph.items():
+        for right in neighbours:
+            neighbor_mask[index[left]] |= 1 << index[right]
 
     def crosses_edge(mask_a: int, mask_b: int) -> bool:
         for i in range(n):

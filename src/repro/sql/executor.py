@@ -16,11 +16,11 @@ PostgreSQL for this).  Two paths exist:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.data.schema import Schema
 from repro.data.table import Table
+from repro.graph import adjacency, is_connected, tree_order
 from repro.sql.ast import (
     And,
     BoolExpr,
@@ -162,17 +162,19 @@ def _join_cardinality(query: Query, schema: Schema) -> int:
         table = schema.table(query.tables[0])
         return int(selection_mask(query.where, table).sum())
 
-    graph = nx.Graph()
-    graph.add_nodes_from(query.tables)
-    for join in query.joins:
-        graph.add_edge(join.left_table, join.right_table, join=join)
+    # n - 1 joins connect n tables only when they are distinct, loop-free
+    # edges of one tree: a duplicate pair or a self-join leaves a table
+    # unreached.
+    graph = adjacency(query.tables, ((join.left_table, join.right_table)
+                                     for join in query.joins))
     if (len(query.joins) != len(query.tables) - 1
-            or graph.number_of_edges() != len(query.tables) - 1
-            or not nx.is_connected(graph)):
+            or not is_connected(graph)):
         raise UnsupportedQueryError(
             f"join graph over {query.tables} must be a connected tree "
-            f"({graph.number_of_edges()} joins given)"
+            f"({len(query.joins)} joins given)"
         )
+    by_edge = {frozenset((join.left_table, join.right_table)): join
+               for join in query.joins}
 
     selections = per_table_selections(query, schema)
 
@@ -185,14 +187,13 @@ def _join_cardinality(query: Query, schema: Schema) -> int:
         weights[table_name] = mask.astype(np.float64)
 
     root = query.tables[0]
-    # Process children bottom-up (post-order over the tree rooted at root).
-    order = list(nx.dfs_postorder_nodes(graph, source=root))
-    parent = {child: par for par, child in nx.bfs_edges(graph, source=root)}
+    # Process children bottom-up: every child before its parent.
+    order, parent = tree_order(graph, root)
     for node in order:
         if node == root:
             continue
         par = parent[node]
-        join = graph.edges[node, par]["join"]
+        join = by_edge[frozenset((node, par))]
         if join.left_table == node:
             child_col, parent_col = join.left_column, join.right_column
         else:

@@ -189,22 +189,30 @@ class TestEntryPointsAgree:
 
     def test_errors_keep_batch_precedence(self, case, cache_size, seed):
         """A syntax error anywhere in a batch beats a rejection; among
-        rejections the first in request order wins."""
+        rejections the first in request order wins, for the service and
+        for ``estimate_batch`` alike — also when a query the QFT cannot
+        compile precedes one on the wrong table."""
         estimator, queries = case
         sqls = statement_stream(queries, seed)
         expected = dict(zip(sqls, reference(estimator, sqls)))
         rejected = [sql for sql in sqls if isinstance(expected[sql], tuple)]
         good = [sql for sql in sqls if not isinstance(expected[sql], tuple)]
+        wrong_table = next(sql for sql in rejected if "elsewhere" in sql)
+        compile_error = next(sql for sql in rejected if "forest" in sql)
         broken = "SELECT count(*) FROM forest WHERE A1 >"
         service = EstimationService(estimator, cache_size=cache_size)
         try:
             for batch, want in (
                     (rejected[:2], expected[rejected[0]]),
                     (good[:2] + rejected[::-1], expected[rejected[-1]]),
+                    (good[:1] + [compile_error, wrong_table],
+                     expected[compile_error]),
                     (good[:1] + rejected + [broken],
                      outcome(lambda: parse_query(broken)))):
                 assert outcome(
                     lambda: service.estimate_many_sql(batch)) == want
+                assert outcome(lambda: estimator.estimate_batch(
+                    [parse_query(sql) for sql in batch])) == want
         finally:
             service.close()
 

@@ -3,9 +3,13 @@
 The executor evaluates boolean expressions with numpy; these tests pit
 it against a direct per-row Python evaluation on random tables and
 random boolean trees (including arbitrary nesting the workloads never
-produce), so broadcasting or operator-mapping bugs cannot hide.
+produce), so broadcasting or operator-mapping bugs cannot hide.  Join
+lists drawn over small FROM lists pit the join-tree message passing
+against a nested-loop count, and its tree check against a brute-force
+reachability test.
 """
 
+import itertools
 import operator
 
 import numpy as np
@@ -13,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.sql.ast import And, Op, Or, SimplePredicate
-from repro.sql.executor import selection_mask
+from repro.sql.ast import (And, JoinPredicate, Op, Or, Query,
+                           SimplePredicate, UnsupportedQueryError)
+from repro.sql.executor import cardinality, selection_mask
 
 _PY_OPS = {
     Op.EQ: operator.eq, Op.NE: operator.ne, Op.LT: operator.lt,
@@ -85,3 +91,79 @@ class TestMaskAgainstRowEvaluation:
         both = selection_mask(And([left, right]), table)
         either = selection_mask(Or([left, right]), table)
         assert both.sum() + either.sum() == a.sum() + b.sum()
+
+
+#: Join-key columns of every table in the join schema.
+JOIN_COLUMNS = ("id", "k")
+
+
+def join_table(draw, name: str) -> Table:
+    """One to three rows of join keys in ``0 … 2``."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    keys = st.lists(st.integers(min_value=0, max_value=2),
+                    min_size=rows, max_size=rows)
+    return Table(name, {column: np.asarray(draw(keys), dtype=float)
+                        for column in JOIN_COLUMNS})
+
+
+@st.composite
+def join_queries(draw):
+    """``(schema, query)``: up to four tables of up to three rows with
+    keys in ``0 … 2``, a FROM list of two to four of them, and a join
+    list that may repeat a pair, join a table to itself, or leave one
+    out."""
+    names = [f"t{i}" for i in range(4)]
+    schema = Schema([join_table(draw, name) for name in names])
+    tables = draw(st.lists(st.sampled_from(names), min_size=2, max_size=4,
+                           unique=True))
+    n = len(tables)
+    count = draw(st.one_of(st.just(n - 1), st.integers(0, n + 1)))
+    joins = []
+    for _ in range(count):
+        left, right = draw(st.lists(st.sampled_from(tables), min_size=2,
+                                    max_size=2, unique=True))
+        if draw(st.integers(0, 3)) == 0:
+            right = left  # a self-join
+        column = st.sampled_from(JOIN_COLUMNS)
+        joins.append(JoinPredicate(left, draw(column), right, draw(column)))
+    return schema, Query(tables=tuple(tables), joins=tuple(joins))
+
+
+def is_join_tree(query: Query) -> bool:
+    """n - 1 distinct, loop-free joins that connect all n tables."""
+    pairs = {frozenset((j.left_table, j.right_table)) for j in query.joins}
+    n = len(query.tables)
+    if (len(query.joins) != n - 1 or len(pairs) != n - 1
+            or any(len(pair) == 1 for pair in pairs)):
+        return False
+    reached = {query.tables[0]}
+    for _ in range(n):
+        reached |= {t for pair in pairs if pair & reached for t in pair}
+    return len(reached) == n
+
+
+def nested_loop_count(query: Query, schema: Schema) -> int:
+    """The join's size, one combination of rows at a time."""
+    columns = {(t, c): schema.table(t).column(c).values
+               for t in query.tables for c in JOIN_COLUMNS}
+    ranges = [range(schema.table(t).row_count) for t in query.tables]
+    return sum(
+        all(columns[j.left_table, j.left_column][rows[j.left_table]]
+            == columns[j.right_table, j.right_column][rows[j.right_table]]
+            for j in query.joins)
+        for combo in itertools.product(*ranges)
+        for rows in [dict(zip(query.tables, combo))])
+
+
+class TestJoinTrees:
+    @given(join_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_exactly_the_non_trees(self, drawn):
+        schema, query = drawn
+        if is_join_tree(query):
+            assert cardinality(query, schema) \
+                == nested_loop_count(query, schema)
+        else:
+            with pytest.raises(UnsupportedQueryError,
+                               match="must be a connected tree"):
+                cardinality(query, schema)

@@ -90,6 +90,18 @@ def test_unknown_command_rejected():
         main(["bogus"])
 
 
+@pytest.mark.parametrize("target", ["featurize", "obs", "predict"])
+def test_smoke_bench_writes_no_default_report(target, tmp_path, monkeypatch,
+                                              capsys):
+    """A smoke run prints its report but never replaces the committed
+    full-run ``BENCH_<target>.json``."""
+    monkeypatch.chdir(tmp_path)
+    main(["bench", target, "--smoke"])
+    out = capsys.readouterr().out
+    assert f"{target} bench" in out and "wrote" not in out
+    assert list(tmp_path.glob("BENCH_*.json")) == []
+
+
 #: One clean module of the shipped tree: these tests cover the CLI
 #: plumbing; tests/lint/test_self_clean.py lints the whole tree once.
 SHIPPED_MODULE = str(Path(__file__).resolve().parents[1]
