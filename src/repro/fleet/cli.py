@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.fleet.rollout import RolloutGate, RolloutManager
 from repro.fleet.router import FleetRouter, RouterServer
-from repro.fleet.workers import ProcessWorker, WorkerSupervisor
+from repro.fleet.workers import ProcessWorker, WorkerError, WorkerSupervisor
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.registry import ModelRegistry
 
@@ -51,7 +51,12 @@ def _cmd_fleet_serve(args) -> int:
             tick_every=args.tick_every).start()
 
     supervisor = WorkerSupervisor(factory)
-    for handle in supervisor.spawn(args.workers):
+    try:
+        handles = supervisor.spawn(args.workers)
+    except WorkerError as exc:
+        print(f"fleet: workers failed to start: {exc}", file=sys.stderr)
+        return 1
+    for handle in handles:
         print(f"  worker {handle.worker_id}: {handle.url} "
               f"({handle.model_version})")
     supervisor.start()

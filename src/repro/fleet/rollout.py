@@ -51,7 +51,12 @@ from typing import Callable
 
 from repro import obs
 from repro.fleet.hashring import _hash64
-from repro.fleet.workers import WorkerHandle, WorkerPool, WorkerSupervisor
+from repro.fleet.workers import (
+    WorkerHandle,
+    WorkerPool,
+    WorkerSupervisor,
+    start_workers,
+)
 from repro.serve.client import ServeClientError
 from repro.serve.registry import ModelRegistry
 
@@ -195,9 +200,10 @@ class RolloutManager:
         width = max(len(self._supervisor.pool), 1)
         handles: list[WorkerHandle] = []
         try:
-            for index in range(width):
-                handles.append(self._candidate_factory(
-                    f"c{index}", candidate.version))
+            handles = start_workers(
+                lambda worker_id: self._candidate_factory(
+                    worker_id, candidate.version),
+                [f"c{index}" for index in range(width)])
             warm_sql = (self._router.recent_sql()
                         if self._router is not None else [])
             if warm_sql:

@@ -19,6 +19,10 @@ Three layers:
   restarts dead workers with exponential backoff, re-adding them under
   their old id.
 
+:func:`start_workers` starts a fleet's workers concurrently, all or
+nothing; the supervisor's initial spawn and a rollout's candidate pool
+both go through it.
+
 Every handle exposes ``drain()`` (graceful: in-flight work completes)
 and ``terminate()`` (hard stop); the supervisor's ``stop()`` walks the
 pool so no spawned child outlives the fleet — the invariant
@@ -34,15 +38,20 @@ import queue
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.fleet.hashring import DEFAULT_REPLICAS, HashRing
 from repro.serve.client import ServeClient
 
 __all__ = ["WorkerError", "WorkerHandle", "ProcessWorker", "LocalWorker",
-           "WorkerPool", "WorkerSupervisor"]
+           "WorkerPool", "WorkerSupervisor", "start_workers"]
+
+#: Event the reader thread queues when the child's stdout closes; no
+#: worker event has this name.
+_END_OF_STREAM = "end-of-stream"
 
 
 class WorkerError(RuntimeError):
@@ -113,8 +122,11 @@ class ProcessWorker(WorkerHandle):
     ``start()`` spawns ``python -m repro.fleet.worker``, waits for its
     ``ready`` line (which carries the ephemeral port), and wires a
     reader thread that turns every later stdout line into a queued
-    control event.  ``drain``/``terminate`` send the matching command
-    and fall back to ``SIGTERM``/``SIGKILL`` if the channel is dead.
+    control event, and the end of stdout into a last one, so a wait on
+    a child that has exited fails at once instead of timing out.  A
+    failed start kills and reaps the child before it raises.
+    ``drain``/``terminate`` send the matching command and fall back to
+    ``SIGTERM``/``SIGKILL`` if the channel is dead.
     """
 
     def __init__(self, worker_id: str, registry_root: str | Path,
@@ -161,13 +173,18 @@ class ProcessWorker(WorkerHandle):
             target=self._read_events,
             name=f"repro-fleet-reader-{self.worker_id}", daemon=True)
         self._reader.start()
-        ready = self._wait_event("ready", self._start_timeout)
-        self.url = str(ready.get("url", ""))
+        try:
+            ready = self._wait_event("ready", self._start_timeout)
+            if not ready.get("url"):
+                raise WorkerError(
+                    f"worker {self.worker_id} ready event carried no url")
+        except WorkerError:
+            self._proc.kill()  # no-op once the child has exited
+            self._shutdown("terminate")
+            raise
+        self.url = str(ready["url"])
         self.model_version = str(ready.get("model_version", ""))
         self.pid = ready.get("pid")
-        if not self.url:
-            raise WorkerError(
-                f"worker {self.worker_id} ready event carried no url")
         return self
 
     def _read_events(self) -> None:
@@ -184,6 +201,7 @@ class ProcessWorker(WorkerHandle):
                 continue  # stray non-protocol output; ignore
             if isinstance(event, dict):
                 self._events.put(event)
+        self._events.put({"event": _END_OF_STREAM})
 
     def _wait_event(self, name: str, timeout: float) -> dict:
         """Next event named ``name`` (errors surface; others dropped)."""
@@ -197,11 +215,25 @@ class ProcessWorker(WorkerHandle):
                     raise WorkerError(
                         f"worker {self.worker_id} error: "
                         f"{event.get('detail')}")
+                if kind == _END_OF_STREAM:
+                    self._events.put(event)  # later waits fail at once too
+                    raise WorkerError(
+                        f"worker {self.worker_id} exited before its "
+                        f"{name!r} event (exit code {self._exit_code()})")
         except queue.Empty:
             raise WorkerError(
                 f"worker {self.worker_id} sent no {name!r} event within "
                 f"{timeout}s (exit code "
                 f"{self._proc.poll() if self._proc else None})") from None
+
+    def _exit_code(self) -> int | None:
+        """The child's exit code once it has exited (it has closed its
+        stdout), or ``None`` if it is still running after the stop
+        timeout."""
+        try:
+            return self._proc.wait(timeout=self._stop_timeout)
+        except subprocess.TimeoutExpired:
+            return None
 
     def _send(self, command: dict) -> None:
         proc = self._proc
@@ -393,6 +425,33 @@ class WorkerPool:
             return old
 
 
+def start_workers(factory: Callable[[str], WorkerHandle],
+                  worker_ids: Sequence[str]) -> list[WorkerHandle]:
+    """Start one worker per id concurrently, all or nothing.
+
+    ``factory(worker_id)`` must return a started handle.  Returns the
+    handles in ``worker_ids`` order.  If any start raises, every worker
+    that did start is terminated and the first failure, in id order, is
+    raised.  The start threads are joined before this returns.
+    """
+    with ThreadPoolExecutor(max_workers=max(len(worker_ids), 1),
+                            thread_name_prefix="repro-fleet-start") as starts:
+        futures = [starts.submit(factory, worker_id)
+                   for worker_id in worker_ids]
+    failures = [future.exception() for future in futures]
+    handles = [future.result() for future, failure in zip(futures, failures)
+               if failure is None]
+    failure = next((exc for exc in failures if exc is not None), None)
+    if failure is not None:
+        for handle in handles:
+            try:
+                handle.terminate()
+            except WorkerError:
+                pass  # already dead; nothing left to stop
+        raise failure
+    return handles
+
+
 class WorkerSupervisor:
     """Keeps a :class:`WorkerPool` populated, restarting crashed workers.
 
@@ -421,15 +480,17 @@ class WorkerSupervisor:
         self._restarts: dict[str, int] = {}
 
     def spawn(self, count: int, prefix: str = "w") -> list[WorkerHandle]:
-        """Start ``count`` workers (ids ``<prefix>0..``) into the pool."""
-        handles = []
-        for index in range(count):
-            worker_id = f"{prefix}{index}"
-            handle = self._factory(worker_id)
+        """Start ``count`` workers (ids ``<prefix>0..``) into the pool.
+
+        The workers start concurrently and all or nothing (see
+        :func:`start_workers`): if one fails, none joins the pool.
+        """
+        handles = start_workers(self._factory,
+                                [f"{prefix}{index}" for index in range(count)])
+        for handle in handles:
             self.pool.add(handle)
             with self._lock:
-                self._supervised.add(worker_id)
-            handles.append(handle)
+                self._supervised.add(handle.worker_id)
         return handles
 
     def adopt(self, handle: WorkerHandle) -> None:

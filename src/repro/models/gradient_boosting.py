@@ -16,7 +16,7 @@ import numpy as np
 from repro import config, obs
 from repro.models.base import Regressor, check_matrix
 from repro.models.compiled_forest import CompiledForest
-from repro.models.tree import BinMapper, RegressionTree, grow_tree
+from repro.models.tree import BinMapper, HistogramLayout, RegressionTree
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -35,6 +35,13 @@ class GradientBoostingRegressor(Regressor):
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        if min_samples_leaf < 1:
+            # A leaf of zero rows makes a 0/0 gain; NaN would win every
+            # split search and every tree would stay a single leaf.
+            raise ValueError(
+                f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if not 0.0 < subsample <= 1.0:
             raise ValueError(f"subsample must be in (0, 1], got {subsample}")
         if not 0.0 < validation_fraction < 1.0:
@@ -89,6 +96,7 @@ class GradientBoostingRegressor(Regressor):
         with obs.span("model.gb.bin", max_bins=self.max_bins):
             self._mapper = BinMapper(self.max_bins).fit(X)
             codes = self._mapper.transform(X)
+            layout = HistogramLayout(codes, self._mapper)
 
         use_early_stop = (self.early_stopping_rounds is not None
                           and X.shape[0] >= 50)
@@ -117,9 +125,8 @@ class GradientBoostingRegressor(Regressor):
                     rows = train_idx[take] if take.any() else train_idx
                 else:
                     rows = train_idx
-                tree = grow_tree(
-                    codes, residuals, self._mapper, rows=rows,
-                    max_depth=self.max_depth,
+                tree = layout.grow(
+                    residuals, rows=rows, max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                     colsample=self.colsample, rng=rng,
                 )

@@ -148,6 +148,34 @@ class TestGateDecisions:
         assert manager.state == "rolled_back"
         assert router.estimate(fleet_sqls[0])["worker_id"] == "w0"
 
+    def test_second_candidate_failing_terminates_every_candidate(
+            self, local_fleet, fleet_registry, fleet_estimator, fleet_sqls):
+        supervisor, router = local_fleet(workers=2, version="v1")
+        fleet_registry.set_latest("m", 1)
+        started: list[LocalWorker] = []
+
+        def half_broken_factory(worker_id: str, version: int
+                                ) -> LocalWorker:
+            if worker_id == "c1":
+                raise RuntimeError("no memory left")
+            worker = LocalWorker(
+                worker_id, make_service(fleet_estimator,
+                                        version=f"v{version}")).start()
+            started.append(worker)
+            return worker
+
+        manager = RolloutManager(fleet_registry, "m", supervisor,
+                                 half_broken_factory)
+        manager.bind(router)
+        with pytest.raises(RolloutError, match="no memory left"):
+            manager.begin(2)
+        assert manager.state == "rolled_back"
+        assert manager.status()["candidate_workers"] == []
+        assert [worker.worker_id for worker in started] == ["c0"]
+        assert not started[0].alive()
+        assert supervisor.pool.ids() == ("w0", "w1")
+        assert router.estimate(fleet_sqls[0])["worker_id"] in ("w0", "w1")
+
 
 class TestHotSwapUnderLoad:
     """The headline guarantee: a full canary → promote cycle while

@@ -59,6 +59,9 @@ def test_supervisor_stop_joins_monitor_and_workers(fleet_estimator):
     before = set(threading.enumerate())
     supervisor = WorkerSupervisor(factory, poll_interval=0.02)
     supervisor.spawn(2)
+    # spawn() joined the threads that started the workers concurrently.
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("repro-fleet-start")]
     supervisor.start()
     threads = daemons_started_since(before)
     assert any(thread.name == "repro-fleet-supervisor" for thread in threads)

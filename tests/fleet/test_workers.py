@@ -4,6 +4,7 @@ subprocess worker's JSON control channel."""
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -137,6 +138,52 @@ class TestSupervisor:
         finally:
             supervisor.stop(drain=False)
 
+    def test_spawn_starts_workers_concurrently(self, fleet_estimator):
+        # Each start waits until both have begun: one at a time, the
+        # first start would time out on the barrier.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def factory(worker_id: str) -> LocalWorker:
+            barrier.wait()
+            return LocalWorker(worker_id,
+                               make_service(fleet_estimator)).start()
+
+        supervisor = WorkerSupervisor(factory)
+        try:
+            handles = supervisor.spawn(2)
+            assert [handle.worker_id for handle in handles] == ["w0", "w1"]
+            assert supervisor.pool.ids() == ("w0", "w1")
+            assert [handle.worker_id for handle in supervisor.pool.handles()] \
+                == ["w0", "w1"]
+        finally:
+            supervisor.stop(drain=False)
+
+    def test_failed_spawn_terminates_the_started_workers(
+            self, fleet_estimator):
+        started: list[LocalWorker] = []
+        w0_started = threading.Event()
+
+        def factory(worker_id: str) -> LocalWorker:
+            if worker_id == "w1":
+                assert w0_started.wait(5)  # fail only once w0 is up
+                raise WorkerError("w1 cannot start")
+            worker = LocalWorker(worker_id,
+                                 make_service(fleet_estimator)).start()
+            started.append(worker)
+            w0_started.set()
+            return worker
+
+        supervisor = WorkerSupervisor(factory, poll_interval=0.02)
+        with pytest.raises(WorkerError, match="w1 cannot start"):
+            supervisor.spawn(2)
+        assert [worker.worker_id for worker in started] == ["w0"]
+        assert not started[0].alive()
+        assert len(supervisor.pool) == 0
+        supervisor.start()
+        time.sleep(0.1)  # several poll sweeps: nothing to restart
+        supervisor.stop(drain=False)
+        assert supervisor.restarts() == {}
+
     def test_context_manager_drains_fleet(self, fleet_estimator):
         def factory(worker_id: str) -> LocalWorker:
             return LocalWorker(worker_id,
@@ -174,4 +221,16 @@ class TestProcessWorker:
         # and would reap it too): it is no longer ours to wait for.
         with pytest.raises(ChildProcessError):
             os.waitpid(worker.pid, os.WNOHANG)
+        assert not worker.alive()
+
+    def test_child_that_dies_while_starting_fails_at_once(self, tmp_path):
+        from repro.serve import ModelRegistry
+
+        registry = ModelRegistry(tmp_path / "registry")
+        worker = ProcessWorker("p0", registry.root, "missing",
+                               start_timeout=60.0)
+        began = time.monotonic()
+        with pytest.raises(WorkerError, match="exit code 1"):
+            worker.start()
+        assert time.monotonic() - began < 10.0
         assert not worker.alive()

@@ -82,6 +82,13 @@ def test_parameter_validation():
         GradientBoostingRegressor(subsample=1.5)
     with pytest.raises(ValueError):
         GradientBoostingRegressor(validation_fraction=1.0)
+    # A leaf may not be empty: with min_samples_leaf=0 a 0/0 gain would
+    # leave every tree a single leaf.
+    for min_samples_leaf in (0, -3):
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            GradientBoostingRegressor(min_samples_leaf=min_samples_leaf)
+    with pytest.raises(ValueError, match="max_depth"):
+        GradientBoostingRegressor(max_depth=-1)
 
 
 def test_input_validation():

@@ -140,6 +140,24 @@ class TestGrowTree:
         with pytest.raises(ValueError, match="colsample"):
             grow_tree(mapper.transform(X), y, mapper, colsample=0.0)
 
+    def test_leaf_size_and_depth_validation(self):
+        X, y = self.make_data()
+        mapper = BinMapper().fit(X)
+        codes = mapper.transform(X)
+        for min_samples_leaf in (0, -3):
+            with pytest.raises(ValueError, match="min_samples_leaf"):
+                grow_tree(codes, y, mapper, min_samples_leaf=min_samples_leaf)
+        with pytest.raises(ValueError, match="max_depth"):
+            grow_tree(codes, y, mapper, max_depth=-1)
+
+    def test_codes_beyond_the_mappers_bins_rejected(self):
+        X, y = self.make_data()
+        mapper = BinMapper(max_bins=4).fit(X)
+        codes = mapper.transform(X)
+        codes[0, 1] = 7  # feature 1 has 4 bins
+        with pytest.raises(ValueError, match="thresholds"):
+            grow_tree(codes, y, mapper)
+
     def test_memory_bytes_positive(self):
         X, y = self.make_data()
         mapper = BinMapper().fit(X)
