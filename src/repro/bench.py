@@ -600,11 +600,11 @@ def run_predict_bench(rows: int = 4_000, queries: int = 4_096,
     ``min_speedup`` (the smallest ratio across batch sizes) is what CI
     gates at ≥ 3×.
 
-    The default batch sizes (1, 8, 64) cover the serving regime — the
-    micro-batcher dispatches at most
-    :class:`~repro.serve.batcher.MicroBatcher`'s ``max_batch_size`` (64)
-    queries at once — which is where python dispatch dominates and the
-    compiled path pays off.  For offline thousand-row scoring the
+    The default batch sizes (1, 8, 64) cover the serving regime — client
+    batches of 64, and the natural batches of single requests that
+    :class:`~repro.serve.batcher.MicroBatcher` dispatches, one request
+    each when traffic is light — which is where python dispatch
+    dominates and the compiled path pays off.  For offline thousand-row scoring the
     legacy index-partitioning walk is already near memory bandwidth and
     the compiled gathers win little (pass ``--batch-sizes`` to measure);
     the report records this scope in ``batch_sizes_note``.
@@ -681,9 +681,9 @@ def run_predict_bench(rows: int = 4_000, queries: int = 4_096,
             "batch_sizes": [case["batch_size"] for case in cases],
         },
         "batch_sizes_note": (
-            "defaults cover the serving regime (micro-batcher dispatches "
-            "<= 64 queries); larger offline batches are not gated — "
-            "measure them with --batch-sizes"),
+            "defaults cover the serving regime (client batches of 64, "
+            "natural micro-batches of single requests); larger offline "
+            "batches are not gated — measure them with --batch-sizes"),
         "n_trees": forest.n_trees,
         "max_nodes": forest.max_nodes,
         "max_depth": forest.max_depth,

@@ -145,8 +145,6 @@ def _cmd_serve(args) -> int:
         # as JSONL at drain; stitch with a client trace afterwards.
         obs.enable()
     service = EstimationService(estimator,
-                                max_batch_size=args.max_batch_size,
-                                max_wait_ms=args.max_wait_ms,
                                 cache_size=args.cache_size,
                                 max_inflight=args.max_inflight,
                                 model_version=args.model_version,
@@ -154,8 +152,7 @@ def _cmd_serve(args) -> int:
     server = EstimationServer(service, host=args.host, port=args.port)
     server.start()
     print(f"serving on {server.url} "
-          f"(batch<= {args.max_batch_size}, wait {args.max_wait_ms}ms, "
-          f"cache {args.cache_size}, "
+          f"(cache {args.cache_size}, "
           f"inflight<= {args.max_inflight}, "
           f"model {service.model_version}, tick every {args.tick_every})")
     stop = getattr(args, "shutdown_event", None) or threading.Event()
@@ -453,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry version to serve (default: latest)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642)
-    serve.add_argument("--max-batch-size", type=int, default=64,
-                       help="micro-batch dispatch threshold (default: 64)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch collection window (default: 2ms)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU estimate-cache capacity, 0 disables "
                             "(default: 1024)")

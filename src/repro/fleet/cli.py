@@ -45,8 +45,6 @@ def _cmd_fleet_serve(args) -> int:
         return ProcessWorker(
             worker_id, registry_root, args.model, version=version,
             cache_size=args.cache_size,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             max_inflight=args.max_inflight,
             tick_every=args.tick_every).start()
 
@@ -149,8 +147,6 @@ def add_fleet_parser(sub) -> None:
     serve.add_argument("--retries", type=int, default=1,
                        help="ring siblings to try when a worker is "
                             "unreachable (default: 1)")
-    serve.add_argument("--max-batch-size", type=int, default=64)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--max-inflight", type=int, default=256)
     serve.add_argument("--tick-every", type=int, default=64,

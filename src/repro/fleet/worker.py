@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--worker-id", required=True,
                         help="stable worker id assigned by the supervisor")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--max-batch-size", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--max-inflight", type=int, default=256)
     parser.add_argument("--tick-every", type=int, default=64)
@@ -110,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     resolved = registry.resolve(args.model, args.version)
     estimator = registry.load(args.model, args.version)
     service = EstimationService(estimator,
-                                max_batch_size=args.max_batch_size,
-                                max_wait_ms=args.max_wait_ms,
                                 cache_size=args.cache_size,
                                 max_inflight=args.max_inflight,
                                 model_version=resolved.label(),

@@ -132,7 +132,6 @@ class ProcessWorker(WorkerHandle):
     def __init__(self, worker_id: str, registry_root: str | Path,
                  model: str, version: int | str = "latest",
                  host: str = "127.0.0.1", cache_size: int = 1024,
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0,
                  max_inflight: int = 256, tick_every: int = 64,
                  start_timeout: float = 60.0,
                  stop_timeout: float = 30.0) -> None:
@@ -145,8 +144,6 @@ class ProcessWorker(WorkerHandle):
             "--worker-id", worker_id,
             "--host", host,
             "--cache-size", str(cache_size),
-            "--max-batch-size", str(max_batch_size),
-            "--max-wait-ms", str(max_wait_ms),
             "--max-inflight", str(max_inflight),
             "--tick-every", str(tick_every),
         ]

@@ -4,11 +4,15 @@ Learned estimators answer a batch of ``n`` queries far cheaper than
 ``n`` single queries: the columnar compile → encode featurization and
 the model's matrix forward pass amortise per-call dispatch (this repo's
 ``BENCH_featurize.json`` measures the gap at ~an order of magnitude).
-A serving process therefore wants *micro-batching*: concurrent requests
-are collected for at most ``max_wait_ms`` (or until ``max_batch_size``
-are waiting) and dispatched through one batch function call, with each
-caller receiving its own future.  In the service that function is the
-serving pipeline's execute stage
+A serving process therefore wants *micro-batching*, and here batches
+form naturally: the worker thread blocks for a first request, takes
+every request already queued behind it without waiting, and dispatches
+them through one batch function call, with each caller receiving its
+own future.  Requests that arrive while a batch executes form the next
+one, so a lone request never waits for company and batches grow only
+with the load.  A batch holds at most the requests in flight, which the
+service's admission bound (``max_inflight``) caps.  In the service the
+batch function is the serving pipeline's execute stage
 (:meth:`~repro.serve.fused.EstimatePipeline.execute`), and the items
 are requests already resolved in their callers' threads.
 
@@ -21,16 +25,15 @@ thread, where malformed SQL and statements the featurizer rejects
 raise.  So a batch function that raises has hit a fault, not a bad
 input, and its exception fails every future in the batch.
 
-The worker thread emits ``serve.batch.collect`` / ``serve.batch.execute``
-spans and records every dispatched batch size into the
-``serve.batch.size`` histogram.
+The worker thread emits ``serve.batch.collect`` (the non-blocking
+drain) / ``serve.batch.execute`` spans and records every dispatched
+batch size into the ``serve.batch.size`` histogram.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
@@ -62,12 +65,14 @@ class _Request:
         self.batch_id: int | None = None
 
 
-#: Queue sentinel that tells the worker to drain and exit.
+#: Queue sentinel that tells the worker to finish and exit.  ``close``
+#: queues it under the lock ``submit`` checks, so it is always the last
+#: item the queue ever holds.
 _SHUTDOWN = object()
 
 
 class MicroBatcher:
-    """Collects concurrent requests into batches for one batch function.
+    """Batches concurrent requests for one batch function.
 
     Parameters
     ----------
@@ -77,24 +82,11 @@ class MicroBatcher:
         :class:`~repro.serve.server.EstimationService` passes
         :meth:`~repro.serve.fused.EstimatePipeline.execute`; an
         estimator's own ``estimate_batch`` works over queries too.
-    max_batch_size:
-        Dispatch as soon as this many requests are waiting.
-    max_wait_ms:
-        Dispatch at most this long after the first request of a batch
-        arrived, even if the batch is not full.  ``0`` dispatches
-        whatever is immediately available (no artificial latency).
     """
 
-    def __init__(self, estimate_batch: Callable[[list], Sequence[float]],
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0) -> None:
-        if max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+    def __init__(self,
+                 estimate_batch: Callable[[list], Sequence[float]]) -> None:
         self._estimate_batch = estimate_batch
-        self._max_batch_size = max_batch_size
-        self._max_wait_seconds = max_wait_ms / 1000.0
         self._queue: queue.Queue = queue.Queue()
         self._batch_seq = 0
         self._closed = False
@@ -104,16 +96,6 @@ class MicroBatcher:
                                         name="repro-serve-batcher",
                                         daemon=True)
         self._worker.start()
-
-    @property
-    def max_batch_size(self) -> int:
-        """Configured dispatch threshold."""
-        return self._max_batch_size
-
-    @property
-    def max_wait_ms(self) -> float:
-        """Configured collection window in milliseconds."""
-        return self._max_wait_seconds * 1000.0
 
     def submit(self, item: Any) -> Future:
         """Enqueue one item; returns the future carrying its estimate.
@@ -157,8 +139,10 @@ class MicroBatcher:
         # concurrent close()) for the full drain time.
         with self._close_lock:
             if not self._closed:
-                self._closed = True
+                # The worker reads both flags without the lock: set the
+                # policy before the flag that makes it read it.
                 self._drain_on_close = drain
+                self._closed = True
                 self._queue.put(_SHUTDOWN)
         self._worker.join()
 
@@ -179,45 +163,38 @@ class MicroBatcher:
         while True:
             first = self._queue.get()
             if first is _SHUTDOWN:
-                self._finish_shutdown()
                 return
+            batch = [first]
+            shutdown = self._collect(batch)
             if self._closed and not self._drain_on_close:
                 # close(drain=False): cancel instead of executing the
-                # requests still queued ahead of the sentinel.
-                first.future.cancel()
-                continue
-            batch = [first]
-            if self._collect(batch):
+                # requests queued ahead of the sentinel.
+                for request in batch:
+                    request.future.cancel()
+            else:
                 self._execute(batch)
-                self._finish_shutdown()
+            if shutdown:
                 return
-            self._execute(batch)
 
     def _collect(self, batch: list) -> bool:
-        """Fill ``batch`` until full, the window expires, or shutdown.
+        """Append every request already queued behind ``batch[0]``.
 
-        Returns ``True`` when the shutdown sentinel was consumed while
-        collecting (the caller executes the batch, then drains).
+        Never waits.  Returns ``True`` when the shutdown sentinel was
+        taken too (it is queued last, so the batch is then the final
+        one and the caller exits after it).
         """
-        with obs.span("serve.batch.collect",
-                      max_batch_size=self._max_batch_size) as sp:
-            # Deadline arithmetic needs the raw monotonic clock: the
-            # remaining-wait computation cannot ride an obs span.
-            deadline = time.monotonic() + self._max_wait_seconds  # repro: ignore[RPR108]
-            while len(batch) < self._max_batch_size:
-                remaining = deadline - time.monotonic()  # repro: ignore[RPR108]
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    return True
-                batch.append(item)
+        with obs.span("serve.batch.collect") as sp:
+            try:
+                while True:
+                    batch.append(self._queue.get_nowait())
+            except queue.Empty:
+                pass
+            shutdown = batch[-1] is _SHUTDOWN
+            if shutdown:
+                batch.pop()
             if sp is not None:
                 sp.set_attribute("n_collected", len(batch))
-        return False
+        return shutdown
 
     def _execute(self, batch: list) -> None:
         """Dispatch one collected batch and resolve its futures.
@@ -247,20 +224,3 @@ class MicroBatcher:
             return
         for request, estimate in zip(batch, estimates):
             request.future.set_result(float(estimate))
-
-    def _finish_shutdown(self) -> None:
-        """Drain (or cancel) everything still queued after the sentinel."""
-        pending: list[_Request] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                pending.append(item)
-        if not self._drain_on_close:
-            for request in pending:
-                request.future.cancel()
-            return
-        for start in range(0, len(pending), self._max_batch_size):
-            self._execute(pending[start:start + self._max_batch_size])

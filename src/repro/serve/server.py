@@ -63,15 +63,13 @@ import threading
 
 from repro import obs
 from repro.estimators.base import CardinalityEstimator
-from repro.featurize.base import LosslessnessError
 from repro.metrics import qerror
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 from repro.serve.batcher import BatcherClosedError, MicroBatcher
 from repro.serve.cache import EstimateCache, ParseCache
 from repro.serve.fused import EstimatePipeline
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
-from repro.sql.ast import UnsupportedQueryError
-from repro.sql.parser import SqlSyntaxError, fingerprint_sql
+from repro.sql.parser import fingerprint_sql
 
 __all__ = ["EstimationService", "EstimationServer",
            "ServiceUnavailableError", "parse_feedback"]
@@ -177,8 +175,6 @@ class EstimationService:
         A fitted estimator with a single-table featurizer and
         ``estimate_features``; any other raises ``TypeError`` (see
         :class:`~repro.serve.fused.EstimatePipeline`).
-    max_batch_size / max_wait_ms:
-        Micro-batching knobs, see :class:`~repro.serve.batcher.MicroBatcher`.
     cache_size:
         LRU estimate-cache capacity (keyed on request SQL text); ``0``
         disables caching.
@@ -200,7 +196,6 @@ class EstimationService:
     """
 
     def __init__(self, estimator: CardinalityEstimator,
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0,
                  cache_size: int = 1024, max_inflight: int = 256,
                  model_version: str | None = None, tick_every: int = 0,
                  latency_slo: float = 0.5, qerror_slo: float = 10.0,
@@ -212,9 +207,7 @@ class EstimationService:
             raise ValueError(f"tick_every must be >= 0, got {tick_every}")
         self._estimator = estimator
         self._pipeline = EstimatePipeline(estimator)
-        self._batcher = MicroBatcher(self._pipeline.execute,
-                                     max_batch_size=max_batch_size,
-                                     max_wait_ms=max_wait_ms)
+        self._batcher = MicroBatcher(self._pipeline.execute)
         self._cache = EstimateCache(max_size=cache_size)
         self._max_inflight = max_inflight
         self._inflight = 0
@@ -378,7 +371,7 @@ class EstimationService:
             self._qerror_slo.observe(observed)
             try:
                 fingerprint, _ = fingerprint_sql(sql)
-            except (ValueError, SqlSyntaxError):
+            except ValueError:
                 fingerprint = None
             if fingerprint is not None:
                 obs.get_event_log().attach_qerror(fingerprint, observed,
@@ -393,7 +386,7 @@ class EstimationService:
         if telemetry.sql is not None:
             try:
                 fingerprint, _ = fingerprint_sql(telemetry.sql)
-            except (ValueError, SqlSyntaxError):
+            except ValueError:
                 fingerprint = None
         obs.get_event_log().record(
             trace_id=telemetry.trace_id,
@@ -561,10 +554,11 @@ class _RequestHandler(JsonRequestHandler):
             self._send_json(503, {"error": str(exc)},
                             extra_headers={
                                 "Retry-After": str(exc.retry_after)})
-        except (ValueError, KeyError, SqlSyntaxError, UnsupportedQueryError,
-                LosslessnessError) as exc:
-            # KeyError is the featurizer's unknown-attribute complaint —
-            # a client mistake, not a server fault.
+        except (ValueError, KeyError) as exc:
+            # ValueError covers the parser's and featurizer's rejections
+            # (their error classes subclass it); KeyError is the
+            # featurizer's unknown-attribute complaint — a client
+            # mistake, not a server fault.
             obs.get_registry().counter("serve.errors_total").inc()
             message = exc.args[0] if exc.args else str(exc)
             self._send_json(400, {"error": str(message)})

@@ -256,12 +256,15 @@ def iter_simple_predicates(expr: BoolExpr) -> Iterator[SimplePredicate]:
     """
     for pred in iter_predicates(expr):
         if not isinstance(pred, SimplePredicate):
-            raise UnsupportedQueryError(
-                f"string predicate {pred.to_sql()!r} must be desugared to "
-                "numeric code predicates first (repro.sql.strings."
-                "desugar_strings)"
-            )
+            raise _not_desugared(pred)
         yield pred
+
+
+def _not_desugared(pred: BoolExpr) -> UnsupportedQueryError:
+    return UnsupportedQueryError(
+        f"string predicate {pred.to_sql()!r} must be desugared to "
+        "numeric code predicates first (repro.sql.strings.desugar_strings)"
+    )
 
 
 def attributes_of(expr: BoolExpr) -> tuple[str, ...]:
@@ -313,12 +316,15 @@ MAX_COMPOUND_BRANCHES = 256
 def _single_attribute_dnf(expr: BoolExpr) -> tuple[tuple[SimplePredicate, ...], ...]:
     """Convert a single-attribute boolean tree into DNF.
 
-    Raises :class:`UnsupportedQueryError` when the form would have more
-    than :data:`MAX_COMPOUND_BRANCHES` branches; a cross product is
-    counted before it is built.
+    Raises :class:`UnsupportedQueryError` for a string leaf (it must be
+    desugared first, as for :func:`iter_simple_predicates`) and when the
+    form would have more than :data:`MAX_COMPOUND_BRANCHES` branches; a
+    cross product is counted before it is built.
     """
-    if isinstance(expr, LEAF_TYPES):
+    if isinstance(expr, SimplePredicate):
         return ((expr,),)
+    if isinstance(expr, LEAF_TYPES):
+        raise _not_desugared(expr)
     if isinstance(expr, Or):
         branches: list[tuple[SimplePredicate, ...]] = []
         for child in expr.children:
@@ -349,9 +355,9 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
     Returns a mapping from attribute to its compound predicate in
     disjunctive form.  Raises :class:`UnsupportedQueryError` when the
     expression is not a conjunction of single-attribute compounds — e.g.
-    when a disjunction spans two different attributes — or when a
-    compound's disjunctive form would exceed
-    :data:`MAX_COMPOUND_BRANCHES` branches.
+    when a disjunction spans two different attributes — when it holds a
+    string predicate not yet desugared, or when a compound's disjunctive
+    form would exceed :data:`MAX_COMPOUND_BRANCHES` branches.
     """
     top_level = expr.children if isinstance(expr, And) else (expr,)
     compounds: dict[str, list[BoolExpr]] = {}

@@ -78,8 +78,7 @@ def make_service(estimator, factor: float = 1.0,
     wrapped = (estimator if factor == 1.0
                else ScaledEstimator(estimator, factor=factor,
                                     name=f"scaled-{factor:g}"))
-    return EstimationService(wrapped, max_batch_size=8, max_wait_ms=1.0,
-                             cache_size=0, max_inflight=64,
+    return EstimationService(wrapped, cache_size=0, max_inflight=64,
                              model_version=version, tick_every=0)
 
 

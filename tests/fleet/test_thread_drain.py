@@ -31,7 +31,7 @@ def test_batcher_close_joins_its_worker():
         return [1.0] * len(items)
 
     before = set(threading.enumerate())
-    batcher = MicroBatcher(slow_batch, max_batch_size=1, max_wait_ms=0)
+    batcher = MicroBatcher(slow_batch)
     threads = daemons_started_since(before)
     assert threads
     future = batcher.submit("q")

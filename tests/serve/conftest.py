@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.estimators import LearnedEstimator
-from repro.featurize import ConjunctiveEncoding
+from repro.featurize import ConjunctiveEncoding, DisjunctionEncoding
 from repro.models import GradientBoostingRegressor
 
 
@@ -21,6 +21,18 @@ def serve_estimator(small_forest, conjunctive_workload):
     items = list(conjunctive_workload)[:200]
     return LearnedEstimator(
         ConjunctiveEncoding(small_forest, max_partitions=8),
+        GradientBoostingRegressor(n_estimators=10),
+    ).fit([item.query for item in items],
+          np.asarray([item.cardinality for item in items], dtype=float))
+
+
+@pytest.fixture(scope="module")
+def complex_estimator(small_forest, mixed_workload):
+    """A GB estimator under Limited Disjunction Encoding: it serves the
+    AND/OR statements the conjunctive estimators reject."""
+    items = list(mixed_workload)[:200]
+    return LearnedEstimator(
+        DisjunctionEncoding(small_forest, max_partitions=8),
         GradientBoostingRegressor(n_estimators=10),
     ).fit([item.query for item in items],
           np.asarray([item.cardinality for item in items], dtype=float))

@@ -4,16 +4,27 @@ stress test (bitwise batch-vs-sequential identity)."""
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.serve import BatcherClosedError, MicroBatcher
-from repro.serve.server import EstimationService
+from repro.serve import (
+    BatcherClosedError,
+    EstimationServer,
+    EstimationService,
+    MicroBatcher,
+    ServeClient,
+    ServeClientError,
+)
 from repro.sql.parser import parse_query
+from tests.serve.test_server import SlowEstimator
 
 #: A statement the forest estimators reject (unknown attribute).
 BAD_SQL = "SELECT count(*) FROM forest WHERE nosuchcol >= 3"
+
+#: Seconds any wait or join of a test gets.
+JOIN_TIMEOUT = 30.0
 
 
 class RecordingBackend:
@@ -29,51 +40,127 @@ class RecordingBackend:
         with self._lock:
             self.batches.append(len(queries))
         if self._delay:
-            import time
-
             time.sleep(self._delay)
         if self._fail:
             raise RuntimeError("backend exploded")
         return np.asarray([float(len(str(q))) for q in queries])
 
 
+class GatedEstimator(SlowEstimator):
+    """Wraps an estimator; every predict records its rows, then blocks
+    until ``release`` is set."""
+
+    def __init__(self, base) -> None:
+        super().__init__(base, delay=0.0)
+        self.rows: list[int] = []
+        self.release = threading.Event()
+
+    def estimate_features(self, features):
+        self.rows.append(len(features))
+        assert self.release.wait(timeout=JOIN_TIMEOUT)
+        return super().estimate_features(features)
+
+
+class BlockingBackend(RecordingBackend):
+    """A RecordingBackend whose calls block until ``release`` is set;
+    ``started`` is set once the first call is running."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def estimate_batch(self, queries):
+        self.started.set()
+        assert self.release.wait(timeout=JOIN_TIMEOUT)
+        return super().estimate_batch(queries)
+
+
 class TestBasics:
     def test_single_request_resolves(self, serve_estimator,
                                      conjunctive_workload):
         query = conjunctive_workload.queries[0]
-        with MicroBatcher(serve_estimator.estimate_batch,
-                          max_batch_size=4, max_wait_ms=1.0) as batcher:
+        with MicroBatcher(serve_estimator.estimate_batch) as batcher:
             result = batcher.submit(query).result(timeout=10)
         assert result == serve_estimator.estimate(query)
 
-    def test_validates_config(self, serve_estimator):
-        with pytest.raises(ValueError, match="max_batch_size"):
-            MicroBatcher(serve_estimator.estimate_batch, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatcher(serve_estimator.estimate_batch, max_wait_ms=-1)
+    def test_requests_arriving_during_an_execute_ride_the_next_batch(self):
+        backend = BlockingBackend()
+        with MicroBatcher(backend.estimate_batch) as batcher:
+            first = batcher.submit("q0")
+            assert backend.started.wait(timeout=JOIN_TIMEOUT)
+            # A batch has no cap of its own: all 100 ride the next one.
+            rest = [batcher.submit(f"q{i}") for i in range(1, 101)]
+            backend.release.set()
+            for future in [first, *rest]:
+                future.result(timeout=JOIN_TIMEOUT)
+        assert backend.batches == [1, 100]
 
-    def test_requests_actually_batch(self):
+    def test_a_lone_request_does_not_wait_for_company(self):
         backend = RecordingBackend()
-        with MicroBatcher(backend.estimate_batch, max_batch_size=8,
-                          max_wait_ms=50.0) as batcher:
-            futures = [batcher.submit(f"q{i}") for i in range(8)]
-            for future in futures:
-                future.result(timeout=10)
-        # A 50ms window and instant submissions: the first dispatch
-        # collects everything (the full batch triggers early dispatch).
-        assert max(backend.batches) > 1
-        assert sum(backend.batches) == 8
+        with MicroBatcher(backend.estimate_batch) as batcher:
+            start = time.perf_counter()
+            for i in range(200):
+                batcher.submit(f"q{i}").result(timeout=JOIN_TIMEOUT)
+            elapsed = time.perf_counter() - start
+        assert backend.batches == [1] * 200
+        # Well under a millisecond each: no request waits for company.
+        assert elapsed < 0.2, f"200 sequential requests took {elapsed:.3f}s"
 
     def test_backend_error_propagates_to_all_futures(self):
         backend = RecordingBackend(fail=True)
-        with MicroBatcher(backend.estimate_batch, max_batch_size=4,
-                          max_wait_ms=20.0) as batcher:
+        with MicroBatcher(backend.estimate_batch) as batcher:
             futures = [batcher.submit(f"q{i}") for i in range(3)]
             for future in futures:
                 with pytest.raises(RuntimeError, match="backend exploded"):
                     future.result(timeout=10)
         # Each item ran once: a failed batch is not re-run item by item.
         assert sum(backend.batches) == 3
+
+
+class TestAdmissionBoundsBatches:
+    """A batch has no cap of its own: each queued request holds one of
+    the service's ``max_inflight`` admission slots until it resolves."""
+
+    def test_no_batch_exceeds_the_inflight_limit(self, serve_estimator,
+                                                 conjunctive_workload):
+        limit, n_requests = 4, 8
+        sqls = [q.to_sql() for q in conjunctive_workload.queries[:n_requests]]
+        estimator = GatedEstimator(serve_estimator)
+        service = EstimationService(estimator, max_inflight=limit,
+                                    cache_size=0)
+        outcomes: list[object] = []
+        lock = threading.Lock()
+        start = threading.Barrier(n_requests)
+        with EstimationServer(service) as server:
+            def fire(sql: str) -> None:
+                with ServeClient(server.url, timeout=JOIN_TIMEOUT) as client:
+                    start.wait(timeout=JOIN_TIMEOUT)
+                    try:
+                        outcome: object = client.estimate(sql)["estimate"]
+                    except ServeClientError as exc:
+                        outcome = exc.status
+                with lock:
+                    outcomes.append(outcome)
+
+            threads = [threading.Thread(target=fire, args=(sql,))
+                       for sql in sqls]
+            for thread in threads:
+                thread.start()
+            # The admitted requests block in the gated predict, so the
+            # first answers to come back are the rejections.
+            deadline = time.monotonic() + JOIN_TIMEOUT
+            while len(outcomes) < n_requests - limit:
+                assert time.monotonic() < deadline, outcomes
+                time.sleep(0.005)
+            estimator.release.set()
+            for thread in threads:
+                thread.join(timeout=JOIN_TIMEOUT)
+            assert not any(thread.is_alive() for thread in threads)
+        assert sorted(o for o in outcomes if o == 503) == [503] * (
+            n_requests - limit)
+        assert len([o for o in outcomes if isinstance(o, float)]) == limit
+        assert estimator.rows and max(estimator.rows) <= limit
 
 
 class TestErrorIsolation:
@@ -85,10 +172,9 @@ class TestErrorIsolation:
         sqls = [q.to_sql() for q in conjunctive_workload.queries[:6]]
         expected = {sql: float(serve_estimator.estimate_batch(
             [parse_query(sql)])[0]) for sql in sqls}
-        # A full batch dispatches at once; the wide window only makes
-        # sure all seven requests ride the same one.
-        service = EstimationService(serve_estimator, max_batch_size=7,
-                                    max_wait_ms=2000.0)
+        # However the seven requests happen to batch, the bad one fails
+        # at resolve in its own thread.
+        service = EstimationService(serve_estimator)
         start = threading.Barrier(7)
         outcomes: dict[str, object] = {}
         lock = threading.Lock()
@@ -127,8 +213,7 @@ class TestShutdown:
 
     def test_close_drains_accepted_requests(self):
         backend = RecordingBackend(delay=0.02)
-        batcher = MicroBatcher(backend.estimate_batch, max_batch_size=2,
-                               max_wait_ms=0.0)
+        batcher = MicroBatcher(backend.estimate_batch)
         futures = [batcher.submit(f"q{i}") for i in range(20)]
         batcher.close(drain=True)
         # Every request accepted before close resolves with a value.
@@ -137,31 +222,22 @@ class TestShutdown:
         assert sum(backend.batches) == 20
 
     def test_close_without_drain_cancels_pending(self):
-        import time
-
-        release = threading.Event()
-        started = threading.Event()
-
-        def blocking_backend(queries):
-            started.set()
-            release.wait(timeout=10)
-            return np.zeros(len(queries))
-
-        batcher = MicroBatcher(blocking_backend, max_batch_size=1,
-                               max_wait_ms=0.0)
-        futures = [batcher.submit(f"q{i}") for i in range(10)]
-        assert started.wait(timeout=10)
+        backend = BlockingBackend()
+        batcher = MicroBatcher(backend.estimate_batch)
+        first = batcher.submit("q0")
+        assert backend.started.wait(timeout=JOIN_TIMEOUT)
+        pending = [batcher.submit(f"q{i}") for i in range(1, 10)]
         closer = threading.Thread(target=lambda: batcher.close(drain=False))
         closer.start()
         time.sleep(0.05)  # let close() mark the batcher closed
-        release.set()
-        closer.join(timeout=10)
+        backend.release.set()
+        closer.join(timeout=JOIN_TIMEOUT)
         assert not closer.is_alive()
-        # The batch already executing completes; everything still queued
-        # is cancelled rather than silently dropped.
-        assert futures[0].result(timeout=1) == 0.0
-        assert all(f.done() for f in futures)
-        assert all(f.cancelled() for f in futures[1:])
+        # The batch already executing completes; everything queued
+        # behind it is cancelled rather than silently dropped.
+        assert first.result(timeout=1) == float(len("q0"))
+        assert all(future.cancelled() for future in pending)
+        assert backend.batches == [1]
 
 
 class TestConcurrencyStress:
@@ -180,8 +256,7 @@ class TestConcurrencyStress:
         lock = threading.Lock()
         start = threading.Barrier(self.N_THREADS)
 
-        with MicroBatcher(serve_estimator.estimate_batch, max_batch_size=16,
-                          max_wait_ms=2.0) as batcher:
+        with MicroBatcher(serve_estimator.estimate_batch) as batcher:
             def worker(worker_id: int) -> None:
                 start.wait()
                 rng = np.random.default_rng(worker_id)
@@ -212,8 +287,7 @@ class TestConcurrencyStress:
         queries = conjunctive_workload.queries[:40]
         sqls = [q.to_sql() for q in queries]
         expected = {id(q): serve_estimator.estimate(q) for q in queries}
-        service = EstimationService(serve_estimator, max_batch_size=16,
-                                    max_wait_ms=2.0, cache_size=1024,
+        service = EstimationService(serve_estimator, cache_size=1024,
                                     max_inflight=512)
         failures: list[str] = []
         lock = threading.Lock()

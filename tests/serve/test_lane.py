@@ -3,8 +3,7 @@
 ``EstimatePipeline.resolve`` and ``execute`` hold the pipeline's lane.
 These tests drive the lane from many threads at once — answers stay
 bitwise-equal to a sequential ``estimate_batch`` and every thread
-finishes — show that the lane is not held across the micro-batcher's
-collection window, and that a traced request records its wait for the
+finishes — and show that a traced request records its wait for the
 lane as its own ``serve.lane.wait`` span.
 """
 
@@ -99,8 +98,7 @@ def sqls(conjunctive_workload):
 
 @pytest.fixture()
 def service(serve_estimator):
-    service = EstimationService(serve_estimator, cache_size=0,
-                                max_wait_ms=1.0)
+    service = EstimationService(serve_estimator, cache_size=0)
     yield service
     service.close()
 
@@ -114,31 +112,6 @@ def test_threads_mixing_verbs_match_sequential_estimates(
         sqls)
     assert len(answers) >= len(sqls)
     assert_sequential_equal(serve_estimator, answers)
-
-
-def test_batch_completes_while_a_single_request_waits_in_the_window(
-        serve_estimator, sqls):
-    window_ms = 3_000.0
-    service = EstimationService(serve_estimator, cache_size=0,
-                                max_wait_ms=window_ms)
-    try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            single = pool.submit(service.estimate, sqls[0])
-            # Let the single request resolve and enter the batcher,
-            # whose worker now waits out the window for company.
-            time.sleep(0.3)
-            batch = pool.submit(service.estimate_many_sql, sqls[1:17])
-            # A lane held across the window would keep the batch
-            # waiting until the window closes.
-            values = batch.result(timeout=window_ms / 2000.0)
-            assert not single.done(), "the window closed before the batch"
-            estimate, cached = single.result(timeout=JOIN_TIMEOUT)
-    finally:
-        service.close()
-    assert not cached
-    assert_sequential_equal(serve_estimator,
-                            [(sqls[0], estimate),
-                             *zip(sqls[1:17], values)])
 
 
 def test_lane_wait_is_a_span_under_each_waiting_request(service, sqls):

@@ -227,8 +227,7 @@ class TestConcurrentResolve:
         estimator, queries = case
         sqls = statement_stream(queries, seed=21)
         expected = dict(zip(sqls, reference(estimator, sqls)))
-        service = EstimationService(estimator, cache_size=0,
-                                    max_batch_size=16, max_wait_ms=1.0)
+        service = EstimationService(estimator, cache_size=0)
         failures: list[str] = []
         lock = threading.Lock()
         start = threading.Barrier(self.N_THREADS)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cli import _cmd_serve
+from repro.fleet.cli import build_parser as build_fleet_parser
 from repro.persistence import save_estimator
 from repro.serve import ModelRegistry, ServeClient
 
@@ -44,9 +45,22 @@ class TestServeCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--artifact", "m.npz"])
         assert args.port == 8642
-        assert args.max_batch_size == 64
         assert args.cache_size == 1024
         assert args.version == "latest"
+
+    @pytest.mark.parametrize("flag", [["--max-wait-ms", "1"],
+                                      ["--max-batch-size", "8"]])
+    @pytest.mark.parametrize("parser, command", [
+        (build_parser, ["serve", "--artifact", "m.npz"]),
+        (build_fleet_parser, ["fleet", "serve", "--registry", "r",
+                              "--model", "m"])],
+        ids=["serve", "fleet-serve"])
+    def test_batcher_flags_are_usage_errors(self, parser, command, flag):
+        # Batches form naturally; there is no window or cap to set.
+        parser().parse_args(command)
+        with pytest.raises(SystemExit) as excinfo:
+            parser().parse_args(command + flag)
+        assert excinfo.value.code == 2
 
     def _run_server(self, argv):
         args = build_parser().parse_args(argv)

@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.estimators import LearnedEstimator
 from repro.obs.events import EventLog
-from repro.featurize import DisjunctionEncoding
-from repro.models import GradientBoostingRegressor
 from repro.serve import (
     EstimationServer,
     EstimationService,
@@ -44,24 +41,12 @@ class SlowEstimator:
 @pytest.fixture()
 def running_server(serve_estimator):
     """A started server over the shared estimator; stopped afterwards."""
-    service = EstimationService(serve_estimator, max_batch_size=8,
-                                max_wait_ms=1.0, cache_size=128,
+    service = EstimationService(serve_estimator, cache_size=128,
                                 max_inflight=64)
     server = EstimationServer(service)
     server.start()
     yield server
     server.stop()
-
-
-@pytest.fixture(scope="module")
-def complex_estimator(small_forest, mixed_workload):
-    """A GB estimator under Limited Disjunction Encoding."""
-    items = list(mixed_workload)[:200]
-    return LearnedEstimator(
-        DisjunctionEncoding(small_forest, max_partitions=8),
-        GradientBoostingRegressor(n_estimators=10),
-    ).fit([item.query for item in items],
-          np.asarray([item.cardinality for item in items], dtype=float))
 
 
 def nested_sql(depth: int) -> str:
@@ -164,10 +149,9 @@ class TestErrorMapping:
         valid = sqls[:6]
         expected = {sql: float(serve_estimator.estimate_batch(
             [parse_query(sql)])[0]) for sql in valid}
-        # A full batch dispatches at once; the wide window only makes
-        # sure all seven requests ride the same one.
-        service = EstimationService(serve_estimator, max_batch_size=7,
-                                    max_wait_ms=2000.0)
+        # However the seven requests happen to batch, the bad one fails
+        # at resolve in its own handler thread.
+        service = EstimationService(serve_estimator)
         start = threading.Barrier(7)
         outcomes: dict[str, object] = {}
         lock = threading.Lock()
@@ -193,7 +177,7 @@ class TestErrorMapping:
         assert {sql: outcomes[sql] for sql in valid} == expected
 
     def test_complex_qft_resolves_attributes(self, complex_estimator):
-        service = EstimationService(complex_estimator, max_wait_ms=1.0)
+        service = EstimationService(complex_estimator)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             with pytest.raises(ServeClientError) as excinfo:
@@ -224,7 +208,7 @@ class TestErrorMapping:
         AST walker behind a handler thread copes, for a QFT that
         encodes it and for one that rejects it."""
         sql = nested_sql(MAX_PAREN_DEPTH)
-        service = EstimationService(complex_estimator, max_wait_ms=1.0)
+        service = EstimationService(complex_estimator)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             expected = complex_estimator.estimate_batch([parse_query(sql)])
@@ -236,7 +220,7 @@ class TestErrorMapping:
 
     def test_exponential_compound_is_400(self, complex_estimator):
         widest = MAX_COMPOUND_BRANCHES.bit_length() - 1
-        service = EstimationService(complex_estimator, max_wait_ms=1.0)
+        service = EstimationService(complex_estimator)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             sql = or_pairs_sql(widest)
@@ -280,7 +264,6 @@ class TestAdmissionControl:
     def test_saturated_service_returns_503_with_retry_after(
             self, serve_estimator, sqls):
         service = EstimationService(SlowEstimator(serve_estimator, 0.5),
-                                    max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=1)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
@@ -306,7 +289,6 @@ class TestAdmissionControl:
     def test_rejections_counted(self, serve_estimator, sqls):
         obs.reset()
         service = EstimationService(SlowEstimator(serve_estimator, 0.3),
-                                    max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=1)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
@@ -329,7 +311,6 @@ class TestGracefulDrain:
     def test_accepted_requests_survive_stop(self, serve_estimator, sqls):
         n_requests = 6
         service = EstimationService(SlowEstimator(serve_estimator, 0.1),
-                                    max_batch_size=1, max_wait_ms=0.0,
                                     cache_size=0, max_inflight=64)
         server = EstimationServer(service).start()
         client = ServeClient(server.url, timeout=30)
@@ -383,8 +364,7 @@ class TestMetricsByteStability:
             # Request latency is on /metrics: pin the clock it is read
             # from, so latencies are a function of the request sequence.
             obs.set_event_log(EventLog(clock_ns=stepping_clock()))
-            service = EstimationService(serve_estimator, max_batch_size=8,
-                                        max_wait_ms=0.0, cache_size=64,
+            service = EstimationService(serve_estimator, cache_size=64,
                                         max_inflight=32)
             with EstimationServer(service) as server:
                 client = ServeClient(server.url)

@@ -101,7 +101,7 @@ class TestWindowedDegradation:
                                                         serve_estimator,
                                                         sqls):
         service = EstimationService(serve_estimator, model_version="gb-a",
-                                    max_wait_ms=0.0, cache_size=32)
+                                    cache_size=32)
         window = obs.get_registry().histogram(
             "serve.request.seconds", label_names=("model", "cache"),
             window_ticks=8)
@@ -162,7 +162,7 @@ class TestTracedRoundTrip:
                                                        sqls):
         obs.enable()
         service = EstimationService(serve_estimator, model_version="gb-a",
-                                    max_wait_ms=0.0, cache_size=32)
+                                    cache_size=32)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             client.estimate(sqls[0])
@@ -196,8 +196,7 @@ class TestTracedRoundTrip:
     def test_stitched_trace_writes_one_json_document(self, serve_estimator,
                                                      sqls, tmp_path):
         obs.enable()
-        service = EstimationService(serve_estimator, model_version="gb-a",
-                                    max_wait_ms=0.0)
+        service = EstimationService(serve_estimator, model_version="gb-a")
         with EstimationServer(service) as server:
             ServeClient(server.url).estimate(sqls[0])
         spans = export.span_records(obs.get_tracer().finished())
@@ -219,8 +218,7 @@ class TestPrometheusScrape:
         obs.reset()
         obs.set_event_log(EventLog(clock_ns=stepping_clock()))
         service = EstimationService(serve_estimator, model_version="gb-a",
-                                    max_wait_ms=0.0, cache_size=64,
-                                    tick_every=4)
+                                    cache_size=64, tick_every=4)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             for sql in sqls[:4]:
@@ -260,7 +258,7 @@ class TestLabelValues:
             self, serve_estimator, sqls):
         service = EstimationService(serve_estimator,
                                     model_version="gb,cache=x",
-                                    max_wait_ms=0.0, cache_size=8)
+                                    cache_size=8)
         with EstimationServer(service) as server:
             client = ServeClient(server.url)
             client.estimate(sqls[0])   # miss

@@ -64,8 +64,8 @@ def cased(word: str):
 
 
 @st.composite
-def attributes(draw, tables=TABLES[:1]):
-    column = draw(st.sampled_from(COLUMNS))
+def attributes(draw, tables=TABLES[:1], columns=COLUMNS):
+    column = draw(st.sampled_from(columns))
     if draw(st.booleans()):
         return f"{draw(st.sampled_from(tables))}.{column}"
     return column
@@ -86,9 +86,9 @@ def comparisons(draw, attribute: str):
 
 
 @st.composite
-def compounds(draw, tables=TABLES[:1]):
+def compounds(draw, tables=TABLES[:1], columns=COLUMNS):
     """A Definition 3.3 compound predicate: AND/OR over one attribute."""
-    attribute = draw(attributes(tables))
+    attribute = draw(attributes(tables, columns))
     disjuncts = []
     for _ in range(draw(st.integers(1, 3))):
         terms = [draw(comparisons(attribute))
@@ -102,8 +102,9 @@ def compounds(draw, tables=TABLES[:1]):
 
 
 @st.composite
-def where_clauses(draw, tables=TABLES[:1], joins=()):
-    terms = [draw(compounds(tables)) for _ in range(draw(st.integers(1, 4)))]
+def where_clauses(draw, tables=TABLES[:1], joins=(), columns=COLUMNS):
+    terms = [draw(compounds(tables, columns))
+             for _ in range(draw(st.integers(1, 4)))]
     terms += list(joins)
     terms = draw(st.permutations(terms))
     joiner = f"{draw(GAP)}{draw(cased('and'))}{draw(GAP)}"
@@ -114,24 +115,27 @@ def where_clauses(draw, tables=TABLES[:1], joins=()):
 
 
 @st.composite
-def statements(draw):
+def statements(draw, tables=TABLES, columns=COLUMNS):
     """A valid ``SELECT count(*)`` statement, spelled the many ways the
-    grammar allows."""
-    two = draw(st.booleans())
-    tables = TABLES if two else TABLES[:1]
-    joins = (["t.id = u.t_id"] if two and draw(st.booleans()) else [])
+    grammar allows, over ``tables`` (a join takes the first two) and
+    ``columns``."""
+    two = len(tables) > 1 and draw(st.booleans())
+    tables = tables[:2] if two else tables[:1]
+    joins = ([f"{tables[0]}.id = {tables[1]}.{tables[0]}_id"]
+             if two and draw(st.booleans()) else [])
     words = [draw(cased("select")), draw(GAP), draw(cased("count")),
              draw(TIGHT), "(", draw(TIGHT), "*", draw(TIGHT), ")",
              draw(GAP), draw(cased("from")), draw(GAP),
              f"{draw(TIGHT)},{draw(TIGHT)}".join(tables)]
     if joins or draw(st.booleans()):
         words += [draw(GAP), draw(cased("where")), draw(GAP),
-                  draw(where_clauses(tables, joins))]
+                  draw(where_clauses(tables, joins, columns))]
     if draw(st.booleans()):
-        columns = draw(st.lists(attributes(tables), min_size=1, max_size=2))
+        grouped = draw(st.lists(attributes(tables, columns), min_size=1,
+                                max_size=2))
         words += [draw(GAP), draw(cased("group")), draw(GAP),
                   draw(cased("by")), draw(GAP),
-                  f"{draw(TIGHT)},{draw(TIGHT)}".join(columns)]
+                  f"{draw(TIGHT)},{draw(TIGHT)}".join(grouped)]
     words.append(draw(st.sampled_from(["", ";", " ;", ";\n", "  "])))
     return "".join(words)
 
@@ -146,10 +150,10 @@ SPLICES = st.sampled_from([
 
 
 @st.composite
-def broken(draw):
+def broken(draw, tables=TABLES, columns=COLUMNS):
     """A valid statement cut short, spliced into or with a character
     removed."""
-    sql = draw(statements())
+    sql = draw(statements(tables, columns))
     cut = draw(st.integers(0, len(sql)))
     action = draw(st.sampled_from(["truncate", "splice", "delete"]))
     if action == "truncate":
