@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,6 +74,13 @@ OP_CODES = {
     Op.GT: OP_GT,
     Op.GE: OP_GE,
 }
+
+#: :data:`OP_CODES` keyed by the members' identity: a lookup then
+#: hashes an int instead of calling ``Enum.__hash__``, a Python-level
+#: function on CPython 3.11.
+_OP_CODE_BY_ID = {id(op): code for op, code in OP_CODES.items()}
+_op_of = attrgetter("op")
+_value_of = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,7 @@ class BatchBuilder:
     def __init__(self, attributes: Sequence[str]) -> None:
         self._attributes = tuple(attributes)
         self._attr_index: list[int] = []
-        self._op_code: list[int] = []
-        self._value: list[float] = []
+        self._predicates: list[SimplePredicate] = []
         self._group_start: list[int] = []
         self._segment_start: list[int] = []
         self._segment_query: list[int] = []
@@ -158,29 +165,31 @@ class BatchBuilder:
         """Add query ``query``'s segments: ``(attr_id, branches)`` pairs
         in ascending ``attr_id``, each branch a non-empty conjunction."""
         attr_index = self._attr_index
-        op_code = self._op_code
-        value = self._value
+        predicates = self._predicates
         group_start = self._group_start
         for attr_id, branches in segments:
             self._segment_start.append(len(group_start))
             self._segment_query.append(query)
             self._segment_attr.append(attr_id)
-            first_row = len(value)
+            first_row = len(predicates)
             for branch in branches:
-                group_start.append(len(value))
-                for predicate in branch:
-                    op_code.append(OP_CODES[predicate.op])
-                    value.append(float(predicate.value))
-            attr_index.extend([attr_id] * (len(value) - first_row))
+                group_start.append(len(predicates))
+                predicates.extend(branch)
+            attr_index.extend([attr_id] * (len(predicates) - first_row))
 
     def build(self, n_queries: int) -> PredicateBatch:
         """The grouped batch of everything added so far."""
+        predicates = self._predicates
         return PredicateBatch(
             n_queries=n_queries,
             attributes=self._attributes,
             attr_index=np.array(self._attr_index, dtype=np.int64),
-            op_code=np.array(self._op_code, dtype=np.int64),
-            value=np.array(self._value, dtype=np.float64),
+            op_code=np.fromiter(
+                map(_OP_CODE_BY_ID.__getitem__,
+                    map(id, map(_op_of, predicates))),
+                dtype=np.int64, count=len(predicates)),
+            value=np.fromiter(map(float, map(_value_of, predicates)),
+                              dtype=np.float64, count=len(predicates)),
             group_start=np.array(self._group_start, dtype=np.int64),
             segment_start=np.array(self._segment_start, dtype=np.int64),
             segment_query=np.array(self._segment_query, dtype=np.int64),

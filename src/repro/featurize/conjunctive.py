@@ -219,8 +219,11 @@ class ConjunctiveEncoding(Featurizer):
         last = counts - 1
         mins = self._min_values[attr_ids]
         scaled = (values - mins) / self._domain_sizes[attr_ids] * counts
+        # Clamped as floats, so a literal that overflowed to +-inf is
+        # never cast; floor is monotone and both bounds are integers, so
+        # every finite value keeps its partition.
+        np.minimum(np.maximum(scaled, 0.0, out=scaled), last, out=scaled)
         idx = np.floor(scaled).astype(np.int64)
-        np.minimum(np.maximum(idx, 0, out=idx), last, out=idx)
         # Line 4 can land short of the last partition just above the
         # maximum (the domain size of a continuous attribute is its
         # span plus one).

@@ -88,9 +88,9 @@ class DisjunctionEncoding(ConjunctiveEncoding):
         for qi, expr in enumerate(exprs):
             if expr is None:
                 continue
-            builder.add_query(qi, sorted(
-                (attr_ids[attr], branches) for attr, branches
-                in self._compound_form(expr).items()))
+            compound = self._compound_form(expr)
+            builder.add_query(qi, sorted(zip(
+                map(attr_ids.__getitem__, compound), compound.values())))
         return builder.build(len(exprs))
 
     def _compound_form(self, expr: BoolExpr) -> CompoundForm:

@@ -18,7 +18,7 @@ maps built on one locked core (:class:`_LruCache`):
   statement's thousandth instance reuses the compiled plan, or the
   rejection, its first instance produced
   (:class:`~repro.serve.fused.Statement`) instead of re-running the
-  tokenizer, the recursive descent and the plan compile.
+  tokenizer, the descent and the plan compile.
 
 The two form the serving pipeline's cache ladder: exact SQL text →
 estimate (everything), fingerprint → statement (parse and compile).
@@ -184,7 +184,7 @@ class ParseCache(_LruCache):
     (``serve.parse_cache.*`` counters, :data:`PARSE_CACHE_SIZE` entries).
 
     Sits in front of the parser on the request path: an instance of a
-    previously seen statement skips tokenization, recursive descent and
+    previously seen statement skips tokenization, the descent and
     plan compilation entirely.  Every stored statement was planned
     from :func:`repro.sql.parser.parse_template` of its key — the
     descent :func:`~repro.sql.parser.parse_query` runs, with slot

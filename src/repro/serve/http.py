@@ -37,6 +37,14 @@ __all__ = ["JsonRequestHandler", "ThreadedJsonServer", "MAX_BODY_BYTES"]
 MAX_BODY_BYTES = 1 << 20
 
 
+def _is_length(value: str) -> bool:
+    """Whether a ``Content-Length`` value is ``1*DIGIT`` once its
+    optional whitespace is stripped (``int`` would also read signs,
+    underscores and non-ASCII digits)."""
+    value = value.strip(" \t")
+    return value.isascii() and value.isdigit()
+
+
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """Keep-alive JSON handler base; subclasses add the routing.
 
@@ -88,38 +96,46 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Parse the request line and headers, then read the body.
 
-        Runs before routing.  A ``Content-Length`` that is not a
-        non-negative integer is answered ``400``, one above
-        :data:`MAX_BODY_BYTES` ``413``, without reading the body.
-        Either answer closes the connection: the unread body would
-        otherwise be parsed as the next request.  A shorter body than
-        declared means the connection died mid-request (the peer left,
-        or ``stop()`` half-closed it): it closes unanswered, a
-        transport error the caller may re-send, never a 4xx.
+        Runs before routing.  The body is framed strictly (RFC 9112
+        §6): by at most one ``Content-Length`` field whose value, less
+        surrounding spaces and tabs, is ASCII digits, and never by a
+        ``Transfer-Encoding``, since the handler decodes none.  A
+        request framed any other way is answered ``400``, a length
+        above :data:`MAX_BODY_BYTES` ``413``, without reading the body:
+        two parties that frame one request differently are what request
+        smuggling exploits.  Either answer closes the connection: the
+        unread body would otherwise be parsed as the next request.  A
+        shorter body than declared means the connection died
+        mid-request (the peer left, or ``stop()`` half-closed it): it
+        closes unanswered, a transport error the caller may re-send,
+        never a 4xx.
         """
         if not super().parse_request():
             return False
         self._body = b""
-        declared = self.headers.get("Content-Length")
-        if declared is None:
-            return True
-        try:
-            length = int(declared)
-        except ValueError:
-            length = -1
-        if length < 0:
+        declared = self.headers.get_all("Content-Length", [])
+        if "Transfer-Encoding" in self.headers:
             status = 400
-            message = f"invalid Content-Length {declared!r}"
-        elif length > MAX_BODY_BYTES:
+            message = "Transfer-Encoding is not supported"
+        elif not declared:
+            return True
+        elif len(declared) > 1:
+            status = 400
+            message = f"{len(declared)} Content-Length fields"
+        elif not _is_length(declared[0]):
+            status = 400
+            message = f"invalid Content-Length {declared[0]!r}"
+        else:
+            length = int(declared[0])
+            if length <= MAX_BODY_BYTES:
+                self._body = self.rfile.read(length)
+                if len(self._body) == length:
+                    return True
+                self.close_connection = True
+                return False
             status = 413
             message = (f"request body of {length} bytes exceeds the "
                        f"{MAX_BODY_BYTES}-byte limit")
-        else:
-            self._body = self.rfile.read(length)
-            if len(self._body) == length:
-                return True
-            self.close_connection = True
-            return False
         self.close_connection = True
         self._send_json(status, {"error": message},
                         extra_headers={"Connection": "close"})

@@ -7,7 +7,7 @@ key/foreign-key joins.  This subpackage provides:
 * :mod:`repro.sql.ast` — the query representation all featurizers and
   estimators consume, including normalisation into the paper's
   Definition 3.3 *mixed query* form.
-* :mod:`repro.sql.parser` — a recursive-descent parser from SQL text.
+* :mod:`repro.sql.parser` — a descent parser from SQL text.
 * :mod:`repro.sql.executor` — a vectorised executor that computes *true*
   result cardinalities (the training labels).
 """

@@ -313,40 +313,93 @@ CompoundForm = Mapping[str, tuple[tuple[SimplePredicate, ...], ...]]
 MAX_COMPOUND_BRANCHES = 256
 
 
-def _single_attribute_dnf(expr: BoolExpr) -> tuple[tuple[SimplePredicate, ...], ...]:
-    """Convert a single-attribute boolean tree into DNF.
-
-    Raises :class:`UnsupportedQueryError` for a string leaf (it must be
-    desugared first, as for :func:`iter_simple_predicates`) and when the
-    form would have more than :data:`MAX_COMPOUND_BRANCHES` branches; a
-    cross product is counted before it is built.
-    """
-    if isinstance(expr, SimplePredicate):
-        return ((expr,),)
-    if isinstance(expr, LEAF_TYPES):
-        raise _not_desugared(expr)
-    if isinstance(expr, Or):
-        branches: list[tuple[SimplePredicate, ...]] = []
-        for child in expr.children:
-            branches.extend(_single_attribute_dnf(child))
-        if len(branches) > MAX_COMPOUND_BRANCHES:
-            raise _too_many_branches(len(branches))
-        return tuple(branches)
-    # And: cross product of children's DNFs.
-    result: list[tuple[SimplePredicate, ...]] = [()]
-    for child in expr.children:
-        child_dnf = _single_attribute_dnf(child)
-        if len(result) * len(child_dnf) > MAX_COMPOUND_BRANCHES:
-            raise _too_many_branches(len(result) * len(child_dnf))
-        result = [existing + branch for existing in result for branch in child_dnf]
-    return tuple(result)
-
-
 def _too_many_branches(count: int) -> UnsupportedQueryError:
     return UnsupportedQueryError(
         f"compound predicate expands to at least {count} disjunction "
         f"branches; at most {MAX_COMPOUND_BRANCHES} are supported"
     )
+
+
+#: A disjunctive form, or the error building it raises.  Forms are
+#: built term by term but an error is raised only once every term is
+#: known to reference one attribute: a multi-attribute term wins.
+_Form = Union[tuple[tuple[SimplePredicate, ...], ...], UnsupportedQueryError]
+
+
+def _conjoin(forms: list[_Form]) -> _Form:
+    """The AND of ``forms``: the cross product of their branches, in
+    order.  A cross product is counted before it is built."""
+    result: list[tuple[SimplePredicate, ...]] = [()]
+    for form in forms:
+        if isinstance(form, UnsupportedQueryError):
+            return form
+        if len(result) * len(form) > MAX_COMPOUND_BRANCHES:
+            return _too_many_branches(len(result) * len(form))
+        result = [existing + branch for existing in result
+                  for branch in form]
+    return tuple(result)
+
+
+def _disjoin(forms: list[_Form]) -> _Form:
+    """The OR of ``forms``: their branches, in order, counted once all
+    are in."""
+    branches: list[tuple[SimplePredicate, ...]] = []
+    for form in forms:
+        if isinstance(form, UnsupportedQueryError):
+            return form
+        branches.extend(form)
+    if len(branches) > MAX_COMPOUND_BRANCHES:
+        return _too_many_branches(len(branches))
+    return tuple(branches)
+
+
+def _walk(expr: BoolExpr, attributes: dict[str, None]) -> _Form:
+    """``expr``'s disjunctive form; adds its attributes to ``attributes``
+    in first-seen order.  Visits every leaf, whatever the form."""
+    if isinstance(expr, SimplePredicate):
+        attributes[expr.attribute] = None
+        return ((expr,),)
+    if isinstance(expr, LEAF_TYPES):
+        attributes[expr.attribute] = None
+        return _not_desugared(expr)
+    if isinstance(expr, Or):
+        return _disjoin([_walk(child, attributes) for child in expr.children])
+    if isinstance(expr, And):
+        return _conjoin([_walk(child, attributes) for child in expr.children])
+    raise TypeError(f"not a boolean expression: {type(expr).__name__}")
+
+
+def _term_form(term: BoolExpr) -> tuple[tuple[str, ...], _Form]:
+    """One top-level term's attributes, in first-seen order, and its
+    disjunctive form.
+
+    The generator's compound shape, a disjunction of leaves and of
+    conjunctions of leaves, all on one attribute, is read directly; any
+    other term is walked once (:func:`_walk`).
+    """
+    if type(term) is Or:
+        first = term.children[0]
+        if type(first) is And:
+            first = first.children[0]
+        attribute = getattr(first, "attribute", None)
+        branches: list[tuple[SimplePredicate, ...]] = []
+        for child in term.children:
+            leaves = child.children if type(child) is And else (child,)
+            for leaf in leaves:
+                if type(leaf) is not SimplePredicate \
+                        or leaf.attribute != attribute:
+                    break
+            else:
+                branches.append(leaves)
+                continue
+            break
+        else:
+            if len(branches) > MAX_COMPOUND_BRANCHES:
+                return (attribute,), _too_many_branches(len(branches))
+            return (attribute,), tuple(branches)
+    attributes: dict[str, None] = {}
+    form = _walk(term, attributes)
+    return tuple(attributes), form
 
 
 def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, ...], ...]]:
@@ -357,23 +410,32 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
     expression is not a conjunction of single-attribute compounds — e.g.
     when a disjunction spans two different attributes — when it holds a
     string predicate not yet desugared, or when a compound's disjunctive
-    form would exceed :data:`MAX_COMPOUND_BRANCHES` branches.
+    form would exceed :data:`MAX_COMPOUND_BRANCHES` branches.  A
+    multi-attribute term is reported first; otherwise the compounds are
+    built in first-seen attribute order, each the AND of its terms.
     """
     top_level = expr.children if isinstance(expr, And) else (expr,)
-    compounds: dict[str, list[BoolExpr]] = {}
+    terms: dict[str, list[_Form]] = {}
     for item in top_level:
-        attrs = attributes_of(item)
-        if len(attrs) != 1:
+        if type(item) is SimplePredicate:
+            attributes, form = (item.attribute,), ((item,),)
+        else:
+            attributes, form = _term_form(item)
+        if len(attributes) != 1:
             raise UnsupportedQueryError(
                 "not a mixed query (Definition 3.3): the term "
-                f"{shape_sql(item)!r} references attributes {list(attrs)}; "
-                "compound predicates must reference exactly one attribute"
+                f"{shape_sql(item)!r} references attributes "
+                f"{list(attributes)}; compound predicates must reference "
+                "exactly one attribute"
             )
-        compounds.setdefault(attrs[0], []).append(item)
-    return {
-        attr: _single_attribute_dnf(And(items) if len(items) > 1 else items[0])
-        for attr, items in compounds.items()
-    }
+        terms.setdefault(attributes[0], []).append(form)
+    compounds = {}
+    for attribute, forms in terms.items():
+        form = forms[0] if len(forms) == 1 else _conjoin(forms)
+        if isinstance(form, UnsupportedQueryError):
+            raise form
+        compounds[attribute] = form
+    return compounds
 
 
 @dataclass(frozen=True)

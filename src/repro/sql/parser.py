@@ -1,4 +1,4 @@
-"""A recursive-descent parser for ``SELECT count(*)`` queries.
+"""A descent parser for ``SELECT count(*)`` queries.
 
 Grammar (case-insensitive keywords)::
 
@@ -22,7 +22,14 @@ comparisons cover everything else.  Parentheses nest at most
 
 **Parse once.**  :func:`fingerprint_sql` masks every numeric literal out
 of the text as ``?``, in textual order; its key is the parser's input.
-One tokenizer-and-descent pass over the key builds the query:
+One tokenizer-and-descent pass over the key builds the query.  The
+tokenizer classifies every token once, and a whole ``identifier op ?``
+comparison is one token; the WHERE clause is read by one loop with an
+explicit stack for its parentheses, which builds each such comparison's
+:class:`~repro.sql.ast.SimplePredicate` without re-running its
+validating constructor and every ``And``/``Or`` already flat.  Every
+other read sees the plain token stream, so the grammar and its errors
+are those of a textbook descent.  The descent is shared:
 
 * :func:`parse_template` stamps slot index ``i`` into the ``i``-th
   ``?`` — the statement's *template*, which the serving layer plans
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
@@ -123,25 +131,32 @@ def fingerprint_sql(sql: str) -> tuple[str, tuple[float, ...]]:
 # ---------------------------------------------------------------------------
 
 # A fingerprint key holds no numbers, only ``?`` slots.  Each match is
-# one token: exactly one group is non-empty, and the descent reads a
-# token by the index of that group.  ``-?`` is a slot with a sign glued
-# to the word before it (``x-5``): never valid, but a number to the
-# grammar, so it fails where a number would.
+# one token, classified by which groups are non-empty:
+#
+# * a whole ``identifier op ?`` comparison (the bulk of any WHERE
+#   clause) fills the first three groups.  The lookahead leaves a
+#   keyword-led one (``and = ?``) to the plain tokens, so its identifier
+#   is never a keyword: ``(?i:...)`` folds a few non-ASCII letters too
+#   (``lıke``), which the general comparison then reads as identifiers;
+# * a word (identifier or keyword) fills ``_WORD``;
+# * a slot, string literal, comparison operator or punctuation mark
+#   fills ``_SYMBOL``.  ``-?`` is a slot with a sign glued to the word
+#   before it (``x-5``): never valid, but a number to the grammar, so it
+#   fails where a number would;
+# * anything else fills ``_OTHER``.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-        ([A-Za-z_][\w.]*)            # identifier or keyword
-      | (-?\?)                       # numeric literal slot
-      | ('[^']*')                    # single-quoted string literal
-      | (<=|>=|<>|!=|=|<|>)          # comparison operator
-      | ([(),*])                     # punctuation
-      | (\S)                         # anything else
+        (?!(?i:select|count|from|where|group|by|and|or|like)(?![\w.]))
+        ([A-Za-z_][\w.]*)\s*(<=|>=|<>|!=|=|<|>)\s*(-?\?)
+      | ([A-Za-z_][\w.]*)
+      | (-?\?|'[^']*'|<=|>=|<>|!=|=|<|>|[(),*])
+      | (\S)
     )
     """,
     re.VERBOSE,
 )
-_WORD, _SLOT, _STRING, _OP, _PUNCT, _OTHER = range(6)
-_slot_of = itemgetter(_SLOT)
+_ATTRIBUTE, _OPERATOR, _CMP_SLOT, _WORD, _SYMBOL, _OTHER = range(6)
 _other_of = itemgetter(_OTHER)
 
 #: Past the last token: matches no kind.
@@ -149,20 +164,70 @@ _END = ("",) * 6
 
 _KEYWORDS = frozenset({"select", "count", "from", "where", "group", "by",
                        "and", "or", "like"})
+#: Every spelling ``str.lower`` reads as AND or OR (no non-ASCII letter
+#: lowers to one of theirs).
+_AND = frozenset(map("".join, product("aA", "nN", "dD")))
+_OR = frozenset(map("".join, product("oO", "rR")))
+_SLOTS = ("?", "-?")
+_OP_OF = {symbol: Op.from_symbol(symbol)
+          for symbol in ("=", "<>", "!=", "<", "<=", ">", ">=")}
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _text(token: tuple[str, ...]) -> str:
-    return "".join(token)
+    """A token as the error messages quote it: a whole comparison by its
+    identifier, the token the plain stream would hold there."""
+    return token[_ATTRIBUTE] or "".join(token)
 
 
-class _Descent:
-    """The grammar's productions over one fingerprint key's tokens.
+def _split(token: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """A whole comparison token as its identifier, operator and slot."""
+    return [("", "", "", token[_ATTRIBUTE], "", ""),
+            ("", "", "", "", token[_OPERATOR], ""),
+            ("", "", "", "", token[_CMP_SLOT], "")]
 
-    Each ``?`` slot the descent consumes takes the next of ``values``.
-    Join predicates are collected in textual order as the descent meets
-    them, so splitting them off needs no walk of the finished tree.
-    The whole key is tokenized before the descent starts: a character
-    outside the grammar is an error wherever it stands.
+
+def _node(cls: type, children: list) -> BoolExpr:
+    """``cls(children)`` of flat children, or the one child.
+
+    The descent flattens as it goes, so the node is built through
+    ``object.__new__``, as :func:`bind_template` builds, without the
+    constructor's flattening pass."""
+    if len(children) == 1:
+        return children[0]
+    node = _new(cls)
+    _set(node, "children", tuple(children))
+    return node
+
+
+def _add_disjunct(disjuncts: list, conjuncts: list) -> None:
+    """Close the AND group ``conjuncts`` into the OR's ``disjuncts``; a
+    parenthesized disjunction that is a whole group joins them flat."""
+    node = _node(And, conjuncts)
+    if type(node) is Or:
+        disjuncts.extend(node.children)
+    else:
+        disjuncts.append(node)
+
+
+class _KeyParser:
+    """The grammar over one fingerprint key's tokens.
+
+    The whole key is tokenized and checked before the descent starts: a
+    character outside the grammar, a ``?`` of the text itself (the key
+    then has more slots than ``values``) and a ``-?`` slot whose literal
+    is negative are errors wherever they stand.  Each ``?`` slot the
+    descent consumes takes the next of ``values``.  Join predicates are
+    collected in textual order as the descent meets them, so splitting
+    them off needs no walk of the finished tree.
+
+    A WHERE clause is read by one loop (:meth:`_expression`) that builds
+    a whole-comparison token's predicate directly.  Every other read
+    goes through :meth:`_take`, which first splits a whole comparison
+    into the plain tokens it stands for, so anywhere but a term's start
+    the descent sees exactly the plain token stream.
     """
 
     def __init__(self, key: str, values: Sequence[float]) -> None:
@@ -172,12 +237,21 @@ class _Descent:
         for token in filter(_other_of, tokens):
             raise SqlSyntaxError(
                 f"unexpected character {token[_OTHER]!r}")
-        slots = list(filter(None, map(_slot_of, tokens)))
-        if len(slots) != len(values):
+        if "'" in key or "-?" in key:
+            # A string literal may hold a '?', and a '-?' slot's sign is
+            # checked against its literal: read the slots off the tokens.
+            slots = [token[_CMP_SLOT] or token[_SYMBOL] for token in tokens
+                     if token[_CMP_SLOT] or token[_SYMBOL] in _SLOTS]
+            n_slots = len(slots)
+        else:
+            # Outside string literals every '?' is a slot.
+            slots = []
+            n_slots = key.count("?")
+        if n_slots != len(values):
             # The fingerprint masks each literal as one slot, so any
             # other slot is a '?' of the SQL text itself.
             raise SqlSyntaxError(
-                f"unexpected character '?' ({len(slots)} slots for "
+                f"unexpected character '?' ({n_slots} slots for "
                 f"{len(values)} literals)")
         if "-?" in slots:
             # 'x--5' masks '-5' and leaves a '-' no token starts with.
@@ -187,18 +261,20 @@ class _Descent:
         tokens.append(_END)
         self._tokens = tokens
         self._pos = 0
-        self._values = values
-        self._slot = 0
-        self._depth = 0
+        self._next_value = iter(values).__next__
         self._markers: list[_JoinMarker] = []
 
     # --- cursor ----------------------------------------------------------
 
     def _take(self) -> tuple[str, ...]:
-        token = self._tokens[self._pos]
+        pos = self._pos
+        token = self._tokens[pos]
         if token is _END:
             raise SqlSyntaxError("unexpected end of input")
-        self._pos += 1
+        if token[_ATTRIBUTE]:
+            self._tokens[pos:pos + 1] = _split(token)
+            token = self._tokens[pos]
+        self._pos = pos + 1
         return token
 
     def _accept(self, kind: int, text: str) -> bool:
@@ -231,24 +307,24 @@ class _Descent:
     def query(self) -> Query:
         self._expect(_WORD, "select")
         self._expect(_WORD, "count")
-        self._expect(_PUNCT, "(")
-        self._expect(_PUNCT, "*")
-        self._expect(_PUNCT, ")")
+        self._expect(_SYMBOL, "(")
+        self._expect(_SYMBOL, "*")
+        self._expect(_SYMBOL, ")")
         self._expect(_WORD, "from")
         tables = [self._identifier()]
-        while self._accept(_PUNCT, ","):
+        while self._accept(_SYMBOL, ","):
             tables.append(self._identifier())
 
         where: BoolExpr | None = None
         joins: list[JoinPredicate] = []
         if self._accept(_WORD, "where"):
-            where, joins = self._split_joins(self.or_expr())
+            where, joins = self._split_joins(self._expression())
 
         group_by: list[str] = []
         if self._accept(_WORD, "group"):
             self._expect(_WORD, "by")
             group_by.append(self._identifier())
-            while self._accept(_PUNCT, ","):
+            while self._accept(_SYMBOL, ","):
                 group_by.append(self._identifier())
 
         self._end()
@@ -257,7 +333,7 @@ class _Descent:
 
     def where(self) -> BoolExpr:
         """A bare WHERE expression: no join predicates, nothing after."""
-        expr = self.or_expr()
+        expr = self._expression()
         self._end()
         for marker in self._markers:
             raise UnsupportedQueryError(
@@ -266,59 +342,108 @@ class _Descent:
             )
         return expr
 
-    def or_expr(self) -> BoolExpr:
-        children = [self.and_expr()]
-        while self._accept(_WORD, "or"):
-            children.append(self.and_expr())
-        return children[0] if len(children) == 1 else Or(children)
+    def _expression(self) -> BoolExpr:
+        """``or_expr := and_expr (OR and_expr)*`` with ``and_expr := term
+        (AND term)*`` and ``term := '(' or_expr ')' | comparison``, in
+        one loop.
 
-    def and_expr(self) -> BoolExpr:
-        children = [self.term()]
-        while self._accept(_WORD, "and"):
-            children.append(self.term())
-        return children[0] if len(children) == 1 else And(children)
+        ``conjuncts`` are the terms of the open AND group, ``disjuncts``
+        the closed groups of the open OR, and ``stack`` each open
+        parenthesis's enclosing pair.  Children are built flat, as the
+        ``And``/``Or`` constructors would flatten them.
+        """
+        tokens = self._tokens
+        next_value = self._next_value
+        stack: list[tuple[list, list]] = []
+        disjuncts: list[BoolExpr] = []
+        conjuncts: list[BoolExpr] = []
+        pos = self._pos
+        while True:
+            token = tokens[pos]
+            attribute = token[_ATTRIBUTE]
+            if attribute:
+                predicate = _new(SimplePredicate)
+                _set(predicate, "__dict__", {
+                    "attribute": attribute,
+                    "op": _OP_OF[token[_OPERATOR]],
+                    "value": next_value()})
+                conjuncts.append(predicate)
+                pos += 1
+            elif token[_SYMBOL] == "(":
+                if len(stack) == MAX_PAREN_DEPTH:
+                    raise SqlSyntaxError(
+                        f"parentheses nest deeper than {MAX_PAREN_DEPTH} "
+                        "levels")
+                stack.append((disjuncts, conjuncts))
+                disjuncts = []
+                conjuncts = []
+                pos += 1
+                continue
+            else:
+                self._pos = pos
+                conjuncts.append(self._comparison())
+                pos = self._pos
+            # After a term: AND, OR, or the end of parenthesized groups.
+            while True:
+                token = tokens[pos]
+                word = token[_WORD]
+                if word in _AND:
+                    break
+                if word in _OR:
+                    _add_disjunct(disjuncts, conjuncts)
+                    conjuncts = []
+                    break
+                if not stack or token[_SYMBOL] != ")":
+                    self._pos = pos
+                    if stack:
+                        self._expect(_SYMBOL, ")")  # raises
+                    if not disjuncts:
+                        return _node(And, conjuncts)
+                    _add_disjunct(disjuncts, conjuncts)
+                    return _node(Or, disjuncts)
+                inner = disjuncts
+                disjuncts, outer = stack.pop()
+                if inner:
+                    _add_disjunct(inner, conjuncts)
+                    outer.append(_node(Or, inner))
+                else:
+                    outer.extend(conjuncts)
+                conjuncts = outer
+                pos += 1
+            pos += 1
 
-    def term(self) -> BoolExpr:
-        if not self._accept(_PUNCT, "("):
-            return self.comparison()
-        self._depth += 1
-        if self._depth > MAX_PAREN_DEPTH:
-            raise SqlSyntaxError(
-                f"parentheses nest deeper than {MAX_PAREN_DEPTH} levels")
-        expr = self.or_expr()
-        self._expect(_PUNCT, ")")
-        self._depth -= 1
-        return expr
-
-    def comparison(self) -> BoolExpr:
+    def _comparison(self) -> BoolExpr:
+        """A term that is not a whole ``identifier op ?`` token: a string,
+        ``LIKE`` or join predicate, a comparison whose identifier the
+        token's lookahead took for a keyword (``lıke = ?``), or an
+        error."""
         attribute = self._identifier("attribute")
         if self._accept(_WORD, "like"):
             token = self._take()
-            if not token[_STRING]:
+            if token[_SYMBOL][:1] != "'":
                 raise SqlSyntaxError(
                     f"LIKE expects a quoted pattern, got {_text(token)!r}")
-            return _like_predicate(attribute, token[_STRING][1:-1])
+            return _like_predicate(attribute, token[_SYMBOL][1:-1])
         token = self._take()
-        if not token[_OP]:
+        op = _OP_OF.get(token[_SYMBOL])
+        if op is None:
             raise SqlSyntaxError(f"expected 'op', got {_text(token)!r}")
-        op = Op.from_symbol(token[_OP])
         operand = self._take()
-        if operand[_SLOT]:
-            value = self._values[self._slot]
-            self._slot += 1
-            return SimplePredicate(attribute, op, value)
-        if operand[_STRING]:
+        symbol = operand[_SYMBOL]
+        if symbol in _SLOTS:
+            return SimplePredicate(attribute, op, self._next_value())
+        if symbol[:1] == "'":
             if op is not Op.EQ and op is not Op.NE:
                 raise SqlSyntaxError(
                     f"string literals support = and <> only, got "
-                    f"{token[_OP]!r}"
+                    f"{token[_SYMBOL]!r}"
                 )
-            return StringPredicate(attribute, op, operand[_STRING][1:-1])
+            return StringPredicate(attribute, op, symbol[1:-1])
         word = operand[_WORD]
         if word and word.lower() not in _KEYWORDS:
             if op is not Op.EQ:
                 raise SqlSyntaxError(
-                    f"only equi-joins are supported, got {token[_OP]!r} "
+                    f"only equi-joins are supported, got {token[_SYMBOL]!r} "
                     f"between {attribute!r} and {word!r}"
                 )
             marker = _JoinMarker(attribute, word)
@@ -406,19 +531,19 @@ def parse_template(key: str, n_literals: int) -> Query:
     of the text itself is a :class:`SqlSyntaxError`, since the key then
     has more slots than ``n_literals``.
     """
-    return _Descent(key, [float(i) for i in range(n_literals)]).query()
+    return _KeyParser(key, list(map(float, range(n_literals)))).query()
 
 
 def parse_query(sql: str) -> Query:
     """Parse a full ``SELECT count(*)`` statement into a :class:`Query`."""
     key, literals = fingerprint_sql(sql)
-    return _Descent(key, literals).query()
+    return _KeyParser(key, literals).query()
 
 
 def parse_where(sql: str) -> BoolExpr:
     """Parse a bare WHERE-clause expression (no joins) into a boolean AST."""
     key, literals = fingerprint_sql(sql)
-    return _Descent(key, literals).where()
+    return _KeyParser(key, literals).where()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,15 @@ bitwise; a body the reference can estimate is a 200, one it rejects a
 4xx.  Never a 5xx, and every example of a target goes over one
 keep-alive connection, which must stay open.  ``/v1/estimate`` rides the
 micro-batcher, so good and bad statements also meet in its batches.
+
+Request framing gets its own property: raw header blocks on a socket,
+with ``Content-Length`` values spelled with signs, underscores,
+whitespace, leading zeros, empty, huge, or short of or past the body,
+sometimes repeated, sometimes next to a ``Transfer-Encoding``.  Unless
+one well-formed length frames the body, the answer is a single 400 or
+413 with ``Connection: close`` and nothing is answered for the bytes
+that follow; a well-formed length gets the answer the request it
+frames gets.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import socket
 
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -29,6 +39,7 @@ from hypothesis import strategies as st
 from repro.fleet import RouterServer
 from repro.metrics import qerror
 from repro.serve import EstimationServer, EstimationService
+from repro.serve.http import MAX_BODY_BYTES
 from repro.sql.parser import parse_query
 from tests.fleet.conftest import fleet_estimator, local_fleet  # noqa: F401
 from tests.sql.test_parser_differential import (
@@ -251,6 +262,11 @@ def drive(surface: Surface, sqls: list[str], max_examples: int) -> None:
         {"sql": sqls[0], "true_cardinality": True}).encode()))
     @example(request=("/v1/estimate",
                       json.dumps({"sql": ODD_SQL[3]}).encode()))
+    # Literals that overflow a float: the partition lookup cast +-inf.
+    @example(request=("/v1/estimate",
+                      json.dumps({"sql": ODD_SQL[0]}).encode()))
+    @example(request=("/v1/estimate_batch",
+                      json.dumps({"sql": [ODD_SQL[1]]}).encode()))
     # A string literal on a numeric column, and LIKE, under Limited
     # Disjunction Encoding: both were 500s.
     @example(request=("/v1/estimate", b'{"sql": "select count(*) from '
@@ -263,6 +279,133 @@ def drive(surface: Surface, sqls: list[str], max_examples: int) -> None:
 
     check()
     surface.still_serving()
+
+
+def spellings(n: int):
+    """``Content-Length`` values around a body of ``n`` bytes."""
+    digits = str(n)
+    return st.one_of(
+        st.just(digits),
+        st.integers(0, n + 8).map(str),
+        st.integers(0, 3).map(lambda zeros: "0" * zeros + digits),
+        st.sampled_from([
+            "", " ", "-1", "-0", "+" + digits, "-" + digits,
+            digits[:1] + "_" + digits[1:], " " + digits, digits + " ",
+            "\t" + digits + "\t", digits[:1] + " " + digits[1:],
+            "\x0b" + digits, digits + "\x0c", digits + ".0", digits + "e0",
+            hex(n), "\xb2", digits + "," + digits, "9" * 30,
+            str(MAX_BODY_BYTES + 1)]))
+
+
+@st.composite
+def framings(draw, n: int):
+    """``(lengths, encoding)``: one or two Content-Length values, and a
+    Transfer-Encoding value or None."""
+    lengths = [draw(spellings(n))]
+    if draw(st.integers(0, 3)) == 0:
+        lengths.append(draw(spellings(n)))
+    encoding = None
+    if draw(st.integers(0, 4)) == 0:
+        encoding = draw(st.sampled_from(["chunked", "identity", "gzip"]))
+    return lengths, encoding
+
+
+def exchange(server, lengths: list[str], encoding: str | None,
+             body: bytes) -> bytes:
+    """POST ``body`` to ``/v1/estimate_batch`` under the given framing
+    on a fresh socket and half-close it; everything the server sends
+    until it closes the connection."""
+    head = ("POST /v1/estimate_batch HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            + "".join(f"Content-Length: {value}\r\n" for value in lengths)
+            + (f"Transfer-Encoding: {encoding}\r\n" if encoding else "")
+            + "\r\n")
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        sock.shutdown(socket.SHUT_WR)
+        return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def first_response(data: bytes) -> tuple[int, dict, dict, bytes]:
+    """Status, headers and JSON payload of the first response in
+    ``data``, and the bytes after it."""
+    head, _, data = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {name.strip().lower(): value.strip() for name, _, value
+               in (line.partition(":") for line in lines[1:])}
+    length = int(headers["content-length"])
+    return (int(lines[0].split()[1]), headers, json.loads(data[:length]),
+            data[length:])
+
+
+def well_formed(lengths: list[str], encoding: str | None) -> int | None:
+    """The body length the framing declares, or None if it is refused:
+    a single Content-Length of ASCII digits less optional whitespace,
+    and no Transfer-Encoding."""
+    if encoding is not None or len(lengths) != 1:
+        return None
+    value = lengths[0].strip(" \t")
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
+def drive_framing(server, sql: str, max_examples: int) -> None:
+    """Raw framings of one request body against ``server``."""
+    body = json.dumps({"sql": [sql]}).encode()
+    n = len(body)
+    answers: dict[bytes, tuple[int, dict]] = {}
+
+    def answer(part: bytes) -> tuple[int, dict]:
+        if part not in answers:
+            status, _, payload, rest = first_response(
+                exchange(server, [str(len(part))], None, part))
+            assert rest == b""
+            answers[part] = status, payload
+        return answers[part]
+
+    @seed(20261026)
+    @settings(max_examples=max_examples, deadline=None)
+    @given(framing=framings(n))
+    @example(framing=(["+" + str(n)], None))
+    @example(framing=([str(n)[:1] + "_" + str(n)[1:]], None))
+    @example(framing=([str(n), "5"], None))
+    @example(framing=([str(n)], "chunked"))
+    def check(framing: tuple[list[str], str | None]) -> None:
+        lengths, encoding = framing
+        data = exchange(server, lengths, encoding, body)
+        declared = well_formed(lengths, encoding)
+        if declared is not None and n < declared <= MAX_BODY_BYTES:
+            # The body ends short of the length: closed unanswered.
+            assert data == b"", (framing, data)
+            return
+        status, headers, payload, rest = first_response(data)
+        if declared is None or declared > MAX_BODY_BYTES:
+            assert status in (400, 413), (framing, status, payload)
+            assert headers["connection"] == "close", framing
+            assert isinstance(payload["error"], str)
+            assert rest == b"", (framing, rest)
+        else:
+            # The request is the first ``declared`` bytes; the rest is
+            # the connection's next request.
+            assert (status, payload) == answer(body[:declared]), framing
+
+    check()
+    assert answer(body)[0] == 200
+
+
+def test_server_frames_every_request_strictly(complex_estimator,
+                                              mixed_workload):
+    sql = mixed_workload.queries[0].to_sql()
+    with EstimationServer(EstimationService(complex_estimator)) as server:
+        drive_framing(server, sql, max_examples=60)
+
+
+def test_router_frames_every_request_strictly(
+        local_fleet, conjunctive_workload):  # noqa: F811
+    _, router = local_fleet(workers=2)
+    with RouterServer(router) as server:
+        drive_framing(server, conjunctive_workload.queries[0].to_sql(),
+                      max_examples=60)
 
 
 def test_server_answers_every_body_typed_or_exact(complex_estimator,

@@ -10,6 +10,13 @@ type.  For every valid statement the template the serving layer caches,
 parse, and re-binding it with the statement's literals must give that
 parse back: slot order is walk order.
 
+The served traffic's shape gets one more check: for statements of
+``generate_mixed_workload`` and ``generate_conjunctive_workload``, the
+plan ``compile_plan`` makes of ``parse_template``'s template equals,
+array for array, the plan of the oracle's template compiled through the
+compound-form oracle (:mod:`tests.sql.reference_compound`), under the
+``complex`` and ``conjunctive`` QFTs.
+
 Valid statements cover conjunctive and Definition 3.3 mixed WHERE
 clauses, joins, string and ``LIKE`` predicates, ``GROUP BY``, qualified
 names, negative and decimal literals, ``!=``, keywords in mixed case, a
@@ -25,6 +32,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.featurize import BY_PAPER_LABEL, disjunction
 from repro.sql import parser
 from repro.sql.parser import (
     bind_template,
@@ -32,6 +40,11 @@ from repro.sql.parser import (
     make_template,
     parse_template,
 )
+from repro.workloads import (
+    generate_conjunctive_workload,
+    generate_mixed_workload,
+)
+from tests.sql import reference_compound
 from tests.sql import reference_parser as oracle
 
 OPS = ["=", "<>", "!=", "<", "<=", ">", ">="]
@@ -267,6 +280,82 @@ class TestMalformedInput:
         "SELECT count(*) FROM t WHERE A > -5;;",
         "SELECT count(*) FROM t WHERE A = and",
         "select COUNT(*) from t where A != 3 group by A",
+        # Keyword-led comparisons: a keyword is never an attribute.
+        "SELECT count(*) FROM t WHERE and = 1",
+        "SELECT count(*) FROM t WHERE A = 1 AND Or >= 2",
+        "SELECT count(*) FROM t WHERE (A = 1 OR like < 2)",
+        "SELECT count(*) FROM t WHERE A = 1 and = 2",
+        "SELECT count(*) FROM t WHERE A = 1 GROUP BY = 2",
+        "SELECT count(*) FROM t WHERE order = 1 AND andy < 2 AND by.x > 3",
+        # str.lower() reads the Kelvin sign as 'k' but not the dotless
+        # i as 'i': the first spells LIKE, the second an attribute.
+        "SELECT count(*) FROM t WHERE n LI\u212aE 'a%'",
+        "SELECT count(*) FROM t WHERE li\u212ae = 1",
+        "SELECT count(*) FROM t WHERE l\u0131ke = 1 AND l\u0131ke < 2",
+        # A whole comparison where a single word belongs.
+        "SELECT count(*) FROM t = 1 WHERE A = 1",
+        "SELECT count(*) FROM t WHERE A = B = 1",
+        "SELECT count(*) FROM t, u WHERE t.a = 1 OR t.b = u.c = 2",
+        "SELECT count(*) FROM t WHERE A LIKE B = 1",
+        "SELECT count(x = 1) FROM t",
+        "SELECT count(*) FROM t WHERE (A = 1 B = 2)",
+        "SELECT count(*) FROM t WHERE A = 1 GROUP BY A = 2",
+        # Parentheses that close, open and flatten in every order.
+        "SELECT count(*) FROM t WHERE ((A = 1 OR A = 2)) AND (B = 1 AND "
+        "(B < 2 OR (B > 3 AND B < 4)))",
+        "SELECT count(*) FROM t WHERE (A = 1 OR (A = 2 OR A = 3)) OR A = 4",
+        "SELECT count(*) FROM t WHERE (A = 1) OR ((A = 2 AND A = 3) AND "
+        "A = 4)",
+        "SELECT count(*) FROM t WHERE (A = 1",
+        "SELECT count(*) FROM t WHERE A = 1)",
+        "SELECT count(*) FROM t WHERE ()",
     ])
     def test_fixed_cases(self, sql):
         assert_same(sql)
+        if not isinstance(outcome(oracle.parse_query, sql), type):
+            assert_template(sql)
+
+
+def plan_outcome(featurizer, template, n_literals: int):
+    """Every array of the template's plan, or the error compiling it
+    raised."""
+    try:
+        plan = featurizer.compile_plan(template, n_literals)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return plan.attributes, plan.n_literals, [
+        (array.dtype.str, array.tobytes()) for array in (
+            plan.attr_index, plan.op_code, plan.perm, plan.group_start,
+            plan.segment_start, plan.segment_attr)]
+
+
+class TestServedTraffic:
+    @pytest.fixture(scope="class")
+    def served(self, small_forest):
+        """Generated statements over a few seeds, and one featurizer of
+        each QFT the served workloads use."""
+        sqls = [query.to_sql()
+                for seed_ in (1, 2, 3)
+                for generate in (generate_mixed_workload,
+                                 generate_conjunctive_workload)
+                for query in generate(small_forest, 40, seed=seed_).queries]
+        featurizers = [BY_PAPER_LABEL[label](small_forest)
+                       for label in ("complex", "conjunctive")]
+        return sqls, featurizers
+
+    def test_templates_and_plans_match_the_oracles(self, served,
+                                                   monkeypatch):
+        sqls, featurizers = served
+        for sql in sqls:
+            key, literals = fingerprint_sql(sql)
+            template = parse_template(key, len(literals))
+            expected = make_template(oracle.parse_query(sql), literals)
+            assert template == expected, sql
+            for featurizer in featurizers:
+                planned = plan_outcome(featurizer, template, len(literals))
+                with monkeypatch.context() as patch:
+                    patch.setattr(disjunction, "to_compound_form",
+                                  reference_compound.to_compound_form)
+                    reference = plan_outcome(featurizer, expected,
+                                             len(literals))
+                assert planned == reference, (featurizer.name, sql)
