@@ -37,12 +37,23 @@ __all__ = ["JsonRequestHandler", "ThreadedJsonServer", "MAX_BODY_BYTES"]
 MAX_BODY_BYTES = 1 << 20
 
 
-def _is_length(value: str) -> bool:
-    """Whether a ``Content-Length`` value is ``1*DIGIT`` once its
-    optional whitespace is stripped (``int`` would also read signs,
-    underscores and non-ASCII digits)."""
+def _content_length(value: str) -> int | None:
+    """A ``Content-Length`` value's byte count, or ``None`` unless it is
+    ``1*DIGIT`` once its optional whitespace is stripped (``int`` would
+    also read signs, underscores and non-ASCII digits).
+
+    A value with more digits than :data:`MAX_BODY_BYTES`, leading zeros
+    aside, exceeds the limit whatever they are: it reads as one byte
+    past it, never through ``int``, which refuses strings of more than
+    4,300 digits.
+    """
     value = value.strip(" \t")
-    return value.isascii() and value.isdigit()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    value = value.lstrip("0")
+    if len(value) > len(str(MAX_BODY_BYTES)):
+        return MAX_BODY_BYTES + 1
+    return int(value or "0")
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
@@ -114,6 +125,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             return False
         self._body = b""
         declared = self.headers.get_all("Content-Length", [])
+        length = _content_length(declared[0]) if len(declared) == 1 else None
         if "Transfer-Encoding" in self.headers:
             status = 400
             message = "Transfer-Encoding is not supported"
@@ -122,20 +134,18 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         elif len(declared) > 1:
             status = 400
             message = f"{len(declared)} Content-Length fields"
-        elif not _is_length(declared[0]):
+        elif length is None:
             status = 400
             message = f"invalid Content-Length {declared[0]!r}"
+        elif length <= MAX_BODY_BYTES:
+            self._body = self.rfile.read(length)
+            if len(self._body) == length:
+                return True
+            self.close_connection = True
+            return False
         else:
-            length = int(declared[0])
-            if length <= MAX_BODY_BYTES:
-                self._body = self.rfile.read(length)
-                if len(self._body) == length:
-                    return True
-                self.close_connection = True
-                return False
             status = 413
-            message = (f"request body of {length} bytes exceeds the "
-                       f"{MAX_BODY_BYTES}-byte limit")
+            message = f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
         self.close_connection = True
         self._send_json(status, {"error": message},
                         extra_headers={"Connection": "close"})

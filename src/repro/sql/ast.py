@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -320,86 +321,57 @@ def _too_many_branches(count: int) -> UnsupportedQueryError:
     )
 
 
-#: A disjunctive form, or the error building it raises.  Forms are
-#: built term by term but an error is raised only once every term is
-#: known to reference one attribute: a multi-attribute term wins.
-_Form = Union[tuple[tuple[SimplePredicate, ...], ...], UnsupportedQueryError]
+#: A disjunctive form, the error building it raises, or ``None`` for a
+#: term known to reference two attributes, which is refused whatever
+#: its form.  Forms are built term by term but an error is raised only
+#: once every term is known to reference one attribute: a
+#: multi-attribute term wins.
+_Form = Union[tuple[tuple[SimplePredicate, ...], ...], UnsupportedQueryError,
+              None]
 
 
 def _conjoin(forms: list[_Form]) -> _Form:
     """The AND of ``forms``: the cross product of their branches, in
-    order.  A cross product is counted before it is built."""
-    result: list[tuple[SimplePredicate, ...]] = [()]
+    order, each branch one branch of every form joined.  The product is
+    counted before it is built."""
+    count = 1
     for form in forms:
         if isinstance(form, UnsupportedQueryError):
             return form
-        if len(result) * len(form) > MAX_COMPOUND_BRANCHES:
-            return _too_many_branches(len(result) * len(form))
-        result = [existing + branch for existing in result
-                  for branch in form]
-    return tuple(result)
+        count *= len(form)
+        if count > MAX_COMPOUND_BRANCHES:
+            return _too_many_branches(count)
+    return tuple(map(tuple, map(chain.from_iterable, product(*forms))))
 
 
 def _disjoin(forms: list[_Form]) -> _Form:
-    """The OR of ``forms``: their branches, in order, counted once all
-    are in."""
-    branches: list[tuple[SimplePredicate, ...]] = []
+    """The OR of ``forms``: their branches, in order, counted before
+    they are joined."""
     for form in forms:
         if isinstance(form, UnsupportedQueryError):
             return form
-        branches.extend(form)
-    if len(branches) > MAX_COMPOUND_BRANCHES:
-        return _too_many_branches(len(branches))
-    return tuple(branches)
+    count = sum(map(len, forms))
+    if count > MAX_COMPOUND_BRANCHES:
+        return _too_many_branches(count)
+    return tuple(chain.from_iterable(forms))
 
 
 def _walk(expr: BoolExpr, attributes: dict[str, None]) -> _Form:
     """``expr``'s disjunctive form; adds its attributes to ``attributes``
-    in first-seen order.  Visits every leaf, whatever the form."""
+    in first-seen order.  Visits every leaf, but combines no forms once
+    ``attributes`` holds a second name."""
     if isinstance(expr, SimplePredicate):
         attributes[expr.attribute] = None
         return ((expr,),)
     if isinstance(expr, LEAF_TYPES):
         attributes[expr.attribute] = None
         return _not_desugared(expr)
-    if isinstance(expr, Or):
-        return _disjoin([_walk(child, attributes) for child in expr.children])
-    if isinstance(expr, And):
-        return _conjoin([_walk(child, attributes) for child in expr.children])
+    if isinstance(expr, (And, Or)):
+        forms = [_walk(child, attributes) for child in expr.children]
+        if len(attributes) > 1:
+            return None
+        return _disjoin(forms) if isinstance(expr, Or) else _conjoin(forms)
     raise TypeError(f"not a boolean expression: {type(expr).__name__}")
-
-
-def _term_form(term: BoolExpr) -> tuple[tuple[str, ...], _Form]:
-    """One top-level term's attributes, in first-seen order, and its
-    disjunctive form.
-
-    The generator's compound shape, a disjunction of leaves and of
-    conjunctions of leaves, all on one attribute, is read directly; any
-    other term is walked once (:func:`_walk`).
-    """
-    if type(term) is Or:
-        first = term.children[0]
-        if type(first) is And:
-            first = first.children[0]
-        attribute = getattr(first, "attribute", None)
-        branches: list[tuple[SimplePredicate, ...]] = []
-        for child in term.children:
-            leaves = child.children if type(child) is And else (child,)
-            for leaf in leaves:
-                if type(leaf) is not SimplePredicate \
-                        or leaf.attribute != attribute:
-                    break
-            else:
-                branches.append(leaves)
-                continue
-            break
-        else:
-            if len(branches) > MAX_COMPOUND_BRANCHES:
-                return (attribute,), _too_many_branches(len(branches))
-            return (attribute,), tuple(branches)
-    attributes: dict[str, None] = {}
-    form = _walk(term, attributes)
-    return tuple(attributes), form
 
 
 def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, ...], ...]]:
@@ -417,10 +389,8 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
     top_level = expr.children if isinstance(expr, And) else (expr,)
     terms: dict[str, list[_Form]] = {}
     for item in top_level:
-        if type(item) is SimplePredicate:
-            attributes, form = (item.attribute,), ((item,),)
-        else:
-            attributes, form = _term_form(item)
+        attributes: dict[str, None] = {}
+        form = _walk(item, attributes)
         if len(attributes) != 1:
             raise UnsupportedQueryError(
                 "not a mixed query (Definition 3.3): the term "
@@ -428,7 +398,7 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
                 f"{list(attributes)}; compound predicates must reference "
                 "exactly one attribute"
             )
-        terms.setdefault(attributes[0], []).append(form)
+        terms.setdefault(next(iter(attributes)), []).append(form)
     compounds = {}
     for attribute, forms in terms.items():
         form = forms[0] if len(forms) == 1 else _conjoin(forms)

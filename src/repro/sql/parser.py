@@ -237,21 +237,15 @@ class _KeyParser:
         for token in filter(_other_of, tokens):
             raise SqlSyntaxError(
                 f"unexpected character {token[_OTHER]!r}")
-        if "'" in key or "-?" in key:
-            # A string literal may hold a '?', and a '-?' slot's sign is
-            # checked against its literal: read the slots off the tokens.
-            slots = [token[_CMP_SLOT] or token[_SYMBOL] for token in tokens
-                     if token[_CMP_SLOT] or token[_SYMBOL] in _SLOTS]
-            n_slots = len(slots)
-        else:
-            # Outside string literals every '?' is a slot.
-            slots = []
-            n_slots = key.count("?")
-        if n_slots != len(values):
+        # A string literal may hold a '?', so the slots are read off
+        # the tokens.
+        slots = [token[_CMP_SLOT] or token[_SYMBOL] for token in tokens
+                 if token[_CMP_SLOT] or token[_SYMBOL] in _SLOTS]
+        if len(slots) != len(values):
             # The fingerprint masks each literal as one slot, so any
             # other slot is a '?' of the SQL text itself.
             raise SqlSyntaxError(
-                f"unexpected character '?' ({n_slots} slots for "
+                f"unexpected character '?' ({len(slots)} slots for "
                 f"{len(values)} literals)")
         if "-?" in slots:
             # 'x--5' masks '-5' and leaves a '-' no token starts with.

@@ -293,8 +293,8 @@ def spellings(n: int):
             digits[:1] + "_" + digits[1:], " " + digits, digits + " ",
             "\t" + digits + "\t", digits[:1] + " " + digits[1:],
             "\x0b" + digits, digits + "\x0c", digits + ".0", digits + "e0",
-            hex(n), "\xb2", digits + "," + digits, "9" * 30,
-            str(MAX_BODY_BYTES + 1)]))
+            hex(n), "\xb2", digits + "," + digits, "9" * 30, "9" * 5000,
+            "0" * 5000 + digits, str(MAX_BODY_BYTES + 1)]))
 
 
 @st.composite
@@ -346,7 +346,14 @@ def well_formed(lengths: list[str], encoding: str | None) -> int | None:
     if encoding is not None or len(lengths) != 1:
         return None
     value = lengths[0].strip(" \t")
-    return int(value) if value.isascii() and value.isdigit() else None
+    if not (value.isascii() and value.isdigit()):
+        return None
+    # int() refuses more than 4,300 digits; more than the limit's
+    # digits, leading zeros aside, is past the limit.
+    value = value.lstrip("0") or "0"
+    if len(value) > len(str(MAX_BODY_BYTES)):
+        return MAX_BODY_BYTES + 1
+    return int(value)
 
 
 def drive_framing(server, sql: str, max_examples: int) -> None:
@@ -370,6 +377,8 @@ def drive_framing(server, sql: str, max_examples: int) -> None:
     @example(framing=([str(n)[:1] + "_" + str(n)[1:]], None))
     @example(framing=([str(n), "5"], None))
     @example(framing=([str(n)], "chunked"))
+    @example(framing=(["9" * 5000], None))
+    @example(framing=(["0" * 5000 + str(n)], None))
     def check(framing: tuple[list[str], str | None]) -> None:
         lengths, encoding = framing
         data = exchange(server, lengths, encoding, body)

@@ -4,8 +4,8 @@
 The direct reading of the contract: every top-level term's attributes
 first (:func:`~repro.sql.ast.attributes_of`), then each attribute's
 terms ANDed and brought into disjunctive form by a per-node recursion.
-``to_compound_form`` reads each term once and the generator's shapes
-directly; ``tests/sql/test_compound_differential.py`` holds the two to
+``to_compound_form`` walks each term once;
+``tests/sql/test_compound_differential.py`` holds the two to
 equal mappings, in key and branch order, or the same error type and
 message.
 """

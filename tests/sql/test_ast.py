@@ -142,6 +142,23 @@ class TestCompoundForm:
         with pytest.raises(UnsupportedQueryError, match="branches"):
             to_compound_form(flat)
 
+    def test_multi_attribute_term_combines_no_forms(self, monkeypatch):
+        # A term is refused once it holds a second attribute, whatever
+        # its form, so no form is combined after that: the reader of a
+        # wide mixed-attribute term pays one pass over its leaves.
+        import repro.sql.ast as ast
+
+        combined = []
+        for name in ("_conjoin", "_disjoin"):
+            real = getattr(ast, name)
+            monkeypatch.setattr(ast, name, lambda forms, real=real:
+                                combined.append(forms) or real(forms))
+        wide = Or([And([Or([p("A", ">", i), p("B", "<", i)])
+                        for i in range(8)]) for _ in range(800)])
+        with pytest.raises(UnsupportedQueryError, match="Definition 3.3"):
+            to_compound_form(And([p("C", "=", 1), wide]))
+        assert combined == []
+
 
 class TestQuery:
     def test_single_table_constructor(self):

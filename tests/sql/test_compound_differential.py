@@ -1,11 +1,10 @@
 """``to_compound_form`` against its oracle, on generated boolean trees.
 
-:func:`repro.sql.ast.to_compound_form` reads each top-level term once,
-collecting its attributes and its disjunctive form together, and reads
-the generator's shape (a disjunction of leaves and of conjunctions of
-leaves) directly.  :mod:`tests.sql.reference_compound` is the direct
-reading: every term's attributes first, then each attribute's terms
-ANDed and expanded by a per-node recursion.  On every tree both must
+:func:`repro.sql.ast.to_compound_form` walks each top-level term once,
+collecting its attributes and its disjunctive form together.
+:mod:`tests.sql.reference_compound` is the direct reading: every term's
+attributes first, then each attribute's terms ANDed and expanded by a
+per-node recursion.  On every tree both must
 return equal mappings, in the same key and branch order, or raise the
 same exception type with the same message.
 
