@@ -81,20 +81,14 @@ class TestBodyBound:
         assert headers["connection"] == "close"
 
     def test_over_cap_length_is_413_and_closes(self, server):
-        raw = exchange(server, post_head(str(MAX_BODY_BYTES + 1)))
-        status, headers, body = parse_reply(raw)
-        assert status == 413
-        assert headers["connection"] == "close"
-        assert str(MAX_BODY_BYTES) in body["error"]
-
-    def test_length_too_long_to_convert_is_413_and_closes(self, server):
         # int() refuses strings of more than 4,300 digits.
-        raw = exchange(server, post_head("9" * 5000))
-        status, headers, body = parse_reply(raw)
-        assert raw.count(b"HTTP/1.1 ") == 1
-        assert status == 413
-        assert headers["connection"] == "close"
-        assert str(MAX_BODY_BYTES) in body["error"]
+        for length in (str(MAX_BODY_BYTES + 1), "9" * 5000):
+            raw = exchange(server, post_head(length))
+            status, headers, body = parse_reply(raw)
+            assert raw.count(b"HTTP/1.1 ") == 1
+            assert status == 413
+            assert headers["connection"] == "close"
+            assert str(MAX_BODY_BYTES) in body["error"]
 
     def test_unread_body_is_never_parsed_as_a_request(self, server):
         smuggled = (b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
