@@ -16,10 +16,15 @@ with its ``Retry-After`` hint — retrying a saturated shard on a
 sibling would melt the fleet one worker at a time — and 4xx responses
 are the client's mistake wherever they are served.
 
-Batches split by owner: positions are grouped per owning worker, the
-sub-batches fan out concurrently, and the answers merge back into
-request order.  The batch response additionally reports the distinct
-``workers`` that served it.
+Batches split by owner: positions are grouped per owning worker, and
+the request's own handler thread sends every owner its sub-batch
+before it reads any answer, so the workers compute at the same time
+while no batch crosses a thread.  A group whose owner fails with a
+transport error then walks the owner's ring siblings as a single
+request does; a worker's HTTP answer (4xx, 503) propagates once every
+other answer is read.  The answers merge back into request order, and
+the batch response additionally reports the distinct ``workers`` that
+served it.
 
 Telemetry aggregates here too: ``GET /metrics`` answers a JSON
 document with the router's own registry snapshot plus every worker's
@@ -40,7 +45,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro import obs
@@ -84,8 +88,6 @@ class FleetRouter:
         self._retries = retries
         self._recent: deque[str] = deque(maxlen=recent_sql_limit)
         self._recent_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="repro-fleet-router")
         self._rollout = None
 
     @property
@@ -107,17 +109,13 @@ class FleetRouter:
         with self._recent_lock:
             return list(self._recent)
 
-    def close(self) -> None:
-        """Shut the batch fan-out executor down (joins its threads)."""
-        self._executor.shutdown(wait=True)
-
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
 
-    def _candidates(self, key: str) -> list[WorkerHandle]:
+    def _candidates(self, key: str, count: int) -> list[WorkerHandle]:
         try:
-            handles = self._pool.preference(key, self._retries + 1)
+            handles = self._pool.preference(key, count)
         except KeyError:
             handles = []
         if not handles:
@@ -126,10 +124,13 @@ class FleetRouter:
         return handles
 
     def _forward(self, key: str,
-                 call: Callable[[ServeClient], dict]
+                 call: Callable[[ServeClient], dict],
+                 failed: tuple[WorkerHandle, ServeClientError] | None = None
                  ) -> tuple[dict, WorkerHandle]:
         """Forward with sibling failover, surviving a mid-request swap.
 
+        ``failed`` names a worker that already failed this request with
+        a transport error (a batch group's owner); the walk skips it.
         If *every* handle of the placement we read fails with a
         transport error, the pool membership may have flipped between
         our lookup and the call (a rollout hot-swap draining the old
@@ -138,19 +139,25 @@ class FleetRouter:
         and the original error propagates.
         """
         try:
-            return self._forward_once(key, call)
+            return self._forward_once(key, call, failed)
         except ServeClientError as exc:
             if exc.status != 0:
                 raise
             return self._forward_once(key, call)
 
     def _forward_once(self, key: str,
-                      call: Callable[[ServeClient], dict]
-                      ) -> tuple[dict, WorkerHandle]:
+                      call: Callable[[ServeClient], dict],
+                      failed: tuple[WorkerHandle, ServeClientError] | None
+                      = None) -> tuple[dict, WorkerHandle]:
         """Try the owner, then ring siblings, on transport errors only."""
         registry = obs.get_registry()
-        handles = self._candidates(key)
+        handles = self._candidates(key, self._retries + 1)
         failure: ServeClientError | None = None
+        if failed is not None:
+            dead, failure = failed
+            handles = [handle for handle in handles if handle is not dead]
+            if handles:
+                registry.counter("fleet.failovers_total").inc()
         for index, handle in enumerate(handles):
             try:
                 return call(handle.client), handle
@@ -188,7 +195,8 @@ class FleetRouter:
 
     def estimate_batch(self, sqls: list[str],
                        trace_id: int | None = None) -> dict:
-        """Route a batch: split by owning worker, fan out, merge back.
+        """Route a batch: split by owning worker, send every sub-batch,
+        read every answer, fail over, merge back (see module docs).
 
         The merged response carries ``estimates`` in request order plus
         the sorted distinct ``workers`` that served the batch.
@@ -198,35 +206,51 @@ class FleetRouter:
         registry.counter("fleet.queries_total").inc(len(sqls))
         if not sqls:
             return {"estimates": [], "workers": []}
-        groups: dict[str, list[int]] = {}
+        groups: dict[WorkerHandle, list[int]] = {}
         fingerprints: list[str] = []
         for position, sql in enumerate(sqls):
             fingerprint, _ = fingerprint_sql(sql)
             fingerprints.append(fingerprint)
-            owner = self._candidates(fingerprint)[0].worker_id
+            owner = self._candidates(fingerprint, 1)[0]
             groups.setdefault(owner, []).append(position)
         with self._recent_lock:
             self._recent.extend(sqls)
 
-        def forward_group(positions: list[int]) -> tuple[dict, WorkerHandle]:
-            subset = [sqls[position] for position in positions]
-            # The group's first fingerprint anchors the sibling walk;
-            # every position in the group shares the same owner.
-            return self._forward(
-                fingerprints[positions[0]],
-                lambda client: client.estimate_batch_detail(
-                    subset, trace_id=trace_id))
+        answers: dict[WorkerHandle, dict | ServeClientError] = {}
+        sent = []
+        for handle, positions in groups.items():
+            client = handle.client
+            try:
+                sent.append((handle, client, client.send(
+                    "/v1/estimate_batch",
+                    {"sql": [sqls[position] for position in positions]},
+                    trace_id=trace_id)))
+            except ServeClientError as exc:
+                answers[handle] = exc
+        for handle, client, exchange in sent:
+            try:
+                answers[handle] = client.receive(exchange)
+            except ServeClientError as exc:
+                answers[handle] = exc
+        for handle in groups:
+            answer = answers[handle]
+            if isinstance(answer, ServeClientError) and answer.status != 0:
+                raise answer  # an HTTP answer: the worker spoke; honour it
 
-        ordered = sorted(groups.values(), key=lambda g: g[0])
-        if len(ordered) == 1:
-            outcomes = [forward_group(ordered[0])]
-        else:
-            outcomes = list(self._executor.map(forward_group, ordered))
         estimates: list[float] = [0.0] * len(sqls)
         workers: set[str] = set()
-        for positions, (response, handle) in zip(ordered, outcomes):
-            values = response["estimates"]
-            for position, value in zip(positions, values):
+        for handle, positions in groups.items():
+            answer = answers[handle]
+            if isinstance(answer, ServeClientError):
+                subset = [sqls[position] for position in positions]
+                # The group's first fingerprint anchors the sibling
+                # walk; every position in the group shares its owner.
+                answer, handle = self._forward(
+                    fingerprints[positions[0]],
+                    lambda client: client.estimate_batch_detail(
+                        subset, trace_id=trace_id),
+                    failed=(handle, answer))
+            for position, value in zip(positions, answer["estimates"]):
                 estimates[position] = float(value)
             workers.add(handle.worker_id)
         return {"estimates": estimates, "workers": sorted(workers)}
@@ -459,7 +483,3 @@ class RouterServer(ThreadedJsonServer):
     def router(self) -> FleetRouter:
         """The wrapped router."""
         return self._router
-
-    def _on_stop(self, drain: bool) -> None:
-        """Close the router's fan-out executor after the listener stops."""
-        self._router.close()

@@ -10,13 +10,21 @@ The client holds one **persistent keep-alive connection**: every call
 reuses the socket of the previous one, so a request costs one
 round-trip instead of a TCP handshake plus a server handler-thread
 spawn.  A connection the server has meanwhile closed (idle timeout,
-restart) announces itself as ``RemoteDisconnected`` *before any
-response bytes*; exactly that case is transparently re-sent once on a
-fresh connection — the request was never read, so the re-send cannot
+restart) announces itself as a broken pipe or reset while the request
+is written, or as ``RemoteDisconnected`` *before any response bytes*;
+exactly those cases are transparently re-sent once on a fresh
+connection — the request was never read, so the re-send cannot
 double-execute it.  Connections are **thread-local**: a client shared
 across threads gives each thread its own socket (HTTP/1.1 sockets
 carry one request at a time), opened lazily on the thread's first
 call.
+
+Every call is one **exchange** in two halves: :meth:`ServeClient.send`
+writes the request and :meth:`ServeClient.receive` reads its answer,
+re-sending where the rules below allow.  A single call runs the two
+back to back; the fleet router sends each worker its sub-batch from
+one thread and only then reads the answers, so both take the same
+HTTP path.
 
 The server sheds load by answering ``503`` + ``Retry-After`` when its
 admission bound is hit; a client that immediately gives up turns
@@ -48,7 +56,7 @@ import urllib.parse
 
 from repro import obs
 
-__all__ = ["ServeClient", "ServeClientError"]
+__all__ = ["Exchange", "ServeClient", "ServeClientError"]
 
 
 class ServeClientError(RuntimeError):
@@ -192,86 +200,128 @@ class ServeClient:
         return self._post("/v1/feedback", payload, trace_id=trace_id)
 
     # ------------------------------------------------------------------
+    # The exchange: a write half and a read half
+    # ------------------------------------------------------------------
+
+    def send(self, path: str, payload: dict,
+             trace_id: int | None = None) -> "Exchange":
+        """The write half of :meth:`post_json`: send the request and
+        return without reading its answer.
+
+        :meth:`receive` reads it, on the same thread: the calling
+        thread's connection carries one request at a time, so a caller
+        with requests to several servers (the fleet router's fan-out)
+        sends each its own and then reads every answer.
+        """
+        return self._begin("POST", path, json.dumps(payload).encode("utf-8"),
+                           trace_id)
+
+    def receive(self, exchange: "Exchange") -> dict:
+        """The read half of :meth:`post_json`: ``exchange``'s JSON answer."""
+        return json.loads(self._finish(exchange))
 
     def _get(self, path: str) -> str:
-        return self._send("GET", path)
+        return self._finish(self._begin("GET", path, None, None))
 
     def _post(self, path: str, payload: dict,
               trace_id: int | None = None) -> dict:
-        body = json.dumps(payload).encode("utf-8")
-        return json.loads(self._send("POST", path, body,
-                                     trace_id=trace_id))
+        return self.receive(self.send(path, payload, trace_id=trace_id))
 
-    def _send(self, method: str, path: str, body: bytes | None = None,
-              trace_id: int | None = None) -> str:
-        """Send with bounded 503 retries (see class docs).
+    def _begin(self, method: str, path: str, body: bytes | None,
+               trace_id: int | None) -> "Exchange":
+        """Mint the request's trace id unless given and write it.
 
-        Attempt ``i`` of a retried request re-sends the identical
-        method/path/body after sleeping the server's ``Retry-After``
-        seconds; the last attempt's error propagates.  One trace id
-        covers the whole logical request, so every attempt carries the
-        same ``X-Repro-Trace`` value.  Callers that are themselves
-        serving a traced request (the fleet router forwarding to a
-        worker) pass their inbound ``trace_id`` so the onward hop joins
-        the same trace instead of minting a fresh one.
+        One trace id covers the whole logical request, every re-send
+        included.  Callers that are themselves serving a traced request
+        (the fleet router forwarding to a worker) pass their inbound
+        ``trace_id`` so the onward hop joins the same trace instead of
+        minting a fresh one.
         """
         if trace_id is None:
             trace_id = obs.mint_trace_id()
-        for attempt in range(self._retries + 1):
-            try:
-                return self._send_once(method, path, body, trace_id)
-            except ServeClientError as exc:
-                retriable = (exc.status == 503
-                             and exc.retry_after is not None
-                             and attempt < self._retries)
-                if not retriable:
-                    raise
-                time.sleep(exc.retry_after)
-        raise AssertionError("unreachable: loop always returns or raises")
+        exchange = Exchange(method, path, body, trace_id)
+        self._write(exchange)
+        return exchange
 
-    def _send_once(self, method: str, path: str, body: bytes | None,
-                   trace_id: int) -> str:
-        attempts = 2 if getattr(self._local, "conn", None) is not None else 1
-        for attempt in range(attempts):
+    def _write(self, exchange: "Exchange") -> None:
+        """Send ``exchange``'s request on the calling thread's
+        connection, opening one if there is none; the
+        ``serve.client.request`` span starts here and ends in
+        :meth:`_read`."""
+        conn = getattr(self._local, "conn", None)
+        exchange.reused = conn is not None
+        if conn is None:
             try:
-                return self._exchange(method, path, body, trace_id)
+                conn = self._connect()
+            except OSError as exc:
+                raise self._unreachable(exchange, exc) from exc
+        headers = ({"Content-Type": "application/json"}
+                   if exchange.body is not None else {})
+        headers[obs.TRACE_HEADER] = obs.format_trace_header(exchange.trace_id)
+        exchange.span = obs.span("serve.client.request", path=exchange.path,
+                                 metric="serve.client.request.seconds",
+                                 trace_id=exchange.trace_id)
+        exchange.span.__enter__()
+        try:
+            conn.request(exchange.method, exchange.path, body=exchange.body,
+                         headers=headers)
+        except (OSError, http.client.HTTPException) as exc:
+            exchange.span.__exit__(type(exc), exc, None)
+            self.close()
+            if exchange.reused and isinstance(exc, ConnectionError):
+                # The server closed the idle socket: the body write
+                # met its reset, so nothing of the request was read.
+                self._write(exchange)
+                return
+            raise self._unreachable(exchange, exc) from exc
+        exchange.conn = conn
+
+    def _finish(self, exchange: "Exchange") -> str:
+        """Read ``exchange``'s answer, re-sending as the module docs say.
+
+        A kept-alive socket the server had closed is re-sent once on a
+        fresh connection; a ``503`` + ``Retry-After`` is re-sent after
+        the advertised sleep while the retry budget lasts.  Anything
+        else raises, the last attempt's error included.
+        """
+        retried = 0
+        while True:
+            try:
+                return self._read(exchange)
             except http.client.RemoteDisconnected as exc:
                 # The server closed the idle socket between calls; the
                 # request was never read, so one fresh-connection
                 # re-send is safe.  A fresh connection dying the same
                 # way is a genuine fault.
-                if attempt + 1 == attempts:
+                if not exchange.reused:
                     raise ServeClientError(
-                        f"cannot reach {self._base_url}{path}: "
+                        f"cannot reach {self._base_url}{exchange.path}: "
                         f"connection closed without response") from exc
-        raise AssertionError("unreachable: loop always returns or raises")
+            except ServeClientError as exc:
+                if (exc.status != 503 or exc.retry_after is None
+                        or retried == self._retries):
+                    raise
+                retried += 1
+                time.sleep(exc.retry_after)
+            self._write(exchange)
 
-    def _exchange(self, method: str, path: str, body: bytes | None,
-                  trace_id: int) -> str:
+    def _read(self, exchange: "Exchange") -> str:
+        """One attempt's answer; raises ``RemoteDisconnected`` as is for
+        :meth:`_finish` to judge, every other failure as a
+        :class:`ServeClientError`."""
         try:
-            conn = self._connection()
-        except OSError as exc:
-            raise ServeClientError(
-                f"cannot reach {self._base_url}{path}: {exc}") from exc
-        try:
-            headers = ({"Content-Type": "application/json"}
-                       if body is not None else {})
-            headers[obs.TRACE_HEADER] = obs.format_trace_header(trace_id)
-            with obs.use_trace_context(trace_id), \
-                    obs.span("serve.client.request", path=path,
-                             metric="serve.client.request.seconds"):
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            will_close = response.will_close
-        except http.client.RemoteDisconnected:
+            response = exchange.conn.getresponse()
+            raw = response.read()
+        except http.client.RemoteDisconnected as exc:
+            exchange.span.__exit__(type(exc), exc, None)
             self.close()
             raise
         except (OSError, http.client.HTTPException) as exc:
+            exchange.span.__exit__(type(exc), exc, None)
             self.close()
-            raise ServeClientError(
-                f"cannot reach {self._base_url}{path}: {exc}") from exc
-        if will_close:
+            raise self._unreachable(exchange, exc) from exc
+        exchange.span.__exit__(None, None, None)
+        if response.will_close:
             self.close()
         if response.status != 200:
             text = raw.decode("utf-8", errors="replace")
@@ -286,16 +336,42 @@ class ServeClient:
             )
         return raw.decode("utf-8")
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            factory = (http.client.HTTPSConnection
-                       if self._scheme == "https"
-                       else http.client.HTTPConnection)
-            conn = factory(self._host, self._port, timeout=self._timeout)
-            conn.connect()
-            # Request line/headers and body are separate writes; Nagle
-            # would stall the body behind the server's delayed ACK.
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._local.conn = conn
+    def _unreachable(self, exchange: "Exchange",
+                     exc: Exception) -> ServeClientError:
+        return ServeClientError(
+            f"cannot reach {self._base_url}{exchange.path}: {exc}")
+
+    def _connect(self) -> http.client.HTTPConnection:
+        factory = (http.client.HTTPSConnection if self._scheme == "https"
+                   else http.client.HTTPConnection)
+        conn = factory(self._host, self._port, timeout=self._timeout)
+        conn.connect()
+        # Request line/headers and body are separate writes; Nagle
+        # would stall the body behind the server's delayed ACK.
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._local.conn = conn
         return conn
+
+
+class Exchange:
+    """One request written by :meth:`ServeClient.send` whose answer
+    :meth:`ServeClient.receive` has not read yet.
+
+    It keeps what a re-send needs: the request itself, whether it went
+    out on a kept-alive connection (only such a request is re-sent
+    when the server closed the socket unanswered), the connection and
+    the open ``serve.client.request`` span.
+    """
+
+    __slots__ = ("method", "path", "body", "trace_id", "reused", "conn",
+                 "span")
+
+    def __init__(self, method: str, path: str, body: bytes | None,
+                 trace_id: int) -> None:
+        self.method = method
+        self.path = path
+        self.body = body
+        self.trace_id = trace_id
+        self.reused = False
+        self.conn: http.client.HTTPConnection | None = None
+        self.span = None

@@ -321,57 +321,109 @@ def _too_many_branches(count: int) -> UnsupportedQueryError:
     )
 
 
-#: A disjunctive form, the error building it raises, or ``None`` for a
-#: term known to reference two attributes, which is refused whatever
-#: its form.  Forms are built term by term but an error is raised only
-#: once every term is known to reference one attribute: a
-#: multi-attribute term wins.
-_Form = Union[tuple[tuple[SimplePredicate, ...], ...], UnsupportedQueryError,
-              None]
+#: A disjunctive form: a disjunction (outer tuple) of conjunctions
+#: (inner tuples) of simple predicates.
+_Form = tuple[tuple[SimplePredicate, ...], ...]
 
 
 def _conjoin(forms: list[_Form]) -> _Form:
     """The AND of ``forms``: the cross product of their branches, in
-    order, each branch one branch of every form joined.  The product is
-    counted before it is built."""
-    count = 1
-    for form in forms:
-        if isinstance(form, UnsupportedQueryError):
-            return form
-        count *= len(form)
-        if count > MAX_COMPOUND_BRANCHES:
-            return _too_many_branches(count)
+    order, each branch one branch of every form joined."""
     return tuple(map(tuple, map(chain.from_iterable, product(*forms))))
 
 
 def _disjoin(forms: list[_Form]) -> _Form:
-    """The OR of ``forms``: their branches, in order, counted before
-    they are joined."""
-    for form in forms:
-        if isinstance(form, UnsupportedQueryError):
-            return form
-    count = sum(map(len, forms))
-    if count > MAX_COMPOUND_BRANCHES:
-        return _too_many_branches(count)
+    """The OR of ``forms``: their branches, in order."""
     return tuple(chain.from_iterable(forms))
 
 
-def _walk(expr: BoolExpr, attributes: dict[str, None]) -> _Form:
-    """``expr``'s disjunctive form; adds its attributes to ``attributes``
-    in first-seen order.  Visits every leaf, but combines no forms once
-    ``attributes`` holds a second name."""
+def _walk(expr: BoolExpr, attributes: dict[str, None]) -> _Form | None:
+    """``expr``'s disjunctive form, or ``None`` as soon as ``expr`` is
+    known to be refused: a string leaf, a second name in
+    ``attributes``, or more than :data:`MAX_COMPOUND_BRANCHES` branches
+    (each product or union is counted before it is built).  Adds the
+    attributes it visits to ``attributes``.  Which error a refusal
+    raises is for :func:`_refusal` to find."""
     if isinstance(expr, SimplePredicate):
         attributes[expr.attribute] = None
         return ((expr,),)
     if isinstance(expr, LEAF_TYPES):
+        return None
+    if not isinstance(expr, (And, Or)):
+        raise TypeError(f"not a boolean expression: {type(expr).__name__}")
+    is_or = isinstance(expr, Or)
+    forms = []
+    count = 0 if is_or else 1
+    for child in expr.children:
+        form = _walk(child, attributes)
+        if form is None or len(attributes) > 1:
+            return None
+        count = count + len(form) if is_or else count * len(form)
+        if count > MAX_COMPOUND_BRANCHES:
+            return None
+        forms.append(form)
+    return _disjoin(forms) if is_or else _conjoin(forms)
+
+
+def _count(expr: BoolExpr,
+           attributes: dict[str, None]) -> int | UnsupportedQueryError:
+    """How many branches ``expr``'s disjunctive form has, or the error
+    building it raises, without building any form; adds every
+    attribute of ``expr`` to ``attributes``.
+
+    Every leaf is visited, and an OR counts all its branches before it
+    compares them with the cap, so a string leaf anywhere under it wins
+    and the refusal names them all ("at least N"); an AND refuses at
+    the first child that takes its product past the cap.
+    """
+    if isinstance(expr, SimplePredicate):
+        attributes[expr.attribute] = None
+        return 1
+    if isinstance(expr, LEAF_TYPES):
         attributes[expr.attribute] = None
         return _not_desugared(expr)
-    if isinstance(expr, (And, Or)):
-        forms = [_walk(child, attributes) for child in expr.children]
-        if len(attributes) > 1:
-            return None
-        return _disjoin(forms) if isinstance(expr, Or) else _conjoin(forms)
-    raise TypeError(f"not a boolean expression: {type(expr).__name__}")
+    if not isinstance(expr, (And, Or)):
+        raise TypeError(f"not a boolean expression: {type(expr).__name__}")
+    return _combine([_count(child, attributes) for child in expr.children],
+                    isinstance(expr, Or))
+
+
+def _combine(counts: list, is_or: bool) -> int | UnsupportedQueryError:
+    """The branch count of the OR (``is_or``) or AND of forms with
+    ``counts`` branches, or the first error in order (see
+    :func:`_count`)."""
+    total = 0 if is_or else 1
+    for count in counts:
+        if isinstance(count, UnsupportedQueryError):
+            return count
+        total = total + count if is_or else total * count
+        if not is_or and total > MAX_COMPOUND_BRANCHES:
+            return _too_many_branches(total)
+    return _too_many_branches(total) if total > MAX_COMPOUND_BRANCHES else total
+
+
+def _refusal(top_level: tuple[BoolExpr, ...]) -> UnsupportedQueryError:
+    """The error :func:`to_compound_form` raises for terms it refuses,
+    found by counting alone: the first term that references other than
+    one attribute, else the first refused compound in first-seen
+    attribute order, each the AND of its terms."""
+    counts: dict[str, list] = {}
+    for item in top_level:
+        attributes: dict[str, None] = {}
+        count = _count(item, attributes)
+        if len(attributes) != 1:
+            return UnsupportedQueryError(
+                "not a mixed query (Definition 3.3): the term "
+                f"{shape_sql(item)!r} references attributes "
+                f"{list(attributes)}; compound predicates must reference "
+                "exactly one attribute"
+            )
+        counts.setdefault(next(iter(attributes)), []).append(count)
+    for compound in counts.values():
+        refusal = _combine(compound, False)
+        if isinstance(refusal, UnsupportedQueryError):
+            return refusal
+    raise AssertionError("refused terms whose every compound counts")
 
 
 def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, ...], ...]]:
@@ -385,27 +437,29 @@ def to_compound_form(expr: BoolExpr) -> dict[str, tuple[tuple[SimplePredicate, .
     form would exceed :data:`MAX_COMPOUND_BRANCHES` branches.  A
     multi-attribute term is reported first; otherwise the compounds are
     built in first-seen attribute order, each the AND of its terms.
+
+    Each top-level term is walked once (:func:`_walk`).  The walk stops
+    at the first sign of a refusal, and so does this loop, also once an
+    attribute's terms multiply past the cap; the error is then found by
+    counting every term (:func:`_refusal`), so no form is built past
+    that point.
     """
     top_level = expr.children if isinstance(expr, And) else (expr,)
     terms: dict[str, list[_Form]] = {}
+    sizes: dict[str, int] = {}
     for item in top_level:
         attributes: dict[str, None] = {}
         form = _walk(item, attributes)
-        if len(attributes) != 1:
-            raise UnsupportedQueryError(
-                "not a mixed query (Definition 3.3): the term "
-                f"{shape_sql(item)!r} references attributes "
-                f"{list(attributes)}; compound predicates must reference "
-                "exactly one attribute"
-            )
-        terms.setdefault(next(iter(attributes)), []).append(form)
-    compounds = {}
-    for attribute, forms in terms.items():
-        form = forms[0] if len(forms) == 1 else _conjoin(forms)
-        if isinstance(form, UnsupportedQueryError):
-            raise form
-        compounds[attribute] = form
-    return compounds
+        if form is None:
+            raise _refusal(top_level)
+        (attribute,) = attributes
+        size = sizes.get(attribute, 1) * len(form)
+        if size > MAX_COMPOUND_BRANCHES:
+            raise _refusal(top_level)
+        sizes[attribute] = size
+        terms.setdefault(attribute, []).append(form)
+    return {attribute: forms[0] if len(forms) == 1 else _conjoin(forms)
+            for attribute, forms in terms.items()}
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,5 @@ def local_fleet(fleet_estimator):
         return supervisor, router
 
     yield build
-    for supervisor, router in created:
-        router.close()
+    for supervisor, _ in created:
         supervisor.stop(drain=False)

@@ -96,13 +96,10 @@ class TestFailover:
 
     def test_no_workers_is_transport_error(self):
         router = FleetRouter(WorkerPool())
-        try:
-            with pytest.raises(ServeClientError) as excinfo:
-                router.estimate("SELECT count(*) FROM forest WHERE "
-                                "Elevation > 1000")
-            assert excinfo.value.status == 0
-        finally:
-            router.close()
+        with pytest.raises(ServeClientError) as excinfo:
+            router.estimate("SELECT count(*) FROM forest WHERE "
+                            "Elevation > 1000")
+        assert excinfo.value.status == 0
 
     def test_worker_http_errors_propagate_unretried(self, local_fleet):
         _, router = local_fleet(workers=2)

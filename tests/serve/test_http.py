@@ -30,9 +30,7 @@ def server(request, serve_estimator):
     if request.param == "serve":
         started = EstimationServer(EstimationService(serve_estimator))
     else:
-        router = FleetRouter(WorkerPool())
-        request.addfinalizer(router.close)
-        started = RouterServer(router)
+        started = RouterServer(FleetRouter(WorkerPool()))
     started.start()
     yield started
     started.stop()

@@ -142,6 +142,51 @@ class TestCompoundForm:
         with pytest.raises(UnsupportedQueryError, match="branches"):
             to_compound_form(flat)
 
+    def test_refused_or_builds_no_further_forms(self, monkeypatch):
+        # An OR of 800 copies of eight ANDed two-way ORs: the second
+        # copy's 256 branches pass the cap, so the other 798 copies are
+        # only counted, never built, and the refusal still names every
+        # copy's branches.
+        import repro.sql.ast as ast
+        from tests.sql import reference_compound
+
+        built = []
+        real = ast._conjoin
+        monkeypatch.setattr(ast, "_conjoin", lambda forms: built.append(
+            len(forms)) or real(forms))
+        eight = And([Or([p("A1", ">", i), p("A1", "<", -i)])
+                     for i in range(8)])
+        wide = Or([eight] * 800)
+        with pytest.raises(UnsupportedQueryError) as excinfo:
+            to_compound_form(wide)
+        with pytest.raises(UnsupportedQueryError) as expected:
+            reference_compound.to_compound_form(wide)
+        assert str(excinfo.value) == str(expected.value)
+        assert "at least 204800 " in str(excinfo.value)
+        assert built == [8, 8]
+
+    @pytest.mark.parametrize("extra", [[p("A1", ">", 5)], []])
+    def test_refused_term_builds_no_later_term(self, monkeypatch, extra):
+        # 800 top-level terms on A1: each is over the cap alone (with
+        # ``extra``), or 256 branches whose product with the next one
+        # is.  Terms after the refusal are only counted.
+        import repro.sql.ast as ast
+        from tests.sql import reference_compound
+
+        built = []
+        real = ast._conjoin
+        monkeypatch.setattr(ast, "_conjoin", lambda forms: built.append(
+            len(forms)) or real(forms))
+        eight = And([Or([p("A1", ">", i), p("A1", "<", -i)])
+                     for i in range(8)])
+        expr = And([p("A1", ">", 0)] + [Or([eight] + extra)] * 800)
+        with pytest.raises(UnsupportedQueryError) as excinfo:
+            to_compound_form(expr)
+        with pytest.raises(UnsupportedQueryError) as expected:
+            reference_compound.to_compound_form(expr)
+        assert str(excinfo.value) == str(expected.value)
+        assert built == [8] * (1 if extra else 2)
+
     def test_multi_attribute_term_combines_no_forms(self, monkeypatch):
         # A term is refused once it holds a second attribute, whatever
         # its form, so no form is combined after that: the reader of a

@@ -1,7 +1,8 @@
 """``to_compound_form`` against its oracle, on generated boolean trees.
 
-:func:`repro.sql.ast.to_compound_form` walks each top-level term once,
-collecting its attributes and its disjunctive form together.
+:func:`repro.sql.ast.to_compound_form` builds each top-level term's
+disjunctive form until a refusal shows, then finds the error by
+counting alone.
 :mod:`tests.sql.reference_compound` is the direct reading: every term's
 attributes first, then each attribute's terms ANDed and expanded by a
 per-node recursion.  On every tree both must
@@ -12,7 +13,8 @@ Trees cover single- and multi-attribute terms, nesting, one attribute
 repeated across terms, qualified names, string and ``LIKE`` leaves, a
 node that is no boolean expression, and disjunctive forms on both sides
 of :data:`~repro.sql.ast.MAX_COMPOUND_BRANCHES`: wide disjunctions of
-the generator's shape and ANDed two-way disjunctions.
+the generator's shape, ANDed two-way disjunctions, and nodes refused by
+their first children whose other children are only counted.
 """
 
 from __future__ import annotations
@@ -89,18 +91,39 @@ def products(draw, attribute: str):
                 for i in range(k)])
 
 
+def pairs(attribute: str, k: int) -> And:
+    return And([Or([simple(attribute, i), simple(attribute, -i)])
+                for i in range(k)])
+
+
+@st.composite
+def refused_early(draw, attribute: str, depth: int = 0):
+    """A node whose first children already pass the cap, then any
+    children, such nodes too: those are only counted, and must still
+    yield the oracle's attributes, errors and "at least N"."""
+    tail = [draw(refused_early(attribute, depth + 1))
+            if depth == 0 and draw(st.integers(0, 3)) == 0
+            else draw(compounds(attribute))
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        return Or([pairs(attribute, 8), draw(leaves(attribute))] + tail)
+    return And(list(pairs(attribute, 9).children) + tail)
+
+
 @st.composite
 def expressions(draw):
     terms = []
     for _ in range(draw(st.integers(1, 5))):
         attribute = draw(st.sampled_from(ATTRIBUTES))
-        kind = draw(st.integers(0, 9))
+        kind = draw(st.integers(0, 10))
         if kind < 5:
             terms.append(draw(compounds(attribute)))
         elif kind < 8:
             terms.append(draw(generator_shapes(attribute)))
         elif kind < 9:
             terms.append(draw(products(attribute)))
+        elif kind < 10:
+            terms.append(draw(refused_early(attribute)))
         else:
             terms.append(JoinPredicate("t", "id", "u", "t_id"))
     return terms[0] if len(terms) == 1 else And(terms)
