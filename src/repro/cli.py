@@ -163,7 +163,7 @@ def _cmd_serve(args) -> int:
         signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     stop.wait()
     print("draining in-flight requests ...")
-    server.stop(drain=True)
+    server.stop()
     if args.trace:
         from repro.obs import export
 

@@ -5,8 +5,9 @@ deployment story.  One front-end **router** consistent-hashes request
 fingerprints across N worker processes — each worker a full
 :class:`~repro.serve.server.EstimationService` with its own
 micro-batcher, caches, and serving pipeline — while a **supervisor** keeps
-the worker pool alive (spawn, warm, drain, terminate over a JSON
-control channel, crash restarts with backoff) and a **rollout state
+the worker pool alive (spawn, drain by closing a worker's stdin,
+terminate by a kill, crash restarts with backoff; requests, warm-up
+included, go over each worker's HTTP API) and a **rollout state
 machine** drives zero-downtime hot-swaps: publish a candidate to the
 :class:`~repro.serve.registry.ModelRegistry`, warm it in fresh
 workers, mirror a fraction of live traffic, compare windowed q-error

@@ -85,8 +85,8 @@ def _cmd_fleet_serve(args) -> int:
         ready_hook(server.url)
     stop.wait()
     print("fleet: draining router and workers ...")
-    server.stop(drain=True)
-    supervisor.stop(drain=True)
+    server.stop()
+    supervisor.stop()
     print("fleet stopped")
     return 0
 

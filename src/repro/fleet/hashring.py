@@ -56,10 +56,6 @@ class HashRing:
         """Virtual points each node owns on the ring."""
         return self._replicas
 
-    def nodes(self) -> tuple[str, ...]:
-        """Current member node ids, sorted."""
-        return tuple(sorted(self._nodes))
-
     def __len__(self) -> int:
         return len(self._nodes)
 

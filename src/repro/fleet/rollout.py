@@ -9,9 +9,10 @@ State machine (all transitions recorded in ``history``)::
 
 ``begin(version)`` resolves the candidate artifact from the
 :class:`~repro.serve.registry.ModelRegistry`, spawns a *candidate*
-worker pool next to the live one, and warms it with the router's
-recently routed statements.  During **canary**, the router's hooks
-feed this manager live traffic:
+worker pool next to the live one, and warms it with the statements
+the router answered recently, posted to each candidate's
+``/v1/estimate_batch`` like any client's batches.  During
+**canary**, the router's hooks feed this manager live traffic:
 
 * ``on_estimate`` mirrors a deterministic fraction of single-estimate
   traffic to the candidate pool (keyed on the statement fingerprint,
@@ -45,6 +46,7 @@ and terminates the candidate pool.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -58,6 +60,7 @@ from repro.fleet.workers import (
     start_workers,
 )
 from repro.serve.client import ServeClientError
+from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.registry import ModelRegistry
 
 __all__ = ["RolloutError", "RolloutGate", "RolloutManager"]
@@ -71,6 +74,26 @@ _SLO_SHORT_TICKS = 3
 #: Mirror-decision resolution: fractions are compared at one-in-a-million
 #: granularity against the statement fingerprint's stable 64-bit hash.
 _MIRROR_SCALE = 1_000_000
+
+
+def _warm_batches(sqls: list[str]) -> list[list[str]]:
+    """``sqls`` in order, cut into as few ``/v1/estimate_batch`` bodies
+    as keep each within :data:`~repro.serve.http.MAX_BODY_BYTES`.
+
+    Sizes are those of the body ``ServeClient`` sends,
+    ``json.dumps({"sql": batch})``: 11 bytes plus each statement's JSON
+    string, with ``", "`` between statements.
+    """
+    batches: list[list[str]] = []
+    size = MAX_BODY_BYTES  # no open batch yet
+    for sql in sqls:
+        item = len(json.dumps(sql)) + 2  # the string and its ", "
+        if size + item > MAX_BODY_BYTES:
+            batches.append([])
+            size = len(json.dumps({"sql": []})) - 2  # no ", " before the first
+        batches[-1].append(sql)
+        size += item
+    return batches
 
 
 class RolloutError(RuntimeError):
@@ -206,9 +229,9 @@ class RolloutManager:
                 [f"c{index}" for index in range(width)])
             warm_sql = (self._router.recent_sql()
                         if self._router is not None else [])
-            if warm_sql:
+            for batch in _warm_batches(warm_sql):
                 for handle in handles:
-                    handle.warm(warm_sql)
+                    handle.client.estimate_batch(batch)
         except Exception as exc:  # repro: ignore[RPR103] — a failed candidate spawn must settle the state machine, whatever broke
             for handle in handles:
                 handle.terminate()

@@ -53,7 +53,11 @@ from repro.fleet.workers import WorkerHandle, WorkerPool, WorkerSupervisor
 from repro.obs.prometheus import CONTENT_TYPE, render_snapshots
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
-from repro.serve.server import parse_feedback
+from repro.serve.server import (
+    parse_estimate,
+    parse_estimate_batch,
+    parse_feedback,
+)
 from repro.sql.parser import fingerprint_sql
 
 __all__ = ["FleetRouter", "RouterServer"]
@@ -74,8 +78,10 @@ class FleetRouter:
         transport error (crashed worker).  ``1`` means owner + one
         sibling.
     recent_sql_limit:
-        How many recently routed statements to remember; the rollout
-        manager replays them to warm candidate workers.
+        How many recently answered statements to remember; the rollout
+        manager replays them to warm candidate workers.  A request that
+        fails records none of its statements, so a statement the model
+        rejects is never replayed.
     """
 
     def __init__(self, pool: WorkerPool,
@@ -105,7 +111,7 @@ class FleetRouter:
         self._rollout = rollout
 
     def recent_sql(self) -> list[str]:
-        """Recently routed statements, oldest first (canary warm-up)."""
+        """Recently answered statements, oldest first (canary warm-up)."""
         with self._recent_lock:
             return list(self._recent)
 
@@ -177,13 +183,13 @@ class FleetRouter:
         registry.counter("fleet.requests_total").inc()
         registry.counter("fleet.queries_total").inc()
         fingerprint, _ = fingerprint_sql(sql)
-        with self._recent_lock:
-            self._recent.append(sql)
         watch = obs.get_event_log().stopwatch()
         with watch:
             response, handle = self._forward(
                 fingerprint,
                 lambda client: client.estimate(sql, trace_id=trace_id))
+        with self._recent_lock:
+            self._recent.append(sql)
         response = dict(response)
         response.setdefault("worker_id", handle.worker_id)
         response.setdefault("model_version", handle.model_version)
@@ -213,8 +219,6 @@ class FleetRouter:
             fingerprints.append(fingerprint)
             owner = self._candidates(fingerprint, 1)[0]
             groups.setdefault(owner, []).append(position)
-        with self._recent_lock:
-            self._recent.extend(sqls)
 
         answers: dict[WorkerHandle, dict | ServeClientError] = {}
         sent = []
@@ -253,6 +257,8 @@ class FleetRouter:
             for position, value in zip(positions, answer["estimates"]):
                 estimates[position] = float(value)
             workers.add(handle.worker_id)
+        with self._recent_lock:
+            self._recent.extend(sqls)
         return {"estimates": estimates, "workers": sorted(workers)}
 
     def feedback(self, sql: str, true_cardinality: float,
@@ -392,19 +398,13 @@ class _RouterHandler(JsonRequestHandler):
     # ------------------------------------------------------------------
 
     def _estimate(self, payload: dict, trace_id: int | None) -> dict:
-        sql = payload.get("sql")
-        if not isinstance(sql, str):
-            raise ValueError('request body must carry {"sql": "<query>"}')
-        return self.router.estimate(sql, trace_id=trace_id)
+        return self.router.estimate(parse_estimate(payload),
+                                    trace_id=trace_id)
 
     def _estimate_batch(self, payload: dict,
                         trace_id: int | None) -> dict:
-        sqls = payload.get("sql")
-        if (not isinstance(sqls, list)
-                or not all(isinstance(s, str) for s in sqls)):
-            raise ValueError(
-                'request body must carry {"sql": ["<query>", ...]}')
-        return self.router.estimate_batch(sqls, trace_id=trace_id)
+        return self.router.estimate_batch(parse_estimate_batch(payload),
+                                          trace_id=trace_id)
 
     def _feedback(self, payload: dict, trace_id: int | None) -> dict:
         sql, true_cardinality, estimate = parse_feedback(payload)

@@ -1,30 +1,20 @@
-"""Fleet worker process: one estimation service + a JSON control channel.
+"""Fleet worker process: one estimation service, one ready line.
 
 ``python -m repro.fleet.worker --registry R --model M --worker-id w0``
 loads the named model from the registry, boots a full
 :class:`~repro.serve.server.EstimationServer` on an ephemeral port, and
-then speaks a line-oriented JSON control protocol with its supervisor:
+prints one JSON line to stdout, which is all it ever writes there::
 
-* stdout (worker → supervisor), one JSON object per line::
+    {"event": "ready", "worker_id": ..., "port": ..., "url": ...,
+     "model": ..., "version": ..., "model_version": ..., "pid": ...}
 
-      {"event": "ready", "worker_id": ..., "port": ..., "url": ...,
-       "model": ..., "version": ..., "model_version": ..., "pid": ...}
-      {"event": "warmed", "count": N}
-      {"event": "drained"} / {"event": "terminated"}
-      {"event": "error", "detail": "..."}
-
-* stdin (supervisor → worker), one JSON object per line::
-
-      {"cmd": "warm", "sql": ["...", ...]}   pre-touch caches and plans
-      {"cmd": "ping"}                        liveness echo ({"event": "pong"})
-      {"cmd": "drain"}                       graceful stop, then exit 0
-      {"cmd": "terminate"}                   immediate stop, then exit 0
-
-EOF on stdin means the supervisor is gone; the worker drains and exits
-rather than lingering orphaned.  ``SIGTERM``/``SIGINT`` likewise
-trigger the graceful drain, so a whole process group can be stopped
-with one signal.  Estimate/feedback traffic never rides the control
-channel — the router talks HTTP to the worker's port like any client.
+It reads no commands: every request, warm-up included, arrives over
+the HTTP API, like any client's.  It stops one way, gracefully (the
+listener stops, in-flight requests complete, the batcher drains), and
+then exits 0, on any of three cues: EOF on stdin (the supervisor
+closed the pipe, or is gone, so the worker never lingers orphaned),
+``SIGTERM`` or ``SIGINT`` (so a whole process group stops with one
+signal).  A hard stop is the supervisor's ``SIGKILL``.
 """
 
 from __future__ import annotations
@@ -40,21 +30,13 @@ from repro.serve import EstimationServer, EstimationService, ModelRegistry
 __all__ = ["build_parser", "main"]
 
 
-class _SignalShutdown(Exception):
-    """Raised out of the control loop by the SIGTERM/SIGINT handlers."""
-
-
-def _emit(payload: dict) -> None:
-    """Write one control event line; flush so the supervisor sees it now."""
-    print(json.dumps(payload, sort_keys=True), flush=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the worker's argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro.fleet.worker",
-        description="One fleet worker: an estimation service under a "
-                    "JSON control channel.")
+        description="One fleet worker: an estimation service that prints "
+                    "one ready line and serves until stdin closes or "
+                    "SIGTERM/SIGINT arrives.")
     parser.add_argument("--registry", required=True,
                         help="model-registry root directory")
     parser.add_argument("--model", required=True,
@@ -70,37 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _control_loop(service: EstimationService, stdin) -> str:
-    """Serve control commands until drain/terminate/EOF; returns how."""
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            command = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _emit({"event": "error", "detail": f"bad control line: {exc}"})
-            continue
-        cmd = command.get("cmd") if isinstance(command, dict) else None
-        if cmd == "ping":
-            _emit({"event": "pong"})
-        elif cmd == "warm":
-            sqls = command.get("sql") or []
-            try:
-                if sqls:
-                    service.estimate_many_sql([str(s) for s in sqls])
-                _emit({"event": "warmed", "count": len(sqls)})
-            except (ValueError, KeyError, RuntimeError) as exc:
-                _emit({"event": "error", "detail": f"warm failed: {exc}"})
-        elif cmd == "drain":
-            return "drain"
-        elif cmd == "terminate":
-            return "terminate"
-        else:
-            _emit({"event": "error", "detail": f"unknown cmd {cmd!r}"})
-    return "drain"  # EOF: supervisor vanished, drain and go
-
-
 def main(argv: list[str] | None = None) -> int:
     """Worker entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -114,29 +65,26 @@ def main(argv: list[str] | None = None) -> int:
                                 tick_every=args.tick_every)
     server = EstimationServer(service, host=args.host, port=0)
     server.start()
-    _emit({
-        "event": "ready",
-        "worker_id": args.worker_id,
-        "port": server.port,
-        "url": server.url,
-        "model": resolved.name,
-        "version": resolved.version,
-        "model_version": resolved.label(),
-        "pid": os.getpid(),
-    })
-
-    def _on_signal(signum, frame):
-        raise _SignalShutdown()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    outcome = "drain"
     try:
-        outcome = _control_loop(service, sys.stdin)
-    except _SignalShutdown:
-        outcome = "drain"
-    server.stop(drain=outcome == "drain")
-    _emit({"event": "drained" if outcome == "drain" else "terminated"})
+        # Both signals raise KeyboardInterrupt out of the wait below.
+        # They are bound before the ready line goes out, so a signal
+        # sent as soon as the supervisor has read it still drains.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        print(json.dumps({
+            "event": "ready",
+            "worker_id": args.worker_id,
+            "port": server.port,
+            "url": server.url,
+            "model": resolved.name,
+            "version": resolved.version,
+            "model_version": resolved.label(),
+            "pid": os.getpid(),
+        }, sort_keys=True), flush=True)
+        sys.stdin.buffer.read()  # returns at EOF
+    except KeyboardInterrupt:
+        pass  # SIGTERM/SIGINT: drain exactly as on EOF
+    server.stop()
     return 0
 
 

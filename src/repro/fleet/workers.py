@@ -4,9 +4,10 @@ Three layers:
 
 * **Handles** wrap one worker wherever it runs.
   :class:`ProcessWorker` spawns ``python -m repro.fleet.worker`` as a
-  subprocess and speaks the JSON control channel over its
-  stdin/stdout (spawn → ``ready``, then ``warm`` / ``drain`` /
-  ``terminate``); :class:`LocalWorker` hosts the same
+  subprocess, reads the one ``ready`` line it prints (which carries
+  its ephemeral port) and from then on talks to it only over HTTP,
+  like any client; its stdin is a pipe the worker reads only for EOF.
+  :class:`LocalWorker` hosts the same
   :class:`~repro.serve.server.EstimationServer` on a thread in this
   process — byte-compatible HTTP surface, no process boundary — which
   is what the fleet tests and single-process deployments use.
@@ -23,18 +24,20 @@ Three layers:
 nothing; the supervisor's initial spawn and a rollout's candidate pool
 both go through it.
 
-Every handle exposes ``drain()`` (graceful: in-flight work completes)
-and ``terminate()`` (hard stop); the supervisor's ``stop()`` walks the
-pool so no spawned child outlives the fleet — the invariant
-``tests/fleet/test_workers.py`` and ``tests/fleet/test_thread_drain.py``
-check at runtime (child reaped, reader thread joined).
+Every handle exposes ``drain()`` (graceful: in-flight work completes;
+a process worker's stdin is closed, its cue to drain and exit) and
+``terminate()`` (hard stop: a process worker is killed); the
+supervisor's ``stop()`` walks the pool so no spawned child outlives
+the fleet — the invariant ``tests/fleet/test_workers.py`` and
+``tests/fleet/test_thread_drain.py`` check at runtime (child reaped
+with its exit code, no thread left behind).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
+import select
 import subprocess
 import sys
 import threading
@@ -48,11 +51,6 @@ from repro.serve.client import ServeClient
 
 __all__ = ["WorkerError", "WorkerHandle", "ProcessWorker", "LocalWorker",
            "WorkerPool", "WorkerSupervisor", "start_workers"]
-
-#: Event the reader thread queues when the child's stdout closes; no
-#: worker event has this name.
-_END_OF_STREAM = "end-of-stream"
-
 
 class WorkerError(RuntimeError):
     """A worker failed to start, answer, or stop in time."""
@@ -81,16 +79,12 @@ class WorkerHandle:
         """Whether the worker is believed able to answer requests."""
         raise NotImplementedError
 
-    def warm(self, sqls: list[str]) -> None:
-        """Pre-touch the worker's caches with representative SQL."""
-        raise NotImplementedError
-
     def drain(self) -> None:
         """Stop gracefully: in-flight/queued requests complete first."""
         raise NotImplementedError
 
     def terminate(self) -> None:
-        """Stop immediately; queued work may be cancelled."""
+        """Stop now, without waiting for in-flight requests."""
         raise NotImplementedError
 
     def _close_client(self) -> None:
@@ -117,16 +111,15 @@ def _repro_pythonpath() -> str:
 
 
 class ProcessWorker(WorkerHandle):
-    """A worker subprocess driven over the JSON control channel.
+    """A worker subprocess, served over HTTP.
 
-    ``start()`` spawns ``python -m repro.fleet.worker``, waits for its
-    ``ready`` line (which carries the ephemeral port), and wires a
-    reader thread that turns every later stdout line into a queued
-    control event, and the end of stdout into a last one, so a wait on
-    a child that has exited fails at once instead of timing out.  A
-    failed start kills and reaps the child before it raises.
-    ``drain``/``terminate`` send the matching command and fall back to
-    ``SIGTERM``/``SIGKILL`` if the channel is dead.
+    ``start()`` spawns ``python -m repro.fleet.worker`` and reads its
+    ``ready`` line (which carries the ephemeral port) within
+    ``start_timeout``; a child that exits first fails the start at
+    once with its exit code.  A failed start kills and reaps the child
+    before it raises.  ``drain()`` closes the child's stdin, on which
+    it drains and exits, and kills it if it has not exited within
+    ``stop_timeout``; ``terminate()`` kills it.  Both reap it.
     """
 
     def __init__(self, worker_id: str, registry_root: str | Path,
@@ -150,12 +143,10 @@ class ProcessWorker(WorkerHandle):
         self._start_timeout = start_timeout
         self._stop_timeout = stop_timeout
         self._proc: subprocess.Popen | None = None
-        self._events: queue.Queue[dict] = queue.Queue()
-        self._reader: threading.Thread | None = None
         self.pid: int | None = None
 
     def start(self) -> "ProcessWorker":
-        """Spawn the subprocess and wait for its ``ready`` event."""
+        """Spawn the subprocess and read its ``ready`` line."""
         if self._proc is not None:
             raise WorkerError(f"worker {self.worker_id} already started")
         env = dict(os.environ)
@@ -164,131 +155,76 @@ class ProcessWorker(WorkerHandle):
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         self._proc = subprocess.Popen(
             self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=None, text=True, bufsize=1, env=env)
-        # Daemon as a crash backstop only; joined on every stop path.
-        self._reader = threading.Thread(
-            target=self._read_events,
-            name=f"repro-fleet-reader-{self.worker_id}", daemon=True)
-        self._reader.start()
+            stderr=None, env=env)
         try:
-            ready = self._wait_event("ready", self._start_timeout)
-            if not ready.get("url"):
-                raise WorkerError(
-                    f"worker {self.worker_id} ready event carried no url")
+            ready = self._read_ready()
         except WorkerError:
-            self._proc.kill()  # no-op once the child has exited
-            self._shutdown("terminate")
+            self._stop(grace=0.0)
             raise
+        finally:
+            self._proc.stdout.close()  # the worker writes nothing more
         self.url = str(ready["url"])
         self.model_version = str(ready.get("model_version", ""))
         self.pid = ready.get("pid")
         return self
 
-    def _read_events(self) -> None:
+    def _read_ready(self) -> dict:
+        """The child's first stdout line, which must be its ``ready``
+        event with a ``url``."""
         proc = self._proc
-        if proc is None or proc.stdout is None:
-            return
-        for line in proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # stray non-protocol output; ignore
-            if isinstance(event, dict):
-                self._events.put(event)
-        self._events.put({"event": _END_OF_STREAM})
-
-    def _wait_event(self, name: str, timeout: float) -> dict:
-        """Next event named ``name`` (errors surface; others dropped)."""
+        line = b""
+        while not line.endswith(b"\n"):
+            if not select.select([proc.stdout], [], [],
+                                 self._start_timeout)[0]:
+                raise WorkerError(
+                    f"worker {self.worker_id} sent no ready line within "
+                    f"{self._start_timeout}s")
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            if not chunk:
+                try:
+                    code = proc.wait(timeout=self._stop_timeout)
+                except subprocess.TimeoutExpired:
+                    code = None
+                raise WorkerError(
+                    f"worker {self.worker_id} exited before it was ready "
+                    f"(exit code {code})")
+            line += chunk
         try:
-            while True:
-                event = self._events.get(timeout=timeout)
-                kind = event.get("event")
-                if kind == name:
-                    return event
-                if kind == "error":
-                    raise WorkerError(
-                        f"worker {self.worker_id} error: "
-                        f"{event.get('detail')}")
-                if kind == _END_OF_STREAM:
-                    self._events.put(event)  # later waits fail at once too
-                    raise WorkerError(
-                        f"worker {self.worker_id} exited before its "
-                        f"{name!r} event (exit code {self._exit_code()})")
-        except queue.Empty:
-            raise WorkerError(
-                f"worker {self.worker_id} sent no {name!r} event within "
-                f"{timeout}s (exit code "
-                f"{self._proc.poll() if self._proc else None})") from None
-
-    def _exit_code(self) -> int | None:
-        """The child's exit code once it has exited (it has closed its
-        stdout), or ``None`` if it is still running after the stop
-        timeout."""
-        try:
-            return self._proc.wait(timeout=self._stop_timeout)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def _send(self, command: dict) -> None:
-        proc = self._proc
-        if proc is None or proc.stdin is None or proc.poll() is not None:
-            raise WorkerError(
-                f"worker {self.worker_id} control channel is closed")
-        try:
-            proc.stdin.write(json.dumps(command) + "\n")
-            proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise WorkerError(
-                f"worker {self.worker_id} control write failed: {exc}"
-            ) from exc
+            ready = json.loads(line)
+        except ValueError:  # not UTF-8, or not JSON
+            ready = None
+        if not (isinstance(ready, dict) and ready.get("url")):
+            raise WorkerError(f"worker {self.worker_id} sent no url in its "
+                              f"ready line {line[:200]!r}")
+        return ready
 
     def alive(self) -> bool:
         """True while the subprocess is running."""
         return self._proc is not None and self._proc.poll() is None
 
-    def warm(self, sqls: list[str]) -> None:
-        """Ask the worker to pre-run ``sqls`` through its service."""
-        self._send({"cmd": "warm", "sql": list(sqls)})
-        self._wait_event("warmed", self._start_timeout)
-
     def drain(self) -> None:
-        """Graceful stop: ``drain`` command, then wait for exit."""
-        self._shutdown("drain")
+        """Graceful stop: close the child's stdin, wait for it to exit,
+        kill it after ``stop_timeout``."""
+        self._stop(grace=self._stop_timeout)
 
     def terminate(self) -> None:
-        """Hard stop: ``terminate`` command, escalate to signals."""
-        self._shutdown("terminate")
+        """Hard stop: kill the child and reap it."""
+        self._stop(grace=0.0)
 
-    def _shutdown(self, mode: str) -> None:
+    def _stop(self, grace: float) -> None:
         proc = self._proc
         if proc is None:
             return
         self._close_client()
-        if proc.poll() is None:
+        proc.stdin.close()
+        if grace:
             try:
-                self._send({"cmd": mode})
-            except WorkerError:
-                proc.terminate()
-            try:
-                proc.wait(timeout=self._stop_timeout)
+                proc.wait(timeout=grace)
+                return
             except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        if proc.stdin is not None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass  # pipe already gone with the process
-        if self._reader is not None:
-            self._reader.join(timeout=5.0)
-            self._reader = None
+                pass  # hung while draining: kill it below
+        proc.kill()  # a no-op once the child has exited
+        proc.wait()
 
 
 class LocalWorker(WorkerHandle):
@@ -297,9 +233,9 @@ class LocalWorker(WorkerHandle):
     Tests and single-process deployments use this — routing, draining,
     and rollout logic cannot tell it from a :class:`ProcessWorker`,
     but there is no interpreter boundary (and therefore no real CPU
-    parallelism).  ``fail()`` simulates a crash: the port closes
-    without draining, exactly what the router's sibling retry and the
-    supervisor's restart path must absorb.
+    parallelism).  ``fail()`` simulates a crash: the port closes and
+    the worker reports itself dead, exactly what the router's sibling
+    retry and the supervisor's restart path must absorb.
     """
 
     def __init__(self, worker_id: str, service, host: str = "127.0.0.1"
@@ -328,24 +264,16 @@ class LocalWorker(WorkerHandle):
         """True until drained, terminated, or failed."""
         return self._alive
 
-    def warm(self, sqls: list[str]) -> None:
-        """Run ``sqls`` through the service to heat its caches."""
-        if sqls:
-            self._service.estimate_many_sql(list(sqls))
-
     def drain(self) -> None:
-        """Graceful stop of the embedded server."""
+        """Stop the embedded server: in-flight requests complete first."""
         if self._alive:
             self._alive = False
             self._close_client()
-            self._server.stop(drain=True)
+            self._server.stop()
 
     def terminate(self) -> None:
-        """Hard stop of the embedded server."""
-        if self._alive:
-            self._alive = False
-            self._close_client()
-            self._server.stop(drain=False)
+        """The same stop as :meth:`drain`: a thread cannot be killed."""
+        self.drain()
 
     def fail(self) -> None:
         """Simulate a crash: close the port, mark the worker dead."""
@@ -489,19 +417,6 @@ class WorkerSupervisor:
             with self._lock:
                 self._supervised.add(handle.worker_id)
         return handles
-
-    def adopt(self, handle: WorkerHandle) -> None:
-        """Take over supervision of an externally started handle."""
-        self.pool.add(handle)
-        with self._lock:
-            self._supervised.add(handle.worker_id)
-
-    def release(self, worker_id: str) -> WorkerHandle | None:
-        """Stop supervising (and routing to) a worker; returns it."""
-        with self._lock:
-            self._supervised.discard(worker_id)
-            self._failures.pop(worker_id, None)
-        return self.pool.remove(worker_id)
 
     def watch(self, worker_id: str) -> None:
         """Begin supervising a worker already present in the pool.

@@ -90,7 +90,6 @@ class MicroBatcher:
         self._queue: queue.Queue = queue.Queue()
         self._batch_seq = 0
         self._closed = False
-        self._drain_on_close = True
         self._close_lock = threading.Lock()
         self._worker = threading.Thread(target=self._run,
                                         name="repro-serve-batcher",
@@ -126,33 +125,25 @@ class MicroBatcher:
             self._queue.put(request)
         return request
 
-    def close(self, drain: bool = True) -> None:
-        """Stop the worker; idempotent.
-
-        With ``drain=True`` (the default, and the graceful-shutdown
-        path) every already-submitted request is executed before the
-        worker exits.  With ``drain=False`` pending requests' futures
-        are cancelled instead.
-        """
+    def close(self) -> None:
+        """Refuse new requests, execute every one already submitted,
+        and join the worker; idempotent."""
         # The join happens outside the lock: holding _close_lock while
         # waiting for the worker would stall every submit() (and a
         # concurrent close()) for the full drain time.
         with self._close_lock:
             if not self._closed:
-                # The worker reads both flags without the lock: set the
-                # policy before the flag that makes it read it.
-                self._drain_on_close = drain
                 self._closed = True
                 self._queue.put(_SHUTDOWN)
         self._worker.join()
 
     def __enter__(self) -> "MicroBatcher":
-        """Context-manager support (closing with drain on exit)."""
+        """Context-manager support (closing on exit)."""
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        """Close (draining) on context exit."""
-        self.close(drain=True)
+        """Close on context exit."""
+        self.close()
         return False
 
     # ------------------------------------------------------------------
@@ -166,13 +157,7 @@ class MicroBatcher:
                 return
             batch = [first]
             shutdown = self._collect(batch)
-            if self._closed and not self._drain_on_close:
-                # close(drain=False): cancel instead of executing the
-                # requests queued ahead of the sentinel.
-                for request in batch:
-                    request.future.cancel()
-            else:
-                self._execute(batch)
+            self._execute(batch)
             if shutdown:
                 return
 

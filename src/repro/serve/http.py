@@ -15,8 +15,9 @@ machinery lives here once:
   serving thread, and the graceful-stop sequence: flip the draining
   flag, half-close every registered connection's read side (blocked
   keep-alive readers see EOF immediately, in-flight responses still go
-  out, one whose body was still arriving closes unanswered), join the
-  listener, then run the subclass's ``_on_stop`` hook.
+  out, one whose body was still arriving closes unanswered), then join
+  the listener and every handler thread.  A subclass that owns more
+  (the estimation server's service) extends ``stop()``.
 
 Nothing here knows about estimators, services, or workers — it is the
 transport layer both servers stand on.
@@ -188,8 +189,7 @@ class ThreadedJsonServer:
     after construction) — the form every test and the in-process
     benchmark use.  ``start()`` serves in a background thread;
     ``stop()`` performs the graceful-drain sequence described in the
-    module docs, then calls the subclass's ``_on_stop(drain)`` hook
-    (where e.g. the estimation service closes its batcher).
+    module docs.
     """
 
     def __init__(self, handler_cls: type[JsonRequestHandler],
@@ -235,15 +235,14 @@ class ThreadedJsonServer:
         self._thread.start()
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop accepting, join in-flight handlers, run ``_on_stop``.
+    def stop(self) -> None:
+        """Stop accepting and join every handler thread.
 
-        Every request read before ``stop`` completes normally; only
-        then does the subclass hook run.  Keep-alive connections are
-        half-closed (read side only), so idle handler threads unblock
-        immediately while in-flight responses still reach their
-        clients; one whose body was still arriving closes unanswered.
-        Idempotent.
+        Every request read before ``stop`` completes normally before
+        it returns.  Keep-alive connections are half-closed (read side
+        only), so idle handler threads unblock immediately while
+        in-flight responses still reach their clients; one whose body
+        was still arriving closes unanswered.  Idempotent.
         """
         self._httpd._repro_draining = True
         with self._httpd._repro_handlers_lock:
@@ -258,10 +257,6 @@ class ThreadedJsonServer:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        self._on_stop(drain)
-
-    def _on_stop(self, drain: bool) -> None:
-        """Subclass hook run after the listener has fully stopped."""
 
     def __enter__(self) -> "ThreadedJsonServer":
         """Start on context entry."""
@@ -269,5 +264,5 @@ class ThreadedJsonServer:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         """Graceful stop on context exit."""
-        self.stop(drain=True)
+        self.stop()
         return False

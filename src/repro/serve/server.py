@@ -72,7 +72,8 @@ from repro.serve.http import JsonRequestHandler, ThreadedJsonServer
 from repro.sql.parser import fingerprint_sql
 
 __all__ = ["EstimationService", "EstimationServer",
-           "ServiceUnavailableError", "parse_feedback"]
+           "ServiceUnavailableError", "parse_estimate",
+           "parse_estimate_batch", "parse_feedback"]
 
 #: Seconds a rejected client should wait before retrying (503 header).
 _RETRY_AFTER_SECONDS = 1
@@ -87,6 +88,31 @@ class ServiceUnavailableError(RuntimeError):
                  retry_after: int = _RETRY_AFTER_SECONDS) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+def parse_estimate(payload: dict) -> str:
+    """Validate a ``/v1/estimate`` body; return its SQL text.
+
+    A body without a string ``sql`` raises ``ValueError`` (a 400).
+    The server and the fleet router both call this.
+    """
+    sql = payload.get("sql")
+    if not isinstance(sql, str):
+        raise ValueError('request body must carry {"sql": "<query>"}')
+    return sql
+
+
+def parse_estimate_batch(payload: dict) -> list[str]:
+    """Validate a ``/v1/estimate_batch`` body; return its SQL texts.
+
+    A body whose ``sql`` is not a list of strings raises ``ValueError``
+    (a 400).  The server and the fleet router both call this.
+    """
+    sqls = payload.get("sql")
+    if (not isinstance(sqls, list)
+            or not all(isinstance(s, str) for s in sqls)):
+        raise ValueError('request body must carry {"sql": ["<query>", ...]}')
+    return sqls
 
 
 def parse_feedback(payload: dict) -> tuple[str, float, float | None]:
@@ -415,11 +441,11 @@ class EstimationService:
         if advance:
             obs.get_registry().advance_all()
 
-    def close(self, drain: bool = True) -> None:
-        """Refuse new requests and drain (or cancel) queued ones."""
+    def close(self) -> None:
+        """Refuse new requests and drain the queued ones."""
         with self._inflight_lock:
             self._closed = True
-        self._batcher.close(drain=drain)
+        self._batcher.close()
 
     def _admit(self, weight: int) -> "_Admission":
         registry = obs.get_registry()
@@ -519,21 +545,14 @@ class _RequestHandler(JsonRequestHandler):
     # ------------------------------------------------------------------
 
     def _estimate(self, payload: dict, trace_id: int | None = None) -> dict:
-        sql = payload.get("sql")
-        if not isinstance(sql, str):
-            raise ValueError('request body must carry {"sql": "<query>"}')
-        estimate, cached = self.service.estimate(sql, trace_id=trace_id)
+        estimate, cached = self.service.estimate(parse_estimate(payload),
+                                                 trace_id=trace_id)
         return {"estimate": estimate, "cached": cached}
 
     def _estimate_batch(self, payload: dict,
                         trace_id: int | None = None) -> dict:
-        sqls = payload.get("sql")
-        if (not isinstance(sqls, list)
-                or not all(isinstance(s, str) for s in sqls)):
-            raise ValueError(
-                'request body must carry {"sql": ["<query>", ...]}')
         return {"estimates": self.service.estimate_many_sql(
-            sqls, trace_id=trace_id)}
+            parse_estimate_batch(payload), trace_id=trace_id)}
 
     def _feedback(self, payload: dict, trace_id: int | None = None) -> dict:
         sql, true_cardinality, estimate = parse_feedback(payload)
@@ -590,6 +609,8 @@ class EstimationServer(ThreadedJsonServer):
         """The wrapped service."""
         return self._service
 
-    def _on_stop(self, drain: bool) -> None:
-        """Close the service once the listener has fully stopped."""
-        self._service.close(drain=drain)
+    def stop(self) -> None:
+        """Stop the listener and join its handlers, then close the
+        service, draining its batcher."""
+        super().stop()
+        self._service.close()

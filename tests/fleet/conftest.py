@@ -3,8 +3,9 @@
 Fleets under test are built from :class:`LocalWorker` handles — the
 same HTTP surface as subprocess workers, no interpreter boundary — so
 routing, failover, and rollout behaviour runs fast and deterministic.
-One integration test in ``test_workers.py`` exercises the real
-:class:`ProcessWorker` control channel end-to-end.
+``TestProcessWorker`` in ``test_workers.py`` starts real
+:class:`ProcessWorker` subprocesses and drives their start and stop
+paths end-to-end.
 """
 
 from __future__ import annotations

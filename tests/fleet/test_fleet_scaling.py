@@ -106,8 +106,8 @@ def _fleet_qps(registry, workers: int, batches, expected) -> float:
         best = min(_round_seconds(server.url, batches, expected)
                    for _ in range(ROUNDS))
     finally:
-        server.stop(drain=True)
-        supervisor.stop(drain=True)
+        server.stop()
+        supervisor.stop()
     return CLIENTS * PASSES * len(batches) * BATCH / best
 
 

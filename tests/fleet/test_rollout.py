@@ -3,13 +3,16 @@ zero-downtime hot-swap under live traffic."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.fleet import LocalWorker, RolloutError, RolloutGate, RolloutManager
+from repro.fleet.rollout import _warm_batches
 from repro.serve import ServeClient, ServeClientError
+from repro.serve.http import MAX_BODY_BYTES
 
 from .conftest import make_service
 
@@ -175,6 +178,46 @@ class TestGateDecisions:
         assert not started[0].alive()
         assert supervisor.pool.ids() == ("w0", "w1")
         assert router.estimate(fleet_sqls[0])["worker_id"] in ("w0", "w1")
+
+
+class TestWarmUp:
+    """Candidates warm on the statements the router answered, over
+    their HTTP API."""
+
+    def test_rejected_statement_is_not_replayed(self, rollout_fleet,
+                                                fleet_sqls):
+        _, router, manager, _ = rollout_fleet()
+        rejected = "SELECT count(*) FROM forest WHERE A1 > 1 OR A1 < 0"
+        router.estimate_batch(fleet_sqls[:4])
+        with pytest.raises(ServeClientError) as caught:
+            router.estimate(rejected)  # a disjunction: conjunctive QFT
+        assert caught.value.status == 400
+        manager.begin(2)
+        assert manager.state == "canary", manager.status()
+        assert router.recent_sql() == fleet_sqls[:4]
+
+    def test_warm_up_larger_than_one_request_body(self, rollout_fleet):
+        _, router, manager, _ = rollout_fleet()
+        sqls = ["SELECT count(*) FROM forest WHERE "
+                + " AND ".join(f"A1 > {k + i}" for i in range(450))
+                for k in range(256)]
+        for start in range(0, len(sqls), 64):
+            router.estimate_batch(sqls[start:start + 64])
+        assert router.recent_sql() == sqls
+        assert len(json.dumps({"sql": sqls})) > MAX_BODY_BYTES
+        manager.begin(2)
+        assert manager.state == "canary", manager.status()
+
+    def test_batches_fill_each_body_to_the_cap(self):
+        # Two statements whose body is exactly MAX_BODY_BYTES, then one
+        # byte more.
+        room = MAX_BODY_BYTES - len('{"sql": ["", ""]}')
+        fits = ["x" * (room // 2), "y" * (room - room // 2)]
+        assert len(json.dumps({"sql": fits})) == MAX_BODY_BYTES
+        assert _warm_batches(fits) == [fits]
+        over = [fits[0], fits[1] + "z"]
+        assert _warm_batches(over) == [[over[0]], [over[1]]]
+        assert _warm_batches([]) == []
 
 
 class TestHotSwapUnderLoad:

@@ -1,10 +1,10 @@
 """Every daemon thread the serving stack starts is joined on shutdown.
 
-The batcher worker, the HTTP accept loop, a process worker's event
-reader and the supervisor's monitor are daemon threads only as a crash
-backstop: their owners' shutdown paths must join them, or interpreter
-exit kills them mid-batch.  Each test records the daemon threads an
-owner started and asserts that none outlives its shutdown call.
+The batcher worker, the HTTP accept loop and the supervisor's monitor
+are daemon threads only as a crash backstop: their owners' shutdown
+paths must join them, or interpreter exit kills them mid-batch.  Each
+test records the daemon threads an owner started and asserts that none
+outlives its shutdown call.  A process worker starts no thread at all.
 """
 
 import threading
@@ -48,7 +48,7 @@ def test_server_stop_joins_every_daemon_thread(fleet_estimator,
         assert client.estimate(fleet_sqls[0])["estimate"] > 0
     threads = daemons_started_since(before)
     assert threads
-    server.stop(drain=True)
+    server.stop()
     assert survivors(threads) == []
 
 
@@ -65,11 +65,11 @@ def test_supervisor_stop_joins_monitor_and_workers(fleet_estimator):
     supervisor.start()
     threads = daemons_started_since(before)
     assert any(thread.name == "repro-fleet-supervisor" for thread in threads)
-    supervisor.stop(drain=True)
+    supervisor.stop()
     assert survivors(threads) == []
 
 
-def test_process_worker_drain_joins_its_reader(tmp_path, fleet_estimator):
+def test_process_worker_starts_no_thread(tmp_path, fleet_estimator):
     from repro.serve import ModelRegistry
 
     registry = ModelRegistry(tmp_path / "registry")
@@ -78,8 +78,7 @@ def test_process_worker_drain_joins_its_reader(tmp_path, fleet_estimator):
     worker = ProcessWorker("p0", registry.root, "proc",
                            start_timeout=120.0).start()
     try:
-        threads = daemons_started_since(before)
-        assert threads
+        assert [thread.name for thread in threading.enumerate()
+                if thread not in before] == []
     finally:
         worker.drain()
-    assert survivors(threads) == []

@@ -1,9 +1,10 @@
 """Worker pool semantics, supervisor crash-restarts, and the real
-subprocess worker's JSON control channel."""
+subprocess worker's start and stop paths."""
 
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 
@@ -87,7 +88,7 @@ class TestLocalWorker:
         assert worker.describe()["kind"] == "LocalWorker"
         response = worker.client.estimate(fleet_sqls[0])
         assert response["estimate"] > 0
-        worker.warm(fleet_sqls[:4])
+        worker.client.estimate_batch(fleet_sqls[:4])
         worker.drain()
         assert not worker.alive()
 
@@ -196,8 +197,18 @@ class TestSupervisor:
         assert len(supervisor.pool) == 0
 
 
+def _process_worker(tmp_path, estimator) -> ProcessWorker:
+    """A started subprocess worker serving ``estimator``."""
+    from repro.serve import ModelRegistry
+
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(estimator, "proc")
+    return ProcessWorker("p0", registry.root, "proc",
+                         start_timeout=120.0).start()
+
+
 class TestProcessWorker:
-    """End-to-end: a real subprocess worker over the control channel."""
+    """End-to-end: a real subprocess worker, served over HTTP."""
 
     def test_spawn_serve_warm_drain(self, tmp_path, fleet_estimator,
                                     fleet_sqls):
@@ -214,7 +225,7 @@ class TestProcessWorker:
             with ServeClient(worker.url) as client:
                 response = client.estimate(fleet_sqls[0])
                 assert response["estimate"] > 0
-            worker.warm(fleet_sqls[:2])
+            worker.client.estimate_batch(fleet_sqls[:2])
         finally:
             worker.drain()
         # drain() reaped the child (checked before alive(), which polls
@@ -222,6 +233,27 @@ class TestProcessWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(worker.pid, os.WNOHANG)
         assert not worker.alive()
+        assert worker._proc.returncode == 0  # drained, not killed
+
+    def test_sigterm_drains_to_exit_code_zero(self, tmp_path,
+                                              fleet_estimator):
+        worker = _process_worker(tmp_path, fleet_estimator)
+        try:
+            os.kill(worker.pid, signal.SIGTERM)
+            assert worker._proc.wait(timeout=30.0) == 0
+        finally:
+            worker.terminate()
+
+    def test_terminate_kills_a_stopped_worker_at_once(self, tmp_path,
+                                                      fleet_estimator):
+        worker = _process_worker(tmp_path, fleet_estimator)
+        os.kill(worker.pid, signal.SIGSTOP)  # it can act on nothing now
+        began = time.monotonic()
+        worker.terminate()
+        assert time.monotonic() - began < 2.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
+        assert worker._proc.returncode == -signal.SIGKILL
 
     def test_child_that_dies_while_starting_fails_at_once(self, tmp_path):
         from repro.serve import ModelRegistry

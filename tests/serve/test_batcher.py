@@ -215,29 +215,11 @@ class TestShutdown:
         backend = RecordingBackend(delay=0.02)
         batcher = MicroBatcher(backend.estimate_batch)
         futures = [batcher.submit(f"q{i}") for i in range(20)]
-        batcher.close(drain=True)
+        batcher.close()
         # Every request accepted before close resolves with a value.
         results = [future.result(timeout=10) for future in futures]
         assert len(results) == 20
         assert sum(backend.batches) == 20
-
-    def test_close_without_drain_cancels_pending(self):
-        backend = BlockingBackend()
-        batcher = MicroBatcher(backend.estimate_batch)
-        first = batcher.submit("q0")
-        assert backend.started.wait(timeout=JOIN_TIMEOUT)
-        pending = [batcher.submit(f"q{i}") for i in range(1, 10)]
-        closer = threading.Thread(target=lambda: batcher.close(drain=False))
-        closer.start()
-        time.sleep(0.05)  # let close() mark the batcher closed
-        backend.release.set()
-        closer.join(timeout=JOIN_TIMEOUT)
-        assert not closer.is_alive()
-        # The batch already executing completes; everything queued
-        # behind it is cancelled rather than silently dropped.
-        assert first.result(timeout=1) == float(len("q0"))
-        assert all(future.cancelled() for future in pending)
-        assert backend.batches == [1]
 
 
 class TestConcurrencyStress:

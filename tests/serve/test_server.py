@@ -340,7 +340,7 @@ class TestGracefulDrain:
             time.sleep(0.005)
         # Stop while every request is still in flight: the drain must
         # complete them all before the server lets go.
-        server.stop(drain=True)
+        server.stop()
         for thread in threads:
             thread.join()
         assert errors == []
